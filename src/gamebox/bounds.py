@@ -9,9 +9,14 @@ Contents:
 * ``eff_ns`` / ``eff_local`` -- "efficiency" partition bounds: the players
   may abort (a per-player extra output), and we maximise the probability
   eta of not aborting subject to winning with conditional probability at
-  least ``1 - eps``; ``eff = 1/eta``.  Maximising over no-signalling
-  correlations gives a lower bound on the quantum quantity, maximising
-  over local (deterministic mixtures) an upper bound.
+  least ``1 - eps``; ``eff = 1/eta``.  Both relaxations solve one LP,
+  built by ``_efficiency_lp`` (which defines the ``worst_case``, ``tilde``
+  and ``average`` counting variants), over different columns: the entries
+  of a no-signalling correlation give a lower bound on the quantum
+  quantity, the weights of a mixture of deterministic strategies an upper
+  bound.  Its rows are the head rows that fix the column set
+  (no-signalling, or weights summing to one), then the mass rows, then
+  the win rows, then the eta floor;
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
   unit vectors and sign matrices;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
@@ -29,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    CapabilityError,
     DimensionMismatchError,
     LPInfeasibleError,
     LPUnboundedError,
@@ -101,6 +107,9 @@ def _leave(T: np.ndarray, col: int, basis: list[int]) -> int | None:
 
 
 def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
+    # Bland's rule never revisits a basis in exact arithmetic; rounding in the
+    # tableau can break it, and a revisited basis then loops forever.
+    seen = {hash(tuple(sorted(basis)))}
     while True:
         j = _enter(T, allowed)
         if j is None:
@@ -110,6 +119,10 @@ def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
             return "unbounded"
         _pivot(T, r, j)
         basis[r] = j
+        key = hash(tuple(sorted(basis)))
+        if key in seen:
+            raise CapabilityError(f"simplex revisited a basis after {len(seen)} pivots: rounding broke Bland's rule")
+        seen.add(key)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -132,16 +145,10 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
         if ub.size != c.size:
             raise DimensionMismatchError("one upper bound per variable required")
-        rows = []
-        for i, u in enumerate(ub):
-            if np.isfinite(u):
-                e = np.zeros(c.size)
-                e[i] = 1.0
-                rows.append(e)
-                b = np.append(b, u)
-                senses.append("<=")
-        if rows:
-            A = np.vstack([A, np.asarray(rows)])
+        finite = np.isfinite(ub)
+        A = np.vstack([A, np.eye(c.size)[finite]])
+        b = np.concatenate([b, ub[finite]])
+        senses += ["<="] * int(finite.sum())
 
     n = c.size
     m = b.size
@@ -240,46 +247,38 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 # no-signalling game value
 
 
-def _ns_constraint_rows(out_sizes, in_sizes, shape):
-    """Normalisation + per-player no-signalling equality rows.
+def _ns_constraint_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Normalisation + per-player no-signalling equality rows ``A q = b``
+    over the entries of ``q[a_1, ..., a_l, x_1, ..., x_l]`` (row-major).
 
-    Per-player marginal conditions imply every subset marginal condition,
-    so these rows cut out exactly the no-signalling polytope.
+    First one normalisation row per input x, then, for each player j with
+    more than one input, one row per (other inputs, other outputs, x_j >= 1)
+    equating j's marginal at x_j with the one at x_j = 0.  Per-player
+    marginal conditions imply every subset marginal condition, so these
+    rows cut out exactly the no-signalling polytope.
     """
     l = len(out_sizes)
+    shape = tuple(out_sizes) + tuple(in_sizes)
     n_vars = int(np.prod(shape))
-    rows = []
-    rhs = []
-    senses = []
-    for x in np.ndindex(*in_sizes):
-        row = np.zeros(n_vars)
-        for a in np.ndindex(*out_sizes):
-            row[np.ravel_multi_index(a + x, shape)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-        senses.append("=")
+    n_in = int(np.prod(in_sizes))
+    idx = np.arange(n_vars).reshape(shape)
+    norm = np.zeros((n_in, n_vars))
+    norm[np.arange(n_in)[:, None], idx.reshape(-1, n_in).T] = 1.0
+    blocks = [norm]
     for j in range(l):
         if in_sizes[j] == 1:
             continue
-        other_out = [out_sizes[k] for k in range(l) if k != j]
-        other_in = [in_sizes[k] for k in range(l) if k != j]
-        for x_rest in np.ndindex(*other_in):
-            for a_rest in np.ndindex(*other_out):
-                for xj in range(1, in_sizes[j]):
-                    row = np.zeros(n_vars)
-                    for aj in range(out_sizes[j]):
-                        a = list(a_rest)
-                        a.insert(j, aj)
-                        xs0 = list(x_rest)
-                        xs0.insert(j, 0)
-                        xs1 = list(x_rest)
-                        xs1.insert(j, xj)
-                        row[np.ravel_multi_index(tuple(a) + tuple(xs0), shape)] += 1.0
-                        row[np.ravel_multi_index(tuple(a) + tuple(xs1), shape)] -= 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-                    senses.append("=")
-    return rows, rhs, senses
+        others = [k for k in range(l) if k != j]
+        # axes (other inputs, other outputs, x_j, a_j): one row per leading index and x_j >= 1
+        grid = idx.transpose([l + k for k in others] + others + [l + j, j]).reshape(-1, in_sizes[j], out_sizes[j])
+        block = np.zeros((grid.shape[0], in_sizes[j] - 1, n_vars))
+        r = np.arange(grid.shape[0])[:, None, None]
+        k = np.arange(in_sizes[j] - 1)[None, :, None]
+        block[r, k, grid[:, :1, :]] = 1.0
+        block[r, k, grid[:, 1:, :]] = -1.0
+        blocks.append(block.reshape(-1, n_vars))
+    A = np.vstack(blocks)
+    return A, np.concatenate([np.ones(n_in), np.zeros(A.shape[0] - n_in)])
 
 
 def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
@@ -313,21 +312,13 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         V = game.dense_V()
         return float(sum(game.p[x] * np.max(V[(Ellipsis,) + x]) for x in np.ndindex(*in_sizes)))
 
-    shape = out_sizes + in_sizes
-    n_vars = int(np.prod(shape))
+    n_vars = int(np.prod(out_sizes + in_sizes))
     if n_vars > budget:
         raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
-    V = game.dense_V()
-    rows, rhs, senses = _ns_constraint_rows(out_sizes, in_sizes, shape)
-    c = np.zeros(n_vars)
-    for x in np.ndindex(*in_sizes):
-        px = float(game.p[x])
-        if px == 0.0:
-            continue
-        for a in np.ndindex(*out_sizes):
-            if V[a + x]:
-                c[np.ravel_multi_index(a + x, shape)] += px
-    res = solve_lp(LinearProgram(c=c, A=np.asarray(rows), senses=senses, b=np.asarray(rhs), maximize=True))
+    A, b = _ns_constraint_rows(out_sizes, in_sizes)
+    # each winning entry scores p(x); entries at p(x) == 0 keep a +0.0 coefficient
+    c = np.where(game.dense_V() & (game.p != 0.0), game.p, 0.0).reshape(-1)
+    res = solve_lp(LinearProgram(c=c, A=A, senses=["="] * b.size, b=b, maximize=True))
     return float(res.value)
 
 
@@ -344,127 +335,107 @@ class PartitionBoundResult:
     certificate: Correlation
 
 
-def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
-    """Abort-augmented efficiency bound over the no-signalling polytope.
+def _p_weighted(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_x p[x] * rows[x]`` as a one-row matrix, accumulated in input
+    order: the simplex pivots on these exact coefficients, and a BLAS
+    product may sum in another order."""
+    total = np.zeros((1, rows.shape[1]))
+    for px, row in zip(p, rows):
+        total[0] += px * row
+    return total
 
-    Adds a per-player abort output, maximises the non-abort mass eta
-    subject to no-signalling and to winning (given no abort) with
-    probability at least ``1 - eps``; ``eff = 1 / eta``.  Variants:
 
-    * ``worst_case``: non-abort mass equal to eta and success >= (1-eps)*eta
-      for every input;
-    * ``tilde``: per-input non-abort mass eta, success averaged over p;
-    * ``average``: both mass and success averaged over p.
+def _efficiency_lp(
+    head: np.ndarray, head_rhs: np.ndarray, mass: np.ndarray, win: np.ndarray, p: np.ndarray, eps: float, variant: str
+) -> tuple[float, np.ndarray]:
+    """The abort-augmented efficiency LP shared by :func:`eff_ns` and
+    :func:`eff_local`; returns eta (at least ``ETA_FLOOR``) and the column
+    weights.
+
+    The columns carry non-negative weights; ``head w = head_rhs`` fixes
+    which weights are allowed.  Row x of ``mass`` (of ``win``) gives, per
+    column, its probability of no abort (of no abort and a win) at input x,
+    in the row-major order of ``p``.  The LP maximises eta, the non-abort
+    probability, subject to, per variant:
+
+    * ``worst_case``: mass_x = eta and win_x >= (1 - eps) eta for every x;
+    * ``tilde``: mass_x = eta for every x and
+      sum_x p(x) win_x >= (1 - eps) eta;
+    * ``average``: sum_x p(x) mass_x = eta and
+      sum_x p(x) win_x >= (1 - eps) eta.
+
+    Row layout over the columns followed by eta: the head rows (=), then
+    the mass rows (=), then the win rows (>=), then the floor
+    eta >= ``ETA_FLOOR``.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    l = game.players
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if variant == "average":
+        mass = _p_weighted(p, mass)
+    if variant != "worst_case":
+        win = _p_weighted(p, win)
+
+    def with_eta(rows, coef):
+        return np.hstack([rows, np.full((rows.shape[0], 1), coef)])
+
+    n = head.shape[1]
+    floor = np.zeros((1, n + 1))
+    floor[0, -1] = 1.0
+    A = np.vstack([with_eta(head, 0.0), with_eta(mass, -1.0), with_eta(win, -(1.0 - eps)), floor])
+    b = np.concatenate([head_rhs, np.zeros(mass.shape[0] + win.shape[0]), [ETA_FLOOR]])
+    senses = ["="] * (head.shape[0] + mass.shape[0]) + [">="] * (win.shape[0] + 1)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b, maximize=True))
+    return max(float(res.x[-1]), ETA_FLOOR), res.x[:n]
+
+
+def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
+    """Abort-augmented efficiency bound over the no-signalling polytope, a
+    lower bound on the quantum quantity; ``eff = 1 / eta``.
+
+    The efficiency LP of :func:`_efficiency_lp`, which defines the
+    variants, over the entries of a correlation whose outputs gain one
+    abort symbol per player; its head rows are the normalisation and
+    no-signalling rows.  The certificate is that correlation.
+    """
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
-    aug_sizes = tuple(s + 1 for s in out_sizes)
-    shape = aug_sizes + in_sizes
-    n_q = int(np.prod(shape))
-    n_vars = n_q + 1  # eta is the last variable
-    V = game.dense_V()
-
-    rows, rhs, senses = _ns_constraint_rows(aug_sizes, in_sizes, shape)
-    rows = [np.concatenate([r, [0.0]]) for r in rows]
-
-    def q_index(a, x):
-        return np.ravel_multi_index(tuple(a) + tuple(x), shape)
-
-    def mass_row(x):
-        row = np.zeros(n_vars)
-        for a in np.ndindex(*out_sizes):  # non-abort outputs only
-            row[q_index(a, x)] = 1.0
-        return row
-
-    def win_row(x):
-        row = np.zeros(n_vars)
-        for a in np.ndindex(*out_sizes):
-            if V[a + x]:
-                row[q_index(a, x)] = 1.0
-        return row
-
-    xs = list(np.ndindex(*in_sizes))
-    if variant == "worst_case":
-        for x in xs:
-            r = mass_row(x)
-            r[-1] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-            senses.append("=")
-        for x in xs:
-            r = win_row(x)
-            r[-1] = -(1.0 - eps)
-            rows.append(r)
-            rhs.append(0.0)
-            senses.append(">=")
-    elif variant == "tilde":
-        for x in xs:
-            r = mass_row(x)
-            r[-1] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-            senses.append("=")
-        r = np.zeros(n_vars)
-        for x in xs:
-            r += float(game.p[x]) * win_row(x)
-        r[-1] = -(1.0 - eps)
-        rows.append(r)
-        rhs.append(0.0)
-        senses.append(">=")
-    else:  # average
-        r = np.zeros(n_vars)
-        for x in xs:
-            r += float(game.p[x]) * mass_row(x)
-        r[-1] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-        senses.append("=")
-        r = np.zeros(n_vars)
-        for x in xs:
-            r += float(game.p[x]) * win_row(x)
-        r[-1] = -(1.0 - eps)
-        rows.append(r)
-        rhs.append(0.0)
-        senses.append(">=")
-
-    floor_row = np.zeros(n_vars)
-    floor_row[-1] = 1.0
-    rows.append(floor_row)
-    rhs.append(ETA_FLOOR)
-    senses.append(">=")
-
-    c = np.zeros(n_vars)
-    c[-1] = 1.0
-    res = solve_lp(LinearProgram(c=c, A=np.asarray(rows), senses=senses, b=np.asarray(rhs), maximize=True))
-    eta = max(float(res.x[-1]), ETA_FLOOR)
-    cert = Correlation(q=res.x[:n_q].reshape(shape), players=l)
+    shape = tuple(s + 1 for s in out_sizes) + in_sizes
+    head, head_rhs = _ns_constraint_rows(shape[: game.players], in_sizes)
+    n_q, n_in = head.shape[1], int(np.prod(in_sizes))
+    # the non-abort entries, one row per input
+    cols = np.arange(n_q).reshape(shape)[tuple(slice(s) for s in out_sizes)].reshape(-1, n_in).T
+    rows = np.arange(n_in)[:, None]
+    mass = np.zeros((n_in, n_q))
+    mass[rows, cols] = 1.0
+    win = np.zeros((n_in, n_q))
+    win[rows, cols] = game.dense_V().reshape(-1, n_in).T
+    eta, q = _efficiency_lp(head, head_rhs, mass, win, game.p, eps, variant)
+    cert = Correlation(q=q.reshape(shape), players=game.players)
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="no_signalling", certificate=cert)
 
 
 def eff_local(
     game: GamePredicate, eps: float, variant: str = "worst_case", budget: int = 10**6
 ) -> PartitionBoundResult:
-    """Abort-augmented efficiency bound over local (deterministic mixture)
-    strategies; same variants as :func:`eff_ns`."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in [0, 1], got {eps}")
-    if variant not in VARIANTS:
-        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    """Abort-augmented efficiency bound over local strategies, an upper
+    bound on the quantum quantity; ``eff = 1 / eta``.
+
+    The efficiency LP of :func:`_efficiency_lp`, which defines the
+    variants, over the weights of the deterministic abort-augmented
+    strategies (at most ``budget`` of them); its head row makes the
+    weights sum to one.  The certificate is the mixture's correlation.
+    """
     l = game.players
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
     aug_sizes = tuple(s + 1 for s in out_sizes)
-    V = game.dense_V()
-
-    map_counts = [aug_sizes[j] ** in_sizes[j] for j in range(l)]
-    n_d = 1
-    for cnt in map_counts:
-        n_d *= cnt
+    map_counts = tuple(aug_sizes[j] ** in_sizes[j] for j in range(l))
+    n_d = math.prod(map_counts)
     if n_d > budget:
         raise BudgetExceededError(f"{n_d} deterministic abort-augmented strategies exceed budget {budget}")
 
@@ -473,107 +444,30 @@ def eff_local(
         for j in range(l)
     ]
 
-    def per_input_cols(x):
-        """(non-abort, win) coefficient vectors over joint strategies for input x."""
-        outs = [maps[j][:, x[j]] for j in range(l)]
-        na_parts = []
-        for j in range(l):
-            shape_j = [1] * l
-            shape_j[j] = map_counts[j]
-            na_parts.append((outs[j] < out_sizes[j]).reshape(shape_j))
-        na = na_parts[0]
-        for part in na_parts[1:]:
-            na = na & part
-        idx = tuple(
-            np.minimum(outs[j], out_sizes[j] - 1).reshape([map_counts[j] if k == j else 1 for k in range(l)])
-            for j in range(l)
-        )
-        win = V[idx + tuple(x)] & na
-        return na.reshape(-1).astype(float), win.reshape(-1).astype(float)
+    def on_axes(a, j):
+        """``a[d_j, x_j]`` laid on axes j and l + j of (d_1, ..., d_l, x_1, ..., x_l)."""
+        shape = [1] * (2 * l)
+        shape[j], shape[l + j] = a.shape
+        return a.reshape(shape)
 
-    xs = list(np.ndindex(*in_sizes))
-    na_cols = {}
-    win_cols = {}
-    for x in xs:
-        na_cols[x], win_cols[x] = per_input_cols(x)
+    # player j's output under its d_j-th map at input x_j, and x_j itself
+    outs = [on_axes(maps[j], j) for j in range(l)]
+    inputs = [on_axes(np.arange(in_sizes[j])[None, :], j) for j in range(l)]
+    non_abort = tuple(slice(s) for s in out_sizes)
+    kept = np.zeros(aug_sizes, dtype=bool)
+    kept[non_abort] = True
+    won = np.zeros(aug_sizes + in_sizes, dtype=bool)
+    won[non_abort] = game.dense_V()
+    mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
+    win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
+    eta, w = _efficiency_lp(np.ones((1, n_d)), np.ones(1), mass, win, game.p, eps, variant)
 
-    n_vars = n_d + 1  # weights + eta
-    rows = []
-    rhs = []
-    senses = []
-
-    r = np.zeros(n_vars)
-    r[:n_d] = 1.0
-    rows.append(r)
-    rhs.append(1.0)
-    senses.append("=")
-
-    if variant == "worst_case":
-        for x in xs:
-            row = np.zeros(n_vars)
-            row[:n_d] = na_cols[x]
-            row[-1] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append("=")
-        for x in xs:
-            row = np.zeros(n_vars)
-            row[:n_d] = win_cols[x]
-            row[-1] = -(1.0 - eps)
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append(">=")
-    elif variant == "tilde":
-        for x in xs:
-            row = np.zeros(n_vars)
-            row[:n_d] = na_cols[x]
-            row[-1] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-            senses.append("=")
-        row = np.zeros(n_vars)
-        for x in xs:
-            row[:n_d] += float(game.p[x]) * win_cols[x]
-        row[-1] = -(1.0 - eps)
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append(">=")
-    else:
-        row = np.zeros(n_vars)
-        for x in xs:
-            row[:n_d] += float(game.p[x]) * na_cols[x]
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append("=")
-        row = np.zeros(n_vars)
-        for x in xs:
-            row[:n_d] += float(game.p[x]) * win_cols[x]
-        row[-1] = -(1.0 - eps)
-        rows.append(row)
-        rhs.append(0.0)
-        senses.append(">=")
-
-    row = np.zeros(n_vars)
-    row[-1] = 1.0
-    rows.append(row)
-    rhs.append(ETA_FLOOR)
-    senses.append(">=")
-
-    c = np.zeros(n_vars)
-    c[-1] = 1.0
-    res = solve_lp(LinearProgram(c=c, A=np.asarray(rows), senses=senses, b=np.asarray(rhs), maximize=True))
-    eta = max(float(res.x[-1]), ETA_FLOOR)
-
-    # reconstruct the mixture's correlation over augmented alphabets
-    shape = aug_sizes + in_sizes
-    q = np.zeros(shape)
-    w = res.x[:n_d]
-    for d in np.flatnonzero(w > 1e-12):
-        d_idx = np.unravel_index(int(d), tuple(map_counts))
-        for x in xs:
-            a = tuple(int(maps[j][d_idx[j], x[j]]) for j in range(l))
-            q[a + tuple(x)] += float(w[d])
+    # the mixture's correlation; each entry sums its strategies d in ascending order
+    q = np.zeros(aug_sizes + in_sizes)
+    ds = np.flatnonzero(w > 1e-12)
+    d_idx = np.unravel_index(ds, map_counts)
+    xs = np.indices(in_sizes).reshape(l, -1)
+    np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w[ds][:, None])
     cert = Correlation(q=q, players=l)
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="local", certificate=cert)
 

@@ -70,6 +70,9 @@ class GamePredicate:
         p = np.asarray(self.p, dtype=float)
         if p.shape != self.input_sizes:
             raise DimensionMismatchError(f"p shape {p.shape} != input sizes {self.input_sizes}")
+        # NaN fails every comparison, so the two checks below would pass it
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("input distribution has non-finite entries")
         if np.any(p < -1e-12):
             raise ValidationError("input distribution has negative entries")
         if abs(float(p.sum()) - 1.0) > 1e-9:

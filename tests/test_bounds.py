@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gamebox import bounds, games
 from gamebox.errors import (
     BudgetExceededError,
+    CapabilityError,
     DimensionMismatchError,
     LPInfeasibleError,
     LPUnboundedError,
@@ -232,6 +233,220 @@ def test_eff_validation():
         bounds.eff_ns(games.chsh(), 1.5)
     with pytest.raises(ValidationError):
         bounds.eff_local(games.chsh(), 0.1, "median")
+
+
+# ---------------------------------------------------------------------------
+# efficiency LPs rebuilt from the definitions and solved by HiGHS
+# ---------------------------------------------------------------------------
+
+
+def _random_game(seed, outs, ins):
+    r = np.random.default_rng(seed)
+    return games.GamePredicate(
+        inputs=tuple(tuple(range(s)) for s in ins),
+        outputs=tuple(tuple(range(s)) for s in outs),
+        p=r.dirichlet(np.ones(int(np.prod(ins)))).reshape(ins),
+        V=r.random(tuple(outs) + tuple(ins)) < 0.5,
+        name=f"random{seed}",
+    )
+
+
+DIFFERENTIAL_GAMES = {
+    "chsh": games.chsh,
+    "magic_square": games.magic_square,
+    # seeds picked for values below 1 and, for the 2-player games, a gap
+    # between the two relaxations
+    "random_2x3_3x2": lambda: _random_game(1, (2, 3), (3, 2)),
+    "random_2x2_3x2": lambda: _random_game(6, (2, 2), (3, 2)),
+    "random_3_player": lambda: _random_game(16, (2, 2, 2), (2, 2, 2)),
+}
+
+
+def _ns_columns(out_sizes, in_sizes):
+    """Columns q(a|x), each listed as {input: output it answers with}."""
+    return [
+        {x: a}
+        for a in itertools.product(*(range(s) for s in out_sizes))
+        for x in itertools.product(*(range(s) for s in in_sizes))
+    ]
+
+
+def _ns_equalities(out_sizes, in_sizes):
+    """Normalisation and no-signalling rows over the columns of _ns_columns,
+    straight from the definition: for every player j, every pair of inputs
+    differing only at j and every output of the others, j's marginals agree."""
+    cols = _ns_columns(out_sizes, in_sizes)
+    pos = {(a, x): k for k, col in enumerate(cols) for x, a in col.items()}
+    outs = list(itertools.product(*(range(s) for s in out_sizes)))
+    rows, rhs = [], []
+    for x in itertools.product(*(range(s) for s in in_sizes)):
+        row = np.zeros(len(cols))
+        for a in outs:
+            row[pos[a, x]] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+        for j, xj in itertools.product(range(len(in_sizes)), range(max(in_sizes))):
+            if xj >= in_sizes[j] or xj == x[j]:
+                continue
+            x2 = x[:j] + (xj,) + x[j + 1 :]
+            for a_rest in {a[:j] + a[j + 1 :] for a in outs}:
+                row = np.zeros(len(cols))
+                for aj in range(out_sizes[j]):
+                    a = a_rest[:j] + (aj,) + a_rest[j:]
+                    row[pos[a, x]] += 1.0
+                    row[pos[a, x2]] -= 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def _ns_rows_by_loops(out_sizes, in_sizes):
+    """The per-entry loops the solver's no-signalling rows were first built
+    with.  The simplex pivots on these rows, so their order and values are
+    part of every result."""
+    l = len(out_sizes)
+    shape = tuple(out_sizes) + tuple(in_sizes)
+    n = int(np.prod(shape))
+    rows = []
+    for x in np.ndindex(*in_sizes):
+        row = np.zeros(n)
+        for a in np.ndindex(*out_sizes):
+            row[np.ravel_multi_index(a + x, shape)] = 1.0
+        rows.append(row)
+    for j in range(l):
+        if in_sizes[j] == 1:
+            continue
+        for x_rest in np.ndindex(*(in_sizes[k] for k in range(l) if k != j)):
+            for a_rest in np.ndindex(*(out_sizes[k] for k in range(l) if k != j)):
+                for xj in range(1, in_sizes[j]):
+                    row = np.zeros(n)
+                    for aj in range(out_sizes[j]):
+                        a = a_rest[:j] + (aj,) + a_rest[j:]
+                        row[np.ravel_multi_index(a + x_rest[:j] + (0,) + x_rest[j:], shape)] += 1.0
+                        row[np.ravel_multi_index(a + x_rest[:j] + (xj,) + x_rest[j:], shape)] -= 1.0
+                    rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "out_sizes,in_sizes",
+    [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,))],
+)
+def test_ns_rows_match_per_entry_loops(out_sizes, in_sizes):
+    A, b = bounds._ns_constraint_rows(out_sizes, in_sizes)
+    n_in = int(np.prod(in_sizes))
+    assert np.array_equal(A, _ns_rows_by_loops(out_sizes, in_sizes))
+    assert np.array_equal(b, np.r_[np.ones(n_in), np.zeros(A.shape[0] - n_in)])
+
+
+def _reference_lp(game, relaxation):
+    """The efficiency LP's ingredients: head rows fixing the column set, and
+    per input x the columns' probability of no abort (mass) and of no abort
+    and a win (win)."""
+    V = game.dense_V()
+    outs, ins = game.output_sizes, game.input_sizes
+    aug = tuple(s + 1 for s in outs)
+    xs = list(itertools.product(*(range(s) for s in ins)))
+    if relaxation == "no_signalling":
+        cols = _ns_columns(aug, ins)
+        head, head_rhs = _ns_equalities(aug, ins)
+    else:
+        maps = [list(itertools.product(range(aug[j]), repeat=ins[j])) for j in range(len(ins))]
+        cols = [{x: tuple(f[j][x[j]] for j in range(len(ins))) for x in xs} for f in itertools.product(*maps)]
+        head, head_rhs = np.ones((1, len(cols))), np.ones(1)
+    mass = np.zeros((len(xs), len(cols)))
+    win = np.zeros((len(xs), len(cols)))
+    for i, x in enumerate(xs):
+        for k, col in enumerate(cols):
+            a = col.get(x)
+            if a is not None and all(a[j] < outs[j] for j in range(len(outs))):
+                mass[i, k] = 1.0
+                win[i, k] = float(V[a + x])
+    return head, head_rhs, mass, win, np.array([game.p[x] for x in xs])
+
+
+def _reference_eta(lp, eps, variant):
+    """eta of the abort-augmented efficiency LP, by HiGHS."""
+    head, head_rhs, mass, win, p = lp
+    if variant == "average":
+        mass = p[None, :] @ mass
+    if variant in ("tilde", "average"):
+        win = p[None, :] @ win
+    # variables: column weights, then eta
+    A_eq = np.vstack([
+        np.hstack([head, np.zeros((head.shape[0], 1))]),
+        np.hstack([mass, -np.ones((mass.shape[0], 1))]),
+    ])
+    b_eq = np.concatenate([head_rhs, np.zeros(mass.shape[0])])
+    A_ub = -np.hstack([win, np.full((win.shape[0], 1), -(1.0 - eps))])
+    c = np.zeros(head.shape[1] + 1)
+    c[-1] = -1.0
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq, b_eq=b_eq,
+        bounds=[(0, None)] * head.shape[1] + [(bounds.ETA_FLOOR, None)], method="highs",
+    )
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def _check_certificate(game, eps, variant, res, tol=1e-7):
+    """The certificate correlation meets its variant's mass and win rows at
+    the reported eta, is normalised and signals nothing."""
+    q = res.certificate.q
+    l, outs = game.players, game.output_sizes
+    kept = q[tuple(slice(s) for s in outs)]  # entries with no abort
+    p = game.p
+    mass = kept.sum(axis=tuple(range(l)))
+    win = np.where(game.dense_V(), kept, 0.0).sum(axis=tuple(range(l)))
+    target = (1.0 - eps) * res.eta
+    if variant == "average":
+        assert float(np.sum(p * mass)) == pytest.approx(res.eta, abs=tol)
+    else:
+        np.testing.assert_allclose(mass, res.eta, atol=tol)
+    if variant == "worst_case":
+        assert np.all(win >= target - tol)
+    else:
+        assert float(np.sum(p * win)) >= target - tol
+    assert np.all(q >= -tol)
+    np.testing.assert_allclose(q.sum(axis=tuple(range(l))), 1.0, atol=tol)
+    for j in range(l):
+        marginal = q.sum(axis=j)
+        np.testing.assert_allclose(marginal - np.take(marginal, [0], axis=l - 1 + j), 0.0, atol=tol)
+
+
+@pytest.mark.parametrize("relaxation", ["no_signalling", "local"])
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_GAMES))
+def test_eff_matches_highs_on_lp_from_definitions(name, relaxation):
+    game = DIFFERENTIAL_GAMES[name]()
+    fn = bounds.eff_ns if relaxation == "no_signalling" else bounds.eff_local
+    lp = _reference_lp(game, relaxation)
+    for eps in (0.0, 0.1):
+        for variant in bounds.VARIANTS:
+            res = fn(game, eps, variant)
+            assert res.relaxation == relaxation
+            assert res.eta == pytest.approx(_reference_eta(lp, eps, variant), abs=1e-7)
+            assert res.eff == pytest.approx(1.0 / res.eta, rel=1e-12)
+            _check_certificate(game, eps, variant, res)
+
+
+def test_ns_value_matches_highs_on_three_player_game():
+    game = DIFFERENTIAL_GAMES["random_3_player"]()
+    V = game.dense_V()
+    cols = _ns_columns(game.output_sizes, game.input_sizes)
+    A_eq, b_eq = _ns_equalities(game.output_sizes, game.input_sizes)
+    c = np.array([-game.p[x] * V[a + x] for col in cols for x, a in col.items()])
+    ref = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert bounds.ns_game_value(game) == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def test_simplex_stops_when_rounding_revisits_a_basis():
+    # HiGHS solves this LP (eta = 1/3); the dense tableau drifts until Bland's
+    # rule cycles, and the solver must stop rather than loop forever
+    game = _random_game(13, (2, 2, 2), (2, 2, 2))
+    assert _reference_eta(_reference_lp(game, "no_signalling"), 0.0, "tilde") == pytest.approx(1 / 3, abs=1e-7)
+    with pytest.raises(CapabilityError, match="revisited a basis"):
+        bounds.eff_ns(game, 0.0, "tilde")
 
 
 # ---------------------------------------------------------------------------

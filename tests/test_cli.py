@@ -42,6 +42,25 @@ def test_missing_game_file_exits_one(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("game", "value", "--method", "classical"),
+        ("game", "value", "--method", "ns"),
+        ("bounds", "eff", "--eps", "0.1", "--relaxation", "local"),
+    ],
+)
+def test_nan_input_distribution_exits_one(capsys, tmp_path, command):
+    doc = games.game_to_json(games.chsh())
+    doc["p"] = [math.nan, 0.5, 0.25, 0.25]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, "--game", str(path))
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_computation_error_exits_two(capsys, tmp_path):
     # gamma2 alpha-approximation refuses sign matrices beyond 12 cells
     path = tmp_path / "m.json"
