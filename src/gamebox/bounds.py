@@ -296,7 +296,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
 
     if l >= 2 and 1 in in_sizes:
         j = in_sizes.index(1)
-        V = game.dense_V()
+        V = game.V
         best = 0.0
         p_rest = np.squeeze(game.p, axis=j)
         rest_inputs = tuple(game.inputs[k] for k in range(l) if k != j)
@@ -309,7 +309,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         return best
 
     if l == 1:
-        V = game.dense_V()
+        V = game.V
         return float(sum(game.p[x] * np.max(V[(Ellipsis,) + x]) for x in np.ndindex(*in_sizes)))
 
     n_vars = int(np.prod(out_sizes + in_sizes))
@@ -317,7 +317,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
     A, b = _ns_constraint_rows(out_sizes, in_sizes)
     # each winning entry scores p(x); entries at p(x) == 0 keep a +0.0 coefficient
-    c = np.where(game.dense_V() & (game.p != 0.0), game.p, 0.0).reshape(-1)
+    c = np.where(game.V & (game.p != 0.0), game.p, 0.0).reshape(-1)
     res = solve_lp(LinearProgram(c=c, A=A, senses=["="] * b.size, b=b, maximize=True))
     return float(res.value)
 
@@ -413,7 +413,7 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     mass = np.zeros((n_in, n_q))
     mass[rows, cols] = 1.0
     win = np.zeros((n_in, n_q))
-    win[rows, cols] = game.dense_V().reshape(-1, n_in).T
+    win[rows, cols] = game.V.reshape(-1, n_in).T
     eta, q = _efficiency_lp(head, head_rhs, mass, win, game.p, eps, variant)
     cert = Correlation(q=q.reshape(shape), players=game.players)
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="no_signalling", certificate=cert)
@@ -457,7 +457,7 @@ def eff_local(
     kept = np.zeros(aug_sizes, dtype=bool)
     kept[non_abort] = True
     won = np.zeros(aug_sizes + in_sizes, dtype=bool)
-    won[non_abort] = game.dense_V()
+    won[non_abort] = game.V
     mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
     win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
     eta, w = _efficiency_lp(np.ones((1, n_d)), np.ones(1), mass, win, game.p, eps, variant)

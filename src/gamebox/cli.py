@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -108,11 +109,22 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
+        return tuple(_finite_float(v) for v in text.split(",") if v != "")
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"expected comma-separated finite numbers, got {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = bnd_sub.add_parser("eff", help="abort-augmented efficiency bound")
     _add_game_source(be)
-    be.add_argument("--eps", type=float, default=0.0)
+    be.add_argument("--eps", type=_finite_float, default=0.0)
     be.add_argument("--variant", choices=bounds.VARIANTS, default="worst_case")
     be.add_argument("--relaxation", choices=("ns", "local"), default="ns")
     _add_common(be, seed=False)
@@ -429,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bg = bnd_sub.add_parser("gamma2", help="dual factorization norm / approximate variant")
     bg.add_argument("--matrix", required=True, help="JSON file: matrix, or {M}, or {F, p}")
-    bg.add_argument("--alpha-approx", dest="alpha_approx", type=float, default=None)
+    bg.add_argument("--alpha-approx", dest="alpha_approx", type=_finite_float, default=None)
     bg.add_argument("--restarts", type=int, default=50)
     _add_common(bg, seed=False)
     bg.set_defaults(handler=_cmd_bounds_gamma2)
 
     bc = bnd_sub.add_parser("check-thm2", help="two-sided discrepancy/efficiency check")
     bc.add_argument("--input", required=True, help='JSON file {"f": ..., "p": ...}')
-    bc.add_argument("--eps", type=float, default=0.0)
+    bc.add_argument("--eps", type=_finite_float, default=0.0)
     _add_common(bc, seed=False)
     bc.set_defaults(handler=_cmd_bounds_check_thm2)
 
@@ -447,15 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     db.add_argument("which", choices=("case-i", "case-ii", "randv"))
     db.add_argument("--l", type=int, default=2)
     db.add_argument("--n", type=int, required=True)
-    db.add_argument("--c", type=float, default=0.0)
-    db.add_argument("--nu", type=float, default=0.0)
-    db.add_argument("--eps", type=float, default=0.0)
-    db.add_argument("--zeta", type=float, default=0.5)
-    db.add_argument("--eff", type=float, default=None)
+    db.add_argument("--c", type=_finite_float, default=0.0)
+    db.add_argument("--nu", type=_finite_float, default=0.0)
+    db.add_argument("--eps", type=_finite_float, default=0.0)
+    db.add_argument("--zeta", type=_finite_float, default=0.5)
+    db.add_argument("--eff", type=_finite_float, default=None)
     db.add_argument("--t", type=int, default=None)
-    db.add_argument("--beta", type=float, default=1.0)
+    db.add_argument("--beta", type=_finite_float, default=1.0)
     db.add_argument("--alphabets", default="4,4", help="comma-separated output alphabet sizes")
-    db.add_argument("--exponent-const", dest="exponent_const", type=float, default=1.0)
+    db.add_argument("--exponent-const", dest="exponent_const", type=_finite_float, default=1.0)
     db.add_argument("--mode", choices=("generic", "mse"), default="generic")
     _add_common(db, seed=False)
     db.set_defaults(handler=_cmd_dpt_bound)
@@ -470,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ds = dp_sub.add_parser("substate-check", help="classical substate perturbation check")
     ds.add_argument("--input", required=True, help="JSON file {sigma_XB, psi_X, rho_B}")
-    ds.add_argument("--c", type=float, default=0.0)
-    ds.add_argument("--eps", type=float, default=0.0)
-    ds.add_argument("--delta0", type=float, default=0.1)
-    ds.add_argument("--delta1", type=float, default=0.1)
+    ds.add_argument("--c", type=_finite_float, default=0.0)
+    ds.add_argument("--eps", type=_finite_float, default=0.0)
+    ds.add_argument("--delta0", type=_finite_float, default=0.1)
+    ds.add_argument("--delta1", type=_finite_float, default=0.1)
     _add_common(ds, seed=False)
     ds.set_defaults(handler=_cmd_dpt_substate)
 
@@ -482,12 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     dr = dq_sub.add_parser("run", help="simulate protocol runs")
     dr.add_argument("--n", type=int, required=True)
-    dr.add_argument("--alpha", type=float, default=0.5)
-    dr.add_argument("--gamma", type=float, default=0.2)
-    dr.add_argument("--delta", type=float, default=0.0)
+    dr.add_argument("--alpha", type=_finite_float, default=0.5)
+    dr.add_argument("--gamma", type=_finite_float, default=0.2)
+    dr.add_argument("--delta", type=_finite_float, default=0.0)
     dr.add_argument("--runs", type=int, default=1)
     dr.add_argument("--boxes", choices=("honest", "baseline", "test_set"), default="honest")
-    dr.add_argument("--box-delta", dest="box_delta", type=float, default=None,
+    dr.add_argument("--box-delta", dest="box_delta", type=_finite_float, default=None,
                     help="device noise if different from the protocol delta")
     dr.add_argument("--guess", type=int, default=0, help="rounds the test_set cheater pre-leaks")
     dr.add_argument("--adversary", default=None, help="JSON adversary script")
@@ -496,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     dr.set_defaults(handler=_cmd_diqkd_run)
 
     dra = dq_sub.add_parser("rate", help="closed-form key-rate evaluation")
-    dra.add_argument("--alpha", type=float, required=True)
-    dra.add_argument("--gamma", type=float, required=True)
-    dra.add_argument("--delta", type=float, required=True)
-    dra.add_argument("--c", type=float, default=0.0)
+    dra.add_argument("--alpha", type=_finite_float, required=True)
+    dra.add_argument("--gamma", type=_finite_float, required=True)
+    dra.add_argument("--delta", type=_finite_float, required=True)
+    dra.add_argument("--c", type=_finite_float, default=0.0)
     dra.add_argument("--n", type=int, required=True)
-    dra.add_argument("--nu", type=float, default=0.01)
-    dra.add_argument("--beta", type=float, default=1.0)
-    dra.add_argument("--pre", type=float, default=1.0, help="non-abort probability PrE")
+    dra.add_argument("--nu", type=_finite_float, default=0.01)
+    dra.add_argument("--beta", type=_finite_float, default=1.0)
+    dra.add_argument("--pre", type=_finite_float, default=1.0, help="non-abort probability PrE")
     _add_common(dra, seed=False)
     dra.set_defaults(handler=_cmd_diqkd_rate)
 
@@ -523,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = dq_sub.add_parser("serfling", help="Monte Carlo sampling-tail check")
     dse.add_argument("--n", type=int, required=True)
-    dse.add_argument("--gamma", type=float, required=True)
-    dse.add_argument("--eps", type=float, required=True)
+    dse.add_argument("--gamma", type=_finite_float, required=True)
+    dse.add_argument("--eps", type=_finite_float, required=True)
     dse.add_argument("--pattern", default="ones", help="ones | zeros | threshold:K | iid:P")
     dse.add_argument("--trials", type=int, default=10000)
     _add_common(dse)
@@ -541,10 +553,7 @@ def main(argv=None) -> int:
         return int(done.code or 0)
     try:
         doc = args.handler(args)
-    except ValidationError as exc:
-        print(f"gamebox: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 1
     except GameboxError as exc:

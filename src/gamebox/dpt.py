@@ -212,32 +212,10 @@ class RepetitionProbe:
 
 
 def _repeated_tensors(game: games_mod.GamePredicate, n: int):
-    """Dense per-tuple tables for n copies: probabilities (NX, NY) and
-    win weights (NX, NY, MA, MB), tuple indices in row-major order."""
-    nx, ny = game.input_sizes
-    ma, mb = game.output_sizes
-    NX, NY, MA, MB = nx**n, ny**n, ma**n, mb**n
-    if NX * NY * MA * MB > _PROBE_TENSOR_LIMIT:
-        raise CapabilityError(
-            f"repetition tensor with {NX * NY * MA * MB} entries exceeds the probe limit"
-        )
-    V = game.dense_V().astype(float)  # (ma, mb, nx, ny)
-    p = np.asarray(game.p, dtype=float)
-    xs = np.stack(np.unravel_index(np.arange(NX), (nx,) * n))  # (n, NX)
-    ys = np.stack(np.unravel_index(np.arange(NY), (ny,) * n))
-    As = np.stack(np.unravel_index(np.arange(MA), (ma,) * n))
-    Bs = np.stack(np.unravel_index(np.arange(MB), (mb,) * n))
-    Pn = np.ones((NX, NY))
-    Wn = np.ones((NX, NY, MA, MB))
-    for i in range(n):
-        Pn *= p[xs[i][:, None], ys[i][None, :]]
-        Wn *= V[
-            As[i][None, None, :, None],
-            Bs[i][None, None, None, :],
-            xs[i][:, None, None, None],
-            ys[i][None, :, None, None],
-        ]
-    return Pn[:, :, None, None] * Wn  # (NX, NY, MA, MB)
+    """Win weights ``p(x) V(a, b | x, y)`` of the n-fold game, shape
+    (NX, NY, MA, MB), tuple indices row-major with copy 0 most significant."""
+    rep = games_mod.repeat(game, n, budget=_PROBE_TENSOR_LIMIT)
+    return rep.p[:, :, None, None] * rep.V.transpose(2, 3, 0, 1)
 
 
 def _split_work(NX: int, NY: int, MA: int, MB: int, kA: int, kB: int) -> int:

@@ -23,6 +23,7 @@ Builtin games
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -51,15 +52,17 @@ DENSE_PREDICATE_LIMIT = 10**6
 class GamePredicate:
     """Input/output alphabets, input distribution and winning predicate.
 
-    ``p`` has shape ``(|X_1|, ..., |X_l|)``.  ``V`` is either a boolean
-    array of shape ``(|A_1|, ..., |A_l|, |X_1|, ..., |X_l|)`` or, for large
-    games, a callable ``V(a_indices, x_indices) -> bool``.
+    ``p`` has shape ``(|X_1|, ..., |X_l|)``.  ``V`` is always a dense
+    boolean array of shape ``(|A_1|, ..., |A_l|, |X_1|, ..., |X_l|)``.  A
+    callable ``V(a_indices, x_indices) -> bool`` is accepted only at
+    construction: it is evaluated once on every cell (at most
+    ``DENSE_PREDICATE_LIMIT`` of them) and replaced by that array.
     """
 
     inputs: tuple[tuple[Label, ...], ...]
     outputs: tuple[tuple[Label, ...], ...]
     p: np.ndarray
-    V: Union[np.ndarray, Callable[[tuple[int, ...], tuple[int, ...]], bool]]
+    V: np.ndarray
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -78,13 +81,18 @@ class GamePredicate:
         if abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"input distribution sums to {p.sum()!r}, not 1")
         object.__setattr__(self, "p", p)
-        if isinstance(self.V, np.ndarray):
-            want = self.output_sizes + self.input_sizes
-            if self.V.shape != want:
-                raise DimensionMismatchError(f"V shape {self.V.shape} != {want}")
-            object.__setattr__(self, "V", self.V.astype(bool))
-        elif not callable(self.V):
-            raise ValidationError("V must be a boolean array or a callable")
+        want = self.output_sizes + self.input_sizes
+        V = self.V
+        if not isinstance(V, np.ndarray):
+            if not callable(V):
+                raise ValidationError("V must be a boolean array or a callable")
+            if math.prod(want) > DENSE_PREDICATE_LIMIT:
+                raise BudgetExceededError(f"dense predicate table of {math.prod(want)} entries over limit")
+            l = self.players
+            V = np.array([bool(V(c[:l], c[l:])) for c in np.ndindex(*want)], dtype=bool).reshape(want)
+        if V.shape != want:
+            raise DimensionMismatchError(f"V shape {V.shape} != {want}")
+        object.__setattr__(self, "V", V.astype(bool))
 
     @property
     def players(self) -> int:
@@ -100,25 +108,11 @@ class GamePredicate:
 
     def win(self, a_idx: Sequence[int], x_idx: Sequence[int]) -> bool:
         """Predicate value at output indices `a_idx`, input indices `x_idx`."""
-        a = tuple(int(i) for i in a_idx)
-        x = tuple(int(i) for i in x_idx)
-        if isinstance(self.V, np.ndarray):
-            return bool(self.V[a + x])
-        return bool(self.V(a, x))
+        return bool(self.V[(*a_idx, *x_idx)])
 
     def dense_V(self) -> np.ndarray:
-        """The predicate as a dense boolean array (materialises callables)."""
-        if isinstance(self.V, np.ndarray):
-            return self.V
-        shape = self.output_sizes + self.input_sizes
-        if int(np.prod(shape)) > DENSE_PREDICATE_LIMIT:
-            raise BudgetExceededError(f"dense predicate table of {np.prod(shape)} entries over limit")
-        out = np.zeros(shape, dtype=bool)
-        n_out = len(self.output_sizes)
-        for a in np.ndindex(*self.output_sizes):
-            for x in np.ndindex(*self.input_sizes):
-                out[a + x] = self.V(a, x)
-        return out
+        """The predicate table ``V`` (kept for callers of the old API)."""
+        return self.V
 
 
 @dataclass(frozen=True)
@@ -305,7 +299,7 @@ def game_from_json(doc: dict) -> GamePredicate:
                     f"builtin predicate {v_spec!r} has alphabet sizes "
                     f"{base.output_sizes}+{base.input_sizes}, got {out_sizes}+{in_sizes}"
                 )
-            V = base.dense_V()
+            V = base.V
             name = v_spec
         else:
             V = np.asarray(v_spec, dtype=bool).reshape(out_sizes + in_sizes)
@@ -322,7 +316,7 @@ def game_to_json(game: GamePredicate) -> dict:
         "inputs": [list(a) for a in game.inputs],
         "outputs": [list(a) for a in game.outputs],
         "p": game.p.reshape(-1).tolist(),
-        "V": game.dense_V().reshape(-1).astype(int).tolist(),
+        "V": game.V.reshape(-1).astype(int).tolist(),
         "name": game.name,
     }
 
@@ -331,52 +325,19 @@ def game_to_json(game: GamePredicate) -> dict:
 # classical value
 
 
+def _wins(game: GamePredicate, strategy: ClassicalStrategy) -> np.ndarray:
+    """Boolean table over the inputs: does `strategy` win on input x?"""
+    xs = np.ix_(*(np.arange(s) for s in game.input_sizes))
+    return game.V[tuple(np.asarray(m)[x] for m, x in zip(strategy.maps, xs)) + xs]
+
+
 def strategy_value(game: GamePredicate, strategy: ClassicalStrategy) -> float:
     """Winning probability of a deterministic strategy."""
-    total = 0.0
-    for x in np.ndindex(*game.input_sizes):
-        px = float(game.p[x])
-        if px == 0.0:
-            continue
-        if game.win(strategy.outputs(x), x):
-            total += px
-    return total
+    # cumsum adds the inputs one at a time, in row-major order
+    return float(np.cumsum(np.where(_wins(game, strategy), game.p, 0.0))[-1])
 
 
-def _player_maps(game: GamePredicate, j: int):
-    """All deterministic maps of player j, in lexicographic order."""
-    return itertools.product(range(len(game.outputs[j])), repeat=len(game.inputs[j]))
-
-
-def _best_response(game: GamePredicate, r: int, others: Sequence[int], other_maps) -> tuple[float, tuple[int, ...]]:
-    """Exact best response of player r against fixed maps of the other players.
-
-    Returns the achieved value and player r's map (first argmax per input).
-    """
-    n_in_r = len(game.inputs[r])
-    n_out_r = len(game.outputs[r])
-    margins = [[0.0] * n_out_r for _ in range(n_in_r)]
-    pos = {j: t for t, j in enumerate(others)}
-    l = game.players
-    a_full = [0] * l
-    for x in np.ndindex(*game.input_sizes):
-        px = float(game.p[x])
-        if px == 0.0:
-            continue
-        for j in others:
-            a_full[j] = other_maps[pos[j]][x[j]]
-        row = margins[x[r]]
-        for oa in range(n_out_r):
-            a_full[r] = oa
-            if game.win(a_full, x):
-                row[oa] += px
-    value = 0.0
-    r_map = []
-    for row in margins:
-        best = max(row)
-        value += best
-        r_map.append(row.index(best))
-    return value, tuple(r_map)
+_GATHER_CHUNK = 2**18
 
 
 def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult:
@@ -384,32 +345,61 @@ def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult
 
     Enumerates all but one player's maps in lexicographic order and
     best-responds the remaining player (the one with the largest strategy
-    space) exactly, so the search is equivalent to full enumeration.  Raises
-    ``BudgetExceededError`` when the full product strategy space exceeds
-    ``budget``.
+    space) exactly, so the search is equivalent to full enumeration.  The
+    other players' maps are scored together, gathering at most
+    ``_GATHER_CHUNK`` entries of ``p * V`` at a time; the first optimum in
+    that order is returned.  Raises ``BudgetExceededError`` when the full
+    product strategy space exceeds ``budget``.
     """
     l = game.players
     space_sizes = [len(game.outputs[j]) ** len(game.inputs[j]) for j in range(l)]
-    total = 1
-    for s in space_sizes:
-        total *= s
+    total = math.prod(space_sizes)
     if total > budget:
         raise BudgetExceededError(f"{total} deterministic strategies exceed budget {budget}")
     r = max(range(l), key=lambda j: (space_sizes[j], j))
     others = [j for j in range(l) if j != r]
-    best_val = -1.0
-    best_maps: tuple[tuple[int, ...], ...] | None = None
-    for combo in itertools.product(*(_player_maps(game, j) for j in others)):
-        val, r_map = _best_response(game, r, others, combo)
-        if val > best_val:
-            best_val = val
-            full = []
-            it = iter(combo)
-            for j in range(l):
-                full.append(r_map if j == r else next(it))
-            best_maps = tuple(full)
-    assert best_maps is not None
-    return GameValueResult(best_val, "exact", ClassicalStrategy(best_maps))
+    n_in_r, n_out_r = game.input_sizes[r], game.output_sizes[r]
+    # T[a_others, x_others, x_r, a_r] = p(x) V(a | x), the other players'
+    # outputs and inputs each flattened row-major
+    out_o = [game.output_sizes[j] for j in others]
+    in_o = [game.input_sizes[j] for j in others]
+    T = (game.p * game.V).transpose(others + [l + j for j in others] + [l + r, r])
+    T = T.reshape(math.prod(out_o), math.prod(in_o), n_in_r, n_out_r)
+    sizes = [space_sizes[j] for j in others]
+    stride = [math.prod(out_o[t + 1 :]) for t in range(len(others))]
+
+    def output(t, x_j, ids):
+        """Output of other player t on input x_j in combination `ids` (row-major
+        over the other players' maps, each map row-major over its inputs)."""
+        m = ids // math.prod(sizes[t + 1 :]) % sizes[t]
+        return m // out_o[t] ** (in_o[t] - 1 - x_j) % out_o[t]
+
+    n_combos = math.prod(sizes)
+    chunk = max(1, _GATHER_CHUNK // (n_in_r * n_out_r))
+    best_val, best_id, best_r_map = -1.0, 0, None
+    for start in range(0, n_combos, chunk):
+        ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
+        # add p(x) cell by cell in the row-major order of the other inputs,
+        # and the row maxima input by input: that order fixes the last bits
+        margins = np.zeros((ids.size, n_in_r, n_out_r))
+        for c, x_o in enumerate(np.ndindex(*in_o)):
+            a_o = np.zeros(ids.size, dtype=np.int64)
+            for t, x_j in enumerate(x_o):
+                a_o += output(t, x_j, ids) * stride[t]
+            margins += T[a_o, c]
+        best = margins.max(axis=2)
+        vals = np.zeros(ids.size)
+        for i in range(n_in_r):
+            vals += best[:, i]
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_id = int(ids[k])
+            best_r_map = tuple(margins[k].argmax(axis=1).tolist())
+    maps = {r: best_r_map}
+    for t, j in enumerate(others):
+        maps[j] = tuple(output(t, x_j, best_id) for x_j in range(in_o[t]))
+    return GameValueResult(best_val, "exact", ClassicalStrategy(tuple(maps[j] for j in range(l))))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +415,7 @@ def evaluate_quantum_strategy(game: GamePredicate, strategy: QuantumStrategy) ->
         px = float(game.p[x])
         if px == 0.0:
             continue
-        for a in np.ndindex(*game.output_sizes):
-            if not game.win(a, x):
-                continue
+        for a in np.argwhere(game.V[(..., *x)]):
             op = strategy.povms[0][x[0]][a[0]]
             for j in range(1, game.players):
                 op = np.kron(op, strategy.povms[j][x[j]][a[j]])
@@ -494,7 +482,7 @@ def _winning_sets(game: GamePredicate) -> dict[tuple[int, ...], list[tuple[int, 
     for x in np.ndindex(*game.input_sizes):
         if float(game.p[x]) == 0.0:
             continue
-        out[x] = [a for a in np.ndindex(*game.output_sizes) if game.win(a, x)]
+        out[x] = [tuple(a) for a in np.argwhere(game.V[(..., *x)]).tolist()]
     return out
 
 
@@ -671,67 +659,36 @@ def seesaw(
 def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
     """`n`-fold parallel repetition: inputs drawn iid, win iff every copy wins.
 
-    The repeated predicate is stored densely when it fits in
-    ``DENSE_PREDICATE_LIMIT`` entries and as a callable otherwise.  The
-    input-distribution table must fit in ``budget`` entries.
+    Player j's inputs and outputs in the repeated game are n-tuples of its
+    labels, indexed row-major with copy 0 most significant.  Raises
+    ``BudgetExceededError``, before anything is allocated, when the dense
+    repeated predicate (always the game's largest table) would have more
+    than ``budget`` entries.
     """
     if n < 1:
         raise ValidationError("repetition count must be >= 1")
+    v_entries = math.prod(s**n for s in game.V.shape)
+    if v_entries > budget:
+        raise BudgetExceededError(f"repeated predicate of {v_entries} entries exceeds budget {budget}")
     if n == 1:
         return game
-    l = game.players
-    in_sizes = game.input_sizes
-    out_sizes = game.output_sizes
-    p_entries = 1
-    for s in in_sizes:
-        p_entries *= s**n
-    label_entries = max(s**n for s in in_sizes + out_sizes)
-    if p_entries > budget or label_entries > budget:
-        raise BudgetExceededError(f"repeated game tables ({p_entries} input cells) exceed budget {budget}")
+    return GamePredicate(
+        inputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.inputs),
+        outputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.outputs),
+        p=_outer_power(game.p, n),
+        V=_outer_power(game.V, n),
+        name=f"{game.name}^{n}" if game.name else None,
+    )
 
-    new_inputs = tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.inputs)
-    new_outputs = tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.outputs)
 
-    t = game.p
+def _outer_power(t: np.ndarray, n: int) -> np.ndarray:
+    """n-fold outer product of `t` with each axis merged across the copies,
+    copy 0 most significant: ``out[i_1, ...] = prod_c t[digit_c(i_1), ...]``."""
+    out = t
     for _ in range(n - 1):
-        t = np.multiply.outer(t, game.p)
-    # copy-major axes -> player-major axes, copy 0 most significant
-    perm = [c * l + j for j in range(l) for c in range(n)]
-    p_new = t.transpose(perm).reshape([s**n for s in in_sizes])
-
-    v_entries = 1
-    for s in out_sizes + in_sizes:
-        v_entries *= s**n
-    if v_entries <= DENSE_PREDICATE_LIMIT and isinstance(game.V, np.ndarray):
-        tv = game.V
-        for _ in range(n - 1):
-            tv = np.multiply.outer(tv, game.V)
-        perm_out = [c * 2 * l + j for j in range(l) for c in range(n)]
-        perm_in = [c * 2 * l + l + j for j in range(l) for c in range(n)]
-        V_new: Union[np.ndarray, Callable] = tv.transpose(perm_out + perm_in).reshape(
-            [s**n for s in out_sizes] + [s**n for s in in_sizes]
-        )
-    else:
-        base_win = game.win
-
-        def V_new(a_idx: tuple[int, ...], x_idx: tuple[int, ...], _n=n) -> bool:
-            a_digits = [_decode(a_idx[j], out_sizes[j], _n) for j in range(l)]
-            x_digits = [_decode(x_idx[j], in_sizes[j], _n) for j in range(l)]
-            return all(
-                base_win([a_digits[j][c] for j in range(l)], [x_digits[j][c] for j in range(l)])
-                for c in range(_n)
-            )
-
-    name = f"{game.name}^{n}" if game.name else None
-    return GamePredicate(inputs=new_inputs, outputs=new_outputs, p=p_new, V=V_new, name=name)
-
-
-def _decode(idx: int, base: int, n: int) -> list[int]:
-    """Mixed-radix digits of `idx`, copy 0 most significant."""
-    digits = [0] * n
-    for c in range(n - 1, -1, -1):
-        idx, digits[c] = divmod(idx, base)
-    return digits
+        out = np.multiply.outer(out, t)
+    perm = [c * t.ndim + k for k in range(t.ndim) for c in range(n)]
+    return out.transpose(perm).reshape([s**n for s in t.shape])
 
 
 def random_subset_value(
@@ -765,11 +722,7 @@ def random_subset_value(
     p_flat = game.p.reshape(-1)
     cum = np.cumsum(p_flat)
     cum[-1] = 1.0
-    x_tuples = list(np.ndindex(*game.input_sizes))
-    win_vecs = np.zeros((n, len(x_tuples)), dtype=bool)
-    for c, s in enumerate(per_copy):
-        for i, x in enumerate(x_tuples):
-            win_vecs[c, i] = game.win(s.outputs(x), x)
+    win_vecs = np.stack([_wins(game, s).reshape(-1) for s in per_copy])
     rng = np.random.default_rng([seed])
     draws = np.searchsorted(cum, rng.random(size=(trials, n)), side="right")
     wins = win_vecs[np.arange(n)[None, :], draws]

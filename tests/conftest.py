@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "gamebox",
     deadline=None,
+    derandomize=True,
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )

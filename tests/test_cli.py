@@ -1,5 +1,6 @@
 """Command-line surface: argument handling, exit codes, output formats."""
 
+import argparse
 import json
 import math
 
@@ -59,6 +60,59 @@ def test_nan_input_distribution_exits_one(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert "non-finite" in err
+
+
+# Arguments that let each subcommand parse, so that a failure in the test
+# below can only come from the value given to the flag under test.
+_PARSEABLE = {
+    ("game", "value"): ["--builtin", "chsh"],
+    ("bounds", "eff"): ["--builtin", "chsh"],
+    ("bounds", "gamma2"): ["--matrix", "m.json"],
+    ("bounds", "check-thm2"): ["--input", "in.json"],
+    ("dpt", "bound"): ["case-i", "--n", "10"],
+    ("dpt", "substate-check"): ["--input", "in.json"],
+    ("diqkd", "run"): ["--n", "10"],
+    ("diqkd", "rate"): ["--alpha", "0.1", "--gamma", "0.1", "--delta", "0.1", "--n", "10"],
+    ("diqkd", "serfling"): ["--n", "10", "--gamma", "0.1", "--eps", "0.1"],
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _float_flags():
+    """(subcommand, flag) for every option of the parser that takes one float."""
+    return [
+        ((group, cmd), action.option_strings[0])
+        for group, group_parser in _subparsers(cli.build_parser()).items()
+        for cmd, cmd_parser in _subparsers(group_parser).items()
+        for action in cmd_parser._actions
+        if action.type in (float, cli._finite_float)
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag", _float_flags(), ids=lambda v: " ".join(v) if isinstance(v, tuple) else v
+)
+def test_non_finite_float_flag_exits_one(capsys, command, flag, value):
+    argv = [*command, *_PARSEABLE[command]]
+    cli.build_parser().parse_args([*argv, f"{flag}=0.5"])  # a finite value parses
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert "not a finite number" in err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--alpha", "--gamma", "--delta", "--c", "--nu", "--beta"])
+def test_non_finite_sweep_value_exits_one(capsys, flag):
+    axes = {"--n": "100", "--alpha": "0.5", "--gamma": "0.2", "--delta": "0.01"}
+    axes[flag] = "0.01,nan"
+    code, out, err = run(capsys, "diqkd", "sweep", *(t for kv in axes.items() for t in kv))
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
 
 
 def test_computation_error_exits_two(capsys, tmp_path):

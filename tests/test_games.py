@@ -84,6 +84,18 @@ def test_callable_predicate_densifies():
     np.testing.assert_array_equal(game.dense_V(), games.chsh().dense_V())
 
 
+def test_callable_predicate_over_limit_is_refused():
+    calls = []
+    with pytest.raises(BudgetExceededError):
+        games.GamePredicate(
+            inputs=((0,), (0,)),
+            outputs=(tuple(range(1000)), tuple(range(1001))),
+            p=np.ones((1, 1)),
+            V=lambda a, x: calls.append(a) or True,
+        )
+    assert calls == []  # refused before any cell is evaluated
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
@@ -174,6 +186,87 @@ def test_classical_value_matches_brute_force_on_random_games(seed):
     assert games.classical_value(game).value == pytest.approx(_brute_force_two_player(game), abs=1e-12)
 
 
+def _brute_force(game):
+    """Best winning probability over every tuple of deterministic maps,
+    straight from the definition sum_x p(x) V(f_1(x_1), ..., f_l(x_l) | x)."""
+    per_player = [
+        list(itertools.product(range(m), repeat=k)) for m, k in zip(game.output_sizes, game.input_sizes)
+    ]
+    best = -1.0
+    for maps in itertools.product(*per_player):
+        total = 0.0
+        for x in np.ndindex(*game.input_sizes):
+            a = tuple(f[xj] for f, xj in zip(maps, x))
+            if game.V[a + x]:
+                total += float(game.p[x])
+        best = max(best, total)
+    return best
+
+
+def _reference_search(game):
+    """The search classical_value makes, one map combination and one cell at a
+    time: the player with the largest strategy space (the last one on ties)
+    best-responds with the first best output per input, the other players'
+    maps run in lexicographic order, and the first best combination is kept."""
+    l = game.players
+    spaces = [m**k for m, k in zip(game.output_sizes, game.input_sizes)]
+    r = max(range(l), key=lambda j: (spaces[j], j))
+    others = [j for j in range(l) if j != r]
+    best_value, best_maps = -1.0, None
+    for combo in itertools.product(
+        *(itertools.product(range(game.output_sizes[j]), repeat=game.input_sizes[j]) for j in others)
+    ):
+        maps = dict(zip(others, combo))
+        margins = [[0.0] * game.output_sizes[r] for _ in range(game.input_sizes[r])]
+        for x in np.ndindex(*game.input_sizes):
+            for o in range(game.output_sizes[r]):
+                a = tuple(o if j == r else maps[j][x[j]] for j in range(l))
+                if game.V[a + x]:
+                    margins[x[r]][o] += float(game.p[x])
+        value = 0.0
+        for row in margins:
+            value += max(row)
+        if value > best_value:
+            maps[r] = tuple(row.index(max(row)) for row in margins)
+            best_value, best_maps = value, tuple(maps[j] for j in range(l))
+    return best_value, best_maps
+
+
+@pytest.mark.parametrize("name", sorted(games.BUILTIN_GAMES))
+def test_classical_value_equals_reference_search(name, monkeypatch):
+    game = games.BUILTIN_GAMES[name]()
+    want = _reference_search(game)
+    res = games.classical_value(game)
+    assert (res.value, res.certificate.maps) == want
+    # ties between chunks also keep the first optimum
+    monkeypatch.setattr(games, "_GATHER_CHUNK", 5)
+    assert games.classical_value(game) == res
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classical_value_matches_brute_force_on_random_three_player_games(seed, monkeypatch):
+    r = np.random.default_rng([seed, 3])
+    ins = tuple(int(v) for v in r.integers(1, 4, 3))
+    outs = tuple(int(v) for v in r.integers(1, 3, 3))
+    if seed % 3 == 0:  # a player with one input and one output
+        ins, outs = (1,) + ins[1:], (1,) + outs[1:]
+    p = r.random(ins)
+    p[r.random(ins) < 0.3] = 0.0  # zero-probability cells
+    p.flat[r.integers(p.size)] += 0.1
+    p /= p.sum()
+    V = r.random(outs + ins) < 0.4
+    game = games.GamePredicate(
+        inputs=tuple(tuple(range(k)) for k in ins), outputs=tuple(tuple(range(m)) for m in outs), p=p, V=V
+    )
+    res = games.classical_value(game)
+    assert res.value == pytest.approx(_brute_force(game), abs=1e-12)
+    assert games.strategy_value(game, res.certificate) == pytest.approx(res.value, abs=1e-12)
+    assert (res.value, res.certificate.maps) == _reference_search(game)
+    # scoring the maps a few at a time keeps the same first optimum
+    monkeypatch.setattr(games, "_GATHER_CHUNK", 5)
+    assert games.classical_value(game) == res
+
+
 # ---------------------------------------------------------------------------
 # quantum strategies
 # ---------------------------------------------------------------------------
@@ -227,19 +320,39 @@ def test_seesaw_deterministic_given_seed():
 # ---------------------------------------------------------------------------
 
 
+def _digits(idx, base, n):
+    """Per-copy indices of a repeated-game index, copy 0 most significant."""
+    return [(idx // base ** (n - 1 - c)) % base for c in range(n)]
+
+
 def test_repeat_structure():
     game = games.chsh()
     rep = games.repeat(game, 2)
     assert rep.input_sizes == (4, 4)
     assert rep.output_sizes == (4, 4)
     np.testing.assert_allclose(rep.p, np.full((4, 4), 1 / 16))
-    # spot-check the AND structure against the per-copy predicate
-    V = rep.dense_V()
-    for (a0, a1), (b0, b1), (x0, x1), (y0, y1) in itertools.product(
-        np.ndindex(2, 2), np.ndindex(2, 2), np.ndindex(2, 2), np.ndindex(2, 2)
-    ):
-        joint = V[a0 * 2 + a1, b0 * 2 + b1, x0 * 2 + x1, y0 * 2 + y1]
-        assert joint == (game.win((a0, b0), (x0, y0)) and game.win((a1, b1), (x1, y1)))
+    # the AND structure against the per-copy predicate, on every cell
+    for game, n in ((games.chsh(), 2), (games.magic_square(), 2), (games.chsh(), 3)):
+        rep = games.repeat(game, n)
+        assert rep.name == f"{game.name}^{n}"
+        assert rep.V.shape == tuple(s**n for s in game.V.shape)
+        bases = game.V.shape
+        for idx in np.ndindex(*rep.V.shape):
+            per_axis = [_digits(i, b, n) for i, b in zip(idx, bases)]
+            copies = [[d[c] for d in per_axis] for c in range(n)]
+            joint = all(game.win(cell[:2], cell[2:]) for cell in copies)
+            assert rep.V[idx] == joint
+            assert rep.win(idx[:2], idx[2:]) == joint
+        for x in np.ndindex(*rep.p.shape):
+            per_axis = [_digits(i, b, n) for i, b in zip(x, game.p.shape)]
+            joint_p = math.prod(game.p[tuple(d[c] for d in per_axis)] for c in range(n))
+            assert rep.p[x] == pytest.approx(joint_p, abs=1e-15)
+    # magic_square^3 (about 3 million cells) is dense; mse^2 is over budget
+    big = games.repeat(games.magic_square(), 3)
+    assert isinstance(big.V, np.ndarray)
+    assert big.V.shape == (64, 64, 27, 27)
+    with pytest.raises(BudgetExceededError):
+        games.repeat(games.mse(), 2)
 
 
 def test_repeated_chsh_classical_value():
