@@ -39,6 +39,8 @@ from .errors import (
     LPInfeasibleError,
     LPUnboundedError,
     ValidationError,
+    check_distribution,
+    check_range,
 )
 from .games import Correlation, GamePredicate
 
@@ -368,8 +370,7 @@ def _efficiency_lp(
     the mass rows (=), then the win rows (>=), then the floor
     eta >= ``ETA_FLOOR``.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in [0, 1], got {eps}")
+    check_range("eps", eps, 0.0, 1.0)
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     p = np.asarray(p, dtype=float).reshape(-1)
@@ -577,10 +578,8 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
         raise DimensionMismatchError("F and p must be 2-d matrices of the same shape")
     if not np.all(np.isin(F, (-1.0, 1.0))):
         raise ValidationError("F must be a sign matrix (entries +-1)")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValidationError("p must be a probability table")
-    if alpha < 1.0:
-        raise ValidationError(f"alpha must be >= 1, got {alpha}")
+    check_distribution("p", p, neg_tol=0.0, sum_tol=1e-9)
+    check_range("alpha", alpha, 1.0, math.inf)
     cells = F.size
     if cells > 12:
         raise BudgetExceededError(f"{cells} cells: sign-matrix enumeration capped at 12")
@@ -646,8 +645,7 @@ def check_thm2(f: np.ndarray, p: np.ndarray, eps: float) -> Thm2Check:
     """
     f = np.asarray(f)
     p = np.asarray(p, dtype=float)
-    if not 0.0 <= eps <= 0.5:
-        raise ValidationError(f"eps must lie in [0, 1/2], got {eps}")
+    check_range("eps", eps, 0.0, 0.5)
     game = xor_game(f, p)
     upper = eff_local(game, eps, variant="average").eff
     if eps == 0.5:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bounds, diqkd, dpt, games
-from .errors import GameboxError, ValidationError
+from .errors import GameboxError, ValidationError, check_range
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,14 +37,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_ready(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as
+    ``None``, so that it serialises to strict JSON."""
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -81,7 +83,7 @@ def _emit(doc, args) -> None:
     if getattr(args, "format", "json") == "csv":
         text = _to_csv(doc)
     else:
-        text = json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_json_ready(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -295,6 +297,7 @@ def _make_boxes(args, run: int):
 
 
 def _cmd_diqkd_run(args):
+    check_range("runs", args.runs, 1, math.inf)
     params = diqkd.ProtocolParams(
         n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta, seed=args.seed
     )
@@ -364,18 +367,18 @@ def _pattern_from_spec(spec: str, n: int):
         return np.ones(n)
     if spec == "zeros":
         return np.zeros(n)
-    if spec.startswith("threshold:"):
-        k = int(spec.split(":", 1)[1])
-        if not 0 <= k <= n:
-            raise ValidationError(f"threshold count {k} outside [0, {n}]")
-        z = np.zeros(n)
-        z[:k] = 1.0
-        return z
-    if spec.startswith("iid:"):
-        prob = float(spec.split(":", 1)[1])
-        if not 0.0 <= prob <= 1.0:
-            raise ValidationError(f"iid probability {prob} outside [0, 1]")
-        return lambda rng: (rng.random(n) < prob).astype(float)
+    kind, _, value = spec.partition(":")
+    try:
+        if kind == "threshold":
+            k = check_range("threshold count", int(value), 0, n)
+            z = np.zeros(n)
+            z[:k] = 1.0
+            return z
+        if kind == "iid":
+            prob = check_range("iid probability", float(value), 0.0, 1.0)
+            return lambda rng: (rng.random(n) < prob).astype(float)
+    except ValueError as exc:  # int("abc") / float("abc"), or a ValidationError
+        raise ValidationError(f"bad pattern {spec!r}: {exc}") from None
     raise ValidationError(
         f"unknown pattern {spec!r}; use ones | zeros | threshold:K | iid:P"
     )

@@ -26,6 +26,7 @@ from .errors import (
     BudgetExceededError,
     ProtocolViolationError,
     ValidationError,
+    check_range,
 )
 
 _ENDPOINTS = ("alice_box", "bob_box", "eve")
@@ -65,15 +66,12 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.delta < 0.5:
-            raise ValidationError(f"delta must lie in [0, 1/2), got {self.delta}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        check_range("n", self.n, 1, math.inf)
+        check_range("alpha", self.alpha, 0.0, 1.0, lo_open=True)
+        check_range("gamma", self.gamma, 0.0, 1.0, lo_open=True)
+        check_range("delta", self.delta, 0.0, 0.5, hi_open=True)
+        check_range("seed", self.seed, 0, math.inf)
+        if int(self.seed) != self.seed:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
@@ -109,11 +107,12 @@ class LeakageBudget:
     used_bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.limit_bits < 0 or self.used_bits < 0:
-            raise ValidationError("bit counts must be >= 0")
+        check_range("limit_bits", self.limit_bits, 0, math.inf)
+        check_range("used_bits", self.used_bits, 0, math.inf)
 
     def debit(self, bits: int) -> None:
-        if bits < 0:
+        # a bare comparison, not check_range: this runs once per leakage message
+        if not bits >= 0:
             raise ValidationError(f"message length must be >= 0, got {bits}")
         if self.used_bits + bits > self.limit_bits:
             raise BudgetExceededError(
@@ -121,6 +120,13 @@ class LeakageBudget:
                 f"({self.used_bits}/{self.limit_bits} used)"
             )
         self.used_bits += bits
+
+
+def _check_endpoints(src: str, dst: str) -> None:
+    if src not in _ENDPOINTS or dst not in _ENDPOINTS:
+        raise ValidationError(f"unknown endpoint in {src!r} -> {dst!r}")
+    if src == dst:
+        raise ValidationError("a message needs distinct endpoints")
 
 
 class LeakageChannel:
@@ -142,10 +148,7 @@ class LeakageChannel:
     def send(self, src: str, dst: str, bits: int, payload: str = "") -> None:
         if self._locked:
             raise ProtocolViolationError("leakage attempted after outputs were produced")
-        if src not in _ENDPOINTS or dst not in _ENDPOINTS:
-            raise ValidationError(f"unknown endpoint in {src!r} -> {dst!r}")
-        if src == dst:
-            raise ValidationError("a message needs distinct endpoints")
+        _check_endpoints(src, dst)
         self.budget.debit(bits)
         self.log.append((src, dst, int(bits), payload))
 
@@ -200,8 +203,7 @@ class HonestBoxes(BoxPair):
     the time)."""
 
     def __init__(self, delta: float, seed):
-        if not 0.0 <= delta <= 0.5:
-            raise ValidationError(f"delta must lie in [0, 1/2], got {delta}")
+        check_range("delta", delta, 0.0, 0.5)
         self.delta = float(delta)
         self._rng = np.random.default_rng(seed)
 
@@ -236,8 +238,7 @@ class TestSetCheatingBoxes(BoxPair):
     bit), Bob's box learns enough to answer consistently in that round."""
 
     def __init__(self, guess_count: int):
-        if guess_count < 0:
-            raise ValidationError(f"guess_count must be >= 0, got {guess_count}")
+        check_range("guess_count", guess_count, 0, math.inf)
         self.guess_count = int(guess_count)
 
     def produce(self, xs, ys, channel):
@@ -311,12 +312,8 @@ class AdversaryRound:
     function_id: str
 
     def __post_init__(self) -> None:
-        if self.src not in _ENDPOINTS or self.dst not in _ENDPOINTS:
-            raise ValidationError(f"unknown endpoint in {self.src!r} -> {self.dst!r}")
-        if self.src == self.dst:
-            raise ValidationError("a round needs distinct endpoints")
-        if self.bits < 0:
-            raise ValidationError(f"bits must be >= 0, got {self.bits}")
+        _check_endpoints(self.src, self.dst)
+        check_range("bits", self.bits, 0, math.inf)
         if self.function_id not in ADVERSARY_FUNCTIONS:
             raise ValidationError(
                 f"unknown function_id {self.function_id!r}; "
@@ -350,21 +347,21 @@ def load_adversary(source) -> ScriptedAdversary:
         else:
             with open(text, encoding="utf-8") as fh:
                 doc = json.load(fh)
-    if not isinstance(doc, dict) or "rounds" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("rounds"), (list, tuple)):
         raise ValidationError("adversary description must be an object with a 'rounds' list")
     rounds = []
     for entry in doc["rounds"]:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"adversary round {entry!r} is not an object")
         try:
-            rounds.append(
-                AdversaryRound(
-                    src=entry["from"],
-                    dst=entry["to"],
-                    bits=int(entry["bits"]),
-                    function_id=entry["function_id"],
-                )
-            )
+            src, dst, bits, function_id = entry["from"], entry["to"], entry["bits"], entry["function_id"]
         except KeyError as missing:
             raise ValidationError(f"adversary round missing key {missing}") from None
+        try:
+            bits = int(bits)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"adversary round bits must be an integer, got {bits!r}") from None
+        rounds.append(AdversaryRound(src=src, dst=dst, bits=bits, function_id=function_id))
     return ScriptedAdversary(tuple(rounds))
 
 
@@ -403,8 +400,7 @@ def run_protocol(
     leakage channel is open to the adversary and the boxes between input
     entry and output production, then locked.
     """
-    if run_index < 0:
-        raise ValidationError(f"run_index must be >= 0, got {run_index}")
+    check_range("run_index", run_index, 0, math.inf)
     n = params.n
     rng_x = np.random.default_rng([params.seed, run_index, 0])
     rng_y = np.random.default_rng([params.seed, run_index, 1])
@@ -479,22 +475,14 @@ class KeyRateParams:
     PrE: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma <= 1.0:  # the formula is well-defined without testing
-            raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.delta <= 0.125:
-            raise ValidationError(f"delta must lie in [0, 1/8], got {self.delta}")
-        if self.c < 0:
-            raise ValidationError(f"c must be >= 0, got {self.c}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValidationError(f"nu must lie in [0, 1], got {self.nu}")
-        if self.beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 < self.PrE <= 1.0:
-            raise ValidationError(f"PrE must lie in (0, 1], got {self.PrE}")
+        check_range("alpha", self.alpha, 0.0, 1.0, lo_open=True)
+        check_range("gamma", self.gamma, 0.0, 1.0)  # the formula is well-defined without testing
+        check_range("delta", self.delta, 0.0, 0.125)
+        check_range("c", self.c, 0.0, math.inf)
+        check_range("n", self.n, 1, math.inf)
+        check_range("nu", self.nu, 0.0, 1.0)
+        check_range("beta", self.beta, 0.0, math.inf)
+        check_range("PrE", self.PrE, 0.0, 1.0, lo_open=True)
 
 
 def key_rate(p: KeyRateParams) -> dict:
@@ -524,8 +512,10 @@ def key_rate(p: KeyRateParams) -> dict:
 def chernoff_abort_bound(delta: float, gamma: float, alpha: float, n: int) -> float:
     """Tail bound 2^{-2 delta^2 gamma alpha n} on the honest abort
     probability."""
-    if delta < 0 or not 0.0 < gamma <= 1.0 or not 0.0 < alpha <= 1.0 or n < 1:
-        raise ValidationError("need delta >= 0, gamma and alpha in (0, 1], n >= 1")
+    check_range("delta", delta, 0.0, math.inf)
+    check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
+    check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    check_range("n", n, 1, math.inf)
     return float(2.0 ** (-2.0 * delta**2 * gamma * alpha * n))
 
 
@@ -538,12 +528,11 @@ def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: in
     (sum_{i in T} Z_i >= (1 - eps) gamma n) while the whole string is bad
     (sum_i Z_i < (1 - 2 eps) n).
     """
-    if n < 1 or trials < 1:
-        raise ValidationError("need n >= 1 and trials >= 1")
-    if not 0.0 < gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
-    if not 0.0 < eps <= 0.5:
-        raise ValidationError(f"eps must lie in (0, 1/2], got {eps}")
+    check_range("n", n, 1, math.inf)
+    check_range("trials", trials, 1, math.inf)
+    check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
+    check_range("eps", eps, 0.0, 0.5, lo_open=True)
+    check_range("seed", seed, -math.inf, math.inf)
     t = math.floor(gamma * n + 1e-9)
     bound = float(2.0 ** (-2.0 * eps**2 * gamma * n))
     if t == 0:  # empty test set can never look nearly all-good
@@ -605,8 +594,7 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
 
     Returns one dict per cell with SWEEP_COLUMNS keys.
     """
-    if runs_per_cell < 0:
-        raise ValidationError(f"runs_per_cell must be >= 0, got {runs_per_cell}")
+    check_range("runs_per_cell", runs_per_cell, 0, math.inf)
     rows = []
     for ci, cell in enumerate(cells):
         unknown = set(cell) - _CELL_KEYS

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games as games_mod
-from .entropy import ClassicalDistribution, JointTable
+from .entropy import JointTable, _as_probs
 from .errors import (
     BudgetExceededError,
     CapabilityError,
     GateViolationError,
     ValidationError,
+    check_range,
 )
 
 _PROBE_TENSOR_LIMIT = 50_000_000
@@ -34,18 +35,8 @@ _WIN_EPS = 1e-12
 def _log2_alphabet(alphabet_sizes) -> float:
     if alphabet_sizes is None:
         raise ValidationError("alphabet_sizes required")
-    sizes = tuple(int(s) for s in alphabet_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValidationError(f"invalid alphabet sizes {sizes}")
-    total = math.prod(sizes)
-    if total < 2:
-        raise ValidationError("total output alphabet must have at least 2 elements")
-    return math.log2(total)
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    sizes = tuple(int(check_range("alphabet size", s, 1, math.inf)) for s in alphabet_sizes)
+    return math.log2(check_range("total output alphabet", math.prod(sizes), 2, math.inf))
 
 
 @dataclass(frozen=True)
@@ -68,30 +59,27 @@ class DPTParams:
     exponent_const: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.l < 1 or self.n < 1:
-            raise ValidationError(f"need l >= 1 and n >= 1, got l={self.l}, n={self.n}")
+        check_range("l", self.l, 1, math.inf)
+        check_range("n", self.n, 1, math.inf)
         for name in ("eps", "zeta", "nu"):
             value = getattr(self, name)
             if value is not None:
-                _check_unit(name, value)
-        if not 0.0 < self.PrE <= 1.0:
-            raise ValidationError(f"PrE must lie in (0, 1], got {self.PrE}")
-        if self.C_size < 0:
-            raise ValidationError(f"C_size must be >= 0, got {self.C_size}")
-        if self.exponent_const <= 0.0:
-            raise ValidationError(f"exponent_const must be positive, got {self.exponent_const}")
+                check_range(name, value, 0.0, 1.0)
+        check_range("PrE", self.PrE, 0.0, 1.0, lo_open=True)
+        check_range("C_size", self.C_size, 0, math.inf)
+        check_range("exponent_const", self.exponent_const, 0.0, math.inf, lo_open=True)
+        if self.c is not None:
+            check_range("c", self.c, 0.0, math.inf)
         if self.c_j is not None:
             object.__setattr__(self, "c_j", tuple(float(v) for v in self.c_j))
             if len(self.c_j) != self.l:
                 raise ValidationError(f"{len(self.c_j)} per-player budgets for {self.l} players")
-            if any(v < 0 for v in self.c_j):
-                raise ValidationError("per-player communication must be >= 0")
+            for v in self.c_j:
+                check_range("per-player communication", v, 0.0, math.inf)
             if self.c is not None and abs(sum(self.c_j) - self.c) > 1e-9:
                 raise ValidationError(
                     f"c={self.c} inconsistent with sum(c_j)={sum(self.c_j)}"
                 )
-        if self.c is not None and self.c < 0:
-            raise ValidationError(f"c must be >= 0, got {self.c}")
 
     @property
     def total_comm(self) -> float:
@@ -105,12 +93,9 @@ class DPTParams:
 def delta_of(C_size: int, PrE: float, n: int, alphabet_sizes) -> float:
     """Per-copy information spent by conditioning: ``(|C| log2 prod|A_j| +
     log2(1/PrE)) / n``."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if not 0.0 < PrE <= 1.0:
-        raise ValidationError(f"PrE must lie in (0, 1], got {PrE}")
-    if C_size < 0:
-        raise ValidationError(f"C_size must be >= 0, got {C_size}")
+    check_range("n", n, 1, math.inf)
+    check_range("PrE", PrE, 0.0, 1.0, lo_open=True)
+    check_range("C_size", C_size, 0, math.inf)
     return (C_size * _log2_alphabet(alphabet_sizes) + math.log2(1.0 / PrE)) / n
 
 
@@ -120,9 +105,7 @@ def dpt_case_i_bound(params: DPTParams) -> float:
     reaches 1 (the bound is vacuous there).  Requires ``c < 1``."""
     if params.nu is None:
         raise ValidationError("nu required")
-    c = params.total_comm
-    if c >= 1.0:
-        raise ValidationError(f"bound requires c < 1, got c={c}")
+    c = check_range("c", params.total_comm, 0.0, 1.0, hi_open=True)
     base = 1.0 - params.nu / 2.0 + 4.0 * math.sqrt(params.l * c)
     if base >= 1.0:
         return 1.0
@@ -141,8 +124,7 @@ def dpt_case_ii_bound(params: DPTParams, eff: float) -> float:
     ``bounds.eff_ns`` / ``bounds.eff_local``)."""
     if params.eps is None or params.zeta is None:
         raise ValidationError("eps and zeta required")
-    if eff < 1.0:
-        raise ValidationError(f"eff must be >= 1, got {eff}")
+    check_range("eff", eff, 1.0, math.inf)
     c = params.total_comm
     ceiling = params.zeta**2 * eff / (270.0 * params.l**3)
     if not 1.0 <= c < ceiling:
@@ -173,11 +155,12 @@ def randv_bound(
     clamped to [0, 1]."""
     if mode not in ("generic", "mse"):
         raise ValidationError(f"unknown mode {mode!r}")
-    if n < 1 or not 0 <= t <= n:
-        raise ValidationError(f"need 0 <= t <= n with n >= 1, got t={t}, n={n}")
-    if c < 0 or beta_const < 0 or l < 1:
-        raise ValidationError("c and beta_const must be >= 0 and l >= 1")
-    _check_unit("nu", nu)
+    check_range("n", n, 1, math.inf)
+    check_range("t", t, 0, n)
+    check_range("c", c, 0.0, math.inf)
+    check_range("beta_const", beta_const, 0.0, math.inf)
+    check_range("l", l, 1, math.inf)
+    check_range("nu", nu, 0.0, 1.0)
     if t == 0:
         return 1.0
     if mode == "mse":
@@ -383,10 +366,8 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     game = probe.game
     if game.players != 2:
         raise CapabilityError("repetition probe implemented for two players only")
-    if not 0 <= probe.comm_bits <= 4:
-        raise ValidationError(f"comm_bits must lie in [0, 4], got {probe.comm_bits}")
-    if probe.n < 1:
-        raise ValidationError(f"n must be >= 1, got {probe.n}")
+    check_range("comm_bits", probe.comm_bits, 0, 4)
+    check_range("n", probe.n, 1, math.inf)
     PV = _repeated_tensors(game, probe.n)
     NX, NY, MA, MB = PV.shape
     splits = [(kA, probe.comm_bits - kA) for kA in range(probe.comm_bits, -1, -1)]
@@ -474,16 +455,6 @@ class SubstateReport:
     witness: np.ndarray | None
 
 
-def _coerce_probs(arg, length: int, name: str) -> np.ndarray:
-    if isinstance(arg, ClassicalDistribution):
-        p = arg.probs
-    else:
-        p = ClassicalDistribution(np.asarray(arg, dtype=float)).probs
-    if p.size != length:
-        raise ValidationError(f"{name} has {p.size} entries, expected {length}")
-    return p
-
-
 def _purified_distance(F: float) -> float:
     return math.sqrt(max(0.0, 1.0 - min(F, 1.0) ** 2))
 
@@ -546,15 +517,15 @@ def substate_perturbation_check_classical(
     delta1``.  Both sides are settled exactly by maximising Bhattacharyya
     fidelity over the capped simplex."""
     table = sigma_XB.table if isinstance(sigma_XB, JointTable) else JointTable(np.asarray(sigma_XB, dtype=float)).table
-    psi = _coerce_probs(psi_X, table.shape[0], "psi_X")
-    rho = _coerce_probs(rho_B, table.shape[1], "rho_B")
-    if c < 0:
-        raise ValidationError(f"c must be >= 0, got {c}")
-    _check_unit("eps", eps)
-    if delta0 <= 0:
-        raise ValidationError(f"delta0 must be positive, got {delta0}")
-    if delta1 < 0:
-        raise ValidationError(f"delta1 must be >= 0, got {delta1}")
+    psi, rho = _as_probs(psi_X), _as_probs(rho_B)
+    if (psi.size, rho.size) != table.shape:
+        raise ValidationError(
+            f"psi_X and rho_B have {psi.size} and {rho.size} entries, sigma_XB has shape {table.shape}"
+        )
+    check_range("c", c, 0.0, math.inf)
+    check_range("eps", eps, 0.0, 1.0)
+    check_range("delta0", delta0, 0.0, math.inf, lo_open=True)
+    check_range("delta1", delta1, 0.0, math.inf)
 
     sigma_B = table.sum(axis=0)
     marginal_pd = _purified_distance(float(np.sqrt(sigma_B * rho).sum()))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import CapabilityError, DimensionMismatchError, ValidationError
+from .errors import CapabilityError, DimensionMismatchError, ValidationError, check_distribution, check_range
 
 _SUPPORT_CUTOFF = 1e-12
 
@@ -28,13 +28,9 @@ class ClassicalDistribution:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.size == 0 or not np.all(np.isfinite(p)):
-            raise ValidationError("distribution must be a non-empty finite vector")
-        if np.min(p) < -self.tol:
-            raise ValidationError(f"negative probability {np.min(p)!r}")
-        if abs(float(p.sum()) - 1.0) > self.tol:
-            raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
+        p = check_distribution(
+            "distribution", np.asarray(self.probs, dtype=float).reshape(-1), neg_tol=self.tol, sum_tol=self.tol
+        )
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
         labels = tuple(range(p.size)) if self.outcomes is None else tuple(self.outcomes)
         if len(labels) != p.size:
@@ -52,12 +48,9 @@ class JointTable:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2 or t.size == 0 or not np.all(np.isfinite(t)):
-            raise ValidationError("joint table must be a non-empty finite 2-d array")
-        if np.min(t) < -self.tol:
-            raise ValidationError(f"negative probability {np.min(t)!r}")
-        if abs(float(t.sum()) - 1.0) > self.tol:
-            raise ValidationError(f"table sums to {t.sum()!r}, not 1")
+        if t.ndim != 2:
+            raise ValidationError(f"joint table must be a 2-d array, got {t.ndim} dimensions")
+        t = check_distribution("joint table", t, neg_tol=self.tol, sum_tol=self.tol)
         object.__setattr__(self, "table", np.clip(t, 0.0, None))
 
 
@@ -86,8 +79,7 @@ def _as_probs(P) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x) on [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"binary entropy argument {x} outside [0, 1]")
+    check_range("binary entropy argument", x, 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
@@ -154,8 +146,7 @@ def smoothed_dmax_classical(P, Q, eps: float) -> float:
     q = _as_probs(Q)
     if p.size != q.size:
         raise DimensionMismatchError(f"lengths differ: {p.size} vs {q.size}")
-    if not 0.0 <= eps < 1.0:
-        raise ValidationError(f"eps must lie in [0, 1), got {eps}")
+    check_range("eps", eps, 0.0, 1.0, hi_open=True)
     outside = float(p[q <= 0.0].sum())
     if 2.0 * outside > eps + 1e-12:
         raise ValidationError(
@@ -264,8 +255,7 @@ def cond_h0(table, eps: float = 0.0) -> float:
     choice is an upper bound on the optimum, not always tight.
     """
     t = table.table if isinstance(table, JointTable) else JointTable(np.asarray(table, dtype=float)).table
-    if eps < 0.0:
-        raise ValidationError(f"eps must be >= 0, got {eps}")
+    check_range("eps", eps, 0.0, math.inf)
     work = t.copy()
     if eps > 0.0:
         cells = [

@@ -33,6 +33,8 @@ from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     ValidationError,
+    check_distribution,
+    check_range,
 )
 from . import qcore
 
@@ -53,7 +55,8 @@ class GamePredicate:
     """Input/output alphabets, input distribution and winning predicate.
 
     ``p`` has shape ``(|X_1|, ..., |X_l|)``.  ``V`` is always a dense
-    boolean array of shape ``(|A_1|, ..., |A_l|, |X_1|, ..., |X_l|)``.  A
+    boolean array of shape ``(|A_1|, ..., |A_l|, |X_1|, ..., |X_l|)``; an
+    array of another dtype is accepted when every entry is 0 or 1.  A
     callable ``V(a_indices, x_indices) -> bool`` is accepted only at
     construction: it is evaluated once on every cell (at most
     ``DENSE_PREDICATE_LIMIT`` of them) and replaced by that array.
@@ -73,14 +76,7 @@ class GamePredicate:
         p = np.asarray(self.p, dtype=float)
         if p.shape != self.input_sizes:
             raise DimensionMismatchError(f"p shape {p.shape} != input sizes {self.input_sizes}")
-        # NaN fails every comparison, so the two checks below would pass it
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("input distribution has non-finite entries")
-        if np.any(p < -1e-12):
-            raise ValidationError("input distribution has negative entries")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"input distribution sums to {p.sum()!r}, not 1")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", check_distribution("input distribution", p, neg_tol=1e-12, sum_tol=1e-9))
         want = self.output_sizes + self.input_sizes
         V = self.V
         if not isinstance(V, np.ndarray):
@@ -92,6 +88,8 @@ class GamePredicate:
             V = np.array([bool(V(c[:l], c[l:])) for c in np.ndindex(*want)], dtype=bool).reshape(want)
         if V.shape != want:
             raise DimensionMismatchError(f"V shape {V.shape} != {want}")
+        if V.dtype != bool and not np.all(np.isin(V, (0, 1))):
+            raise ValidationError("predicate V has entries other than 0 and 1")
         object.__setattr__(self, "V", V.astype(bool))
 
     @property
@@ -276,15 +274,15 @@ def _label(value):
 def game_from_json(doc: dict) -> GamePredicate:
     """Build a game from the shared JSON schema: ``players``, ``inputs``
     and ``outputs`` (one label list per player), ``p`` (flattened
-    row-major) and ``V`` (flattened booleans, or the name of a builtin
-    predicate to reuse with the given distribution)."""
+    row-major) and ``V`` (flattened booleans or 0/1 entries, or the name of
+    a builtin predicate to reuse with the given distribution)."""
     try:
         players = int(doc["players"])
         inputs = tuple(tuple(_label(v) for v in labels) for labels in doc["inputs"])
         outputs = tuple(tuple(_label(v) for v in labels) for labels in doc["outputs"])
         p_flat = doc["p"]
         v_spec = doc["V"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed game description: {exc!r}") from None
     if players != len(inputs):
         raise ValidationError(f"players={players} but {len(inputs)} input alphabets")
@@ -302,7 +300,7 @@ def game_from_json(doc: dict) -> GamePredicate:
             V = base.V
             name = v_spec
         else:
-            V = np.asarray(v_spec, dtype=bool).reshape(out_sizes + in_sizes)
+            V = np.asarray(v_spec).reshape(out_sizes + in_sizes)
             name = doc.get("name")
     except ValueError as exc:
         raise ValidationError(f"malformed game tables: {exc}") from None
@@ -591,8 +589,8 @@ def seesaw(
     local_dims = tuple(int(d) for d in local_dims)
     if len(local_dims) != game.players:
         raise DimensionMismatchError("one local dimension per player required")
-    if any(d < 1 for d in local_dims):
-        raise ValidationError("local dimensions must be >= 1")
+    for d in local_dims:
+        check_range("local dimension", d, 1, math.inf)
     win_sets = _winning_sets(game)
     D = int(np.prod(local_dims))
     best_val = -1.0
@@ -665,8 +663,7 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
     repeated predicate (always the game's largest table) would have more
     than ``budget`` entries.
     """
-    if n < 1:
-        raise ValidationError("repetition count must be >= 1")
+    check_range("repetition count", n, 1, math.inf)
     v_entries = math.prod(s**n for s in game.V.shape)
     if v_entries > budget:
         raise BudgetExceededError(f"repeated predicate of {v_entries} entries exceeds budget {budget}")
@@ -707,10 +704,9 @@ def random_subset_value(
     of ``t`` coordinates per trial, and reports the fraction of trials in
     which every copy in the subset was won.
     """
-    if n < 1 or trials < 1:
-        raise ValidationError("need n >= 1 and trials >= 1")
-    if not 0 <= t <= n:
-        raise ValidationError(f"subset size {t} outside [0, {n}]")
+    check_range("n", n, 1, math.inf)
+    check_range("trials", trials, 1, math.inf)
+    check_range("subset size", t, 0, n)
     if isinstance(strategy, ClassicalStrategy):
         per_copy = [strategy] * n
     else:

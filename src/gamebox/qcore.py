@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, check_range
 
 EIG_CUTOFF = 1e-12
 DEFAULT_TOL = 1e-10
@@ -39,8 +39,10 @@ class SubsystemSpec:
     def __post_init__(self) -> None:
         if not self.dims:
             raise ValidationError("subsystem spec needs at least one factor")
-        if any((not isinstance(d, (int, np.integer))) or d < 1 for d in self.dims):
+        if any(not isinstance(d, (int, np.integer)) for d in self.dims):
             raise ValidationError(f"local dimensions must be positive integers, got {self.dims}")
+        for d in self.dims:
+            check_range("local dimension", d, 1, math.inf)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     @property
@@ -154,8 +156,8 @@ def partial_trace(state: StateLike, spec: SubsystemSpec | Sequence[int], keep: I
     keep_list = sorted(set(int(i) for i in keep))
     if not keep_list:
         raise ValidationError("must keep at least one subsystem")
-    if any(i < 0 or i >= len(spec) for i in keep_list):
-        raise ValidationError(f"keep indices {keep_list} out of range for {len(spec)} subsystems")
+    for i in keep_list:
+        check_range("keep index", i, 0, len(spec), hi_open=True)
     rho = to_matrix(state)
     if rho.shape != (spec.total_dim, spec.total_dim):
         raise DimensionMismatchError(

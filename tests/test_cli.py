@@ -115,6 +115,65 @@ def test_non_finite_sweep_value_exits_one(capsys, flag):
     assert "finite" in err
 
 
+_SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
+_ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
+
+
+@pytest.mark.parametrize(
+    "argv, adversary",
+    [
+        ((*_SERFLING, "--pattern", "threshold:abc"), None),
+        ((*_SERFLING, "--pattern", "iid:abc"), None),
+        (("diqkd", "run", "--n", "10"), {"rounds": [dict(_ROUND, bits="x")]}),
+        (("diqkd", "run", "--n", "10"), {"rounds": [_ROUND, 5]}),
+        (("diqkd", "run", "--n", "10", "--runs", "0"), None),
+    ],
+    ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs"],
+)
+def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, adversary):
+    if adversary is not None:
+        path = tmp_path / "adv.json"
+        path.write_text(json.dumps(adversary))
+        argv = (*argv, "--adversary", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("gamebox: ")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("V", 0.5), ("V", 2), ("V", math.nan), ("players", math.nan)],
+    ids=["V=0.5", "V=2", "V=nan", "players=nan"],
+)
+def test_game_file_with_bad_entry_exits_one(capsys, tmp_path, field, value):
+    doc = games.game_to_json(games.chsh())
+    if field == "V":
+        doc["V"][3] = value  # a losing cell (a = b = 0, x = y = 1): cast to bool it would become a win
+    else:
+        doc[field] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "game", "value", "--game", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("gamebox: ")
+
+
+def test_json_output_is_strict_and_csv_unchanged(capsys):
+    argv = ("diqkd", "sweep", "--n", "200", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.0")
+
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out, parse_constant=refuse)
+    assert row["abort_freq"] is None and row["qber"] is None  # not measured with --runs 0
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert out.splitlines()[1].split(",")[8:10] == ["nan", "nan"]
+
+
 def test_computation_error_exits_two(capsys, tmp_path):
     # gamma2 alpha-approximation refuses sign matrices beyond 12 cells
     path = tmp_path / "m.json"

@@ -1,0 +1,139 @@
+"""The shared input checks: every numeric parameter refuses NaN and +-inf
+with ``ValidationError``, and the closed ends of every interval stay
+accepted."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gamebox import bounds, diqkd, dpt, entropy, games
+from gamebox.errors import ValidationError, check_distribution, check_range
+
+_PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
+_RATE = dict(alpha=0.04, gamma=0.01, delta=0.001, c=0.001, n=10**6, nu=0.3, beta=0.5, PrE=1.0)
+_DPT = dict(l=2, n=1000, c=0.0005, nu=0.3, eps=0.3, zeta=0.9, alphabet_sizes=(4, 4), C_size=1, PrE=1.0)
+_CHERNOFF = dict(delta=0.05, gamma=0.2, alpha=0.5, n=1000)
+_SERFLING = dict(n=20, gamma=0.2, eps=0.2, pattern=np.zeros(20), trials=10, seed=0)
+_RANDV = dict(t=10, n=50, c=0.01, l=2, nu=0.3, beta_const=0.1, alphabet_sizes=(4, 4))
+_DELTA_OF = dict(C_size=1, PrE=0.5, n=100, alphabet_sizes=(4, 4))
+_SUBSTATE = dict(
+    sigma_XB=np.full((2, 2), 0.25), psi_X=np.full(2, 0.5), rho_B=np.full(2, 0.5), c=0.5, eps=0.1, delta0=0.1, delta1=0.1
+)
+_XOR_F = np.array([[0, 0], [0, 1]])
+_UNIFORM = np.full((2, 2), 0.25)
+
+
+def _with(base, **changes):
+    return {**base, **changes}
+
+
+def _dpt_bound(**changes):
+    """Build the parameters, then evaluate the bound that reads each field."""
+    params = dpt.DPTParams(**_with(_DPT, **changes))
+    return dpt.dpt_case_i_bound(params), dpt.delta_of(params.C_size, params.PrE, params.n, params.alphabet_sizes)
+
+
+def _cases():
+    """(id, callable of one number) for every numeric input checked."""
+    cases = [(f"ProtocolParams.{k}", lambda v, k=k: diqkd.ProtocolParams(**_with(_PROTOCOL, **{k: v})))
+             for k in _PROTOCOL]
+    cases += [(f"KeyRateParams.{k}", lambda v, k=k: diqkd.key_rate(diqkd.KeyRateParams(**_with(_RATE, **{k: v}))))
+              for k in _RATE]
+    cases += [(f"DPTParams.{k}", lambda v, k=k: _dpt_bound(**{k: v}))
+              for k in ("l", "n", "c", "nu", "eps", "zeta", "C_size", "PrE", "exponent_const")]
+    cases += [
+        ("DPTParams.c_j", lambda v: _dpt_bound(c=None, c_j=(v, 0.0))),
+        ("DPTParams.alphabet_sizes", lambda v: _dpt_bound(alphabet_sizes=(v, 4))),
+        ("LeakageBudget.limit_bits", lambda v: diqkd.LeakageBudget(v)),
+        ("LeakageBudget.used_bits", lambda v: diqkd.LeakageBudget(10, v)),
+        ("HonestBoxes.delta", lambda v: diqkd.HonestBoxes(v, 0)),
+        ("dpt_case_ii_bound.eff", lambda v: dpt.dpt_case_ii_bound(dpt.DPTParams(**_with(_DPT, l=1, c=1.5)), v)),
+        ("gamma2_alpha.alpha", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), _UNIFORM, v)),
+        ("gamma2_alpha.p", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[v, 0.25], [0.25, 0.25]]), 2.0)),
+        ("smoothed_dmax_classical.eps", lambda v: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], v)),
+        ("cond_h0.eps", lambda v: entropy.cond_h0(_UNIFORM, v)),
+        ("binary_entropy.x", lambda v: entropy.binary_entropy(v)),
+        ("eff_ns.eps", lambda v: bounds.eff_ns(games.chsh(), v)),
+        ("eff_local.eps", lambda v: bounds.eff_local(games.chsh(), v)),
+        ("check_thm2.eps", lambda v: bounds.check_thm2(_XOR_F, _UNIFORM, v)),
+        ("ClassicalDistribution.tol", lambda v: entropy.ClassicalDistribution([0.5, 0.5], tol=v)),
+        ("JointTable.tol", lambda v: entropy.JointTable(_UNIFORM, tol=v)),
+    ]
+    cases += [(f"chernoff_abort_bound.{k}", lambda v, k=k: diqkd.chernoff_abort_bound(**_with(_CHERNOFF, **{k: v})))
+              for k in _CHERNOFF]
+    cases += [(f"serfling_mc.{k}", lambda v, k=k: diqkd.serfling_mc(**_with(_SERFLING, **{k: v})))
+              for k in ("n", "gamma", "eps", "trials", "seed")]
+    cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
+              for k in ("t", "n", "c", "l", "nu", "beta_const")]
+    cases += [(f"delta_of.{k}", lambda v, k=k: dpt.delta_of(**_with(_DELTA_OF, **{k: v})))
+              for k in ("C_size", "PrE", "n")]
+    cases += [
+        (f"substate_perturbation_check_classical.{k}",
+         lambda v, k=k: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, **{k: v})))
+        for k in ("c", "eps", "delta0", "delta1")
+    ]
+    return cases
+
+
+_CASES = _cases()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [c for _, c in _CASES], ids=[i for i, _ in _CASES])
+def test_non_finite_number_is_refused(call, value):
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: diqkd.ProtocolParams(n=1, alpha=1.0, gamma=1.0, delta=0.0, seed=0),
+        lambda: diqkd.KeyRateParams(alpha=1.0, gamma=0.0, delta=0.0, c=0.0, n=1, nu=0.0, beta=0.0, PrE=1.0),
+        lambda: diqkd.KeyRateParams(alpha=0.5, gamma=1.0, delta=0.125, c=0.1, n=10, nu=1.0, beta=1.0),
+        lambda: dpt.DPTParams(l=1, n=1, c=0.0, eps=0.0, zeta=0.0, nu=0.0, C_size=0, PrE=1.0),
+        lambda: dpt.DPTParams(l=2, n=1, c_j=(0.0, 0.0), eps=1.0, zeta=1.0, nu=1.0),
+        lambda: diqkd.LeakageBudget(0, 0),
+        lambda: diqkd.HonestBoxes(0.0, 0),
+        lambda: diqkd.HonestBoxes(0.5, 0),
+        lambda: diqkd.chernoff_abort_bound(0.0, 1.0, 1.0, 1),
+        lambda: diqkd.serfling_mc(1, 1.0, 0.5, np.ones(1), 1, 0),
+        lambda: dpt.randv_bound(0, 1, 0.0, 1, 0.0, 0.0, (2,)),
+        lambda: dpt.randv_bound(1, 1, 0.0, 1, 1.0, 0.0, (2,)),
+        lambda: dpt.delta_of(0, 1.0, 1, (2,)),
+        lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, c=0.0, eps=0.0, delta1=0.0)),
+        lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, eps=1.0)),
+        lambda: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[0.0, 0.5], [0.25, 0.25]]), 1.0),
+        lambda: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
+        lambda: entropy.cond_h0(_UNIFORM, 0.0),
+        lambda: entropy.binary_entropy(0.0),
+        lambda: entropy.binary_entropy(1.0),
+        lambda: bounds.eff_ns(games.chsh(), 1.0),
+        lambda: bounds.eff_local(games.chsh(), 0.0),
+        lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.0),
+        lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.5),
+        lambda: games.repeat(games.chsh(), 1),
+        lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
+        lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
+    ],
+)
+def test_closed_interval_ends_are_accepted(call):
+    call()
+
+
+def test_check_range_ends_and_types():
+    assert check_range("x", 0.0, 0.0, 1.0) == 0.0
+    assert check_range("x", np.float64(1.0), 0.0, 1.0) == 1.0
+    assert check_range("n", 10**400, 1, math.inf) == 10**400  # an int is never rounded
+    for value, kw in [(0.0, dict(lo_open=True)), (1.0, dict(hi_open=True)), ("0.5", {}), (None, {})]:
+        with pytest.raises(ValidationError):
+            check_range("x", value, 0.0, 1.0, **kw)
+
+
+def test_check_distribution_tolerances():
+    np.testing.assert_array_equal(check_distribution("p", [0.5, 0.5], neg_tol=0.0, sum_tol=0.0), [0.5, 0.5])
+    check_distribution("p", [-1e-10, 1.0], neg_tol=1e-9, sum_tol=1e-9)
+    for table in ([], [-1e-10, 1.0], [0.5, 0.49], [math.nan, 1.0]):
+        with pytest.raises(ValidationError):
+            check_distribution("p", table, neg_tol=1e-12, sum_tol=1e-9)
