@@ -571,7 +571,19 @@ def gamma2_star(M: np.ndarray, restarts: int = 50) -> Gamma2Result:
 
 def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     """Best ratio ((alpha+1) <F, F' o p> - (alpha-1)) / (2 gamma2*(F' o p))
-    over all sign matrices F' (exhaustive for |X||Y| <= 12)."""
+    over all sign matrices F' (exhaustive for |X||Y| <= 12).
+
+    gamma2* does not change when a row or a column of its matrix flips
+    sign, so the 2^(mn) sign matrices of an m x n table fall into
+    2^((m-1)(n-1)) classes and gamma2* is solved once per class, on the
+    class's canonical form (rows flipped until column 0 is +, then columns
+    flipped until row 0 is +).  The correlations, the class of each
+    matrix and the ratios form one table over all 2^(mn) matrices; the
+    first maximum in the order of ``bits`` (bit k set: cell k is -1) wins.
+    Matrices whose denominator is at most 1e-15 are skipped.  The result
+    is ``exact_small`` when every gamma2* solve is exact (min(m, n) <= 2).
+    More than 12 cells raise ``BudgetExceededError`` before any work.
+    """
     F = np.asarray(F, dtype=float)
     p = np.asarray(p, dtype=float)
     if F.shape != p.shape or F.ndim != 2:
@@ -583,25 +595,24 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     cells = F.size
     if cells > 12:
         raise BudgetExceededError(f"{cells} cells: sign-matrix enumeration capped at 12")
-    best = -math.inf
-    best_sign = None
-    exact = True
-    flat_F = F.reshape(-1)
-    flat_p = p.reshape(-1)
-    for bits in range(1 << cells):
-        signs = np.array([1.0 if (bits >> k) & 1 == 0 else -1.0 for k in range(cells)])
-        corr = float(np.sum(flat_F * signs * flat_p))
-        g = gamma2_star((signs * flat_p).reshape(F.shape))
-        if g.kind != "exact_small":
-            exact = False
-        denom = 2.0 * g.value
-        if denom <= 1e-15:
-            continue
-        cand = ((alpha + 1.0) * corr - (alpha - 1.0)) / denom
-        if cand > best:
-            best = cand
-            best_sign = signs.reshape(F.shape)
-    return Gamma2Result(value=best, kind="exact_small" if exact else "lower_bound", sign_matrix=best_sign)
+    m, n = F.shape
+    bits = np.arange(1 << cells)
+    S = np.where((bits[:, None] >> np.arange(cells)) & 1, -1.0, 1.0)
+    corr = np.sum(F.reshape(-1) * S * p.reshape(-1), axis=1)
+    canon = S.reshape(-1, m, n)
+    canon = canon * canon[:, :, :1]
+    canon = canon * canon[:, :1, :]
+    cls = (canon[:, 1:, 1:].reshape(len(S), -1) < 0) @ (1 << np.arange((m - 1) * (n - 1)))
+    _, first = np.unique(cls, return_index=True)
+    gs = [gamma2_star(canon[k] * p) for k in first]
+    denom = 2.0 * np.array([g.value for g in gs])[cls]
+    kind = "exact_small" if all(g.kind == "exact_small" for g in gs) else "lower_bound"
+    ok = denom > 1e-15
+    cand = np.full(len(S), -math.inf)
+    cand[ok] = ((alpha + 1.0) * corr[ok] - (alpha - 1.0)) / denom[ok]
+    k = int(np.argmax(cand))
+    sign = S[k].reshape(F.shape).copy() if ok[k] else None
+    return Gamma2Result(value=float(cand[k]), kind=kind, sign_matrix=sign)
 
 
 # ---------------------------------------------------------------------------

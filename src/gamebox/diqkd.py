@@ -373,6 +373,7 @@ def load_adversary(source) -> ScriptedAdversary:
 def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     """True (pass) iff the probed cells agree in at least
     ceil((1 - 2 delta) |T|) rounds; the boundary is inclusive."""
+    check_range("delta", delta, 0.0, 0.5)
     a_T = np.asarray(a_T)
     b_T = np.asarray(b_T)
     x_T = np.asarray(x_T)
@@ -605,6 +606,8 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
         missing = {"n", "alpha", "gamma", "delta"} - set(conf)
         if missing:
             raise ValidationError(f"sweep cell missing {sorted(missing)}")
+        for key, value in conf.items():
+            check_range(key, value, -math.inf, math.inf)
 
         abort_freq = math.nan
         qber = math.nan

@@ -136,6 +136,7 @@ class QuantumStrategy:
     povms: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
 
     def validate(self, game: GamePredicate, tol: float = 1e-9) -> None:
+        check_range("tol", tol, 0.0, math.inf)
         dims = tuple(int(d) for d in self.local_dims)
         if len(dims) != game.players:
             raise DimensionMismatchError("one local dimension per player required")
@@ -180,6 +181,7 @@ class Correlation:
         return self.q[idx]
 
     def validate(self, tol: float = 1e-7) -> None:
+        check_range("tol", tol, 0.0, math.inf)
         l = self.players
         if np.min(self.q) < -tol:
             raise ValidationError("correlation has negative entries")

@@ -61,6 +61,7 @@ class DensityOperator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        check_range("tol", self.tol, 0.0, math.inf)
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density operator must be square, got shape {m.shape}")
@@ -93,6 +94,7 @@ class PureState:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        check_range("tol", self.tol, 0.0, math.inf)
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.size == 0 or not np.all(np.isfinite(v)):
             raise ValidationError("state vector must be a finite, non-empty 1-d array")

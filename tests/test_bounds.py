@@ -520,6 +520,100 @@ def test_gamma2_alpha_validation():
         bounds.gamma2_alpha(np.ones((2, 2)), np.full((2, 2), 0.25), 0.5)  # alpha < 1
 
 
+def _gamma2_alpha_full_loop(Fs, p, alphas):
+    """Reference: the enumeration gamma2_alpha ran before the sign-flip
+    class reduction, one gamma2_star solve per sign matrix in ``bits``
+    order, a later matrix winning only on a strictly larger ratio.  It is
+    batched over the matrices ``Fs`` (first axis) and ``alphas`` (second
+    axis) so that all F of one shape share one pass; per (F, alpha) the
+    arithmetic is the loop's (``np.sum`` over axis 1 adds each row in the
+    order of the loop's 1-d sum).  Returns (values, kind, sign matrices)."""
+    flat_p = p.reshape(-1)
+    cells = flat_p.size
+    flat_F = Fs.reshape(len(Fs), cells)
+    alphas = np.asarray(alphas, dtype=float)[None, :]
+    best = np.full((len(Fs), alphas.size), -math.inf)
+    best_sign = np.full(best.shape + (cells,), np.nan)
+    exact = True
+    for bits in range(1 << cells):
+        signs = np.array([1.0 if (bits >> k) & 1 == 0 else -1.0 for k in range(cells)])
+        corr = np.sum(flat_F * signs * flat_p, axis=1)[:, None]
+        g = bounds.gamma2_star((signs * flat_p).reshape(p.shape))
+        if g.kind != "exact_small":
+            exact = False
+        denom = 2.0 * g.value
+        if denom <= 1e-15:
+            continue
+        cand = ((alphas + 1.0) * corr - (alphas - 1.0)) / denom
+        better = cand > best
+        best[better] = cand[better]
+        best_sign[better] = signs
+    return best, "exact_small" if exact else "lower_bound", best_sign.reshape(best.shape + p.shape)
+
+
+def _memoized(fn):
+    """``fn`` answering a repeated matrix from memory (gamma2_star is
+    deterministic), so every F of a shape can be checked quickly."""
+    seen = {}
+
+    def wrapper(M):
+        M = np.asarray(M, dtype=float)
+        key = (M.shape, M.tobytes())
+        if key not in seen:
+            seen[key] = fn(M)
+        return seen[key]
+
+    return wrapper
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)])
+def test_gamma2_alpha_matches_full_enumeration(shape, monkeypatch):
+    cells = shape[0] * shape[1]
+    Fs = np.array(list(itertools.product((1.0, -1.0), repeat=cells))).reshape(-1, *shape)
+    ps = [np.full(shape, 1.0 / cells)]
+    ps += [np.random.default_rng(seed).dirichlet(np.ones(cells)).reshape(shape) for seed in (1, 2)]
+    alphas = (1.0, 1.5, 3.0)
+    monkeypatch.setattr(bounds, "gamma2_star", _memoized(bounds.gamma2_star))
+    for p in ps:
+        values, kind, signs = _gamma2_alpha_full_loop(Fs, p, alphas)
+        for i, F in enumerate(Fs):
+            for j, alpha in enumerate(alphas):
+                res = bounds.gamma2_alpha(F, p, alpha)
+                assert abs(res.value - values[i, j]) <= 1e-12, (F, p, alpha)
+                assert res.kind == kind
+                assert np.array_equal(res.sign_matrix, signs[i, j]), (F, p, alpha)
+
+
+def test_gamma2_star_is_constant_on_sign_flip_classes():
+    # gamma2* itself is invariant under row and column flips; the 3-row
+    # alternating solve only to its own accuracy.  On some matrices every
+    # restart stops at the iteration cap unconverged, and members of one
+    # class then differ by up to ~2.4e-7 relative (a seeded Dirichlet p).
+    rng = np.random.default_rng(33)
+    p = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    for interior in itertools.product((1.0, -1.0), repeat=4):
+        canon = np.ones((3, 3))
+        canon[1:, 1:] = np.reshape(interior, (2, 2))
+        values = []
+        for _ in range(3):
+            rows = rng.choice((-1.0, 1.0), size=(3, 1))
+            cols = rng.choice((-1.0, 1.0), size=(1, 3))
+            values.append(bounds.gamma2_star(rows * canon * cols * p).value)
+        assert max(values) - min(values) <= 1e-6 * max(values), (interior, values)
+
+
+@pytest.mark.slow
+def test_gamma2_alpha_at_its_cell_cap():
+    # 3 x 4 = 12 cells: 64 sign-flip classes, each an alternating solve
+    F = np.random.default_rng(34).choice((-1.0, 1.0), size=(3, 4))
+    p = np.full((3, 4), 1.0 / 12)
+    alpha = 1.5
+    res = bounds.gamma2_alpha(F, p, alpha)
+    assert res.kind == "lower_bound"
+    at_F = ((alpha + 1.0) * np.sum(F * F * p) - (alpha - 1.0)) / (2.0 * bounds.gamma2_star(F * p).value)
+    assert res.value >= at_F - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # XOR games and the two-sided check
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gamebox import bounds, diqkd, dpt, entropy, games
+from gamebox import bounds, diqkd, dpt, entropy, games, qcore
 from gamebox.errors import ValidationError, check_distribution, check_range
 
 _PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
@@ -21,6 +21,8 @@ _SUBSTATE = dict(
     sigma_XB=np.full((2, 2), 0.25), psi_X=np.full(2, 0.5), rho_B=np.full(2, 0.5), c=0.5, eps=0.1, delta0=0.1, delta1=0.1
 )
 _XOR_F = np.array([[0, 0], [0, 1]])
+_SWEEP_CELL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, c=0.001, nu=0.3, beta=0.5)
+_ABORT_TEST_ARRAYS = (np.zeros((4, 2), dtype=int), np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
 _UNIFORM = np.full((2, 2), 0.25)
 
 
@@ -59,7 +61,15 @@ def _cases():
         ("check_thm2.eps", lambda v: bounds.check_thm2(_XOR_F, _UNIFORM, v)),
         ("ClassicalDistribution.tol", lambda v: entropy.ClassicalDistribution([0.5, 0.5], tol=v)),
         ("JointTable.tol", lambda v: entropy.JointTable(_UNIFORM, tol=v)),
+        ("DensityOperator.tol", lambda v: qcore.DensityOperator(np.eye(2) / 2, tol=v)),
+        ("PureState.tol", lambda v: qcore.PureState(np.array([1.0, 0.0]), tol=v)),
+        ("QuantumStrategy.validate.tol",
+         lambda v: games.canonical_ms_strategy().validate(games.magic_square(), v)),
+        ("Correlation.validate.tol", lambda v: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(v)),
+        ("abort_test.delta", lambda v: diqkd.abort_test(*_ABORT_TEST_ARRAYS, v)),
     ]
+    cases += [(f"sweep.{k}", lambda v, k=k: diqkd.sweep([_with(_SWEEP_CELL, **{k: v})], 1, 0))
+              for k in ("n", "alpha", "gamma", "delta", "c", "nu", "beta")]
     cases += [(f"chernoff_abort_bound.{k}", lambda v, k=k: diqkd.chernoff_abort_bound(**_with(_CHERNOFF, **{k: v})))
               for k in _CHERNOFF]
     cases += [(f"serfling_mc.{k}", lambda v, k=k: diqkd.serfling_mc(**_with(_SERFLING, **{k: v})))
@@ -105,6 +115,11 @@ def test_non_finite_number_is_refused(call, value):
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, c=0.0, eps=0.0, delta1=0.0)),
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, eps=1.0)),
         lambda: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[0.0, 0.5], [0.25, 0.25]]), 1.0),
+        lambda: qcore.DensityOperator(np.eye(2) / 2, tol=0.0),
+        lambda: qcore.PureState(np.array([1.0, 0.0]), tol=0.0),
+        lambda: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(0.0),
+        lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.0),
+        lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.5),
         lambda: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
         lambda: entropy.cond_h0(_UNIFORM, 0.0),
         lambda: entropy.binary_entropy(0.0),
