@@ -3,7 +3,14 @@
 Contents:
 
 * a self-contained dense two-phase simplex solver (Bland's anti-cycling
-  pivot rule) -- the single LP backend used by everything below;
+  pivot rule) -- the single LP backend used by everything below.  Its
+  pivot kernels are numpy operations: the entering column is the first
+  negative reduced cost, the leaving row follows the sequential min-ratio
+  and tie rule over the candidate rows, and a pivot is a rank-1 update of
+  the rows it changes, in chunks of at most 2^17 doubles (1 MB) of
+  temporaries.  They make the pivots, and compute the values, of a
+  per-entry loop bit for bit.  Each result carries deterministic
+  ``stats`` (size, pivots per phase, rows dropped, backend);
 * ``ns_game_value`` -- exact maximum winning probability over the
   no-signalling polytope;
 * ``eff_ns`` / ``eff_local`` -- "efficiency" partition bounds: the players
@@ -49,6 +56,7 @@ VARIANTS = ("worst_case", "tilde", "average")
 
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
+_CHUNK = 1 << 17  # doubles of temporaries per chunk of a pivot's row update (1 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -69,57 +77,87 @@ class LinearProgram:
 
 @dataclass
 class LPResult:
+    """The optimum ``value`` and a vertex ``x`` attaining it.
+
+    ``stats`` says what the solver did, deterministically: ``rows`` and
+    ``cols`` (the shape of ``A`` as given), ``pivots_phase1`` (including
+    the pivots that drive artificial variables out of the basis),
+    ``pivots_phase2``, ``dropped_rows`` (redundant rows removed after
+    phase 1) and ``backend``.
+    """
+
     value: float
     x: np.ndarray
+    stats: dict
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, row: int, col: int, work: np.ndarray) -> None:
+    """Eliminate column ``col`` from every row but ``row``.
+
+    The rows with a nonzero entry in that column get one rank-1 update,
+    ``T[rows] -= f[rows, None] * T[row]``, run in place on each contiguous
+    run of them, in chunks that fit the scratch buffer ``work``.  Each
+    entry gets one multiply and one subtract, as in a per-row loop, and
+    rows with a zero entry are not touched, so the results are bitwise
+    those of the loop, down to the sign of zero."""
     T[row] /= T[row, col]
     piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * piv
+    f = T[:, col].copy()
+    # hit[i + 1]: row i is updated; the False ends make the runs' edges pair up
+    hit = np.zeros(f.size + 2, dtype=bool)
+    np.not_equal(f, 0.0, out=hit[1:-1])
+    hit[row + 1] = False
+    edges = np.flatnonzero(hit[1:] != hit[:-1]).tolist()
+    step = work.size // T.shape[1]
+    buf = work[: step * T.shape[1]].reshape(step, T.shape[1])
+    for start, stop in zip(edges[::2], edges[1::2]):
+        for a in range(start, stop, step):
+            block = T[a : min(a + step, stop)]
+            prod = buf[: block.shape[0]]
+            np.multiply(f[a : a + block.shape[0], None], piv, out=prod)
+            np.subtract(block, prod, out=block)
 
 
-def _enter(T: np.ndarray, allowed: np.ndarray) -> int | None:
-    """Bland's rule: smallest allowed column with negative reduced cost."""
-    costs = T[-1, :-1]
-    for j in range(costs.size):
-        if allowed[j] and costs[j] < -_COST_TOL:
-            return j
-    return None
+def _enter(T: np.ndarray) -> int | None:
+    """Bland's rule: the smallest column with negative reduced cost."""
+    neg = np.flatnonzero(T[-1, :-1] < -_COST_TOL)
+    return int(neg[0]) if neg.size else None
 
 
 def _leave(T: np.ndarray, col: int, basis: list[int]) -> int | None:
-    """Min-ratio row; ties broken by smallest basic-variable index (Bland)."""
+    """Min-ratio row; ties broken by smallest basic-variable index (Bland).
+
+    The rule runs in row order over the rows with a positive entry: a
+    ratio within ``_PIVOT_TOL`` of the best so far is a tie, so a chain of
+    near-ties can end elsewhere than ``argmin`` would."""
+    rows = np.flatnonzero(T[:-1, col] > _PIVOT_TOL)
+    ratios = T[rows, -1] / T[rows, col]
     best_row = None
     best_ratio = None
-    for i in range(T.shape[0] - 1):
-        a = T[i, col]
-        if a > _PIVOT_TOL:
-            ratio = T[i, -1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio - _PIVOT_TOL
-                or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if (
+            best_ratio is None
+            or ratio < best_ratio - _PIVOT_TOL
+            or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
+        ):
+            best_ratio = ratio
+            best_row = i
     return best_row
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], work: np.ndarray) -> tuple[str, int]:
+    """Pivot to optimality; returns the status and the number of pivots."""
     # Bland's rule never revisits a basis in exact arithmetic; rounding in the
     # tableau can break it, and a revisited basis then loops forever.
     seen = {hash(tuple(sorted(basis)))}
     while True:
-        j = _enter(T, allowed)
+        j = _enter(T)
         if j is None:
-            return "optimal"
+            return "optimal", len(seen) - 1
         r = _leave(T, j, basis)
         if r is None:
-            return "unbounded"
-        _pivot(T, r, j)
+            return "unbounded", len(seen) - 1
+        _pivot(T, r, j, work)
         basis[r] = j
         key = hash(tuple(sorted(basis)))
         if key in seen:
@@ -130,7 +168,16 @@ def _run_simplex(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
-    Variables are non-negative.  Raises ``LPInfeasibleError`` or
+    Variables are non-negative; an upper bound of ``+inf`` bounds nothing.
+    The pivot kernels are numpy operations that pick the same pivots, and
+    compute the same floating-point values, as a per-entry loop: the
+    entering column is the first with reduced cost below ``-_COST_TOL``,
+    the leaving row follows the sequential min-ratio rule of
+    :func:`_leave`, and each pivot is a rank-1 update of the rows it
+    changes, run in chunks of at most 2^17 doubles (1 MB) of temporaries.
+
+    Raises ``ValidationError`` for a non-finite ``c``, ``A`` or ``b`` or a
+    NaN or ``-inf`` upper bound, before any work; ``LPInfeasibleError`` or
     ``LPUnboundedError`` on the two failure modes.
     """
     A = np.array(lp.A, dtype=float)
@@ -143,10 +190,17 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         raise DimensionMismatchError("one sense per constraint row required")
     if any(s not in ("<=", ">=", "=") for s in senses):
         raise ValidationError(f"senses must be <=, >= or =, got {sorted(set(senses))}")
+    for name, arr in (("c", c), ("A", A), ("b", b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"LP {name} has non-finite entries")
+    stats = {"rows": b.size, "cols": c.size, "pivots_phase1": 0, "pivots_phase2": 0, "dropped_rows": 0,
+             "backend": "dense_bland"}
     if lp.upper_bounds is not None:
         ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
         if ub.size != c.size:
             raise DimensionMismatchError("one upper bound per variable required")
+        if np.any(np.isnan(ub) | (ub == -np.inf)):
+            raise ValidationError("upper bounds must be numbers or +inf (no bound)")
         finite = np.isfinite(ub)
         A = np.vstack([A, np.eye(c.size)[finite]])
         b = np.concatenate([b, ub[finite]])
@@ -190,6 +244,10 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     for k, i in enumerate(art_rows):
         T[i, n_struct + k] = 1.0
         basis[i] = n_struct + k
+    # scratch for the pivots' row updates, at least one row; T only shrinks.
+    # One buffer per solve: a fresh temporary of this size on every pivot
+    # costs page faults that, measured, took longer than the arithmetic.
+    work = np.empty(max(width, min(_CHUNK, T.size)))
 
     # phase 1: minimise the artificial variables
     if n_art:
@@ -199,8 +257,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         for i in range(m):
             if basis[i] >= n_struct:
                 T[-1] -= T[i]
-        allowed = np.ones(width - 1, dtype=bool)
-        status = _run_simplex(T, basis, allowed)
+        status, stats["pivots_phase1"] = _run_simplex(T, basis, work)
         if status == "unbounded":  # cannot happen: phase-1 objective >= 0
             raise LPInfeasibleError("phase 1 failed")
         feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(b))) if b.size else 0.0))
@@ -210,21 +267,19 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         drop = []
         for i in range(m):
             if basis[i] >= n_struct:
-                piv_col = None
-                for j in range(n_struct):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        piv_col = j
-                        break
-                if piv_col is None:
+                cols = np.flatnonzero(np.abs(T[i, :n_struct]) > _PIVOT_TOL)
+                if cols.size == 0:
                     drop.append(i)
                 else:
-                    _pivot(T, i, piv_col)
-                    basis[i] = piv_col
+                    _pivot(T, i, int(cols[0]), work)
+                    basis[i] = int(cols[0])
+                    stats["pivots_phase1"] += 1
         if drop:
             keep = [i for i in range(m) if i not in drop]
             T = T[keep + [m]]
             basis = [basis[i] for i in keep]
             m = len(keep)
+            stats["dropped_rows"] = len(drop)
         T = np.delete(T, np.s_[n_struct : n_struct + n_art], axis=1)
 
     # phase 2
@@ -233,8 +288,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     for i in range(m):
         if basis[i] < n and obj[basis[i]] != 0.0:
             T[-1] -= obj[basis[i]] * T[i]
-    allowed = np.ones(T.shape[1] - 1, dtype=bool)
-    status = _run_simplex(T, basis, allowed)
+    status, stats["pivots_phase2"] = _run_simplex(T, basis, work)
     if status == "unbounded":
         raise LPUnboundedError("objective unbounded over the feasible region")
 
@@ -242,7 +296,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i, -1]
-    return LPResult(value=float(np.dot(c, x)), x=x)
+    return LPResult(value=float(np.dot(c, x)), x=x, stats=stats)
 
 
 # ---------------------------------------------------------------------------

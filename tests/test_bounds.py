@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gamebox.errors import (
     BudgetExceededError,
     CapabilityError,
     DimensionMismatchError,
+    GameboxError,
     LPInfeasibleError,
     LPUnboundedError,
     ValidationError,
@@ -447,6 +450,283 @@ def test_simplex_stops_when_rounding_revisits_a_basis():
     assert _reference_eta(_reference_lp(game, "no_signalling"), 0.0, "tilde") == pytest.approx(1 / 3, abs=1e-7)
     with pytest.raises(CapabilityError, match="revisited a basis"):
         bounds.eff_ns(game, 0.0, "tilde")
+
+
+# ---------------------------------------------------------------------------
+# the vectorised pivot kernels against the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _scalar_pivot(T, row, col):
+    T[row] /= T[row, col]
+    piv = T[row]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * piv
+
+
+def _scalar_enter(T):
+    costs = T[-1, :-1]
+    for j in range(costs.size):
+        if costs[j] < -bounds._COST_TOL:
+            return j
+    return None
+
+
+def _scalar_leave(T, col, basis):
+    best_row = None
+    best_ratio = None
+    for i in range(T.shape[0] - 1):
+        a = T[i, col]
+        if a > bounds._PIVOT_TOL:
+            ratio = T[i, -1] / a
+            if (
+                best_ratio is None
+                or ratio < best_ratio - bounds._PIVOT_TOL
+                or (abs(ratio - best_ratio) <= bounds._PIVOT_TOL and basis[i] < basis[best_row])
+            ):
+                best_ratio = ratio
+                best_row = i
+    return best_row
+
+
+def _scalar_run_simplex(T, basis):
+    seen = {hash(tuple(sorted(basis)))}
+    pivots = 0
+    while True:
+        j = _scalar_enter(T)
+        if j is None:
+            return "optimal", pivots
+        r = _scalar_leave(T, j, basis)
+        if r is None:
+            return "unbounded", pivots
+        _scalar_pivot(T, r, j)
+        pivots += 1
+        basis[r] = j
+        key = hash(tuple(sorted(basis)))
+        if key in seen:
+            raise CapabilityError(f"simplex revisited a basis after {len(seen)} pivots: rounding broke Bland's rule")
+        seen.add(key)
+
+
+def _scalar_solve_lp(lp):
+    """Reference: the two-phase Bland simplex with the per-entry, per-column
+    and per-row loops that ``solve_lp``'s kernels replaced, counting its
+    pivots as ``LPResult.stats`` does."""
+    A = np.array(lp.A, dtype=float)
+    b = np.array(lp.b, dtype=float).reshape(-1)
+    c = np.array(lp.c, dtype=float).reshape(-1)
+    senses = list(lp.senses)
+    stats = {"rows": b.size, "cols": c.size, "pivots_phase1": 0, "pivots_phase2": 0, "dropped_rows": 0,
+             "backend": "dense_bland"}
+    if lp.upper_bounds is not None:
+        ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
+        finite = np.isfinite(ub)
+        A = np.vstack([A, np.eye(c.size)[finite]])
+        b = np.concatenate([b, ub[finite]])
+        senses += ["<="] * int(finite.sum())
+    n, m = c.size, b.size
+    obj = -c if lp.maximize else c.copy()
+    for i in range(m):
+        if b[i] < 0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
+    slack_cols = [(i, 1.0 if s == "<=" else -1.0) for i, s in enumerate(senses) if s != "="]
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    n_struct = n + len(slack_cols)
+    n_art = len(art_rows)
+    T = np.zeros((m + 1, n_struct + n_art + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    basis = [-1] * m
+    for k, (i, sign) in enumerate(slack_cols):
+        T[i, n + k] = sign
+        if sign > 0:
+            basis[i] = n + k
+    for k, i in enumerate(art_rows):
+        T[i, n_struct + k] = 1.0
+        basis[i] = n_struct + k
+    if n_art:
+        T[-1, :] = 0.0
+        for k in range(n_art):
+            T[-1, n_struct + k] = 1.0
+        for i in range(m):
+            if basis[i] >= n_struct:
+                T[-1] -= T[i]
+        status, stats["pivots_phase1"] = _scalar_run_simplex(T, basis)
+        if status == "unbounded":
+            raise LPInfeasibleError("phase 1 failed")
+        feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(b))) if b.size else 0.0))
+        if -T[-1, -1] > feas_tol:
+            raise LPInfeasibleError(f"infeasible (phase-1 objective {-T[-1, -1]:.3e})")
+        drop = []
+        for i in range(m):
+            if basis[i] >= n_struct:
+                piv_col = None
+                for j in range(n_struct):
+                    if abs(T[i, j]) > bounds._PIVOT_TOL:
+                        piv_col = j
+                        break
+                if piv_col is None:
+                    drop.append(i)
+                else:
+                    _scalar_pivot(T, i, piv_col)
+                    basis[i] = piv_col
+                    stats["pivots_phase1"] += 1
+        if drop:
+            keep = [i for i in range(m) if i not in drop]
+            T = T[keep + [m]]
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+            stats["dropped_rows"] = len(drop)
+        T = np.delete(T, np.s_[n_struct : n_struct + n_art], axis=1)
+    T[-1, :] = 0.0
+    T[-1, :n] = obj
+    for i in range(m):
+        if basis[i] < n and obj[basis[i]] != 0.0:
+            T[-1] -= obj[basis[i]] * T[i]
+    status, stats["pivots_phase2"] = _scalar_run_simplex(T, basis)
+    if status == "unbounded":
+        raise LPUnboundedError("objective unbounded over the feasible region")
+    x = np.zeros(n)
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i, -1]
+    return bounds.LPResult(value=float(np.dot(c, x)), x=x, stats=stats)
+
+
+def _bits(res):
+    """A result in a form that compares bit for bit, the sign of zero included."""
+    return np.float64(res.value).view(np.int64), res.x.view(np.int64).tolist(), res.stats
+
+
+def _outcome(solve, lp):
+    try:
+        return _bits(solve(lp))
+    except GameboxError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.fixture
+def both_routes(monkeypatch):
+    """Solve every LP of the test with ``solve_lp`` and with the scalar
+    reference, asserting bitwise-equal results, equal stats (hence equal
+    pivot counts) or the same error after the same number of pivots; the
+    stats of the solves are collected in the returned list."""
+    solve = bounds.solve_lp
+    solved = []
+
+    def checked(lp):
+        ref = _outcome(_scalar_solve_lp, lp)
+        try:
+            res = solve(lp)
+        except GameboxError as err:
+            assert (type(err).__name__, str(err)) == ref
+            raise
+        assert _bits(res) == ref
+        solved.append(res.stats)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_lp", checked)
+    return solved
+
+
+PARTITION_LP_EPS = (0.0, 0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("fn", [bounds.eff_ns, bounds.eff_local], ids=["ns", "local"])
+@pytest.mark.parametrize("game", [games.chsh, games.magic_square], ids=["chsh", "magic_square"])
+def test_vectorised_simplex_matches_scalar_on_partition_grid(game, fn, both_routes):
+    game = game()
+    for eps in PARTITION_LP_EPS:
+        for variant in bounds.VARIANTS:
+            fn(game, eps, variant)
+    assert len(both_routes) == len(PARTITION_LP_EPS) * len(bounds.VARIANTS)
+    assert all(s["pivots_phase1"] + s["pivots_phase2"] > 0 for s in both_routes)
+
+
+@pytest.mark.slow
+def test_vectorised_simplex_matches_scalar_on_repeated_and_inputless_games(both_routes):
+    chsh2 = games.repeat(games.chsh(), 2)
+    for variant in bounds.VARIANTS:
+        bounds.eff_ns(chsh2, 0.1, variant)
+    bounds.ns_game_value(chsh2)
+    bounds.ns_game_value(games.mse())
+    assert len(both_routes) == 3 + 1 + 36
+    assert max(s["rows"] for s in both_routes) == 169
+
+
+def _random_program(seed):
+    """Small integer programs, so that ratio ties and degenerate pivots are
+    common; odd seeds are feasible by construction."""
+    r = np.random.default_rng([59, seed])
+    n, m = int(r.integers(2, 7)), int(r.integers(2, 7))
+    A = r.integers(-2, 3, size=(m, n)).astype(float)
+    senses = [("<=", ">=", "=")[int(r.integers(0, 3))] for _ in range(m)]
+    if seed % 2:
+        b = A @ r.integers(0, 3, size=n) + np.where([s == "<=" for s in senses], 1.0, 0.0)
+    else:
+        b = r.integers(-2, 4, size=m).astype(float)
+    ub = np.where(r.random(n) < 0.5, 3.0, np.inf) if seed % 3 else None
+    c = r.integers(-2, 3, size=n).astype(float)
+    return bounds.LinearProgram(c=c, A=A, senses=senses, b=b, maximize=bool(seed % 4), upper_bounds=ub)
+
+
+def test_vectorised_simplex_matches_scalar_on_random_programs(both_routes):
+    # 15 solve, 12 are infeasible and 3 unbounded
+    outcomes = []
+    for seed in range(30):
+        try:
+            bounds.solve_lp(_random_program(seed))
+            outcomes.append("solved")
+        except GameboxError as err:
+            outcomes.append(type(err).__name__)
+    assert {"solved", "LPInfeasibleError", "LPUnboundedError"} <= set(outcomes)
+
+
+@pytest.mark.slow
+def test_vectorised_simplex_cycles_like_scalar(both_routes):
+    game = _random_game(13, (2, 2, 2), (2, 2, 2))
+    with pytest.raises(CapabilityError, match="revisited a basis"):
+        bounds.eff_ns(game, 0.0, "tilde")
+
+
+def test_pivot_updates_wide_tableau_in_several_chunks(monkeypatch, both_routes):
+    # eff_local(magic_square) has 15,626 columns: one chunk holds 8 rows
+    pivot = bounds._pivot
+    chunks = []
+
+    def measured(T, row, col, work):
+        hit = T[:, col] != 0.0
+        hit[row] = False
+        longest = max((len(list(g)) for h, g in itertools.groupby(hit) if h), default=0)
+        chunks.append(math.ceil(longest / (work.size // T.shape[1])))
+        pivot(T, row, col, work)
+
+    monkeypatch.setattr(bounds, "_pivot", measured)
+    bounds.eff_local(games.magic_square(), 0.1, "worst_case")
+    assert max(chunks) > 1
+    assert both_routes[0]["cols"] == 15626
+
+
+def test_lp_stats_are_deterministic():
+    lp = bounds.LinearProgram(
+        c=np.array([1.0, 1.0]),
+        A=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]),
+        senses=("=", "=", "<="),
+        b=np.array([1.0, 2.0, 0.5]),
+    )
+    first, second = bounds.solve_lp(lp), bounds.solve_lp(lp)
+    assert first.stats == second.stats
+    assert first.stats == {"rows": 3, "cols": 2, "pivots_phase1": 2, "pivots_phase2": 0, "dropped_rows": 1,
+                           "backend": "dense_bland"}
+
+
+def test_lp_solve_leaves_scipy_unimported():
+    code = ("import sys\nfrom gamebox import bounds, games\n"
+            "bounds.eff_ns(games.repeat(games.chsh(), 2), 0.1)\nassert 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ---------------------------------------------------------------------------

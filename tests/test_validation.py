@@ -24,6 +24,7 @@ _XOR_F = np.array([[0, 0], [0, 1]])
 _SWEEP_CELL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, c=0.001, nu=0.3, beta=0.5)
 _ABORT_TEST_ARRAYS = (np.zeros((4, 2), dtype=int), np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
 _UNIFORM = np.full((2, 2), 0.25)
+_LP = dict(c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]), senses=("<=",), b=np.array([1.0]))
 
 
 def _with(base, **changes):
@@ -67,6 +68,9 @@ def _cases():
          lambda v: games.canonical_ms_strategy().validate(games.magic_square(), v)),
         ("Correlation.validate.tol", lambda v: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(v)),
         ("abort_test.delta", lambda v: diqkd.abort_test(*_ABORT_TEST_ARRAYS, v)),
+        ("solve_lp.c", lambda v: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, c=np.array([v, 0.0]))))),
+        ("solve_lp.A", lambda v: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, A=np.array([[v, 1.0]]))))),
+        ("solve_lp.b", lambda v: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, b=np.array([v]))))),
     ]
     cases += [(f"sweep.{k}", lambda v, k=k: diqkd.sweep([_with(_SWEEP_CELL, **{k: v})], 1, 0))
               for k in ("n", "alpha", "gamma", "delta", "c", "nu", "beta")]
@@ -94,6 +98,13 @@ _CASES = _cases()
 def test_non_finite_number_is_refused(call, value):
     with pytest.raises(ValidationError):
         call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
+    lp = bounds.LinearProgram(**_with(_LP, upper_bounds=np.array([value, 1.0])))
+    with pytest.raises(ValidationError):
+        bounds.solve_lp(lp)
 
 
 @pytest.mark.parametrize(
@@ -129,6 +140,7 @@ def test_non_finite_number_is_refused(call, value):
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.0),
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.5),
         lambda: games.repeat(games.chsh(), 1),
+        lambda: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, upper_bounds=np.array([math.inf, 1.0])))),
         lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
     ],
