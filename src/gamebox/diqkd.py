@@ -196,11 +196,45 @@ def _ms_conditional_table() -> np.ndarray:
     return q
 
 
+@functools.cache
+def _ms_index_table() -> np.ndarray:
+    """Flat inverse-CDF table of the grid strategy: entry ``9 (3x + y) + j``
+    is ``min(#{k : cum[x, y, k] < j/8}, 15)``, the joint outcome index
+    ``4a + b`` that a uniform draw ``u`` with ``ceil(8u) = j`` selects,
+    where ``cum`` is the cumulative sum of ``q[x, y]`` over ``(a, b)``."""
+    cum = np.cumsum(_ms_conditional_table().reshape(9, 16), axis=1)
+    eighths = 8.0 * cum
+    if not np.array_equal(eighths, np.round(eighths)):
+        raise AssertionError("grid-strategy probabilities are not multiples of 1/8")
+    below = cum[:, None, :] < (np.arange(9) / 8.0)[None, :, None]
+    return np.minimum(below.sum(axis=2), 15).astype(np.uint8).ravel()
+
+
+def _grid_inputs(name: str, values) -> np.ndarray:
+    """``values`` as an array after checking that it holds integers in
+    {0, 1, 2}: a negative index would wrap and a flat table index would
+    land in another cell without an error."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be an integer array, got dtype {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() > 2):
+        raise ValidationError(f"{name} entries must lie in {{0, 1, 2}}")
+    return values
+
+
 class HonestBoxes(BoxPair):
     """Ideal strategy with per-copy win probability exactly 1 - delta:
     with probability 2*delta Bob's answer is replaced by a uniform
     odd-parity row (which then agrees with Alice in the probed cell half
-    the time)."""
+    the time).
+
+    Each round's joint outcome comes from one uniform draw ``u`` by
+    inverting the cumulative distribution of ``q[x, y]``.  Every entry of
+    ``q`` is 0 or 1/8, so each cumulative sum is a multiple of 1/8, and
+    ``cum < u`` holds exactly when ``cum < ceil(8u)/8`` (``8u`` is exact in
+    floating point).  The inverse is therefore a 9 x 9 integer table,
+    indexed by the input pair and ``ceil(8u)``, and one gather per round
+    replaces comparing ``u`` with all 16 cumulative sums."""
 
     def __init__(self, delta: float, seed):
         check_range("delta", delta, 0.0, 0.5)
@@ -208,17 +242,22 @@ class HonestBoxes(BoxPair):
         self._rng = np.random.default_rng(seed)
 
     def produce(self, xs, ys, channel):
+        xs = _grid_inputs("xs", xs)
+        ys = _grid_inputs("ys", ys)
+        if xs.shape != ys.shape:
+            raise ValidationError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
         n = xs.size
-        flat = _ms_conditional_table()[xs, ys].reshape(n, 16)
-        cum = np.cumsum(flat, axis=1)
-        draws = self._rng.random((n, 1))
-        idx = np.minimum((cum < draws).sum(axis=1), 15)
-        a_idx = idx // 4
-        b_idx = idx % 4
+        eighths = 8.0 * self._rng.random(n)
+        cell = np.ceil(eighths, out=eighths).astype(np.uint8)
+        del eighths  # 8 bytes a round: free it before the noise draws
+        cell += 27 * xs.astype(np.uint8).ravel()  # 9 (3x + y) + ceil(8u) <= 80
+        cell += 9 * ys.astype(np.uint8).ravel()
+        idx = np.take(_ms_index_table(), cell)
+        A = np.take(games_mod.EVEN_BITS, idx >> 2, axis=0)
+        b_idx = idx & 3
         noisy = self._rng.random(n) < 2.0 * self.delta
-        replacement = self._rng.integers(0, 4, n)
-        b_idx = np.where(noisy, replacement, b_idx)
-        return games_mod.EVEN_BITS[a_idx].copy(), games_mod.ODD_BITS[b_idx].copy()
+        np.copyto(b_idx, self._rng.integers(0, 4, n), casting="unsafe", where=noisy)
+        return A, np.take(games_mod.ODD_BITS, b_idx, axis=0)
 
 
 class BaselineCheatingBoxes(BoxPair):
@@ -387,6 +426,18 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     return matches >= threshold
 
 
+def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
+    """``rows`` as uint8 after checking that every entry is 0 or 1 (before
+    the cast, which would wrap 257 to 1) and that each row's parity is
+    ``parity``."""
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
+    rows = rows.astype(np.uint8, copy=False)
+    if np.any((rows[:, 0] ^ rows[:, 1] ^ rows[:, 2]) != parity):
+        raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
+    return rows
+
+
 def run_protocol(
     params: ProtocolParams,
     boxes: BoxPair,
@@ -417,37 +468,36 @@ def run_protocol(
     A, B = boxes.produce(xs, ys, channel)
     channel.lock()
 
-    A = np.asarray(A, dtype=np.uint8)
-    B = np.asarray(B, dtype=np.uint8)
+    A = np.asarray(A)
+    B = np.asarray(B)
     if A.shape != (n, 3) or B.shape != (n, 3):
         raise ValidationError(f"boxes returned shapes {A.shape}, {B.shape}; expected ({n}, 3)")
-    if np.any(A.sum(axis=1) % 2 != 0):
-        raise ValidationError("Alice rows must have even parity")
-    if np.any(B.sum(axis=1) % 2 != 1):
-        raise ValidationError("Bob rows must have odd parity")
+    A = _bit_rows("Alice", A, parity=0)
+    B = _bit_rows("Bob", B, parity=1)
 
     S = np.sort(rng_s.choice(n, size=params.s_size, replace=False))
     T = np.sort(rng_t.choice(S, size=params.t_size, replace=False))
 
+    A_T, B_T, x_T, y_T = A[T], B[T], xs[T], ys[T]
     rows_T = np.arange(T.size)
-    matches = int((A[T][rows_T, ys[T]] == B[T][rows_T, xs[T]]).sum())
-    passed = abort_test(A[T], B[T], xs[T], ys[T], params.delta)
+    matches = int((A_T[rows_T, y_T] == B_T[rows_T, x_T]).sum())
+    passed = abort_test(A_T, B_T, x_T, y_T, params.delta)
 
-    rows_S = np.arange(S.size)
-    key_a = A[S][rows_S, ys[S]]
-    key_b = B[S][rows_S, xs[S]]
+    x_S, y_S = xs[S], ys[S]
+    key_a = A[S, y_S]
+    key_b = B[S, x_S]
     mismatch_S = float((key_a != key_b).mean())
     qber = 1.0 - matches / T.size
 
     return TranscriptRecord(
         S=S,
         T=T,
-        x_S=xs[S].copy(),
-        y_S=ys[S].copy(),
-        a_T=A[T].copy(),
+        x_S=x_S,
+        y_S=y_S,
+        a_T=A_T,
         aborted=not passed,
-        K_A=key_a.copy() if passed else None,
-        K_B=key_b.copy() if passed else None,
+        K_A=key_a if passed else None,
+        K_B=key_b if passed else None,
         qber=qber,
         mismatch_S=mismatch_S,
         matches=matches,
@@ -560,7 +610,9 @@ def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: in
         raise ValidationError(f"pattern has {Z.size} values, expected {n}")
     if Z.sum() >= total_ceiling:
         return {"empirical": 0.0, "bound": bound}
-    chunk = 20_000
+    # chunks of at most 1 MB of keys; rng.random fills row-major, so every
+    # chunk size draws the same keys
+    chunk = max(1, 2**17 // n)
     done = 0
     while done < trials:
         m = min(chunk, trials - done)

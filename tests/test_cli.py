@@ -451,3 +451,82 @@ def test_repeated_invocations_identical(capsys):
     )
     outputs = {run(capsys, *argv)[1] for _ in range(3)}
     assert len(outputs) == 1
+
+
+# The stdout of the README diqkd commands at their README seeds (the honest
+# run with 50 of its 1000 runs; the sweep is the 8-cell grid the benchmark
+# runs). Any change in a draw stream or a kernel's arithmetic shows here.
+PINNED_DIQKD_OUTPUTS = [
+    (
+        "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 50 --seed 1",
+        "{\n"
+        '  "abort_freq": 0.0,\n'
+        '  "aborts": 0,\n'
+        '  "alpha": 0.5,\n'
+        '  "boxes": "honest",\n'
+        '  "completed": 50,\n'
+        '  "delta": 0.05,\n'
+        '  "gamma": 0.2,\n'
+        '  "keys_equal_completed": 0,\n'
+        '  "leaked_bits_mean": 0.0,\n'
+        '  "mismatch_mean": 0.050599999999999985,\n'
+        '  "n": 2000,\n'
+        '  "qber_mean": 0.052100000000000035,\n'
+        '  "runs": 50,\n'
+        '  "seed": 1\n'
+        "}\n",
+    ),
+    (
+        "diqkd run --n 200 --boxes test_set --guess 40 --limit-bits 500 --seed 1",
+        "{\n"
+        '  "abort_freq": 1.0,\n'
+        '  "aborts": 1,\n'
+        '  "alpha": 0.5,\n'
+        '  "boxes": "test_set",\n'
+        '  "completed": 0,\n'
+        '  "delta": 0.0,\n'
+        '  "gamma": 0.2,\n'
+        '  "keys_equal_completed": 0,\n'
+        '  "leaked_bits_mean": 200.0,\n'
+        '  "mismatch_mean": 0.27,\n'
+        '  "n": 200,\n'
+        '  "qber_mean": 0.30000000000000004,\n'
+        '  "runs": 1,\n'
+        '  "seed": 1\n'
+        "}\n",
+    ),
+    (
+        "diqkd sweep --n 5000 --alpha 0.5 --gamma 0.1,0.2 --delta 0.02,0.05 --c 0,0.001 --runs 50 --seed 1",
+        "n,alpha,gamma,delta,c,nu,beta,PrE_est,abort_freq,qber,rate_bits,rate_per_copy,eps_smooth,seed\n"
+        "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.01888000000000002,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
+        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.96,0.04,0.02240000000000002,-4082.778739170996,-0.8165557478341992,0.008138020833333334,1\n"
+        "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.05112000000000002,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.05432000000000002,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.019680000000000017,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
+        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.020120000000000016,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
+        "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.05440000000000003,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.051800000000000034,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
+    ),
+    (
+        "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8",
+        "{\n"
+        '  "bound": 0.3298769776932235,\n'
+        '  "empirical": 0.00667,\n'
+        '  "eps": 0.2,\n'
+        '  "gamma": 0.2,\n'
+        '  "n": 100,\n'
+        '  "pattern": "threshold:59",\n'
+        '  "seed": 8,\n'
+        '  "trials": 100000\n'
+        "}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,expected", PINNED_DIQKD_OUTPUTS, ids=["run-honest", "run-test_set", "sweep", "serfling"]
+)
+def test_readme_diqkd_outputs_are_pinned(capsys, command, expected):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out == expected

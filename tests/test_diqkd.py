@@ -111,6 +111,63 @@ def test_honest_boxes_noise_calibration():
     assert abs(rate - (1 - delta)) < 4 * sigma
 
 
+def _cumsum_produce(boxes, xs, ys):
+    """The inverse-CDF sampler HonestBoxes.produce replaced: compare each
+    round's draw with all 16 cumulative probabilities of q[x, y]."""
+    n = xs.size
+    flat = diqkd._ms_conditional_table()[xs, ys].reshape(n, 16)
+    cum = np.cumsum(flat, axis=1)
+    draws = boxes._rng.random((n, 1))
+    idx = np.minimum((cum < draws).sum(axis=1), 15)
+    noisy = boxes._rng.random(n) < 2.0 * boxes.delta
+    b_idx = np.where(noisy, boxes._rng.integers(0, 4, n), idx % 4)
+    return games.EVEN_BITS[idx // 4].copy(), games.ODD_BITS[b_idx].copy()
+
+
+def test_conditional_table_cumsums_are_eighths():
+    # the assumption that makes the inverse CDF an integer table
+    eighths = 8 * np.cumsum(diqkd._ms_conditional_table().reshape(9, 16), axis=1)
+    np.testing.assert_array_equal(eighths, np.round(eighths))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_honest_boxes_match_cumsum_reference(dtype):
+    channel = diqkd.LeakageChannel(diqkd.LeakageBudget(0))
+    for n in (0, 1, 7, 5000, 10**5):
+        for delta in (0.0, 0.05, 0.12, 0.5):
+            for seed in (0, 1, 2):
+                rng = np.random.default_rng([n, seed])
+                xs = rng.integers(0, 3, n).astype(dtype)
+                ys = rng.integers(0, 3, n).astype(dtype)
+                fast = diqkd.honest_boxes(delta, seed)
+                slow = diqkd.honest_boxes(delta, seed)
+                for _ in range(2):  # the boxes' generator carries over between calls
+                    A, B = fast.produce(xs, ys, channel)
+                    A_ref, B_ref = _cumsum_produce(slow, xs, ys)
+                    assert A.dtype == B.dtype == np.uint8
+                    assert A.shape == B.shape == (n, 3)
+                    np.testing.assert_array_equal(A, A_ref)
+                    np.testing.assert_array_equal(B, B_ref)
+
+
+@pytest.mark.parametrize(
+    "xs,ys",
+    [
+        (np.array([-1, -3]), np.array([0, 0])),  # numpy would read rows 2 and 0
+        (np.array([0, 0]), np.array([3, 0])),
+        (np.array([0.0, 1.0]), np.array([0, 1])),
+        (np.array([True, False]), np.array([0, 1])),
+        (np.array([0, 1, 2]), np.array([0, 1])),
+        (np.array([[0, 1]]), np.array([0, 1])),
+    ],
+    ids=["negative", "three", "float", "bool", "lengths", "shapes"],
+)
+def test_honest_boxes_reject_bad_inputs(xs, ys):
+    boxes = diqkd.honest_boxes(0.1, seed=0)
+    with pytest.raises(ValidationError):
+        boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+
+
 def test_baseline_cheater_wins_two_thirds_of_cells():
     boxes = diqkd.baseline_cheating_boxes()
     xs, ys = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
@@ -189,6 +246,35 @@ def test_run_protocol_rejects_invalid_rows():
     params = diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.5, delta=0.0, seed=0)
     with pytest.raises(ValidationError):
         diqkd.run_protocol(params, _BadParityBoxes())  # Bob rows have even parity
+
+
+class _FixedRowBoxes(diqkd.BoxPair):
+    def __init__(self, alice_row, bob_row, dtype):
+        self.rows = (alice_row, bob_row)
+        self.dtype = dtype
+
+    def produce(self, xs, ys, channel):
+        return tuple(np.tile(np.array(row, dtype=self.dtype), (xs.size, 1)) for row in self.rows)
+
+
+@pytest.mark.parametrize(
+    "alice_row,bob_row,dtype",
+    [
+        ([2, 0, 0], [0, 0, 1], np.int64),  # even sum, so the parity check alone passes it
+        ([0, 0, 0], [257, 0, 0], np.int64),  # a uint8 cast would wrap 257 to 1
+        ([0, 0, 0], [0, 0, -1], np.int64),
+        ([0, 0, 0], [0, 0, 1.5], float),
+        ([0, 0, 0], [0, 0, 255], np.uint8),
+    ],
+    ids=["alice-2", "bob-257", "bob-minus-1", "bob-1.5", "bob-255-uint8"],
+)
+def test_run_protocol_rejects_rows_that_are_not_bits(alice_row, bob_row, dtype):
+    params = diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.5, delta=0.0, seed=0)
+    with pytest.raises(ValidationError, match="bits"):
+        diqkd.run_protocol(params, _FixedRowBoxes(alice_row, bob_row, dtype))
+    # the same rows with valid bits pass
+    valid = diqkd.run_protocol(params, _FixedRowBoxes([0, 0, 0], [0, 0, 1], dtype))
+    assert valid.a_T.dtype == np.uint8
 
 
 def test_baseline_cheater_usually_aborts_but_leaky_cheater_passes():
@@ -315,6 +401,24 @@ def test_serfling_mc_exact_small_case():
     sigma = math.sqrt(exact * (1 - exact) / 40000)
     assert abs(out["empirical"] - exact) < 4 * sigma
     assert out["bound"] == pytest.approx(2 ** (-2 * eps**2 * gamma * n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,trials", [(1000, 500), (300, 1000), (5000, 60)])
+def test_serfling_mc_chunks_match_one_shot_draw(n, trials):
+    # every chunk size draws the same keys: rng.random fills row-major.
+    # 11 zeros and eps = 5/n make the whole string bad while a test set of
+    # 0.2 n rounds holds at most one zero about a third of the time.
+    gamma, eps, seed = 0.2, 5 / n, 4
+    Z = np.ones(n)
+    Z[:11] = 0.0
+    t = math.floor(gamma * n + 1e-9)
+    keys = np.random.default_rng([seed, 0]).random((trials, n))
+    subsets = np.argpartition(keys, t - 1, axis=1)[:, :t]
+    hits = int((Z[subsets].sum(axis=1) >= (1.0 - eps) * gamma * n).sum())
+    assert trials > 2**17 // n  # the case spans several chunks
+    assert 0.1 * trials < hits < 0.9 * trials
+    out = diqkd.serfling_mc(n, gamma, eps, Z, trials=trials, seed=seed)
+    assert out["empirical"] == hits / trials
 
 
 def test_serfling_mc_degenerate_patterns():
