@@ -210,16 +210,19 @@ def _ms_index_table() -> np.ndarray:
     return np.minimum(below.sum(axis=2), 15).astype(np.uint8).ravel()
 
 
-def _grid_inputs(name: str, values) -> np.ndarray:
-    """``values`` as an array after checking that it holds integers in
-    {0, 1, 2}: a negative index would wrap and a flat table index would
-    land in another cell without an error."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must be an integer array, got dtype {values.dtype}")
-    if values.size and (values.min() < 0 or values.max() > 2):
-        raise ValidationError(f"{name} entries must lie in {{0, 1, 2}}")
-    return values
+def _grid_inputs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as arrays after checking that they have one shape
+    and hold integers in {0, 1, 2}: a negative index would wrap and a flat
+    table index would land in another cell without an error."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    for name, values in (("xs", xs), ("ys", ys)):
+        if values.dtype.kind not in "iu":
+            raise ValidationError(f"{name} must be an integer array, got dtype {values.dtype}")
+        if values.size and (values.min() < 0 or values.max() > 2):
+            raise ValidationError(f"{name} entries must lie in {{0, 1, 2}}")
+    if xs.shape != ys.shape:
+        raise ValidationError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
+    return xs, ys
 
 
 class HonestBoxes(BoxPair):
@@ -242,10 +245,7 @@ class HonestBoxes(BoxPair):
         self._rng = np.random.default_rng(seed)
 
     def produce(self, xs, ys, channel):
-        xs = _grid_inputs("xs", xs)
-        ys = _grid_inputs("ys", ys)
-        if xs.shape != ys.shape:
-            raise ValidationError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
+        xs, ys = _grid_inputs(xs, ys)
         n = xs.size
         eighths = 8.0 * self._rng.random(n)
         cell = np.ceil(eighths, out=eighths).astype(np.uint8)
@@ -265,6 +265,7 @@ class BaselineCheatingBoxes(BoxPair):
     row, Bob the odd row 001; they agree in 2 of 3 probe positions."""
 
     def produce(self, xs, ys, channel):
+        xs, ys = _grid_inputs(xs, ys)
         n = xs.size
         A = np.repeat(games_mod.EVEN_BITS[0][None, :], n, axis=0)
         B = np.repeat(games_mod.ODD_BITS[0][None, :], n, axis=0)
@@ -281,6 +282,7 @@ class TestSetCheatingBoxes(BoxPair):
         self.guess_count = int(guess_count)
 
     def produce(self, xs, ys, channel):
+        xs, ys = _grid_inputs(xs, ys)
         n = xs.size
         A = np.repeat(games_mod.EVEN_BITS[0][None, :], n, axis=0)
         B = np.repeat(games_mod.ODD_BITS[0][None, :], n, axis=0)
@@ -583,7 +585,7 @@ def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: in
     check_range("trials", trials, 1, math.inf)
     check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
     check_range("eps", eps, 0.0, 0.5, lo_open=True)
-    check_range("seed", seed, -math.inf, math.inf)
+    check_range("seed", seed, 0, math.inf)
     t = math.floor(gamma * n + 1e-9)
     bound = float(2.0 ** (-2.0 * eps**2 * gamma * n))
     if t == 0:  # empty test set can never look nearly all-good

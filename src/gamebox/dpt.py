@@ -368,6 +368,7 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
         raise CapabilityError("repetition probe implemented for two players only")
     check_range("comm_bits", probe.comm_bits, 0, 4)
     check_range("n", probe.n, 1, math.inf)
+    check_range("seed", probe.seed, 0, math.inf)
     PV = _repeated_tensors(game, probe.n)
     NX, NY, MA, MB = PV.shape
     splits = [(kA, probe.comm_bits - kA) for kA in range(probe.comm_bits, -1, -1)]

@@ -477,98 +477,96 @@ def canonical_ms_strategy() -> QuantumStrategy:
 # see-saw lower bounds
 
 
-def _winning_sets(game: GamePredicate) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    out = {}
-    for x in np.ndindex(*game.input_sizes):
-        if float(game.p[x]) == 0.0:
-            continue
-        out[x] = [tuple(a) for a in np.argwhere(game.V[(..., *x)]).tolist()]
-    return out
+def _contract(pV: np.ndarray, M: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
+    """``sum_{x, a} pV[a, x] (x)_k M[k][x_k, a_k]`` over every player k but
+    ``skip``.  Axes of the result: ``(a_skip, x_skip)`` when a player is
+    skipped, then the row and column axis of each contracted player in order."""
+    T, labels = pV, [("a", k) for k in range(len(M))] + [("x", k) for k in range(len(M))]
+    for k in range(len(M)):
+        if k != skip:
+            T = np.tensordot(T, M[k], axes=([labels.index(("x", k)), labels.index(("a", k))], [0, 1]))
+            labels = [t for t in labels if t[1] != k] + [("r", k), ("c", k)]
+    return T
 
 
-def _kron_all(ops: Sequence[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _build_game_operator(game, povms, win_sets, dim_total):
-    W = np.zeros((dim_total, dim_total), dtype=complex)
-    for x, winners in win_sets.items():
-        px = float(game.p[x])
-        for a in winners:
-            W += px * _kron_all([povms[j][x[j]][a[j]] for j in range(game.players)])
+def _game_operator(pV: np.ndarray, M: Sequence[np.ndarray]) -> np.ndarray:
+    """The game operator ``W = sum_{x, a} p(x) V(a | x) (x)_k M[k][x_k, a_k]``."""
+    l = len(M)
+    D = math.prod(m.shape[-1] for m in M)
+    W = _contract(pV, M).transpose(list(range(0, 2 * l, 2)) + list(range(1, 2 * l, 2))).reshape(D, D)
     return (W + W.conj().T) / 2
 
 
-def _effective_operator(psi_t: np.ndarray, ops: dict[int, np.ndarray], j: int) -> np.ndarray:
-    """Operator G on player j's space with Tr(M G) = <psi| (x)_k O_k |psi>,
-    where O_j = M and O_k = ops[k] for k != j."""
-    chi = psi_t
-    for k, M in ops.items():
-        chi = np.moveaxis(np.tensordot(M, chi, axes=([1], [k])), 0, k)
-    axes = [k for k in range(psi_t.ndim) if k != j]
-    E = np.tensordot(psi_t.conj(), chi, axes=(axes, axes))
-    return E.T
+def _effective_operators(pV: np.ndarray, M: Sequence[np.ndarray], psi_t: np.ndarray, j: int) -> np.ndarray:
+    """Stack ``G[x_j, a_j]`` of player j's effective operators:
+    ``<psi| W |psi> = sum_{x_j, a_j} Tr(M[j][x_j, a_j] G[x_j, a_j])``, where
+    ``G`` holds the other players' stacks only."""
+    l = len(M)
+    others = [k for k in range(l) if k != j]
+    # einsum labels: 0 = a_j, 1 = x_j, 2 / 3 = row / column of G (the ket /
+    # bra side of psi), 4 + 2k / 5 + 2k = row / column of player k's M
+    idx = [0, 1] + [i for k in others for i in (4 + 2 * k, 5 + 2 * k)]
+    bra = [3 if k == j else 4 + 2 * k for k in range(l)]
+    ket = [2 if k == j else 5 + 2 * k for k in range(l)]
+    return np.einsum(_contract(pV, M, skip=j), idx, psi_t.conj(), bra, psi_t, ket, [1, 0, 2, 3], optimize=True)
 
 
-def _positive_projector(mat: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    cols = v[:, w > cutoff]
-    return cols @ cols.conj().T
+def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray:
+    """Maximise ``sum_a Tr(M_a G[x, a])`` over POVMs ``(M_a)``, for every
+    input ``x`` of the ``(|X|, |A|, d, d)`` stacks at once.
 
-
-def _optimize_povm(G: list[np.ndarray], current: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Maximise sum_a Tr(M_a G_a) over POVMs (M_a).
-
-    Two outcomes: exact via the positive part of G_0 - G_1.  More outcomes:
-    repeated exact two-outcome improvements on pairs until no pair improves.
+    Two outcomes: exact via the positive part of ``G[x, 0] - G[x, 1]``.
+    More outcomes: repeated exact two-outcome improvements on pairs, each
+    applied to an input only when its own gain exceeds ``tol``; an input
+    leaves the batch after a sweep that improved it by at most ``tol``, and
+    no input gets more than 60 sweeps.
     """
-    d = current[0].shape[0]
-    n = len(current)
+    k, n, d = current.shape[:3]
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
     if n == 1:
-        return [np.eye(d, dtype=complex)]
+        return eye[:, None].copy()
     if n == 2:
-        P = _positive_projector(G[0] - G[1])
-        return [P, np.eye(d, dtype=complex) - P]
-    ms = [m.astype(complex) for m in current]
+        P = qcore.psd_power(G[:, 0] - G[:, 1], 0.0)
+        return np.stack([P, eye - P], axis=1)
+    ms = current.astype(complex)
+    active = np.arange(k)
     for _ in range(60):
-        improved = 0.0
+        cur, g = ms[active], G[active]
+        improved = np.zeros(active.size)
         for alpha in range(n):
             for beta in range(alpha + 1, n):
-                S = ms[alpha] + ms[beta]
-                delta = G[alpha] - G[beta]
+                S = cur[:, alpha] + cur[:, beta]
+                delta = g[:, alpha] - g[:, beta]
                 shalf = qcore.psd_sqrt(S)
-                P = _positive_projector(shalf @ delta @ shalf)
-                new_alpha = shalf @ P @ shalf
-                gain = float(np.real(np.trace((new_alpha - ms[alpha]) @ delta)))
-                if gain > tol:
-                    improved += gain
-                    ms[alpha] = (new_alpha + new_alpha.conj().T) / 2
-                    ms[beta] = S - ms[alpha]
-        if improved <= tol:
+                new_alpha = shalf @ qcore.psd_power(shalf @ delta @ shalf, 0.0) @ shalf
+                gain = np.einsum("kij,kji->k", new_alpha - cur[:, alpha], delta).real
+                up = gain > tol
+                improved[up] += gain[up]
+                cur[up, alpha] = (new_alpha[up] + new_alpha[up].conj().swapaxes(-1, -2)) / 2
+                cur[up, beta] = S[up] - cur[up, alpha]
+        ms[active] = cur
+        active = active[improved > tol]
+        if active.size == 0:
             break
     return ms
 
 
-def _random_povms(game: GamePredicate, local_dims, rng) -> list[list[list[np.ndarray]]]:
+def _random_povms(game: GamePredicate, local_dims, rng) -> list[np.ndarray]:
+    """Per player, a ``(|X_j|, |A_j|, d_j, d_j)`` stack of Haar-random
+    projective measurements, the d_j columns of one unitary per input
+    split as evenly as the outputs allow (the first outputs get the extra
+    columns, later ones none when d_j < |A_j|)."""
     povms = []
-    for j in range(game.players):
-        d = local_dims[j]
-        n_out = len(game.outputs[j])
-        per_input = []
-        for _ in range(len(game.inputs[j])):
+    for j, d in enumerate(local_dims):
+        n_out = game.output_sizes[j]
+        edges = np.cumsum([0] + [d // n_out + (1 if k < d % n_out else 0) for k in range(n_out)])
+        M = np.empty((game.input_sizes[j], n_out, d, d), dtype=complex)
+        for x in range(game.input_sizes[j]):
             U = qcore.random_unitary(d, rng)
-            sizes = [d // n_out + (1 if k < d % n_out else 0) for k in range(n_out)]
-            elems = []
-            start = 0
-            for s in sizes:
-                cols = U[:, start : start + s]
-                elems.append(cols @ cols.conj().T)
-                start += s
-            per_input.append(elems)
-        povms.append(per_input)
+            for a in range(n_out):
+                cols = U[:, edges[a] : edges[a + 1]]
+                M[x, a] = cols @ cols.conj().T
+        povms.append(M)
     return povms
 
 
@@ -583,71 +581,53 @@ def seesaw(
     """Alternating-optimisation lower bound on the entangled value.
 
     Alternates between the optimal state for fixed measurements (top
-    eigenvector of the game operator) and exact per-input measurement
-    updates for a fixed state; the value never decreases along the way.
-    Each restart ``r`` draws fresh Haar-random projective measurements from
-    ``numpy.random.default_rng([seed, r])``.
+    eigenvector of the game operator ``W``) and exact measurement updates
+    for a fixed state; the value never decreases along the way.  Each
+    restart ``r`` draws fresh Haar-random projective measurements from
+    ``numpy.random.default_rng([seed, r])``, and stops once an iteration
+    gains less than ``tol``; a restart that reaches 1 - 1e-9 ends the search.
+
+    Player j's POVMs are one ``(|X_j|, |A_j|, d_j, d_j)`` stack, and ``W``
+    and player j's effective operators each come from one contraction of
+    ``p * V`` with the stacks.  Within an iteration the players update in
+    order, player j against the stacks players 0..j-1 have just updated.
+    All of one player's inputs update together: the effective operators of
+    input x_j hold only the other players' POVMs, never player j's own on
+    another input, so this is the same as updating the inputs one by one.
     """
     local_dims = tuple(int(d) for d in local_dims)
     if len(local_dims) != game.players:
         raise DimensionMismatchError("one local dimension per player required")
     for d in local_dims:
         check_range("local dimension", d, 1, math.inf)
-    win_sets = _winning_sets(game)
-    D = int(np.prod(local_dims))
-    best_val = -1.0
-    best_state = None
-    best_povms = None
+    check_range("restarts", restarts, 1, math.inf)
+    check_range("max_iters", max_iters, 1, math.inf)
+    check_range("tol", tol, 0.0, math.inf)
+    check_range("seed", seed, 0, math.inf)
+    pV = (game.p * game.V).astype(complex)
+    best_val, best_state, best_povms = -1.0, None, None
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        povms = _random_povms(game, local_dims, rng)
-        v = rng.normal(size=D) + 1j * rng.normal(size=D)
-        psi = v / np.linalg.norm(v)
+        povms = _random_povms(game, local_dims, np.random.default_rng([seed, r]))
+        W = _game_operator(pV, povms)
         prev = -1.0
-        val = 0.0
         for _ in range(max_iters):
-            W = _build_game_operator(game, povms, win_sets, D)
-            w, vecs = np.linalg.eigh(W)
-            psi = vecs[:, -1]
+            psi = np.linalg.eigh(W)[1][:, -1]
             psi_t = psi.reshape(local_dims)
             for j in range(game.players):
-                for ix in range(len(game.inputs[j])):
-                    G = [np.zeros((local_dims[j], local_dims[j]), dtype=complex) for _ in game.outputs[j]]
-                    for x, winners in win_sets.items():
-                        if x[j] != ix:
-                            continue
-                        px = float(game.p[x])
-                        by_rest: dict[tuple[int, ...], list[int]] = {}
-                        for a in winners:
-                            rest = tuple(a[k] for k in range(game.players) if k != j)
-                            by_rest.setdefault(rest, []).append(a[j])
-                        for rest, ajs in by_rest.items():
-                            ops = {}
-                            t = 0
-                            for k in range(game.players):
-                                if k == j:
-                                    continue
-                                ops[k] = povms[k][x[k]][rest[t]]
-                                t += 1
-                            E = _effective_operator(psi_t, ops, j)
-                            for aj in ajs:
-                                G[aj] = G[aj] + px * E
-                    povms[j][ix] = _optimize_povm(G, povms[j][ix], tol * 0.1)
-            W = _build_game_operator(game, povms, win_sets, D)
+                povms[j] = _optimize_povm(_effective_operators(pV, povms, psi_t, j), povms[j], tol * 0.1)
+            W = _game_operator(pV, povms)
             val = float(np.real(psi.conj() @ (W @ psi)))
             if val - prev < tol:
                 break
             prev = val
         if val > best_val:
-            best_val = val
-            best_state = psi.copy()
-            best_povms = [[list(m) for m in pj] for pj in povms]
+            best_val, best_state, best_povms = val, psi.copy(), povms
         if best_val >= 1.0 - 1e-9:
             break
     cert = QuantumStrategy(
         state=best_state,
         local_dims=local_dims,
-        povms=tuple(tuple(tuple(m for m in povm) for povm in pj) for pj in best_povms),
+        povms=tuple(tuple(tuple(povm) for povm in M) for M in best_povms),
     )
     return GameValueResult(min(best_val, 1.0), "lower_bound", cert)
 

@@ -179,20 +179,23 @@ def partial_trace(state: StateLike, spec: SubsystemSpec | Sequence[int], keep: I
 
 
 def psd_project_eigs(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with tiny eigenvalues zeroed."""
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    ``(..., d, d)`` stack, with tiny eigenvalues zeroed."""
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
     w = np.where(np.abs(w) < cutoff, 0.0, w)
     return w, v
 
 
 def psd_power(mat: np.ndarray, power: float, cutoff: float = EIG_CUTOFF) -> np.ndarray:
-    """`mat ** power` on the support of a PSD matrix (generalised for power < 0)."""
+    """`mat ** power` on the support of a PSD matrix (generalised for power < 0),
+    matrix by matrix on a ``(..., d, d)`` stack.  Negative eigenvalues count
+    as zero, so power 0 gives the projector onto the positive eigenspace."""
     w, v = psd_project_eigs(mat, cutoff)
     w = np.clip(w, 0.0, None)
     out = np.zeros_like(w)
     pos = w > 0
     out[pos] = w[pos] ** power
-    return (v * out) @ v.conj().T
+    return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_sqrt(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:

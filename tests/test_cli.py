@@ -116,6 +116,7 @@ def test_non_finite_sweep_value_exits_one(capsys, flag):
 
 
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
+_SEESAW = ("game", "value", "--builtin", "chsh", "--method", "seesaw")
 _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
 
 
@@ -127,8 +128,15 @@ _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
         (("diqkd", "run", "--n", "10"), {"rounds": [dict(_ROUND, bits="x")]}),
         (("diqkd", "run", "--n", "10"), {"rounds": [_ROUND, 5]}),
         (("diqkd", "run", "--n", "10", "--runs", "0"), None),
+        ((*_SEESAW, "--restarts", "0"), None),
+        ((*_SEESAW, "--restarts", "-1"), None),
+        ((*_SEESAW, "--seed", "-5"), None),
+        ((*_SERFLING, "--seed", "-1"), None),
+        (("dpt", "probe", "--builtin", "chsh", "--n", "1", "--seed", "-1"), None),
     ],
-    ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs"],
+    ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs",
+         "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
+         "probe-negative-seed"],
 )
 def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, adversary):
     if adversary is not None:
@@ -530,3 +538,27 @@ def test_readme_diqkd_outputs_are_pinned(capsys, command, expected):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert out == expected
+
+
+# The README seesaw command.  The value's last digits follow the rounding
+# of the batched contractions: 0.8535533905932748 before them.
+PINNED_SEESAW_OUTPUT = (
+    "{\n"
+    '  "game": "chsh",\n'
+    '  "kind": "lower_bound",\n'
+    '  "local_dims": [\n'
+    "    2,\n"
+    "    2\n"
+    "  ],\n"
+    '  "method": "seesaw",\n'
+    '  "restarts": 20,\n'
+    '  "seed": 7,\n'
+    '  "value": 0.8535533905932744\n'
+    "}\n"
+)
+
+
+def test_readme_seesaw_output_is_pinned(capsys):
+    code, out, _ = run(capsys, *"game value --builtin chsh --method seesaw --restarts 20 --seed 7".split())
+    assert code == 0
+    assert out == PINNED_SEESAW_OUTPUT

@@ -159,13 +159,20 @@ def test_honest_boxes_match_cumsum_reference(dtype):
         (np.array([True, False]), np.array([0, 1])),
         (np.array([0, 1, 2]), np.array([0, 1])),
         (np.array([[0, 1]]), np.array([0, 1])),
+        (np.array([5, 0]), np.array([0, 0])),  # the test-set cheater indexed a 3-entry row
+        (np.array([0, 0]), np.array([-2, 0])),  # the test-set cheater leaked '-10' as 2 bits
+        ([0.0, 1.0], [0, 1]),
     ],
-    ids=["negative", "three", "float", "bool", "lengths", "shapes"],
+    ids=["negative", "three", "float", "bool", "lengths", "shapes", "five", "ys-negative", "float-list"],
 )
 def test_honest_boxes_reject_bad_inputs(xs, ys):
-    boxes = diqkd.honest_boxes(0.1, seed=0)
-    with pytest.raises(ValidationError):
-        boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    # every box pair refuses the inputs, the cheaters before they leak a bit
+    for boxes in (diqkd.honest_boxes(0.1, seed=0), diqkd.baseline_cheating_boxes(),
+                  diqkd.test_set_cheating_boxes(guess_count=2)):
+        channel = diqkd.LeakageChannel(diqkd.LeakageBudget(100))
+        with pytest.raises(ValidationError):
+            boxes.produce(xs, ys, channel)
+        assert channel.budget.used_bits == 0
 
 
 def test_baseline_cheater_wins_two_thirds_of_cells():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamebox import games
+from gamebox import games, qcore
 from gamebox.errors import BudgetExceededError, ValidationError
 
 
@@ -313,6 +313,272 @@ def test_seesaw_deterministic_given_seed():
     a = games.seesaw(game, (2, 2), restarts=2, seed=11).value
     b = games.seesaw(game, (2, 2), restarts=2, seed=11).value
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# batched seesaw kernels against the one-matrix-at-a-time loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_winning_sets(game):
+    out = {}
+    for x in np.ndindex(*game.input_sizes):
+        if float(game.p[x]) == 0.0:
+            continue
+        out[x] = [tuple(a) for a in np.argwhere(game.V[(..., *x)]).tolist()]
+    return out
+
+
+def _ref_kron_all(ops):
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
+def _ref_build_game_operator(game, povms, win_sets, dim_total):
+    W = np.zeros((dim_total, dim_total), dtype=complex)
+    for x, winners in win_sets.items():
+        px = float(game.p[x])
+        for a in winners:
+            W += px * _ref_kron_all([povms[j][x[j]][a[j]] for j in range(game.players)])
+    return (W + W.conj().T) / 2
+
+
+def _ref_effective_operator(psi_t, ops, j):
+    chi = psi_t
+    for k, M in ops.items():
+        chi = np.moveaxis(np.tensordot(M, chi, axes=([1], [k])), 0, k)
+    axes = [k for k in range(psi_t.ndim) if k != j]
+    E = np.tensordot(psi_t.conj(), chi, axes=(axes, axes))
+    return E.T
+
+
+def _ref_effective_operators(game, povms, win_sets, psi_t, j, ix):
+    """The G list of player j on input ix, built winning tuple by winning tuple."""
+    d = psi_t.shape[j]
+    G = [np.zeros((d, d), dtype=complex) for _ in game.outputs[j]]
+    for x, winners in win_sets.items():
+        if x[j] != ix:
+            continue
+        px = float(game.p[x])
+        by_rest = {}
+        for a in winners:
+            rest = tuple(a[k] for k in range(game.players) if k != j)
+            by_rest.setdefault(rest, []).append(a[j])
+        for rest, ajs in by_rest.items():
+            others = [k for k in range(game.players) if k != j]
+            ops = {k: povms[k][x[k]][r] for k, r in zip(others, rest)}
+            E = _ref_effective_operator(psi_t, ops, j)
+            for aj in ajs:
+                G[aj] = G[aj] + px * E
+    return G
+
+
+def _ref_positive_projector(mat, cutoff=1e-12):
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    cols = v[:, w > cutoff]
+    return cols @ cols.conj().T
+
+
+def _ref_optimize_povm(G, current, tol):
+    d = current[0].shape[0]
+    n = len(current)
+    if n == 1:
+        return [np.eye(d, dtype=complex)]
+    if n == 2:
+        P = _ref_positive_projector(G[0] - G[1])
+        return [P, np.eye(d, dtype=complex) - P]
+    ms = [m.astype(complex) for m in current]
+    for _ in range(60):
+        improved = 0.0
+        for alpha in range(n):
+            for beta in range(alpha + 1, n):
+                S = ms[alpha] + ms[beta]
+                delta = G[alpha] - G[beta]
+                shalf = qcore.psd_sqrt(S)
+                P = _ref_positive_projector(shalf @ delta @ shalf)
+                new_alpha = shalf @ P @ shalf
+                gain = float(np.real(np.trace((new_alpha - ms[alpha]) @ delta)))
+                if gain > tol:
+                    improved += gain
+                    ms[alpha] = (new_alpha + new_alpha.conj().T) / 2
+                    ms[beta] = S - ms[alpha]
+        if improved <= tol:
+            break
+    return ms
+
+
+def _ref_random_povms(game, local_dims, rng):
+    povms = []
+    for j in range(game.players):
+        d = local_dims[j]
+        n_out = len(game.outputs[j])
+        per_input = []
+        for _ in range(len(game.inputs[j])):
+            U = qcore.random_unitary(d, rng)
+            sizes = [d // n_out + (1 if k < d % n_out else 0) for k in range(n_out)]
+            elems = []
+            start = 0
+            for s in sizes:
+                cols = U[:, start : start + s]
+                elems.append(cols @ cols.conj().T)
+                start += s
+            per_input.append(elems)
+        povms.append(per_input)
+    return povms
+
+
+def _ref_seesaw(game, local_dims, restarts=20, max_iters=500, tol=1e-9, seed=0):
+    """The sequential seesaw: one input of one player at a time."""
+    local_dims = tuple(local_dims)
+    win_sets = _ref_winning_sets(game)
+    D = int(np.prod(local_dims))
+    best_val, best_povms = -1.0, None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        povms = _ref_random_povms(game, local_dims, rng)
+        prev = -1.0
+        for _ in range(max_iters):
+            W = _ref_build_game_operator(game, povms, win_sets, D)
+            psi = np.linalg.eigh(W)[1][:, -1]
+            psi_t = psi.reshape(local_dims)
+            for j in range(game.players):
+                for ix in range(len(game.inputs[j])):
+                    G = _ref_effective_operators(game, povms, win_sets, psi_t, j, ix)
+                    povms[j][ix] = _ref_optimize_povm(G, povms[j][ix], tol * 0.1)
+            W = _ref_build_game_operator(game, povms, win_sets, D)
+            val = float(np.real(psi.conj() @ (W @ psi)))
+            if val - prev < tol:
+                break
+            prev = val
+        if val > best_val:
+            best_val, best_povms = val, [[list(m) for m in pj] for pj in povms]
+        if best_val >= 1.0 - 1e-9:
+            break
+    return min(best_val, 1.0), best_povms
+
+
+def _random_game(seed, players):
+    """A seeded random game with zero-probability cells."""
+    r = np.random.default_rng([seed, players, 8])
+    ins = tuple(int(v) for v in r.integers(1, 4, players))
+    outs = tuple(int(v) for v in r.integers(1, 5, players))
+    p = r.random(ins)
+    p[r.random(ins) < 0.3] = 0.0
+    p.flat[r.integers(p.size)] += 0.1
+    p /= p.sum()
+    V = r.random(outs + ins) < 0.5
+    game = games.GamePredicate(
+        inputs=tuple(tuple(range(k)) for k in ins), outputs=tuple(tuple(range(m)) for m in outs), p=p, V=V
+    )
+    return game, tuple(int(d) for d in r.integers(1, 5, players))
+
+
+def _random_povm_stack(n_in, n_out, d, rng):
+    """Non-projective POVMs: S^{-1/2} A_a S^{-1/2} for random PSD A_a."""
+    g = rng.normal(size=(n_in, n_out, d, d)) + 1j * rng.normal(size=(n_in, n_out, d, d))
+    A = g @ g.conj().swapaxes(-1, -2)
+    inv_half = qcore.psd_power(A.sum(axis=1), -0.5)
+    return inv_half[:, None] @ A @ inv_half[:, None]
+
+
+_KERNEL_CASES = {
+    "chsh": (games.chsh(), (2, 2)),
+    "magic_square": (games.magic_square(), (4, 4)),
+    "chsh^2": (games.repeat(games.chsh(), 2), (4, 4)),
+    "mse": (games.mse(), (2, 2, 2)),
+    "random_3_player": _random_game(5, 3),
+    "random_2_player": _random_game(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_CASES))
+def test_game_and_effective_operators_match_reference(name):
+    game, dims = _KERNEL_CASES[name]
+    rng = np.random.default_rng(len(name))
+    stacks = [_random_povm_stack(n, m, d, rng) for n, m, d in zip(game.input_sizes, game.output_sizes, dims)]
+    lists = [[list(M[x]) for x in range(M.shape[0])] for M in stacks]
+    win_sets = _ref_winning_sets(game)
+    pV = (game.p * game.V).astype(complex)
+    D = math.prod(dims)
+    W = games._game_operator(pV, stacks)
+    np.testing.assert_allclose(W, _ref_build_game_operator(game, lists, win_sets, D), rtol=0, atol=1e-12)
+    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+    psi_t = (psi / np.linalg.norm(psi)).reshape(dims)
+    for j in range(game.players):
+        G = games._effective_operators(pV, stacks, psi_t, j)
+        assert G.shape == (game.input_sizes[j], game.output_sizes[j], dims[j], dims[j])
+        for ix in range(game.input_sizes[j]):
+            want = _ref_effective_operators(game, lists, win_sets, psi_t, j, ix)
+            np.testing.assert_allclose(G[ix], np.array(want), rtol=0, atol=1e-12)
+
+
+def _count_sqrt_matrices(monkeypatch):
+    """Count the matrices that pass through qcore.psd_sqrt."""
+    seen = [0]
+    plain = qcore.psd_sqrt
+
+    def counted(mat, *args):
+        seen[0] += 1 if mat.ndim == 2 else mat.shape[0]
+        return plain(mat, *args)
+
+    monkeypatch.setattr(qcore, "psd_sqrt", counted)
+    return seen
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_batched_povm_update_matches_per_input_reference(n_out, d, monkeypatch):
+    rng = np.random.default_rng([n_out, d])
+    k = 5
+    seen = _count_sqrt_matrices(monkeypatch)
+    for tol in (1e-10, 1e-3):
+        current = _random_povm_stack(k, n_out, d, rng)
+        g = rng.normal(size=(k, n_out, d, d)) + 1j * rng.normal(size=(k, n_out, d, d))
+        G = g @ g.conj().swapaxes(-1, -2)
+        G[1] = G[0]  # two inputs on the same problem
+        seen[0] = 0
+        want = [_ref_optimize_povm(list(G[x]), list(current[x]), tol) for x in range(k)]
+        ref_sqrts = seen[0]
+        seen[0] = 0
+        got = games._optimize_povm(G, current, tol)
+        assert got.shape == current.shape
+        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
+        # a converged input leaves the batch: no more square roots than the loop
+        assert seen[0] == ref_sqrts
+
+
+_SEESAW_CASES = [
+    (games.chsh(), (2, 2), 20),
+    (games.magic_square(), (4, 4), 20),
+    (games.repeat(games.chsh(), 2), (4, 4), 5),
+    (games.mse(), (2, 2, 2), 2),
+] + [(*_random_game(s, 2 + s % 2), 3) for s in range(8)]
+
+
+@pytest.mark.parametrize("game,dims,restarts", _SEESAW_CASES, ids=lambda v: getattr(v, "name", None))
+def test_seesaw_matches_sequential_reference(game, dims, restarts):
+    res = games.seesaw(game, dims, restarts=restarts, seed=7)
+    want, _ = _ref_seesaw(game, dims, restarts=restarts, seed=7)
+    assert res.value == pytest.approx(want, abs=1e-9)
+    assert games.evaluate_quantum_strategy(game, res.certificate) == pytest.approx(res.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+@pytest.mark.parametrize("case", [0, 2, 4, 7, 9], ids=lambda c: f"case{c}")
+def test_seesaw_early_iterations_match_reference(case, max_iters):
+    # a few iterations leave the strategy far from any optimum, so the
+    # players' update order shows in the POVMs and the value.  Where an
+    # effective operator is nearly degenerate the optimal POVM is nearly
+    # free, and rounding moves it by up to ~1e-8 while the value stays put.
+    game, dims, _ = _SEESAW_CASES[case]
+    res = games.seesaw(game, dims, restarts=2, max_iters=max_iters, seed=3)
+    want, povms = _ref_seesaw(game, dims, restarts=2, max_iters=max_iters, seed=3)
+    assert res.value == pytest.approx(want, abs=1e-9)
+    for j, per_input in enumerate(povms):
+        np.testing.assert_allclose(np.array(res.certificate.povms[j]), np.array(per_input), rtol=0, atol=1e-6)
+    assert games.evaluate_quantum_strategy(game, res.certificate) == pytest.approx(res.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

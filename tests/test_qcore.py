@@ -125,6 +125,39 @@ def test_psd_power_inverse_on_support():
     np.testing.assert_allclose(inv_half @ rho @ inv_half, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
+def _one_matrix_power(mat, power, cutoff=qcore.EIG_CUTOFF):
+    """psd_power as written for a single matrix only (`.T`, unbroadcast weights)."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    w = np.clip(np.where(np.abs(w) < cutoff, 0.0, w), 0.0, None)
+    out = np.zeros_like(w)
+    out[w > 0] = w[w > 0] ** power
+    return (v * out) @ v.conj().T
+
+
+@pytest.mark.parametrize("power", [0.5, -0.5, 0.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_psd_power_on_a_stack_equals_single_calls(dim, power):
+    rng = np.random.default_rng([dim, 17])
+    g = rng.normal(size=(6, dim, dim)) + 1j * rng.normal(size=(6, dim, dim))
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats[1] -= 2.0 * np.eye(dim)  # indefinite: negative eigenvalues count as zero
+    mats[2] = np.diag(np.r_[1.0, np.zeros(dim - 1)])  # a kernel
+    single = [qcore.psd_power(m, power) for m in mats]
+    for m, got in zip(mats, single):
+        assert np.array_equal(got, _one_matrix_power(m, power))
+    np.testing.assert_allclose(qcore.psd_power(mats, power), np.array(single), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        qcore.psd_power(mats.reshape(2, 3, dim, dim), power), np.array(single).reshape(2, 3, dim, dim),
+        rtol=0, atol=1e-12,
+    )
+    if power == 0.5:
+        assert np.array_equal(qcore.psd_sqrt(mats[0]), single[0])
+        np.testing.assert_allclose(qcore.psd_sqrt(mats), np.array(single), rtol=0, atol=1e-12)
+    if power == 0.0:  # the projector onto the positive eigenspace
+        P = qcore.psd_power(mats, 0.0)
+        np.testing.assert_allclose(P @ P, P, atol=1e-12)
+
+
 def test_trace_norm_matches_svd(rng):
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     expected = float(np.sum(np.linalg.svd(m, compute_uv=False)))

@@ -37,6 +37,10 @@ def _dpt_bound(**changes):
     return dpt.dpt_case_i_bound(params), dpt.delta_of(params.C_size, params.PrE, params.n, params.alphabet_sizes)
 
 
+def _probe(seed):
+    return dpt.RepetitionProbe(games.chsh(), n=1, comm_bits=0, seed=seed)
+
+
 def _cases():
     """(id, callable of one number) for every numeric input checked."""
     cases = [(f"ProtocolParams.{k}", lambda v, k=k: diqkd.ProtocolParams(**_with(_PROTOCOL, **{k: v})))
@@ -78,6 +82,9 @@ def _cases():
               for k in _CHERNOFF]
     cases += [(f"serfling_mc.{k}", lambda v, k=k: diqkd.serfling_mc(**_with(_SERFLING, **{k: v})))
               for k in ("n", "gamma", "eps", "trials", "seed")]
+    cases += [(f"seesaw.{k}", lambda v, k=k: games.seesaw(games.chsh(), (2, 2), **{k: v}))
+              for k in ("restarts", "max_iters", "tol", "seed")]
+    cases.append(("RepetitionProbe.seed", lambda v: dpt.empirical_repeated_value(_probe(v))))
     cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
               for k in ("t", "n", "c", "l", "nu", "beta_const")]
     cases += [(f"delta_of.{k}", lambda v, k=k: dpt.delta_of(**_with(_DELTA_OF, **{k: v})))
@@ -98,6 +105,26 @@ _CASES = _cases()
 def test_non_finite_number_is_refused(call, value):
     with pytest.raises(ValidationError):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=0),
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=-1),
+        lambda: games.seesaw(games.chsh(), (2, 2), max_iters=0),
+        lambda: games.seesaw(games.chsh(), (2, 2), tol=-1e-12),
+        lambda: games.seesaw(games.chsh(), (2, 2), seed=-5),
+        lambda: diqkd.serfling_mc(**_with(_SERFLING, seed=-1)),
+        lambda: dpt.empirical_repeated_value(_probe(-1)),
+    ],
+    ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
+         "serfling-seed-neg", "probe-seed-neg"],
+)
+def test_out_of_range_count_or_seed_is_refused(call):
+    # each of these crashed inside numpy or returned a wrong result
+    with pytest.raises(ValidationError):
+        call()
 
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
@@ -140,6 +167,8 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.0),
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.5),
         lambda: games.repeat(games.chsh(), 1),
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=1, max_iters=1, tol=0.0, seed=0),
+        lambda: dpt.empirical_repeated_value(_probe(0)),
         lambda: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, upper_bounds=np.array([math.inf, 1.0])))),
         lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
