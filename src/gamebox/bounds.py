@@ -344,8 +344,10 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     no-signalling box with an inputless player is precisely a mixture over
     that player's outputs of (weight x no-signalling box on the remaining
     players), so the linear objective is maximised by conditioning on the
-    best output.  Remaining games are solved by one LP.
+    best output.  Remaining games are solved by one LP of at most
+    ``budget`` variables (an integer in [0, inf), checked first).
     """
+    check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
@@ -484,7 +486,9 @@ def eff_local(
     variants, over the weights of the deterministic abort-augmented
     strategies (at most ``budget`` of them); its head row makes the
     weights sum to one.  The certificate is the mixture's correlation.
+    ``budget`` is an integer in [0, inf), checked first.
     """
+    check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
@@ -609,8 +613,11 @@ def gamma2_star(M: np.ndarray, restarts: int = 50) -> Gamma2Result:
 
     Vectors of dimension min(m, n) suffice.  Exact for min(m, n) <= 2
     (closed form / gauge-fixed angle grid refined to 1e-7); alternating
-    optimisation with deterministic restarts otherwise (lower bound).
+    optimisation from the identity plus ``restarts`` seeded starts
+    otherwise (lower bound); ``restarts`` is an integer in [0, inf),
+    checked first.
     """
+    check_range("restarts", restarts, 0, math.inf, integer=True)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValidationError("matrix must be 2-d and non-empty")

@@ -581,11 +581,11 @@ def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: in
     (sum_{i in T} Z_i >= (1 - eps) gamma n) while the whole string is bad
     (sum_i Z_i < (1 - 2 eps) n).
     """
-    check_range("n", n, 1, math.inf)
-    check_range("trials", trials, 1, math.inf)
+    check_range("n", n, 1, math.inf, integer=True)
+    check_range("trials", trials, 1, math.inf, integer=True)
     check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
     check_range("eps", eps, 0.0, 0.5, lo_open=True)
-    check_range("seed", seed, 0, math.inf)
+    check_range("seed", seed, 0, math.inf, integer=True)
     t = math.floor(gamma * n + 1e-9)
     bound = float(2.0 ** (-2.0 * eps**2 * gamma * n))
     if t == 0:  # empty test set can never look nearly all-good

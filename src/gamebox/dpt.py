@@ -21,7 +21,6 @@ import numpy as np
 from . import games as games_mod
 from .entropy import JointTable, _as_probs
 from .errors import (
-    BudgetExceededError,
     CapabilityError,
     GateViolationError,
     ValidationError,
@@ -208,39 +207,6 @@ def _split_work(NX: int, NY: int, MA: int, MB: int, kA: int, kB: int) -> int:
     return g_count * min(fa, fb)
 
 
-def _score_candidates(PV: np.ndarray, g_A: np.ndarray, g_B: np.ndarray, cands: np.ndarray):
-    """Scores of output-map candidates for the enumerated player, with the
-    other player's output map best-responded exactly per (input, message)
-    cell.  ``PV`` has shape (NX, NY, MA, MB); ``cands`` (count, NX, mB)."""
-    n_msgs_a = int(g_A.max()) + 1 if g_A.size else 1
-    a_sel = cands[:, np.arange(PV.shape[0])[:, None], g_B[None, :]]  # (count, NX, NY)
-    gathered = np.take_along_axis(
-        PV[None], a_sel[:, :, :, None, None], axis=3
-    )[:, :, :, 0, :]  # (count, NX, NY, MB)
-    total = np.zeros(cands.shape[0])
-    for m in range(n_msgs_a):
-        mask = g_A == m
-        if not mask.any():
-            continue
-        grouped = gathered[:, mask].sum(axis=1)  # (count, NY, MB)
-        total += grouped.max(axis=2).sum(axis=1)
-    return total
-
-
-def _best_response_maps(PV: np.ndarray, g_A: np.ndarray, g_B: np.ndarray, f_A: np.ndarray, mA: int):
-    """Exact best-response output map for the non-enumerated player."""
-    NX, NY = PV.shape[:2]
-    MB = PV.shape[3]
-    f_B = np.zeros((NY, mA), dtype=np.int64)
-    a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]  # (NX, NY)
-    gathered = np.take_along_axis(PV, a_sel[:, :, None, None], axis=2)[:, :, 0, :]  # (NX, NY, MB)
-    for m in range(mA):
-        mask = g_A == m
-        grouped = gathered[mask].sum(axis=0) if mask.any() else np.zeros((NY, MB))
-        f_B[:, m] = np.argmax(grouped, axis=1)
-    return f_B
-
-
 def _protocol_value(PV, g_A, g_B, f_A, f_B) -> float:
     NX, NY = PV.shape[:2]
     a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]
@@ -250,66 +216,42 @@ def _protocol_value(PV, g_A, g_B, f_A, f_B) -> float:
     )
 
 
-def _exhaustive_split(PV, kA, kB, budget_left):
+def _certificate(kA, kB, g_A, g_B, f_A, f_B) -> dict:
+    """A protocol as lists: message maps g_A (NX,), g_B (NY,), output maps f_A (NX, mB), f_B (NY, mA)."""
+    g_A, g_B, f_A, f_B = (np.asarray(v).tolist() for v in (g_A, g_B, f_A, f_B))
+    return {"kA": kA, "kB": kB, "g_A": g_A, "g_B": g_B, "f_A": f_A, "f_B": f_B}
+
+
+def _exhaustive_split(PV, kA, kB):
     """Exact optimum over all protocols of one message split; returns
-    (value, certificate, evaluations)."""
+    (value, certificate).
+
+    With the message maps g_A, g_B fixed, the output maps are a
+    deterministic strategy of a two-player game in which Alice's input is
+    (x, Bob's message) and Bob's is (y, Alice's message):
+    ``aug[a, b, x*mB + g_B(y), y*mA + g_A(x)] = PV[x, y, a, b]``, zero
+    elsewhere.  :func:`games.best_deterministic` solves it for every
+    (g_A, g_B) in lexicographic order; a pair is kept when it beats the
+    best by more than 1e-15, and value 1 ends the search.  The caller has
+    checked :func:`_split_work` against its budget."""
     NX, NY, MA, MB = PV.shape
     mA, mB = 2**kA, 2**kB
-    fa_count = MA ** (NX * mB)
-    fb_count = MB ** (NY * mA)
-    swap = fb_count < fa_count
-    work_PV = np.transpose(PV, (1, 0, 3, 2)) if swap else PV
-    # after a swap the roles are exchanged: "A" below is the enumerated player
-    nX, nY, mA_out, mB_out = work_PV.shape
-    msgs_a, msgs_b = (mB, mA) if swap else (mA, mB)
-    cells = nX * msgs_b
-    n_cands = mA_out**cells
-    best = -1.0
-    best_cert = None
-    used = 0
-    chunk = 65536
-    for g_a_tuple in itertools.product(range(msgs_a), repeat=nX):
-        g_a = np.asarray(g_a_tuple, dtype=np.int64)
-        for g_b_tuple in itertools.product(range(msgs_b), repeat=nY):
-            g_b = np.asarray(g_b_tuple, dtype=np.int64)
-            for start in range(0, n_cands, chunk):
-                stop = min(start + chunk, n_cands)
-                ids = np.arange(start, stop)
-                cands = np.stack(
-                    np.unravel_index(ids, (mA_out,) * cells), axis=1
-                ).reshape(stop - start, nX, msgs_b)
-                scores = _score_candidates(work_PV, g_a, g_b, cands)
-                used += stop - start
-                if used > budget_left:
-                    raise BudgetExceededError(
-                        "exhaustive protocol search exceeded its evaluation budget"
-                    )
-                top = int(np.argmax(scores))
-                if scores[top] > best + 1e-15:
-                    best = float(scores[top])
-                    f_a = cands[top]
-                    f_b = _best_response_maps(work_PV, g_a, g_b, f_a, msgs_a)
-                    if swap:
-                        best_cert = {
-                            "kA": kA,
-                            "kB": kB,
-                            "g_A": g_b.tolist(),
-                            "g_B": g_a.tolist(),
-                            "f_A": f_b.tolist(),
-                            "f_B": f_a.tolist(),
-                        }
-                    else:
-                        best_cert = {
-                            "kA": kA,
-                            "kB": kB,
-                            "g_A": g_a.tolist(),
-                            "g_B": g_b.tolist(),
-                            "f_A": f_a.tolist(),
-                            "f_B": f_b.tolist(),
-                        }
-                if best >= 1.0 - _WIN_EPS:
-                    return best, best_cert, used
-    return best, best_cert, used
+    xs, ys = np.arange(NX)[:, None], np.arange(NY)[None, :]
+    wins = PV.transpose(2, 3, 0, 1)
+    best, best_cert = -math.inf, None
+    for g_A in itertools.product(range(mA), repeat=NX):
+        g_A = np.asarray(g_A, dtype=np.int64)
+        for g_B in itertools.product(range(mB), repeat=NY):
+            g_B = np.asarray(g_B, dtype=np.int64)
+            aug = np.zeros((MA, MB, NX * mB, NY * mA))
+            aug[:, :, xs * mB + g_B[None, :], ys * mA + g_A[:, None]] = wins
+            value, (f_A, f_B) = games_mod.best_deterministic(aug)
+            if value > best + 1e-15:
+                best = value
+                best_cert = _certificate(kA, kB, g_A, g_B, np.reshape(f_A, (NX, mB)), np.reshape(f_B, (NY, mA)))
+            if best >= 1.0 - _WIN_EPS:
+                return best, best_cert
+    return best, best_cert
 
 
 def _ascend(PV, g_A, g_B, f_A, f_B, mA, mB, max_passes=200):
@@ -360,26 +302,27 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     """Search for the best one-round-communication protocol on ``probe.n``
     parallel copies.
 
-    Exhaustive (exact) when every message split fits in ``search_budget``
-    evaluations, otherwise seeded coordinate-ascent restarts from the
-    per-copy product strategy; the result is then a lower bound."""
+    Exhaustive (exact) when the summed :func:`_split_work` of the message
+    splits fits in ``search_budget`` (an integer >= 0, checked before any
+    work): :func:`_exhaustive_split` solves each split as message-augmented
+    games.  Otherwise seeded coordinate-ascent restarts from the per-copy
+    product strategy; the result is then a lower bound."""
     game = probe.game
     if game.players != 2:
         raise CapabilityError("repetition probe implemented for two players only")
-    check_range("comm_bits", probe.comm_bits, 0, 4)
-    check_range("n", probe.n, 1, math.inf)
-    check_range("seed", probe.seed, 0, math.inf)
+    check_range("comm_bits", probe.comm_bits, 0, 4, integer=True)
+    check_range("n", probe.n, 1, math.inf, integer=True)
+    check_range("seed", probe.seed, 0, math.inf, integer=True)
+    check_range("search_budget", probe.search_budget, 0, math.inf, integer=True)
     PV = _repeated_tensors(game, probe.n)
     NX, NY, MA, MB = PV.shape
     splits = [(kA, probe.comm_bits - kA) for kA in range(probe.comm_bits, -1, -1)]
     total_work = sum(_split_work(NX, NY, MA, MB, kA, kB) for kA, kB in splits)
 
     if total_work <= probe.search_budget:
-        best, best_cert = -1.0, None
-        left = probe.search_budget
+        best, best_cert = -math.inf, None
         for kA, kB in splits:
-            value, cert, used = _exhaustive_split(PV, kA, kB, left)
-            left -= used
+            value, cert = _exhaustive_split(PV, kA, kB)
             if value > best + 1e-15:
                 best, best_cert = value, cert
             if best >= 1.0 - _WIN_EPS:
@@ -421,14 +364,7 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
             value = _ascend(PV, g_A, g_B, f_A, f_B, mA, mB)
             if value > best + 1e-15:
                 best = value
-                best_state = {
-                    "kA": kA,
-                    "kB": kB,
-                    "g_A": g_A.tolist(),
-                    "g_B": g_B.tolist(),
-                    "f_A": f_A.tolist(),
-                    "f_B": f_B.tolist(),
-                }
+                best_state = _certificate(kA, kB, g_A, g_B, f_A, f_B)
             if best >= 1.0 - _WIN_EPS:
                 break
         if best >= 1.0 - _WIN_EPS:

@@ -55,17 +55,22 @@ class ProtocolViolationError(GameboxError):
     """A device interaction happened outside the allowed window."""
 
 
-def check_range(name: str, value, lo, hi, *, lo_open: bool = False, hi_open: bool = False) -> float:
+def check_range(
+    name: str, value, lo, hi, *, lo_open: bool = False, hi_open: bool = False, integer: bool = False
+) -> float:
     """Return ``value`` after checking that it is a finite real number from
     ``lo`` to ``hi``; each end is closed unless ``lo_open`` / ``hi_open``,
     and an infinite end bounds nothing.  Integers come back unchanged,
-    anything else as a float.
+    anything else as a float.  With ``integer`` (counts, seeds, budgets)
+    the value must be a ``numbers.Integral``: ``2.0`` is refused too.
 
     Raises :class:`ValidationError` for a value outside the interval, for
     NaN and +-inf (a bare ``value < lo`` lets NaN through) and for a
     non-number.
     """
     integral = isinstance(value, numbers.Integral)
+    if integer and not integral:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         finite = integral or math.isfinite(value)
     except TypeError:

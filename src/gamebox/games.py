@@ -340,30 +340,29 @@ def strategy_value(game: GamePredicate, strategy: ClassicalStrategy) -> float:
 _GATHER_CHUNK = 2**18
 
 
-def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult:
-    """Exact maximum winning probability over deterministic strategies.
+def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ...]]:
+    """Maximum of ``sum_x pV[f_1(x_1), ..., f_l(x_l), x]`` over deterministic
+    maps ``f_j``, with the first maximising maps.
 
-    Enumerates all but one player's maps in lexicographic order and
-    best-responds the remaining player (the one with the largest strategy
-    space) exactly, so the search is equivalent to full enumeration.  The
-    other players' maps are scored together, gathering at most
-    ``_GATHER_CHUNK`` entries of ``p * V`` at a time; the first optimum in
-    that order is returned.  Raises ``BudgetExceededError`` when the full
-    product strategy space exceeds ``budget``.
+    ``pV`` is any real table of shape ``(|A_1|..|A_l|, |X_1|..|X_l|)``,
+    negative entries included: ``p * V``, or the repetition probe's game
+    whose inputs pair each input with the other player's message.  The
+    player with the largest strategy space (the last on ties) best-responds
+    exactly; the others' maps run in row-major order, ``_GATHER_CHUNK``
+    table entries at a time.  Callers check their own budget first:
+    ``classical_value`` the strategy space, the probe its ``_split_work``.
     """
-    l = game.players
-    space_sizes = [len(game.outputs[j]) ** len(game.inputs[j]) for j in range(l)]
-    total = math.prod(space_sizes)
-    if total > budget:
-        raise BudgetExceededError(f"{total} deterministic strategies exceed budget {budget}")
+    l = pV.ndim // 2
+    out_sizes, in_sizes = pV.shape[:l], pV.shape[l:]
+    space_sizes = [out_sizes[j] ** in_sizes[j] for j in range(l)]
     r = max(range(l), key=lambda j: (space_sizes[j], j))
     others = [j for j in range(l) if j != r]
-    n_in_r, n_out_r = game.input_sizes[r], game.output_sizes[r]
-    # T[a_others, x_others, x_r, a_r] = p(x) V(a | x), the other players'
+    n_in_r, n_out_r = in_sizes[r], out_sizes[r]
+    # T[a_others, x_others, x_r, a_r] = pV[a, x], the other players'
     # outputs and inputs each flattened row-major
-    out_o = [game.output_sizes[j] for j in others]
-    in_o = [game.input_sizes[j] for j in others]
-    T = (game.p * game.V).transpose(others + [l + j for j in others] + [l + r, r])
+    out_o = [out_sizes[j] for j in others]
+    in_o = [in_sizes[j] for j in others]
+    T = pV.transpose(others + [l + j for j in others] + [l + r, r])
     T = T.reshape(math.prod(out_o), math.prod(in_o), n_in_r, n_out_r)
     sizes = [space_sizes[j] for j in others]
     stride = [math.prod(out_o[t + 1 :]) for t in range(len(others))]
@@ -376,10 +375,10 @@ def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult
 
     n_combos = math.prod(sizes)
     chunk = max(1, _GATHER_CHUNK // (n_in_r * n_out_r))
-    best_val, best_id, best_r_map = -1.0, 0, None
+    best_val, best_id, best_r_map = -math.inf, 0, None
     for start in range(0, n_combos, chunk):
         ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
-        # add p(x) cell by cell in the row-major order of the other inputs,
+        # add pV cell by cell in the row-major order of the other inputs,
         # and the row maxima input by input: that order fixes the last bits
         margins = np.zeros((ids.size, n_in_r, n_out_r))
         for c, x_o in enumerate(np.ndindex(*in_o)):
@@ -399,7 +398,19 @@ def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult
     maps = {r: best_r_map}
     for t, j in enumerate(others):
         maps[j] = tuple(output(t, x_j, best_id) for x_j in range(in_o[t]))
-    return GameValueResult(best_val, "exact", ClassicalStrategy(tuple(maps[j] for j in range(l))))
+    return best_val, tuple(maps[j] for j in range(l))
+
+
+def classical_value(game: GamePredicate, budget: int = 10**8) -> GameValueResult:
+    """Exact maximum winning probability over deterministic strategies,
+    :func:`best_deterministic` on ``p * V``.  Raises ``BudgetExceededError``
+    first when the strategy space exceeds ``budget`` (an integer >= 0)."""
+    check_range("budget", budget, 0, math.inf, integer=True)
+    total = math.prod(len(game.outputs[j]) ** len(game.inputs[j]) for j in range(game.players))
+    if total > budget:
+        raise BudgetExceededError(f"{total} deterministic strategies exceed budget {budget}")
+    value, maps = best_deterministic(game.p * game.V)
+    return GameValueResult(value, "exact", ClassicalStrategy(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +611,10 @@ def seesaw(
         raise DimensionMismatchError("one local dimension per player required")
     for d in local_dims:
         check_range("local dimension", d, 1, math.inf)
-    check_range("restarts", restarts, 1, math.inf)
-    check_range("max_iters", max_iters, 1, math.inf)
+    check_range("restarts", restarts, 1, math.inf, integer=True)
+    check_range("max_iters", max_iters, 1, math.inf, integer=True)
     check_range("tol", tol, 0.0, math.inf)
-    check_range("seed", seed, 0, math.inf)
+    check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)
     best_val, best_state, best_povms = -1.0, None, None
     for r in range(restarts):
@@ -645,7 +656,8 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
     repeated predicate (always the game's largest table) would have more
     than ``budget`` entries.
     """
-    check_range("repetition count", n, 1, math.inf)
+    check_range("repetition count", n, 1, math.inf, integer=True)
+    check_range("budget", budget, 0, math.inf, integer=True)
     v_entries = math.prod(s**n for s in game.V.shape)
     if v_entries > budget:
         raise BudgetExceededError(f"repeated predicate of {v_entries} entries exceeds budget {budget}")
@@ -686,9 +698,10 @@ def random_subset_value(
     of ``t`` coordinates per trial, and reports the fraction of trials in
     which every copy in the subset was won.
     """
-    check_range("n", n, 1, math.inf)
-    check_range("trials", trials, 1, math.inf)
-    check_range("subset size", t, 0, n)
+    check_range("n", n, 1, math.inf, integer=True)
+    check_range("trials", trials, 1, math.inf, integer=True)
+    check_range("subset size", t, 0, n, integer=True)
+    check_range("seed", seed, 0, math.inf, integer=True)
     if isinstance(strategy, ClassicalStrategy):
         per_copy = [strategy] * n
     else:

@@ -133,12 +133,17 @@ _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
         ((*_SEESAW, "--seed", "-5"), None),
         ((*_SERFLING, "--seed", "-1"), None),
         (("dpt", "probe", "--builtin", "chsh", "--n", "1", "--seed", "-1"), None),
+        (("dpt", "probe", "--builtin", "chsh", "--budget", "-5"), None),
+        (("game", "value", "--builtin", "chsh", "--budget", "-1"), None),
+        (("bounds", "gamma2", "--matrix", "{tmp}/m.json", "--restarts", "-2"), None),
     ],
     ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs",
          "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
-         "probe-negative-seed"],
+         "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-negative-restarts"],
 )
 def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, adversary):
+    (tmp_path / "m.json").write_text("[[1, 1], [1, -1]]")
+    argv = tuple(a.replace("{tmp}", str(tmp_path)) for a in argv)
     if adversary is not None:
         path = tmp_path / "adv.json"
         path.write_text(json.dumps(adversary))
@@ -562,3 +567,73 @@ def test_readme_seesaw_output_is_pinned(capsys):
     code, out, _ = run(capsys, *"game value --builtin chsh --method seesaw --restarts 20 --seed 7".split())
     assert code == 0
     assert out == PINNED_SEESAW_OUTPUT
+
+
+# The README probe command: chsh at n = 2 with one bit is exhaustive, so
+# both the value and the certificate (the first optimal protocol in the
+# search order) are fixed.
+PINNED_PROBE_OUTPUT = (
+    "{\n"
+    '  "best_value": 0.75,\n'
+    '  "certificate": {\n'
+    '    "f_A": [\n'
+    "      [\n"
+    "        0\n"
+    "      ],\n"
+    "      [\n"
+    "        0\n"
+    "      ],\n"
+    "      [\n"
+    "        0\n"
+    "      ],\n"
+    "      [\n"
+    "        0\n"
+    "      ]\n"
+    "    ],\n"
+    '    "f_B": [\n'
+    "      [\n"
+    "        0,\n"
+    "        0\n"
+    "      ],\n"
+    "      [\n"
+    "        0,\n"
+    "        1\n"
+    "      ],\n"
+    "      [\n"
+    "        0,\n"
+    "        2\n"
+    "      ],\n"
+    "      [\n"
+    "        0,\n"
+    "        3\n"
+    "      ]\n"
+    "    ],\n"
+    '    "g_A": [\n'
+    "      0,\n"
+    "      0,\n"
+    "      0,\n"
+    "      1\n"
+    "    ],\n"
+    '    "g_B": [\n'
+    "      0,\n"
+    "      0,\n"
+    "      0,\n"
+    "      0\n"
+    "    ],\n"
+    '    "kA": 1,\n'
+    '    "kB": 0\n'
+    "  },\n"
+    '  "comm_bits": 1,\n'
+    '  "game": "chsh",\n'
+    '  "kind": "exhaustive",\n'
+    '  "n": 2,\n'
+    '  "search_budget": 2000000,\n'
+    '  "seed": 0\n'
+    "}\n"
+)
+
+
+def test_readme_probe_output_is_pinned(capsys):
+    code, out, _ = run(capsys, *"dpt probe --builtin chsh --n 2 --comm-bits 1 --seed 0".split())
+    assert code == 0
+    assert out == PINNED_PROBE_OUTPUT

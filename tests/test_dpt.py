@@ -218,6 +218,144 @@ def test_probe_budget_switches_to_hill_climb():
     )
 
 
+# The exhaustive search before it became games.best_deterministic on a
+# message-augmented game: the player with the smaller output-map space is
+# enumerated in chunks (Bob only when his is strictly smaller, through a
+# swapped table) and the other best-responds per (input, message) cell.
+
+
+def _ref_score_candidates(PV, g_A, g_B, cands):
+    n_msgs_a = int(g_A.max()) + 1 if g_A.size else 1
+    a_sel = cands[:, np.arange(PV.shape[0])[:, None], g_B[None, :]]  # (count, NX, NY)
+    gathered = np.take_along_axis(PV[None], a_sel[:, :, :, None, None], axis=3)[:, :, :, 0, :]
+    total = np.zeros(cands.shape[0])
+    for m in range(n_msgs_a):
+        mask = g_A == m
+        if not mask.any():
+            continue
+        grouped = gathered[:, mask].sum(axis=1)  # (count, NY, MB)
+        total += grouped.max(axis=2).sum(axis=1)
+    return total
+
+
+def _ref_best_response_maps(PV, g_A, g_B, f_A, mA):
+    NX, NY = PV.shape[:2]
+    MB = PV.shape[3]
+    f_B = np.zeros((NY, mA), dtype=np.int64)
+    a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]  # (NX, NY)
+    gathered = np.take_along_axis(PV, a_sel[:, :, None, None], axis=2)[:, :, 0, :]  # (NX, NY, MB)
+    for m in range(mA):
+        mask = g_A == m
+        grouped = gathered[mask].sum(axis=0) if mask.any() else np.zeros((NY, MB))
+        f_B[:, m] = np.argmax(grouped, axis=1)
+    return f_B
+
+
+def _ref_exhaustive_split(PV, kA, kB):
+    NX, NY, MA, MB = PV.shape
+    mA, mB = 2**kA, 2**kB
+    swap = MB ** (NY * mA) < MA ** (NX * mB)
+    work_PV = np.transpose(PV, (1, 0, 3, 2)) if swap else PV
+    nX, nY, mA_out, _ = work_PV.shape
+    msgs_a, msgs_b = (mB, mA) if swap else (mA, mB)
+    cells = nX * msgs_b
+    n_cands = mA_out**cells
+    best, best_cert = -1.0, None
+    for g_a in itertools.product(range(msgs_a), repeat=nX):
+        g_a = np.asarray(g_a, dtype=np.int64)
+        for g_b in itertools.product(range(msgs_b), repeat=nY):
+            g_b = np.asarray(g_b, dtype=np.int64)
+            for start in range(0, n_cands, 65536):
+                stop = min(start + 65536, n_cands)
+                cands = np.stack(np.unravel_index(np.arange(start, stop), (mA_out,) * cells), axis=1)
+                cands = cands.reshape(stop - start, nX, msgs_b)
+                scores = _ref_score_candidates(work_PV, g_a, g_b, cands)
+                top = int(np.argmax(scores))
+                if scores[top] > best + 1e-15:
+                    best = float(scores[top])
+                    f_a = cands[top]
+                    f_b = _ref_best_response_maps(work_PV, g_a, g_b, f_a, msgs_a)
+                    if swap:
+                        g_a_, g_b_, f_a_, f_b_ = g_b, g_a, f_b, f_a
+                    else:
+                        g_a_, g_b_, f_a_, f_b_ = g_a, g_b, f_a, f_b
+                    best_cert = {"kA": kA, "kB": kB, "g_A": g_a_.tolist(), "g_B": g_b_.tolist(),
+                                 "f_A": f_a_.tolist(), "f_B": f_b_.tolist()}
+                if best >= 1.0 - dpt._WIN_EPS:
+                    return best, best_cert
+    return best, best_cert
+
+
+def _ref_exhaustive(game, n, comm_bits):
+    PV = dpt._repeated_tensors(game, n)
+    best, best_cert = -1.0, None
+    for kA in range(comm_bits, -1, -1):
+        value, cert = _ref_exhaustive_split(PV, kA, comm_bits - kA)
+        if value > best + 1e-15:
+            best, best_cert = value, cert
+        if best >= 1.0 - dpt._WIN_EPS:
+            break
+    return min(best, 1.0), best_cert
+
+
+def _check_against_reference(game, n, comm_bits, budget):
+    got = dpt.empirical_repeated_value(dpt.RepetitionProbe(game, n=n, comm_bits=comm_bits, search_budget=budget))
+    assert _replay_certificate(game, n, got.certificate) == pytest.approx(got.best_value, abs=1e-12)
+    if got.kind == "exhaustive":
+        value, cert = _ref_exhaustive(game, n, comm_bits)
+        assert got.best_value == pytest.approx(value, abs=1e-12)
+        assert got.certificate == cert
+    return got
+
+
+@pytest.mark.parametrize("comm_bits", range(4))
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("name", ("chsh", "magic_square"))
+def test_exhaustive_probe_matches_reference_search(name, n, comm_bits):
+    # a budget wide enough that every chsh case and every one-copy magic
+    # square case is exhaustive; two copies of magic square stay beyond it
+    got = _check_against_reference(games.builtin_game(name), n, comm_bits, 10**9)
+    assert got.kind == ("lower_bound" if (name, n) == ("magic_square", 2) else "exhaustive")
+
+
+def _random_two_player_game(seed):
+    r = np.random.default_rng([seed, 2])
+    ins = tuple(int(v) for v in r.integers(1, 4, 2))
+    outs = tuple(int(v) for v in r.integers(1, 4, 2))
+    p = r.random(ins)
+    if seed % 2 == 0:  # zero-probability cells
+        p[r.random(ins) < 0.4] = 0.0
+        p.flat[r.integers(p.size)] += 0.1
+    p /= p.sum()
+    V = r.random(outs + ins) < 0.25
+    return games.GamePredicate(
+        inputs=tuple(tuple(range(k)) for k in ins), outputs=tuple(tuple(range(m)) for m in outs), p=p, V=V
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exhaustive_probe_matches_reference_on_random_games(seed):
+    got = _check_against_reference(_random_two_player_game(seed), 1, seed % 3, 10**6)
+    assert got.kind == "exhaustive"
+
+
+@pytest.mark.parametrize("seed, comm_bits", [(18, 1), (72, 1), (237, 1), (237, 2), (273, 2)])
+def test_exhaustive_probe_keeps_first_of_protocols_tied_up_to_rounding(seed, comm_bits):
+    # with p in tenths, protocols winning different cells of equal mass tie
+    # up to the last bit; the 1e-15 margin keeps the first of them, between
+    # message maps (seed 18) and between splits (seed 72)
+    r = np.random.default_rng([seed, 9])
+    ins = tuple(int(v) for v in r.integers(1, 4, 2))
+    outs = tuple(int(v) for v in r.integers(1, 4, 2))
+    p = r.integers(0, 4, ins) / 10
+    p.flat[0] += 1.0
+    game = games.GamePredicate(
+        inputs=tuple(tuple(range(k)) for k in ins), outputs=tuple(tuple(range(m)) for m in outs),
+        p=p / p.sum(), V=r.random(outs + ins) < 0.3,
+    )
+    assert _check_against_reference(game, 1, comm_bits, 10**6).kind == "exhaustive"
+
+
 # ---------------------------------------------------------------------------
 # capped-fidelity subproblem and the substate check
 # ---------------------------------------------------------------------------

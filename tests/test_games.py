@@ -267,6 +267,36 @@ def test_classical_value_matches_brute_force_on_random_three_player_games(seed, 
     assert games.classical_value(game) == res
 
 
+def _table_value(W, maps):
+    l = W.ndim // 2
+    return sum(float(W[tuple(f[xj] for f, xj in zip(maps, x)) + x]) for x in np.ndindex(*W.shape[l:]))
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_best_deterministic_matches_brute_force_on_real_tables(seed):
+    # real tables with negative entries, for 1, 2 and 3 players; a third of
+    # them entirely negative, so the optimum lies below -1
+    r = np.random.default_rng([seed, 5])
+    l = seed % 3 + 1
+    ins = tuple(int(v) for v in r.integers(1, 4, l))
+    outs = tuple(int(v) for v in r.integers(1, 4 if l < 3 else 3, l))
+    W = r.normal(size=outs + ins)
+    if seed % 3 == 1:
+        W = -np.abs(W) - 1.0
+    value, maps = games.best_deterministic(W)
+    every = itertools.product(*(itertools.product(range(m), repeat=k) for m, k in zip(outs, ins)))
+    want = max(_table_value(W, f) for f in every)
+    assert value == pytest.approx(want, abs=1e-12)
+    assert _table_value(W, maps) == pytest.approx(value, abs=1e-12)
+
+
+def test_best_deterministic_below_minus_one():
+    W = np.full((2, 2, 2, 2), -1.0)
+    W[1, 0] = -0.5  # Alice answering 1 and Bob 0 costs 0.5 on each of the 4 inputs
+    assert games.best_deterministic(W) == (-2.0, ((1, 1), (0, 0)))
+    assert games.best_deterministic(W[:, 0, :, 0] - 1.0) == (-3.0, ((1, 1),))
+
+
 # ---------------------------------------------------------------------------
 # quantum strategies
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gamebox import bounds, diqkd, dpt, entropy, games, qcore
-from gamebox.errors import ValidationError, check_distribution, check_range
+from gamebox.errors import BudgetExceededError, ValidationError, check_distribution, check_range
 
 _PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
 _RATE = dict(alpha=0.04, gamma=0.01, delta=0.001, c=0.001, n=10**6, nu=0.3, beta=0.5, PrE=1.0)
@@ -25,6 +25,7 @@ _SWEEP_CELL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, c=0.001, nu=0.3, bet
 _ABORT_TEST_ARRAYS = (np.zeros((4, 2), dtype=int), np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
 _UNIFORM = np.full((2, 2), 0.25)
 _LP = dict(c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]), senses=("<=",), b=np.array([1.0]))
+_CONSTANT = games.ClassicalStrategy(((0, 0), (0, 0)))
 
 
 def _with(base, **changes):
@@ -37,8 +38,8 @@ def _dpt_bound(**changes):
     return dpt.dpt_case_i_bound(params), dpt.delta_of(params.C_size, params.PrE, params.n, params.alphabet_sizes)
 
 
-def _probe(seed):
-    return dpt.RepetitionProbe(games.chsh(), n=1, comm_bits=0, seed=seed)
+def _probe(seed, **changes):
+    return dpt.RepetitionProbe(**_with(dict(game=games.chsh(), n=1, comm_bits=0, seed=seed), **changes))
 
 
 def _cases():
@@ -85,6 +86,15 @@ def _cases():
     cases += [(f"seesaw.{k}", lambda v, k=k: games.seesaw(games.chsh(), (2, 2), **{k: v}))
               for k in ("restarts", "max_iters", "tol", "seed")]
     cases.append(("RepetitionProbe.seed", lambda v: dpt.empirical_repeated_value(_probe(v))))
+    cases += [(f"RepetitionProbe.{k}", lambda v, k=k: dpt.empirical_repeated_value(_probe(0, **{k: v})))
+              for k in ("n", "comm_bits", "search_budget")]
+    cases += [
+        ("classical_value.budget", lambda v: games.classical_value(games.chsh(), budget=v)),
+        ("ns_game_value.budget", lambda v: bounds.ns_game_value(games.chsh(), budget=v)),
+        ("eff_local.budget", lambda v: bounds.eff_local(games.chsh(), 0.1, budget=v)),
+        ("repeat.budget", lambda v: games.repeat(games.chsh(), 2, budget=v)),
+        ("gamma2_star.restarts", lambda v: bounds.gamma2_star(np.ones((2, 2)), restarts=v)),
+    ]
     cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
               for k in ("t", "n", "c", "l", "nu", "beta_const")]
     cases += [(f"delta_of.{k}", lambda v, k=k: dpt.delta_of(**_with(_DELTA_OF, **{k: v})))
@@ -117,13 +127,50 @@ def test_non_finite_number_is_refused(call, value):
         lambda: games.seesaw(games.chsh(), (2, 2), seed=-5),
         lambda: diqkd.serfling_mc(**_with(_SERFLING, seed=-1)),
         lambda: dpt.empirical_repeated_value(_probe(-1)),
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=2.5),
+        lambda: games.seesaw(games.chsh(), (2, 2), max_iters=2.5),
+        lambda: games.random_subset_value(games.chsh(), 2.5, 1, _CONSTANT),
+        lambda: games.random_subset_value(games.chsh(), 2, 1, _CONSTANT, trials=10.5),
+        lambda: dpt.empirical_repeated_value(_probe(0, n=1.5)),
+        lambda: dpt.empirical_repeated_value(_probe(0, comm_bits=1.5)),
+        lambda: dpt.empirical_repeated_value(_probe(1.5)),
+        lambda: games.repeat(games.chsh(), 1.5),
+        lambda: bounds.gamma2_star(np.ones((3, 3)), restarts=2.5),
+        lambda: diqkd.serfling_mc(**_with(_SERFLING, trials=10.5)),
+        lambda: dpt.empirical_repeated_value(_probe(0, search_budget=-5)),
+        lambda: games.classical_value(games.chsh(), budget=-1),
+        lambda: games.classical_value(games.chsh(), budget=1e8),
+        lambda: bounds.ns_game_value(games.chsh(), budget=-1),
+        lambda: bounds.eff_local(games.chsh(), 0.1, budget=-1),
+        lambda: games.repeat(games.chsh(), 2, budget=-1),
+        lambda: bounds.gamma2_star(np.ones((2, 2)), restarts=-2),
     ],
     ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
-         "serfling-seed-neg", "probe-seed-neg"],
+         "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
+         "subset-n-float", "subset-trials-float", "probe-n-float", "probe-comm_bits-float", "probe-seed-float",
+         "repeat-n-float", "gamma2-restarts-float", "serfling-trials-float", "probe-budget-neg",
+         "classical-budget-neg", "classical-budget-float", "ns-budget-neg", "eff_local-budget-neg",
+         "repeat-budget-neg", "gamma2-restarts-neg"],
 )
 def test_out_of_range_count_or_seed_is_refused(call):
-    # each of these crashed inside numpy or returned a wrong result
+    # each of these crashed inside numpy, returned a wrong result or ran
+    # with no cap; counts, seeds and budgets must be integers
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: games.classical_value(games.chsh(), budget=0),
+        lambda: bounds.ns_game_value(games.chsh(), budget=0),
+        lambda: bounds.eff_local(games.chsh(), 0.1, budget=0),
+        lambda: games.repeat(games.chsh(), 2, budget=0),
+    ],
+    ids=["classical", "ns", "eff_local", "repeat"],
+)
+def test_zero_budget_is_a_valid_budget(call):
+    with pytest.raises(BudgetExceededError):
         call()
 
 
@@ -172,6 +219,8 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, upper_bounds=np.array([math.inf, 1.0])))),
         lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
+        lambda: dpt.empirical_repeated_value(_probe(0, search_budget=0)),
+        lambda: bounds.gamma2_star(np.ones((3, 3)), restarts=0),
     ],
 )
 def test_closed_interval_ends_are_accepted(call):
@@ -182,6 +231,10 @@ def test_check_range_ends_and_types():
     assert check_range("x", 0.0, 0.0, 1.0) == 0.0
     assert check_range("x", np.float64(1.0), 0.0, 1.0) == 1.0
     assert check_range("n", 10**400, 1, math.inf) == 10**400  # an int is never rounded
+    assert check_range("n", np.int64(3), 1, math.inf, integer=True) == 3
+    for value in (2.0, 2.5, "2", None, math.nan):
+        with pytest.raises(ValidationError, match="integer"):
+            check_range("n", value, 1, math.inf, integer=True)
     for value, kw in [(0.0, dict(lo_open=True)), (1.0, dict(hi_open=True)), ("0.5", {}), (None, {})]:
         with pytest.raises(ValidationError):
             check_range("x", value, 0.0, 1.0, **kw)
