@@ -25,7 +25,7 @@ Contents:
   (no-signalling, or weights summing to one), then the mass rows, then
   the win rows, then the eta floor;
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
-  unit vectors and sign matrices;
+  unit vectors (bracketed by an SDP dual bound) and sign matrices;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
   below the local partition upper bound for XOR predicates.
 """
@@ -57,6 +57,8 @@ VARIANTS = ("worst_case", "tilde", "average")
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
 _CHUNK = 1 << 17  # doubles of temporaries per chunk of a pivot's row update (1 MB)
+_GAMMA2_GAP = 1e-7  # relative duality gap at which a gamma2_star solve stops
+_GAMMA2_CAP = 10_000  # iterations of a gamma2_star solve
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +542,7 @@ class Gamma2Result:
     value: float
     kind: str  # "exact_small" or "lower_bound"
     sign_matrix: np.ndarray | None = None
-
-
-def _gamma2_value_given_u(A: np.ndarray, U: np.ndarray) -> float:
-    """With u-vectors fixed (rows of U), the optimal v's give
-    sum_y || sum_x A[x, y] u_x ||."""
-    W = A.T @ U
-    return float(np.sum(np.linalg.norm(W, axis=1)))
+    upper: float | None = None  # gamma2_star: certified upper end; gamma2_alpha: None
 
 
 def _gamma2_two_rows(A: np.ndarray) -> float:
@@ -576,58 +572,58 @@ def _gamma2_two_rows(A: np.ndarray) -> float:
     return float(f(np.array([best_t]))[0])
 
 
-def _gamma2_alternating(A: np.ndarray, restarts: int, iters: int = 500) -> float:
-    k = A.shape[0]
-    best = 0.0
-    inits = [np.eye(k)]
-    for rseed in range(restarts):
-        rng = np.random.default_rng([7431, rseed])
-        U = rng.normal(size=(k, k))
-        U /= np.maximum(np.linalg.norm(U, axis=1, keepdims=True), 1e-300)
-        inits.append(U)
-    def _unit_rows(W: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(W, axis=1)
-        out = np.zeros_like(W)
-        ok = norms > 1e-300
-        out[ok] = W[ok] / norms[ok, None]
-        out[~ok, 0] = 1.0
-        return out
-
-    for U in inits:
-        U = U.copy()
-        val = _gamma2_value_given_u(A, U)
-        prev = -1.0
-        for _ in range(iters):
-            Vm = _unit_rows(A.T @ U)
-            U = _unit_rows(A @ Vm)
-            val = _gamma2_value_given_u(A, U)
-            if val - prev < 1e-12:
-                break
-            prev = val
-        best = max(best, val)
-    return best
+def _unit_rows(W: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(W, axis=1)
+    out = np.zeros_like(W)
+    ok = norms > 1e-300
+    out[ok] = W[ok] / norms[ok, None]
+    out[~ok, 0] = 1.0
+    return out
 
 
-def gamma2_star(M: np.ndarray, restarts: int = 50) -> Gamma2Result:
+def _gamma2_alternating(A: np.ndarray) -> tuple[float, float]:
+    """(lower, upper) on gamma2*(A), A k x n with k <= n, by alternating
+    optimisation from U = I.  ``lower`` is the value of U with its best V.
+    ``upper`` is the SDP dual sum(w) at w = (||(A V)_x||, ||(A^T U)_y||) / 2,
+    made feasible for Diag(w) >= [[0, A/2], [A^T/2, 0]] by the slack's most
+    negative eigenvalue (Linial-Shraibman; Lee-Shraibman-Spalek), and never
+    below ``lower``.  Stops at a relative gap of _GAMMA2_GAP, or with the
+    bracket open after _GAMMA2_CAP iterations."""
+    k, n = A.shape
+    B = np.block([[np.zeros((k, k)), A / 2.0], [A.T / 2.0, np.zeros((n, n))]])
+    U = np.eye(k)
+    for _ in range(_GAMMA2_CAP):
+        AV = A @ _unit_rows(A.T @ U)
+        U = _unit_rows(AV)
+        cols = np.linalg.norm(A.T @ U, axis=1)
+        w = 0.5 * np.concatenate([np.linalg.norm(AV, axis=1), cols])
+        shift = min(float(np.linalg.eigvalsh(np.diag(w) - B)[0]), 0.0)
+        lower = float(np.sum(cols))
+        upper = max(float(np.sum(w)) - shift * (k + n), lower)
+        if upper - lower <= _GAMMA2_GAP * upper:
+            break
+    return lower, upper
+
+
+def gamma2_star(M: np.ndarray) -> Gamma2Result:
     """max sum_xy M[x,y] <u_x, v_y> over unit vectors.
 
     Vectors of dimension min(m, n) suffice.  Exact for min(m, n) <= 2
-    (closed form / gauge-fixed angle grid refined to 1e-7); alternating
-    optimisation from the identity plus ``restarts`` seeded starts
-    otherwise (lower bound); ``restarts`` is an integer in [0, inf),
-    checked first.
+    (closed form / gauge-fixed angle grid refined to 1e-7), where
+    ``upper`` equals ``value``.  Otherwise ``value`` and ``upper`` are the
+    ends of the duality bracket of ``_gamma2_alternating``, closed to a
+    relative gap of ``_GAMMA2_GAP`` unless its iteration cap is reached.
     """
-    check_range("restarts", restarts, 0, math.inf, integer=True)
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValidationError("matrix must be 2-d and non-empty")
+    if M.ndim != 2 or M.size == 0 or not np.all(np.isfinite(M)):
+        raise ValidationError("matrix must be 2-d, non-empty and finite")
     A = M if M.shape[0] <= M.shape[1] else M.T
     k = A.shape[0]
-    if k == 1:
-        return Gamma2Result(value=float(np.sum(np.abs(A))), kind="exact_small")
-    if k == 2:
-        return Gamma2Result(value=_gamma2_two_rows(A), kind="exact_small")
-    return Gamma2Result(value=_gamma2_alternating(A, restarts), kind="lower_bound")
+    if k <= 2:
+        value = float(np.sum(np.abs(A))) if k == 1 else _gamma2_two_rows(A)
+        return Gamma2Result(value=value, kind="exact_small", upper=value)
+    lower, upper = _gamma2_alternating(A)
+    return Gamma2Result(value=lower, kind="lower_bound", upper=upper)
 
 
 def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
@@ -641,8 +637,10 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     flipped until row 0 is +).  The correlations, the class of each
     matrix and the ratios form one table over all 2^(mn) matrices; the
     first maximum in the order of ``bits`` (bit k set: cell k is -1) wins.
-    Matrices whose denominator is at most 1e-15 are skipped.  The result
-    is ``exact_small`` when every gamma2* solve is exact (min(m, n) <= 2).
+    Each class divides by its gamma2* ``upper``, so the value is a lower
+    bound on the best ratio (``upper`` of the result is None).  Matrices
+    whose denominator is at most 1e-15 are skipped.  The result is
+    ``exact_small`` when every gamma2* solve is exact (min(m, n) <= 2).
     More than 12 cells raise ``BudgetExceededError`` before any work.
     """
     F = np.asarray(F, dtype=float)
@@ -666,7 +664,7 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     cls = (canon[:, 1:, 1:].reshape(len(S), -1) < 0) @ (1 << np.arange((m - 1) * (n - 1)))
     _, first = np.unique(cls, return_index=True)
     gs = [gamma2_star(canon[k] * p) for k in first]
-    denom = 2.0 * np.array([g.value for g in gs])[cls]
+    denom = 2.0 * np.array([g.upper for g in gs])[cls]
     kind = "exact_small" if all(g.kind == "exact_small" for g in gs) else "lower_bound"
     ok = denom > 1e-15
     cand = np.full(len(S), -math.inf)

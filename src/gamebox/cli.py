@@ -96,6 +96,15 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _table(value, field: str, forms: str) -> np.ndarray:
+    """A JSON input field as a float array; a ragged or non-numeric value
+    is bad input that names the field and its accepted forms."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{field} must be {forms}") from None
+
+
 def _load_game(args) -> games.GamePredicate:
     if getattr(args, "builtin", None):
         return games.builtin_game(args.builtin)
@@ -182,8 +191,8 @@ def _cmd_bounds_gamma2(args):
     if args.alpha_approx is not None:
         if not isinstance(doc, dict) or "F" not in doc or "p" not in doc:
             raise ValidationError('gamma2 with --alpha-approx needs a file {"F": ..., "p": ...}')
-        F = np.asarray(doc["F"], dtype=float)
-        p = np.asarray(doc["p"], dtype=float)
+        F = _table(doc["F"], '"F"', "a matrix of +-1 entries")
+        p = _table(doc["p"], '"p"', "a matrix of probabilities")
         res = bounds.gamma2_alpha(F, p, args.alpha_approx)
         return {
             "quantity": "gamma2_alpha",
@@ -192,15 +201,18 @@ def _cmd_bounds_gamma2(args):
             "kind": res.kind,
         }
     mat = doc["M"] if isinstance(doc, dict) and "M" in doc else doc
-    res = bounds.gamma2_star(np.asarray(mat, dtype=float), restarts=args.restarts)
-    return {"quantity": "gamma2_star", "value": res.value, "kind": res.kind}
+    forms = 'a matrix or {"M": matrix} ({"F", "p"} needs --alpha-approx)'
+    res = bounds.gamma2_star(_table(mat, "--matrix", forms))
+    return {"quantity": "gamma2_star", "value": res.value, "upper": res.upper, "kind": res.kind}
 
 
 def _cmd_bounds_check_thm2(args):
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "f" not in doc or "p" not in doc:
         raise ValidationError('check-thm2 needs a file {"f": 0/1 matrix, "p": probability matrix}')
-    res = bounds.check_thm2(np.asarray(doc["f"]), np.asarray(doc["p"], dtype=float), args.eps)
+    f = _table(doc["f"], '"f"', "a 0/1 matrix")
+    p = _table(doc["p"], '"p"', "a matrix of probabilities")
+    res = bounds.check_thm2(f, p, args.eps)
     return {
         "eps": args.eps,
         "alpha": res.alpha,
@@ -267,13 +279,12 @@ def _cmd_dpt_probe(args):
 
 def _cmd_dpt_substate(args):
     doc = _load_json(args.input)
-    for key in ("sigma_XB", "psi_X", "rho_B"):
-        if key not in doc:
+    keys = ("sigma_XB", "psi_X", "rho_B")
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
             raise ValidationError(f"substate-check input file missing {key!r}")
     report = dpt.substate_perturbation_check_classical(
-        np.asarray(doc["sigma_XB"], dtype=float),
-        np.asarray(doc["psi_X"], dtype=float),
-        np.asarray(doc["rho_B"], dtype=float),
+        *(_table(doc[key], repr(key), "a table of probabilities") for key in keys),
         args.c, args.eps, args.delta0, args.delta1,
     )
     return {
@@ -445,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     bg = bnd_sub.add_parser("gamma2", help="dual factorization norm / approximate variant")
     bg.add_argument("--matrix", required=True, help="JSON file: matrix, or {M}, or {F, p}")
     bg.add_argument("--alpha-approx", dest="alpha_approx", type=_finite_float, default=None)
-    bg.add_argument("--restarts", type=int, default=50)
     _add_common(bg, seed=False)
     bg.set_defaults(handler=_cmd_bounds_gamma2)
 

@@ -119,8 +119,10 @@ def dpt_case_ii_bound(params: DPTParams, eff: float) -> float:
     """Success bound ``(1 - eps)^floor(exponent_const n / log2 prod|A_j|)``,
     valid only inside the gate ``1 <= c < zeta^2 eff / (270 l^3)``.
 
-    ``eff`` is the caller-supplied partition-bound efficiency (see
-    ``bounds.eff_ns`` / ``bounds.eff_local``)."""
+    ``eff`` is the caller-supplied partition-bound efficiency.  The gate
+    is sound only for a lower bound on eff*, such as ``bounds.eff_ns``:
+    an upper bound (``bounds.eff_local``) can widen it past what the
+    theorem allows."""
     if params.eps is None or params.zeta is None:
         raise ValidationError("eps and zeta required")
     check_range("eff", eff, 1.0, math.inf)

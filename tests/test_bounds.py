@@ -1,5 +1,6 @@
 """LP machinery, no-signalling values, partition bounds, factorization norms."""
 
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -769,10 +770,56 @@ def test_gamma2_star_bounded_by_entry_sum(seed):
 
 def test_gamma2_star_large_matrices_report_lower_bound(rng):
     M = rng.normal(size=(3, 3))
-    res = bounds.gamma2_star(M, restarts=8)
+    res = bounds.gamma2_star(M)
     assert res.kind == "lower_bound"
     # a valid lower bound can never exceed the entry sum either
     assert res.value <= float(np.sum(np.abs(M))) + 1e-7
+    assert res.value <= res.upper
+
+
+def test_gamma2_star_closed_forms_with_three_or_more_rows():
+    # a 4 x 4 Hadamard matrix H has H H^T = 4 I, and gamma2*(H) = 8; a
+    # rank-1 a b^T reaches ||a||_1 ||b||_1 with all vectors equal
+    H = np.array([[1.0, 1.0], [1.0, -1.0]])
+    res = bounds.gamma2_star(np.kron(H, H))
+    assert abs(res.value - 8.0) <= 1e-7 and abs(res.upper - 8.0) <= 1e-7
+    r = np.random.default_rng(3)
+    for m, n in ((3, 3), (3, 5), (4, 4)):
+        a, b = r.normal(size=m), r.normal(size=n)
+        res = bounds.gamma2_star(np.outer(a, b))
+        assert res.value == pytest.approx(np.sum(np.abs(a)) * np.sum(np.abs(b)), rel=1e-12)
+        assert res.value <= res.upper <= res.value * (1 + 1e-7)
+
+
+def _sign_norm(M):
+    """||M||_{inf->1} = max over sign vectors s, t of s^T M t."""
+    A = M if M.shape[0] <= M.shape[1] else M.T
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=A.shape[0])))
+    return float(np.max(np.sum(np.abs(signs @ A), axis=1)))
+
+
+def test_gamma2_star_bracket_lies_in_the_grothendieck_sandwich():
+    # ||M||_{inf->1} <= gamma2*(M) <= K_G ||M||_{inf->1} (K_G < 1.783) and
+    # gamma2*(M) <= sqrt(mn) ||M||_2.  Where gamma2* equals the sign norm,
+    # ``value`` may stop below it inside the 1e-7 certified gap.
+    r = np.random.default_rng(41)
+    for _ in range(50):
+        m, n = int(r.integers(3, 5)), int(r.integers(3, 6))
+        M = r.normal(size=(m, n))
+        res = bounds.gamma2_star(M)
+        cut = _sign_norm(M)
+        assert (1 - 1e-7) * cut <= res.value <= res.upper, M
+        assert cut <= res.upper <= min(1.783 * cut, math.sqrt(m * n) * np.linalg.norm(M, 2)), M
+        assert res.upper - res.value <= 1e-7 * res.upper, M
+
+
+def test_gamma2_two_rows_lies_in_the_dual_bracket():
+    r = np.random.default_rng(42)
+    for _ in range(300):
+        A = r.normal(size=(2, int(r.integers(2, 7))))
+        value = bounds._gamma2_two_rows(A)
+        lower, upper = bounds._gamma2_alternating(A)
+        assert lower - 1e-12 * upper <= value <= upper * (1 + 1e-12), A
 
 
 def test_gamma2_alpha_at_one_inverts_gamma2_star():
@@ -865,24 +912,33 @@ def test_gamma2_alpha_matches_full_enumeration(shape, monkeypatch):
 
 
 def test_gamma2_star_is_constant_on_sign_flip_classes():
-    # gamma2* itself is invariant under row and column flips; the 3-row
-    # alternating solve only to its own accuracy.  On some matrices every
-    # restart stops at the iteration cap unconverged, and members of one
-    # class then differ by up to ~2.4e-7 relative (a seeded Dirichlet p).
+    # gamma2* itself is invariant under row and column flips, and the 3-row
+    # solve brackets it: every member's value is below every member's upper
     rng = np.random.default_rng(33)
     p = rng.dirichlet(np.ones(9)).reshape(3, 3)
     for interior in itertools.product((1.0, -1.0), repeat=4):
         canon = np.ones((3, 3))
         canon[1:, 1:] = np.reshape(interior, (2, 2))
-        values = []
+        results = []
         for _ in range(3):
             rows = rng.choice((-1.0, 1.0), size=(3, 1))
             cols = rng.choice((-1.0, 1.0), size=(1, 3))
-            values.append(bounds.gamma2_star(rows * canon * cols * p).value)
-        assert max(values) - min(values) <= 1e-6 * max(values), (interior, values)
+            results.append(bounds.gamma2_star(rows * canon * cols * p))
+        assert max(g.value for g in results) <= min(g.upper for g in results), (interior, results)
 
 
-@pytest.mark.slow
+def test_gamma2_alpha_divides_by_the_upper_end(monkeypatch):
+    # a bracket twice as wide above halves every ratio, and so the result
+    F = np.random.default_rng(35).choice((-1.0, 1.0), size=(3, 3))
+    p = np.full((3, 3), 1.0 / 9)
+    want = bounds.gamma2_alpha(F, p, 1.5)
+    assert want.upper is None
+    real = bounds.gamma2_star
+    monkeypatch.setattr(bounds, "gamma2_star",
+                        lambda M: dataclasses.replace(real(M), upper=2.0 * real(M).upper))
+    assert bounds.gamma2_alpha(F, p, 1.5).value == pytest.approx(want.value / 2.0, rel=1e-12)
+
+
 def test_gamma2_alpha_at_its_cell_cap():
     # 3 x 4 = 12 cells: 64 sign-flip classes, each an alternating solve
     F = np.random.default_rng(34).choice((-1.0, 1.0), size=(3, 4))

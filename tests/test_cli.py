@@ -118,15 +118,18 @@ def test_non_finite_sweep_value_exits_one(capsys, flag):
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
 _SEESAW = ("game", "value", "--builtin", "chsh", "--method", "seesaw")
 _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
+_ADVERSARY = ("--adversary", "{tmp}/adv.json")
+_GAMMA2 = ("bounds", "gamma2", "--matrix", "{tmp}/in.json")
+_RAGGED = [[0.5, 0.25], [0.25]]
 
 
 @pytest.mark.parametrize(
-    "argv, adversary",
+    "argv, files",
     [
         ((*_SERFLING, "--pattern", "threshold:abc"), None),
         ((*_SERFLING, "--pattern", "iid:abc"), None),
-        (("diqkd", "run", "--n", "10"), {"rounds": [dict(_ROUND, bits="x")]}),
-        (("diqkd", "run", "--n", "10"), {"rounds": [_ROUND, 5]}),
+        (("diqkd", "run", "--n", "10", *_ADVERSARY), {"adv.json": {"rounds": [dict(_ROUND, bits="x")]}}),
+        (("diqkd", "run", "--n", "10", *_ADVERSARY), {"adv.json": {"rounds": [_ROUND, 5]}}),
         (("diqkd", "run", "--n", "10", "--runs", "0"), None),
         ((*_SEESAW, "--restarts", "0"), None),
         ((*_SEESAW, "--restarts", "-1"), None),
@@ -135,19 +138,24 @@ _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
         (("dpt", "probe", "--builtin", "chsh", "--n", "1", "--seed", "-1"), None),
         (("dpt", "probe", "--builtin", "chsh", "--budget", "-5"), None),
         (("game", "value", "--builtin", "chsh", "--budget", "-1"), None),
-        (("bounds", "gamma2", "--matrix", "{tmp}/m.json", "--restarts", "-2"), None),
+        (_GAMMA2, {"in.json": {"F": [[1, 1], [1, -1]]}}),
+        (_GAMMA2, {"in.json": _RAGGED}),
+        ((*_GAMMA2, "--alpha-approx", "2"), {"in.json": {"F": [[1, 1], [1, -1]], "p": _RAGGED}}),
+        (("bounds", "check-thm2", "--input", "{tmp}/in.json"), {"in.json": {"f": [[0, 0], [0, 1]], "p": _RAGGED}}),
+        (("dpt", "substate-check", "--input", "{tmp}/in.json"),
+         {"in.json": {"sigma_XB": "x", "psi_X": [0.5, 0.5], "rho_B": [0.5, 0.5]}}),
+        (("dpt", "substate-check", "--input", "{tmp}/in.json"), {"in.json": 5}),
     ],
     ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs",
          "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
-         "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-negative-restarts"],
+         "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-object-without-M",
+         "gamma2-ragged-matrix", "gamma2-alpha-ragged-p", "thm2-ragged-p", "substate-sigma-not-a-table",
+         "substate-file-not-object"],
 )
-def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, adversary):
-    (tmp_path / "m.json").write_text("[[1, 1], [1, -1]]")
+def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, files):
+    for name, doc in (files or {}).items():
+        (tmp_path / name).write_text(json.dumps(doc))
     argv = tuple(a.replace("{tmp}", str(tmp_path)) for a in argv)
-    if adversary is not None:
-        path = tmp_path / "adv.json"
-        path.write_text(json.dumps(adversary))
-        argv = (*argv, "--adversary", str(path))
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -278,6 +286,18 @@ def test_bounds_gamma2_matrix_forms(capsys, tmp_path):
     wrapped.write_text(json.dumps({"M": [[0.25, 0.25], [0.25, -0.25]]}))
     code, out2, _ = run(capsys, "bounds", "gamma2", "--matrix", str(wrapped))
     assert json.loads(out2)["value"] == pytest.approx(value, abs=1e-12)
+
+
+def test_bounds_gamma2_prints_upper_and_has_no_restarts_flag(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1, 1, 1], [1, -1, 1], [1, 1, -1]]))
+    code, out, _ = run(capsys, "bounds", "gamma2", "--matrix", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "lower_bound"
+    assert doc["value"] <= doc["upper"] <= doc["value"] * (1 + 1e-7)
+    code, out, _ = run(capsys, "bounds", "gamma2", "--matrix", str(path), "--restarts", "5")
+    assert (code, out) == (1, "")
 
 
 def test_bounds_check_thm2(capsys, tmp_path):

@@ -59,6 +59,7 @@ def _cases():
         ("dpt_case_ii_bound.eff", lambda v: dpt.dpt_case_ii_bound(dpt.DPTParams(**_with(_DPT, l=1, c=1.5)), v)),
         ("gamma2_alpha.alpha", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), _UNIFORM, v)),
         ("gamma2_alpha.p", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[v, 0.25], [0.25, 0.25]]), 2.0)),
+        ("gamma2_star.M", lambda v: bounds.gamma2_star(np.array([[v, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))),
         ("smoothed_dmax_classical.eps", lambda v: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], v)),
         ("cond_h0.eps", lambda v: entropy.cond_h0(_UNIFORM, v)),
         ("binary_entropy.x", lambda v: entropy.binary_entropy(v)),
@@ -93,7 +94,6 @@ def _cases():
         ("ns_game_value.budget", lambda v: bounds.ns_game_value(games.chsh(), budget=v)),
         ("eff_local.budget", lambda v: bounds.eff_local(games.chsh(), 0.1, budget=v)),
         ("repeat.budget", lambda v: games.repeat(games.chsh(), 2, budget=v)),
-        ("gamma2_star.restarts", lambda v: bounds.gamma2_star(np.ones((2, 2)), restarts=v)),
     ]
     cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
               for k in ("t", "n", "c", "l", "nu", "beta_const")]
@@ -135,7 +135,6 @@ def test_non_finite_number_is_refused(call, value):
         lambda: dpt.empirical_repeated_value(_probe(0, comm_bits=1.5)),
         lambda: dpt.empirical_repeated_value(_probe(1.5)),
         lambda: games.repeat(games.chsh(), 1.5),
-        lambda: bounds.gamma2_star(np.ones((3, 3)), restarts=2.5),
         lambda: diqkd.serfling_mc(**_with(_SERFLING, trials=10.5)),
         lambda: dpt.empirical_repeated_value(_probe(0, search_budget=-5)),
         lambda: games.classical_value(games.chsh(), budget=-1),
@@ -143,14 +142,13 @@ def test_non_finite_number_is_refused(call, value):
         lambda: bounds.ns_game_value(games.chsh(), budget=-1),
         lambda: bounds.eff_local(games.chsh(), 0.1, budget=-1),
         lambda: games.repeat(games.chsh(), 2, budget=-1),
-        lambda: bounds.gamma2_star(np.ones((2, 2)), restarts=-2),
     ],
     ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
          "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
          "subset-n-float", "subset-trials-float", "probe-n-float", "probe-comm_bits-float", "probe-seed-float",
-         "repeat-n-float", "gamma2-restarts-float", "serfling-trials-float", "probe-budget-neg",
+         "repeat-n-float", "serfling-trials-float", "probe-budget-neg",
          "classical-budget-neg", "classical-budget-float", "ns-budget-neg", "eff_local-budget-neg",
-         "repeat-budget-neg", "gamma2-restarts-neg"],
+         "repeat-budget-neg"],
 )
 def test_out_of_range_count_or_seed_is_refused(call):
     # each of these crashed inside numpy, returned a wrong result or ran
@@ -220,7 +218,6 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: dpt.empirical_repeated_value(_probe(0, search_budget=0)),
-        lambda: bounds.gamma2_star(np.ones((3, 3)), restarts=0),
     ],
 )
 def test_closed_interval_ends_are_accepted(call):
