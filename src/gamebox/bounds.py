@@ -32,6 +32,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -307,13 +308,58 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 def _ns_constraint_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
     """Normalisation + per-player no-signalling equality rows ``A q = b``
-    over the entries of ``q[a_1, ..., a_l, x_1, ..., x_l]`` (row-major).
+    over the entries of ``q[a_1, ..., a_l, x_1, ..., x_l]`` (row-major),
+    of full row rank.
+
+    The rows are a maximal independent subset of those of
+    :func:`_all_ns_rows`, so they cut out the same (no-signalling)
+    polytope: walking those rows in order, a row is kept unless it is a
+    combination of the rows kept before it.  The normalisation rows come
+    first and are all kept, so ``b`` is ones, then zeros.  The kept
+    indices are chosen once per shape (:func:`_independent_ns_rows`).
+    """
+    A, b = _all_ns_rows(out_sizes, in_sizes)
+    keep = _independent_ns_rows(tuple(out_sizes), tuple(in_sizes))
+    return A[keep], b[keep]
+
+
+@functools.cache
+def _independent_ns_rows(out_sizes: tuple, in_sizes: tuple) -> np.ndarray:
+    """Indices of the rows of :func:`_all_ns_rows` that are not linear
+    combinations of earlier rows, by a row-order Cholesky factorisation of
+    the Gram matrix ``G = A A^T``: row i is kept when its residual
+    ``d[i]`` (its squared distance from the span of the rows kept so far)
+    exceeds ``1e-9 G[i, i]``; the new column of the factor then updates
+    every residual.  Only the (read-only) indices are cached."""
+    A, _ = _all_ns_rows(out_sizes, in_sizes)
+    G = A @ A.T
+    d = np.diag(G).copy()
+    Lt = np.zeros((min(A.shape), G.shape[0]))  # row k: the factor's k-th column
+    keep = []
+    for i in range(G.shape[0]):
+        if d[i] <= 1e-9 * G[i, i]:
+            continue
+        k = len(keep)
+        col = (G[i] - Lt[:k, i] @ Lt[:k]) / math.sqrt(d[i])
+        Lt[k] = col
+        d -= col * col
+        keep.append(i)
+    keep = np.array(keep, dtype=np.int64)
+    keep.flags.writeable = False
+    return keep
+
+
+def _all_ns_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Every normalisation and per-player no-signalling row, dependent ones
+    included.
 
     First one normalisation row per input x, then, for each player j with
     more than one input, one row per (other inputs, other outputs, x_j >= 1)
     equating j's marginal at x_j with the one at x_j = 0.  Per-player
     marginal conditions imply every subset marginal condition, so these
-    rows cut out exactly the no-signalling polytope.
+    rows cut out exactly the no-signalling polytope.  Some of them are
+    dependent: summing player j's rows over the other players' outputs
+    (if any) gives differences of normalisation rows.
     """
     l = len(out_sizes)
     shape = tuple(out_sizes) + tuple(in_sizes)

@@ -306,8 +306,8 @@ def _ns_equalities(out_sizes, in_sizes):
 
 def _ns_rows_by_loops(out_sizes, in_sizes):
     """The per-entry loops the solver's no-signalling rows were first built
-    with.  The simplex pivots on these rows, so their order and values are
-    part of every result."""
+    with.  The simplex pivots on their independent subset, so their order
+    and values are part of every result."""
     l = len(out_sizes)
     shape = tuple(out_sizes) + tuple(in_sizes)
     n = int(np.prod(shape))
@@ -337,10 +337,70 @@ def _ns_rows_by_loops(out_sizes, in_sizes):
     [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,))],
 )
 def test_ns_rows_match_per_entry_loops(out_sizes, in_sizes):
-    A, b = bounds._ns_constraint_rows(out_sizes, in_sizes)
+    A, b = bounds._all_ns_rows(out_sizes, in_sizes)
     n_in = int(np.prod(in_sizes))
     assert np.array_equal(A, _ns_rows_by_loops(out_sizes, in_sizes))
     assert np.array_equal(b, np.r_[np.ones(n_in), np.zeros(A.shape[0] - n_in)])
+
+
+@pytest.mark.parametrize(
+    "out_sizes,in_sizes",
+    [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,)),
+     ((5, 5), (4, 4)), ((4, 4), (6, 3))],
+)
+def test_ns_rows_are_the_independent_rows_in_order(out_sizes, in_sizes):
+    A_all, b_all = bounds._all_ns_rows(out_sizes, in_sizes)
+    A, b = bounds._ns_constraint_rows(out_sizes, in_sizes)
+    keep = bounds._independent_ns_rows(out_sizes, in_sizes)
+    # an independent walk: keep a row when it raises the rank of the rows kept so far
+    walk = []
+    for i in range(A_all.shape[0]):
+        if np.linalg.matrix_rank(A_all[walk + [i]]) > len(walk):
+            walk.append(i)
+    assert keep.tolist() == walk
+    assert np.array_equal(A, A_all[keep]) and np.array_equal(b, b_all[keep])
+    assert np.linalg.matrix_rank(A) == A.shape[0] == np.linalg.matrix_rank(A_all)
+    # every dropped row, right-hand side included, is a combination of the kept rows
+    dropped = np.setdiff1d(np.arange(A_all.shape[0]), keep)
+    coef = np.linalg.lstsq(A.T, A_all[dropped].T, rcond=None)[0]
+    assert np.abs(A.T @ coef - A_all[dropped].T).max(initial=0.0) <= 1e-12
+    assert np.abs(b @ coef - b_all[dropped]).max(initial=0.0) <= 1e-12
+    n_in = int(np.prod(in_sizes))
+    assert keep[:n_in].tolist() == list(range(n_in))
+
+
+def test_ns_lps_carry_no_dependent_rows(monkeypatch):
+    # the partition-lp benchmark grid, the eff_ns(chsh^2) solves and the 36 mse sub-LPs
+    solve = bounds.solve_lp
+    solved = []
+
+    def recorded(lp):
+        res = solve(lp)
+        solved.append(res.stats)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_lp", recorded)
+    for game in (games.chsh(), games.magic_square()):
+        for eps in PARTITION_LP_EPS:
+            for variant in bounds.VARIANTS:
+                bounds.eff_ns(game, eps, variant)
+                bounds.eff_local(game, eps, variant)
+    chsh2 = games.repeat(games.chsh(), 2)
+    for variant in bounds.VARIANTS:
+        bounds.eff_ns(chsh2, 0.1, variant)
+    bounds.ns_game_value(chsh2)
+    bounds.ns_game_value(games.mse())
+    assert len(solved) == 2 * 2 * len(PARTITION_LP_EPS) * len(bounds.VARIANTS) + 3 + 1 + 36
+    assert all(s["dropped_rows"] == 0 for s in solved)
+
+
+def test_ns_row_selection_runs_once_per_shape():
+    bounds._independent_ns_rows.cache_clear()
+    bounds.ns_game_value(games.mse())  # 36 sub-LPs of one shape
+    bounds.eff_ns(games.chsh(), 0.1)
+    bounds.eff_ns(games.chsh(), 0.2, "average")
+    info = bounds._independent_ns_rows.cache_info()
+    assert (info.misses, info.hits) == (2, 36)
 
 
 def _reference_lp(game, relaxation):
@@ -444,13 +504,24 @@ def test_ns_value_matches_highs_on_three_player_game():
     assert bounds.ns_game_value(game) == pytest.approx(-ref.fun, abs=1e-7)
 
 
-def test_simplex_stops_when_rounding_revisits_a_basis():
-    # HiGHS solves this LP (eta = 1/3); the dense tableau drifts until Bland's
-    # rule cycles, and the solver must stop rather than loop forever
+@pytest.mark.parametrize("variant", ["worst_case", "tilde"])
+def test_eff_ns_matches_highs_where_rounding_used_to_revisit_a_basis(variant):
+    # with its dependent no-signalling rows, the tilde LP revisited a basis
     game = _random_game(13, (2, 2, 2), (2, 2, 2))
-    assert _reference_eta(_reference_lp(game, "no_signalling"), 0.0, "tilde") == pytest.approx(1 / 3, abs=1e-7)
+    eta = _reference_eta(_reference_lp(game, "no_signalling"), 0.0, variant)
+    assert eta == pytest.approx(1 / 3, abs=1e-7)
+    assert bounds.eff_ns(game, 0.0, variant).eta == pytest.approx(eta, abs=1e-9)
+
+
+@pytest.mark.slow
+def test_simplex_stops_when_rounding_revisits_a_basis():
+    # HiGHS solves this LP (eta = 0.4693887921...); the dense tableau drifts
+    # until Bland's rule cycles (after 64 372 pivots), and the solver must
+    # stop rather than loop forever
+    game = _random_game(13, (2, 2, 2), (2, 2, 2))
+    assert _reference_eta(_reference_lp(game, "no_signalling"), 0.0, "average") == pytest.approx(0.4693887921, abs=1e-9)
     with pytest.raises(CapabilityError, match="revisited a basis"):
-        bounds.eff_ns(game, 0.0, "tilde")
+        bounds.eff_ns(game, 0.0, "average")
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +726,9 @@ def test_vectorised_simplex_matches_scalar_on_repeated_and_inputless_games(both_
     bounds.ns_game_value(chsh2)
     bounds.ns_game_value(games.mse())
     assert len(both_routes) == 3 + 1 + 36
-    assert max(s["rows"] for s in both_routes) == 169
+    # eff_ns(chsh^2, 0.1, "worst_case"): 112 independent head rows of 136
+    # (see _ns_constraint_rows), 16 mass rows, 16 win rows and the eta floor
+    assert max(s["rows"] for s in both_routes) == 145
 
 
 def _random_program(seed):
@@ -686,11 +759,32 @@ def test_vectorised_simplex_matches_scalar_on_random_programs(both_routes):
     assert {"solved", "LPInfeasibleError", "LPUnboundedError"} <= set(outcomes)
 
 
-@pytest.mark.slow
-def test_vectorised_simplex_cycles_like_scalar(both_routes):
-    game = _random_game(13, (2, 2, 2), (2, 2, 2))
-    with pytest.raises(CapabilityError, match="revisited a basis"):
-        bounds.eff_ns(game, 0.0, "tilde")
+def test_vectorised_simplex_cycles_like_scalar(monkeypatch, both_routes):
+    # A leaving rule that ignores the ratio test makes both routes revisit a
+    # basis within a few pivots; the real LP that cycles takes 64 372 pivots,
+    # ~25 s on the scalar route.
+    def first_nonzero(T, col, basis):
+        rows = np.flatnonzero(np.abs(T[:-1, col]) > bounds._PIVOT_TOL)
+        return int(rows[0]) if rows.size else None
+
+    def scalar_first_nonzero(T, col, basis):
+        for i in range(T.shape[0] - 1):
+            if abs(T[i, col]) > bounds._PIVOT_TOL:
+                return i
+        return None
+
+    monkeypatch.setattr(bounds, "_leave", first_nonzero)
+    monkeypatch.setitem(globals(), "_scalar_leave", scalar_first_nonzero)
+    revisits = 0
+    for seed in range(30):
+        try:
+            bounds.solve_lp(_random_program(seed))
+        except CapabilityError as err:
+            assert "revisited a basis" in str(err)
+            revisits += 1
+        except GameboxError:
+            pass
+    assert revisits > 0
 
 
 def test_pivot_updates_wide_tableau_in_several_chunks(monkeypatch, both_routes):
