@@ -12,7 +12,9 @@ Contents:
   per-entry loop bit for bit.  Each result carries deterministic
   ``stats`` (size, pivots per phase, rows dropped, backend);
 * ``ns_game_value`` -- exact maximum winning probability over the
-  no-signalling polytope;
+  no-signalling polytope (an inputless player's outputs split it into
+  sub-games; a sub-game whose cap cannot beat the best so far is not
+  solved);
 * ``eff_ns`` / ``eff_local`` -- "efficiency" partition bounds: the players
   may abort (a per-player extra output), and we maximise the probability
   eta of not aborting subject to winning with conditional probability at
@@ -21,9 +23,10 @@ Contents:
   and ``average`` counting variants), over different columns: the entries
   of a no-signalling correlation give a lower bound on the quantum
   quantity, the weights of a mixture of deterministic strategies an upper
-  bound.  Its rows are the head rows that fix the column set
-  (no-signalling, or weights summing to one), then the mass rows, then
-  the win rows, then the eta floor;
+  bound (one column per group of strategies with equal columns).  Its
+  rows are the head rows that fix the column set (no-signalling, or
+  weights summing to one), then the mass rows, then the win rows, then
+  the eta floor;
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
   unit vectors (bracketed by an SDP dual bound) and sign matrices;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
@@ -392,13 +395,21 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     no-signalling box with an inputless player is precisely a mixture over
     that player's outputs of (weight x no-signalling box on the remaining
     players), so the linear objective is maximised by conditioning on the
-    best output.  Remaining games are solved by one LP of at most
-    ``budget`` variables (an integer in [0, inf), checked first).
+    best output.  A sub-game is solved only if its cap, the weight
+    ``sum_x p(x)`` of the inputs at which some answer wins, exceeds the
+    best value so far: no correlation wins more than that.  Remaining
+    games are solved by one LP of at most ``budget`` variables (an integer
+    in [0, inf), checked first, before any sub-game is skipped or solved).
     """
     check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
+    # the LP, if any, is over the players left once the inputless ones are gone
+    lp_players = [k for k in range(l) if in_sizes[k] > 1]
+    n_vars = math.prod(out_sizes[k] * in_sizes[k] for k in lp_players)
+    if len(lp_players) >= 2 and n_vars > budget:
+        raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
 
     if l >= 2 and 1 in in_sizes:
         j = in_sizes.index(1)
@@ -410,6 +421,8 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         for e in range(out_sizes[j]):
             V_e = np.take(V, e, axis=j)
             V_e = np.squeeze(V_e, axis=(l - 1) + j)
+            if float(np.sum(p_rest * V_e.any(axis=tuple(range(l - 1))))) <= best:
+                continue
             sub = GamePredicate(inputs=rest_inputs, outputs=rest_outputs, p=p_rest, V=V_e)
             best = max(best, ns_game_value(sub, budget))
         return best
@@ -418,9 +431,6 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         V = game.V
         return float(sum(game.p[x] * np.max(V[(Ellipsis,) + x]) for x in np.ndindex(*in_sizes)))
 
-    n_vars = int(np.prod(out_sizes + in_sizes))
-    if n_vars > budget:
-        raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
     A, b = _ns_constraint_rows(out_sizes, in_sizes)
     # each winning entry scores p(x); entries at p(x) == 0 keep a +0.0 coefficient
     c = np.where(game.V & (game.p != 0.0), game.p, 0.0).reshape(-1)
@@ -451,18 +461,36 @@ def _p_weighted(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _lp_rows(
+    p: np.ndarray, mass: np.ndarray, win: np.ndarray, eps: float, variant: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``eps`` and ``variant``; return the mass and win rows that the
+    efficiency LP of :func:`_efficiency_lp` has for ``variant``: the
+    per-input rows, or their ``p``-weighted sum where the variant sums."""
+    check_range("eps", eps, 0.0, 1.0)
+    if variant not in VARIANTS:
+        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if variant == "average":
+        mass = _p_weighted(p, mass)
+    if variant != "worst_case":
+        win = _p_weighted(p, win)
+    return mass, win
+
+
 def _efficiency_lp(
-    head: np.ndarray, head_rhs: np.ndarray, mass: np.ndarray, win: np.ndarray, p: np.ndarray, eps: float, variant: str
+    head: np.ndarray, head_rhs: np.ndarray, mass: np.ndarray, win: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     """The abort-augmented efficiency LP shared by :func:`eff_ns` and
     :func:`eff_local`; returns eta (at least ``ETA_FLOOR``) and the column
     weights.
 
     The columns carry non-negative weights; ``head w = head_rhs`` fixes
-    which weights are allowed.  Row x of ``mass`` (of ``win``) gives, per
-    column, its probability of no abort (of no abort and a win) at input x,
-    in the row-major order of ``p``.  The LP maximises eta, the non-abort
-    probability, subject to, per variant:
+    which weights are allowed.  Row x of the per-input mass (win) rows
+    gives, per column, its probability of no abort (of no abort and a win)
+    at input x, in the row-major order of ``p``; :func:`_lp_rows` turns
+    them into the ``mass`` and ``win`` rows given here.  The LP maximises
+    eta, the non-abort probability, subject to, per variant:
 
     * ``worst_case``: mass_x = eta and win_x >= (1 - eps) eta for every x;
     * ``tilde``: mass_x = eta for every x and
@@ -474,14 +502,6 @@ def _efficiency_lp(
     the mass rows (=), then the win rows (>=), then the floor
     eta >= ``ETA_FLOOR``.
     """
-    check_range("eps", eps, 0.0, 1.0)
-    if variant not in VARIANTS:
-        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if variant == "average":
-        mass = _p_weighted(p, mass)
-    if variant != "worst_case":
-        win = _p_weighted(p, win)
 
     def with_eta(rows, coef):
         return np.hstack([rows, np.full((rows.shape[0], 1), coef)])
@@ -496,6 +516,27 @@ def _efficiency_lp(
     c[-1] = 1.0
     res = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b, maximize=True))
     return max(float(res.x[-1]), ETA_FLOOR), res.x[:n]
+
+
+def _distinct_columns(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first column of each group of bitwise-equal
+    columns of ``rows``.
+
+    Columns are compared by an exact key, sorted as one-dimensional arrays
+    of uint64 words: rows holding only 0.0 and 1.0 are packed eight to a
+    byte, any other row enters as its float64 bit patterns."""
+    bits = rows.view(np.uint64)
+    one = np.float64(1.0).view(np.uint64)
+    binary = np.all((bits == 0) | (bits == one), axis=1)
+    packed = np.packbits(bits[binary] == one, axis=0)
+    words = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[0]] = packed.T
+    keys = np.vstack([words.view(np.uint64).T, bits[~binary]])
+    order = np.lexsort(keys)  # stable: equal keys stay in ascending index order
+    ranked = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    return np.sort(order[first])
 
 
 def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
@@ -519,7 +560,7 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     mass[rows, cols] = 1.0
     win = np.zeros((n_in, n_q))
     win[rows, cols] = game.V.reshape(-1, n_in).T
-    eta, q = _efficiency_lp(head, head_rhs, mass, win, game.p, eps, variant)
+    eta, q = _efficiency_lp(head, head_rhs, *_lp_rows(game.p, mass, win, eps, variant), eps)
     cert = Correlation(q=q.reshape(shape), players=game.players)
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="no_signalling", certificate=cert)
 
@@ -533,8 +574,11 @@ def eff_local(
     The efficiency LP of :func:`_efficiency_lp`, which defines the
     variants, over the weights of the deterministic abort-augmented
     strategies (at most ``budget`` of them); its head row makes the
-    weights sum to one.  The certificate is the mixture's correlation.
-    ``budget`` is an integer in [0, inf), checked first.
+    weights sum to one.  Strategies with bitwise-equal LP columns share
+    one column, the first in index order: eta, eff and the certificate are
+    bitwise those of the LP over every strategy.  The certificate is the
+    mixture's correlation.  ``budget`` is an integer in [0, inf), checked
+    first.
     """
     check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
@@ -567,7 +611,15 @@ def eff_local(
     won[non_abort] = game.V
     mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
     win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
-    eta, w = _efficiency_lp(np.ones((1, n_d)), np.ones(1), mass, win, game.p, eps, variant)
+    mass, win = _lp_rows(game.p, mass, win, eps, variant)
+    # Strategies whose LP columns are bitwise equal share one column: the
+    # first of a group is the one Bland's rule can pick, and the columns
+    # after it stay equal to it and never enter, so the simplex makes the
+    # same pivots, with the same arithmetic, as on the full list.
+    cols = _distinct_columns(np.vstack([mass, win]))
+    eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass[:, cols], win[:, cols], eps)
+    w = np.zeros(n_d)
+    w[cols] = w_cols
 
     # the mixture's correlation; each entry sums its strategies d in ascending order
     q = np.zeros(aug_sizes + in_sizes)

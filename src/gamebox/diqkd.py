@@ -411,6 +411,13 @@ def load_adversary(source) -> ScriptedAdversary:
 # ---------------------------------------------------------------------------
 
 
+def _pass_threshold(delta: float, t: int) -> int:
+    """The fewest agreeing rounds out of ``t`` that pass the abort test,
+    ceil((1 - 2 delta) t); the 1e-9 keeps a product that rounds just above
+    an integer from asking one round more."""
+    return math.ceil((1.0 - 2.0 * delta) * t - 1e-9)
+
+
 def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     """True (pass) iff the probed cells agree in at least
     ceil((1 - 2 delta) |T|) rounds; the boundary is inclusive."""
@@ -424,8 +431,7 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
         raise ValidationError("test-set arrays must be aligned")
     rows = np.arange(t)
     matches = int((a_T[rows, y_T] == b_T[rows, x_T]).sum())
-    threshold = math.ceil((1.0 - 2.0 * delta) * t - 1e-9)
-    return matches >= threshold
+    return matches >= _pass_threshold(delta, t)
 
 
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
@@ -483,7 +489,7 @@ def run_protocol(
     A_T, B_T, x_T, y_T = A[T], B[T], xs[T], ys[T]
     rows_T = np.arange(T.size)
     matches = int((A_T[rows_T, y_T] == B_T[rows_T, x_T]).sum())
-    passed = abort_test(A_T, B_T, x_T, y_T, params.delta)
+    passed = matches >= _pass_threshold(params.delta, T.size)
 
     x_S, y_S = xs[S], ys[S]
     key_a = A[S, y_S]

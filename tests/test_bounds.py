@@ -174,6 +174,121 @@ def test_ns_value_mse_inputless_player_decomposition():
     assert value >= 1 / 9 - 1e-6  # classical already achieves 1/9
 
 
+def _subgames(game):
+    """The sub-games of the decomposition on the first inputless player,
+    one per output of that player, in output order."""
+    l = game.players
+    j = game.input_sizes.index(1)
+    keep = [k for k in range(l) if k != j]
+    p_rest = np.squeeze(game.p, axis=j)
+    return [
+        games.GamePredicate(
+            inputs=tuple(game.inputs[k] for k in keep),
+            outputs=tuple(game.outputs[k] for k in keep),
+            p=p_rest,
+            V=np.squeeze(np.take(game.V, e, axis=j), axis=(l - 1) + j),
+        )
+        for e in range(game.output_sizes[j])
+    ]
+
+
+def _ns_value_every_subgame(game):
+    """The no-signalling value with every sub-game of the decomposition
+    solved, none skipped."""
+    if game.players >= 2 and 1 in game.input_sizes:
+        best = 0.0
+        for sub in _subgames(game):
+            best = max(best, _ns_value_every_subgame(sub))
+        return best
+    return bounds.ns_game_value(game)  # no inputless player left: one LP, or one player
+
+
+def _inputless_game(seed, outs, ins):
+    """A random game with inputless players, a skewed p (some cells 0) and
+    a win density that depends on the first inputless player's output, so
+    that a later output can beat the first."""
+    r = np.random.default_rng([83, seed])
+    p = r.dirichlet(np.full(math.prod(ins), 0.5)) * (r.random(math.prod(ins)) < 0.8)
+    p[0] += p.sum() == 0.0
+    p /= p.sum()
+    j = ins.index(1)
+    density = np.moveaxis(r.uniform(0.05, 0.6, size=(outs[j],) + (1,) * (2 * len(outs) - 1)), 0, j)
+    return games.GamePredicate(
+        inputs=tuple(tuple(range(s)) for s in ins),
+        outputs=tuple(tuple(range(s)) for s in outs),
+        p=p.reshape(ins),
+        V=r.random(tuple(outs) + tuple(ins)) < density,
+    )
+
+
+INPUTLESS_SHAPES = [
+    ((2, 2, 3), (2, 2, 1)),
+    ((2, 3, 2), (2, 1, 2)),
+    ((4, 2, 2), (1, 2, 3)),
+    ((2, 2, 3, 2), (2, 1, 2, 1)),
+    ((3, 2, 2), (1, 3, 1)),
+]
+
+
+def _counting_solves(monkeypatch):
+    """Route ``bounds.solve_lp`` through a recorder; returns the list that
+    collects the stats of each solve."""
+    solve = bounds.solve_lp
+    solved = []
+
+    def counted(lp):
+        res = solve(lp)
+        solved.append(res.stats)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_lp", counted)
+    return solved
+
+
+def test_ns_value_skips_capped_subgames_bitwise(monkeypatch):
+    solved = _counting_solves(monkeypatch)
+    later_wins = pruned = 0
+    for seed in range(8):
+        for outs, ins in INPUTLESS_SHAPES:
+            game = _inputless_game(seed, outs, ins)
+            start = len(solved)
+            reference = _ns_value_every_subgame(game)
+            every = len(solved) - start
+            value = bounds.ns_game_value(game)
+            assert np.float64(value).view(np.int64) == np.float64(reference).view(np.int64)
+            pruned += len(solved) - start - every < every
+            sub_values = [_ns_value_every_subgame(sub) for sub in _subgames(game)]
+            later_wins += max(sub_values[1:]) > sub_values[0]
+    assert later_wins >= 10  # the best sub-game is often not the first
+    assert pruned >= 10  # and the caps skip LPs
+
+
+def test_ns_value_mse_solves_one_lp(monkeypatch):
+    # every sub-game caps at 1/9 (its guess (x, y) has weight 2/18), which
+    # the first one reaches
+    solved = _counting_solves(monkeypatch)
+    value = bounds.ns_game_value(games.mse())
+    assert len(solved) == 1
+    solved.clear()
+    reference = _ns_value_every_subgame(games.mse())
+    assert len(solved) == 36
+    assert np.float64(value).view(np.int64) == np.float64(reference).view(np.int64)
+
+
+def test_ns_value_budget_is_checked_before_the_decomposition():
+    # every sub-game caps at 0, so none is solved, yet the LP it would need
+    # (4 * 4 * 2 * 2 = 64 variables) is over budget
+    game = games.GamePredicate(
+        inputs=((0, 1), (0, 1), (0,)),
+        outputs=((0, 1, 2, 3), (0, 1, 2, 3), (0, 1)),
+        p=np.full((2, 2, 1), 0.25),
+        V=np.zeros((4, 4, 2, 2, 2, 1), dtype=bool),
+    )
+    assert bounds.ns_game_value(game, budget=64) == 0.0
+    with pytest.raises(BudgetExceededError, match="64 LP variables exceed budget 63"):
+        bounds.ns_game_value(game, budget=63)
+
+
 # ---------------------------------------------------------------------------
 # partition (efficiency) bounds
 # ---------------------------------------------------------------------------
@@ -370,16 +485,10 @@ def test_ns_rows_are_the_independent_rows_in_order(out_sizes, in_sizes):
 
 
 def test_ns_lps_carry_no_dependent_rows(monkeypatch):
-    # the partition-lp benchmark grid, the eff_ns(chsh^2) solves and the 36 mse sub-LPs
-    solve = bounds.solve_lp
-    solved = []
-
-    def recorded(lp):
-        res = solve(lp)
-        solved.append(res.stats)
-        return res
-
-    monkeypatch.setattr(bounds, "solve_lp", recorded)
+    # the partition-lp benchmark grid, the eff_ns(chsh^2) solves and the
+    # mse sub-LP that is solved; the 36 mse sub-LPs share one constraint
+    # matrix, and dropped_rows depends on that matrix alone
+    solved = _counting_solves(monkeypatch)
     for game in (games.chsh(), games.magic_square()):
         for eps in PARTITION_LP_EPS:
             for variant in bounds.VARIANTS:
@@ -390,17 +499,18 @@ def test_ns_lps_carry_no_dependent_rows(monkeypatch):
         bounds.eff_ns(chsh2, 0.1, variant)
     bounds.ns_game_value(chsh2)
     bounds.ns_game_value(games.mse())
-    assert len(solved) == 2 * 2 * len(PARTITION_LP_EPS) * len(bounds.VARIANTS) + 3 + 1 + 36
+    assert len(solved) == 2 * 2 * len(PARTITION_LP_EPS) * len(bounds.VARIANTS) + 3 + 1 + 1
     assert all(s["dropped_rows"] == 0 for s in solved)
 
 
 def test_ns_row_selection_runs_once_per_shape():
     bounds._independent_ns_rows.cache_clear()
-    bounds.ns_game_value(games.mse())  # 36 sub-LPs of one shape
+    bounds.ns_game_value(games.mse())  # one sub-LP solved
+    bounds.ns_game_value(games.mse())
     bounds.eff_ns(games.chsh(), 0.1)
     bounds.eff_ns(games.chsh(), 0.2, "average")
     info = bounds._independent_ns_rows.cache_info()
-    assert (info.misses, info.hits) == (2, 36)
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def _reference_lp(game, relaxation):
@@ -502,6 +612,87 @@ def test_ns_value_matches_highs_on_three_player_game():
     ref = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert bounds.ns_game_value(game) == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def _eff_local_every_strategy(game, eps, variant):
+    """eff_local over every deterministic abort-augmented strategy, equal
+    columns included; returns the result and the LP's mass and win rows."""
+    l = game.players
+    out_sizes, in_sizes = game.output_sizes, game.input_sizes
+    aug_sizes = tuple(s + 1 for s in out_sizes)
+    map_counts = tuple(aug_sizes[j] ** in_sizes[j] for j in range(l))
+    n_d = math.prod(map_counts)
+    maps = [np.array(list(itertools.product(range(aug_sizes[j]), repeat=in_sizes[j])), dtype=np.int64)
+            for j in range(l)]
+
+    def on_axes(a, j):
+        shape = [1] * (2 * l)
+        shape[j], shape[l + j] = a.shape
+        return a.reshape(shape)
+
+    outs = [on_axes(maps[j], j) for j in range(l)]
+    inputs = [on_axes(np.arange(in_sizes[j])[None, :], j) for j in range(l)]
+    non_abort = tuple(slice(s) for s in out_sizes)
+    kept = np.zeros(aug_sizes, dtype=bool)
+    kept[non_abort] = True
+    won = np.zeros(aug_sizes + in_sizes, dtype=bool)
+    won[non_abort] = game.V
+    mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
+    win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
+    mass, win = bounds._lp_rows(game.p, mass, win, eps, variant)
+    eta, w = bounds._efficiency_lp(np.ones((1, n_d)), np.ones(1), mass, win, eps)
+    q = np.zeros(aug_sizes + in_sizes)
+    ds = np.flatnonzero(w > 1e-12)
+    d_idx = np.unravel_index(ds, map_counts)
+    xs = np.indices(in_sizes).reshape(l, -1)
+    np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w[ds][:, None])
+    return (eta, 1.0 / eta, q), np.vstack([mass, win])
+
+
+def _zero_p_game():
+    game = _random_game(4, (2, 2), (3, 2))
+    p = game.p.copy()
+    p[1, 0] = 0.0
+    return dataclasses.replace(game, p=p / p.sum())
+
+
+LOCAL_DIFFERENTIAL_GAMES = {
+    "chsh": games.chsh,
+    "magic_square": games.magic_square,
+    "xor_3x3": lambda: bounds.xor_game(np.array([[0, 0, 0], [0, 0, 1], [0, 1, 1]]), np.full((3, 3), 1 / 9)),
+    "xor_2x4": lambda: bounds.xor_game(np.array([[0, 0, 0, 1], [0, 1, 1, 0]]), np.full((2, 4), 1 / 8)),
+    "random_2x3_3x2": DIFFERENTIAL_GAMES["random_2x3_3x2"],
+    "random_3_player": DIFFERENTIAL_GAMES["random_3_player"],
+    "random_3x2_2x3": lambda: _random_game(9, (3, 2), (2, 3)),
+    "random_zero_p": _zero_p_game,
+}
+
+
+@pytest.mark.parametrize("name", list(LOCAL_DIFFERENTIAL_GAMES))
+def test_eff_local_distinct_columns_match_every_strategy(name, monkeypatch):
+    # eta, eff, the certificate and the pivot counts are bitwise those of
+    # the LP over every strategy, which has one column per strategy
+    solved = _counting_solves(monkeypatch)
+    game = LOCAL_DIFFERENTIAL_GAMES[name]()
+    for eps in PARTITION_LP_EPS:
+        for variant in bounds.VARIANTS:
+            reference, rows = _eff_local_every_strategy(game, eps, variant)
+            res = bounds.eff_local(game, eps, variant)
+            assert np.array([res.eta, res.eff]).tobytes() == np.array(reference[:2]).tobytes()
+            assert res.certificate.q.shape == reference[2].shape
+            assert res.certificate.q.tobytes() == reference[2].tobytes()
+            every, distinct = solved[-2:]
+            assert every["cols"] == rows.shape[1] + 1
+            assert distinct["cols"] == np.unique(rows, axis=1).shape[1] + 1
+            assert dict(distinct, cols=0) == dict(every, cols=0)
+
+
+def test_eff_local_magic_square_lp_columns(monkeypatch):
+    # 15 625 strategies; the LP keeps the distinct columns and eta
+    solved = _counting_solves(monkeypatch)
+    for variant in bounds.VARIANTS:
+        bounds.eff_local(games.magic_square(), 0.1, variant)
+    assert [s["cols"] for s in solved] == [924, 190, 28]
 
 
 @pytest.mark.parametrize("variant", ["worst_case", "tilde"])
@@ -718,14 +909,13 @@ def test_vectorised_simplex_matches_scalar_on_partition_grid(game, fn, both_rout
     assert all(s["pivots_phase1"] + s["pivots_phase2"] > 0 for s in both_routes)
 
 
-@pytest.mark.slow
 def test_vectorised_simplex_matches_scalar_on_repeated_and_inputless_games(both_routes):
     chsh2 = games.repeat(games.chsh(), 2)
     for variant in bounds.VARIANTS:
         bounds.eff_ns(chsh2, 0.1, variant)
     bounds.ns_game_value(chsh2)
-    bounds.ns_game_value(games.mse())
-    assert len(both_routes) == 3 + 1 + 36
+    bounds.ns_game_value(games.mse())  # the first sub-game's cap bounds the other 35
+    assert len(both_routes) == 3 + 1 + 1
     # eff_ns(chsh^2, 0.1, "worst_case"): 112 independent head rows of 136
     # (see _ns_constraint_rows), 16 mass rows, 16 win rows and the eta floor
     assert max(s["rows"] for s in both_routes) == 145
@@ -788,7 +978,8 @@ def test_vectorised_simplex_cycles_like_scalar(monkeypatch, both_routes):
 
 
 def test_pivot_updates_wide_tableau_in_several_chunks(monkeypatch, both_routes):
-    # eff_local(magic_square) has 15,626 columns: one chunk holds 8 rows
+    # 16 384 columns and 12 dense rows: one chunk holds 7 rows of the
+    # tableau, and a pivot updates all 13 (the objective row too)
     pivot = bounds._pivot
     chunks = []
 
@@ -800,9 +991,13 @@ def test_pivot_updates_wide_tableau_in_several_chunks(monkeypatch, both_routes):
         pivot(T, row, col, work)
 
     monkeypatch.setattr(bounds, "_pivot", measured)
-    bounds.eff_local(games.magic_square(), 0.1, "worst_case")
+    r = np.random.default_rng(61)
+    A = r.integers(1, 5, size=(12, 1 << 14)).astype(float)
+    b = A @ r.integers(0, 2, size=A.shape[1])
+    c = r.integers(-3, 4, size=A.shape[1]).astype(float)
+    bounds.solve_lp(bounds.LinearProgram(c=c, A=A, senses=["="] * 6 + ["<="] * 6, b=b, maximize=True))
     assert max(chunks) > 1
-    assert both_routes[0]["cols"] == 15626
+    assert both_routes[0]["cols"] == 1 << 14
 
 
 def test_lp_stats_are_deterministic():
