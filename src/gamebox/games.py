@@ -237,15 +237,11 @@ def mse() -> GamePredicate:
         (xp, yp, zp, c) for xp in range(3) for yp in range(3) for zp in range(2) for c in range(2)
     )
     p = np.full((6, 3, 1), 1.0 / 18.0)
-    V = np.zeros((4, 4, 36, 6, 3, 1), dtype=bool)
-    for ai, bi, ei, xa, y in np.ndindex(4, 4, 36, 6, 3):
-        x, z = alice_inputs[xa]
-        xp, yp, zp, c = eve_outputs[ei]
-        a_bit = int(EVEN_BITS[ai, y])
-        b_bit = int(ODD_BITS[bi, x])
-        V[ai, bi, ei, xa, y, 0] = (
-            x == xp and y == yp and a_bit == c and (a_bit == b_bit or z == zp)
-        )
+    # one axis per letter, in the order the alphabets above flatten them
+    ai, bi, xp, yp, zp, c, x, z, y = np.ogrid[:4, :4, :3, :3, :2, :2, :3, :2, :3]
+    a_bit, b_bit = EVEN_BITS[ai, y], ODD_BITS[bi, x]
+    V = (x == xp) & (y == yp) & (a_bit == c) & ((a_bit == b_bit) | (z == zp))
+    V = V.reshape(4, 4, 36, 6, 3, 1)
     return GamePredicate(
         inputs=(alice_inputs, (0, 1, 2), (0,)),
         outputs=(EVEN_STRINGS, ODD_STRINGS, eve_outputs),
@@ -581,6 +577,58 @@ def _random_povms(game: GamePredicate, local_dims, rng) -> list[np.ndarray]:
     return povms
 
 
+def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: int, max_iters: int, tol: float):
+    """Run the seesaw restarts ``rs`` as one group, one iteration of all of
+    them at a time, and yield each restart's ``(value, state, povms)`` in
+    index order once it and every restart before it in ``rs`` have stopped.
+
+    Player j's POVMs of every restart still running form one
+    ``(restarts, |X_j|, |A_j|, d_j, d_j)`` stack: an iteration takes one
+    batched ``eigh`` of the restarts' game operators and, per player, one
+    ``_optimize_povm`` call on the stacks flattened to ``restarts * |X_j|``
+    inputs.  Both act matrix by matrix and input by input, so each restart
+    computes exactly what it would alone.  The contractions stay per
+    restart: a batched ``tensordot`` could block its sums differently."""
+    if not rs:
+        return
+    draws = [_random_povms(game, local_dims, np.random.default_rng([seed, r])) for r in rs]
+    povms = [np.stack(M) for M in zip(*draws)]
+    live, prev = list(rs), [-1.0] * len(rs)
+
+    def game_operators():
+        return np.stack([_game_operator(pV, [M[i] for M in povms]) for i in range(len(live))])
+
+    W = game_operators()
+    finished, nxt = {}, rs.start
+    for it in range(max_iters):
+        psi = np.linalg.eigh(W)[1][..., -1]
+        for j in range(game.players):
+            G = np.concatenate(
+                [
+                    _effective_operators(pV, [M[i] for M in povms], psi[i].reshape(local_dims), j)
+                    for i in range(len(live))
+                ]
+            )
+            shape = povms[j].shape
+            povms[j] = _optimize_povm(G, povms[j].reshape(-1, *shape[2:]), tol * 0.1).reshape(shape)
+        W = game_operators()
+        stay = []
+        for i, r in enumerate(live):
+            val = float(np.real(psi[i].conj() @ (W[i] @ psi[i])))
+            if val - prev[i] < tol or it == max_iters - 1:
+                finished[r] = (val, psi[i].copy(), [M[i] for M in povms])
+            else:
+                stay.append(i)
+                prev[i] = val
+        while nxt in finished:
+            yield finished.pop(nxt)
+            nxt += 1
+        if not stay:
+            return
+        live, prev, W = [live[i] for i in stay], [prev[i] for i in stay], W[stay]
+        povms = [M[stay] for M in povms]
+
+
 def seesaw(
     game: GamePredicate,
     local_dims: Sequence[int],
@@ -605,6 +653,11 @@ def seesaw(
     All of one player's inputs update together: the effective operators of
     input x_j hold only the other players' POVMs, never player j's own on
     another input, so this is the same as updating the inputs one by one.
+
+    Restart 0 runs alone, since it often ends the search; restarts
+    1..restarts-1 then run in lockstep (see ``_lockstep``).  Their results
+    are taken in index order, so the value, state and POVMs are bitwise
+    those of running the restarts one at a time.
     """
     local_dims = tuple(int(d) for d in local_dims)
     if len(local_dims) != game.players:
@@ -617,22 +670,12 @@ def seesaw(
     check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)
     best_val, best_state, best_povms = -1.0, None, None
-    for r in range(restarts):
-        povms = _random_povms(game, local_dims, np.random.default_rng([seed, r]))
-        W = _game_operator(pV, povms)
-        prev = -1.0
-        for _ in range(max_iters):
-            psi = np.linalg.eigh(W)[1][:, -1]
-            psi_t = psi.reshape(local_dims)
-            for j in range(game.players):
-                povms[j] = _optimize_povm(_effective_operators(pV, povms, psi_t, j), povms[j], tol * 0.1)
-            W = _game_operator(pV, povms)
-            val = float(np.real(psi.conj() @ (W @ psi)))
-            if val - prev < tol:
-                break
-            prev = val
+    groups = (range(1), range(1, restarts))
+    for val, psi, povms in itertools.chain.from_iterable(
+        _lockstep(pV, game, local_dims, rs, seed, max_iters, tol) for rs in groups
+    ):
         if val > best_val:
-            best_val, best_state, best_povms = val, psi.copy(), povms
+            best_val, best_state, best_povms = val, psi, povms
         if best_val >= 1.0 - 1e-9:
             break
     cert = QuantumStrategy(

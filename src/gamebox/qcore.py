@@ -188,14 +188,13 @@ def psd_project_eigs(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> tuple[np.nd
 
 def psd_power(mat: np.ndarray, power: float, cutoff: float = EIG_CUTOFF) -> np.ndarray:
     """`mat ** power` on the support of a PSD matrix (generalised for power < 0),
-    matrix by matrix on a ``(..., d, d)`` stack.  Negative eigenvalues count
-    as zero, so power 0 gives the projector onto the positive eigenspace."""
-    w, v = psd_project_eigs(mat, cutoff)
-    w = np.clip(w, 0.0, None)
-    out = np.zeros_like(w)
-    pos = w > 0
-    out[pos] = w[pos] ** power
-    return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    matrix by matrix on a ``(..., d, d)`` stack.  Eigenvalues below `cutoff`,
+    negative ones included, count as zero, so power 0 gives the projector
+    onto the positive eigenspace."""
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+    keep = w >= cutoff
+    w = (np.where(keep, w, 1.0) ** power) * keep
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_sqrt(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> np.ndarray:

@@ -657,3 +657,42 @@ def test_readme_probe_output_is_pinned(capsys):
     code, out, _ = run(capsys, *"dpt probe --builtin chsh --n 2 --comm-bits 1 --seed 0".split())
     assert code == 0
     assert out == PINNED_PROBE_OUTPUT
+
+
+# Outputs captured before the mse table was built by broadcasting and
+# before seesaw restarts ran in lockstep.  magic_square at seed 7 reaches
+# 1 - 1e-9 in restart 0, which runs alone.
+PINNED_GAME_VALUE_OUTPUTS = [
+    (
+        "game value --builtin mse --method ns",
+        '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "ns",\n  "value": 0.1111111111111111\n}\n',
+    ),
+    (
+        "game value --builtin mse --method classical",
+        '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "classical",\n  "value": 0.1111111111111111\n}\n',
+    ),
+    (
+        "game value --builtin magic_square --method seesaw --restarts 20 --seed 7",
+        "{\n"
+        '  "game": "magic_square",\n'
+        '  "kind": "lower_bound",\n'
+        '  "local_dims": [\n'
+        "    4,\n"
+        "    4\n"
+        "  ],\n"
+        '  "method": "seesaw",\n'
+        '  "restarts": 20,\n'
+        '  "seed": 7,\n'
+        '  "value": 0.9999999991736805\n'
+        "}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,expected", PINNED_GAME_VALUE_OUTPUTS, ids=["mse-ns", "mse-classical", "magic_square-seesaw"]
+)
+def test_game_value_outputs_are_pinned(capsys, command, expected):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out == expected

@@ -58,6 +58,25 @@ def test_chsh_predicate():
     assert game.input_sizes == (2, 2)
 
 
+def test_mse_table_matches_per_cell_loop():
+    # the per-cell loop the broadcast table replaced
+    game = games.mse()
+    alice_inputs = tuple((x, z) for x in range(3) for z in range(2))
+    eve_outputs = tuple(itertools.product(range(3), range(3), range(2), range(2)))
+    assert game.inputs == (alice_inputs, (0, 1, 2), (0,))
+    assert game.outputs == (games.EVEN_STRINGS, games.ODD_STRINGS, eve_outputs)
+    V = np.zeros((4, 4, 36, 6, 3, 1), dtype=bool)
+    for ai, bi, ei, xa, y in np.ndindex(4, 4, 36, 6, 3):
+        x, z = alice_inputs[xa]
+        xp, yp, zp, c = eve_outputs[ei]
+        a_bit = int(games.EVEN_BITS[ai, y])
+        b_bit = int(games.ODD_BITS[bi, x])
+        V[ai, bi, ei, xa, y, 0] = x == xp and y == yp and a_bit == c and (a_bit == b_bit or z == zp)
+    assert game.V.dtype == bool
+    assert np.array_equal(game.V, V)
+    assert game.p.tobytes() == np.full((6, 3, 1), 1.0 / 18.0).tobytes()
+
+
 def test_builtin_lookup():
     assert games.builtin_game("chsh").name == "chsh"
     with pytest.raises(ValidationError):
@@ -609,6 +628,98 @@ def test_seesaw_early_iterations_match_reference(case, max_iters):
     for j, per_input in enumerate(povms):
         np.testing.assert_allclose(np.array(res.certificate.povms[j]), np.array(per_input), rtol=0, atol=1e-6)
     assert games.evaluate_quantum_strategy(game, res.certificate) == pytest.approx(res.value, abs=1e-9)
+
+
+def _sequential_seesaw(game, local_dims, restarts, max_iters, seed, tol=1e-9):
+    """The restart loop seesaw ran before restarts ran in lockstep: one
+    restart at a time, on the package's kernels.  Also returns the restart
+    at which the search stopped."""
+    pV = (game.p * game.V).astype(complex)
+    best_val, best_state, best_povms = -1.0, None, None
+    for r in range(restarts):
+        povms = games._random_povms(game, local_dims, np.random.default_rng([seed, r]))
+        W = games._game_operator(pV, povms)
+        prev = -1.0
+        for _ in range(max_iters):
+            psi = np.linalg.eigh(W)[1][:, -1]
+            psi_t = psi.reshape(local_dims)
+            for j in range(game.players):
+                povms[j] = games._optimize_povm(games._effective_operators(pV, povms, psi_t, j), povms[j], tol * 0.1)
+            W = games._game_operator(pV, povms)
+            val = float(np.real(psi.conj() @ (W @ psi)))
+            if val - prev < tol:
+                break
+            prev = val
+        if val > best_val:
+            best_val, best_state, best_povms = val, psi.copy(), povms
+        if best_val >= 1.0 - 1e-9:
+            break
+    return min(best_val, 1.0), best_state, best_povms, r
+
+
+def _assert_lockstep_is_sequential(game, dims, restarts, max_iters, seed):
+    """Value, state and POVMs of seesaw bitwise those of the sequential loop;
+    returns the sequential value and the restart it stopped at."""
+    res = games.seesaw(game, dims, restarts=restarts, max_iters=max_iters, seed=seed)
+    val, state, povms, stop = _sequential_seesaw(game, dims, restarts, max_iters, seed)
+    assert res.value == val
+    assert res.certificate.state.tobytes() == state.tobytes()
+    for j, M in enumerate(povms):
+        assert np.array(res.certificate.povms[j]).tobytes() == M.tobytes()
+    return val, stop
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 500])
+@pytest.mark.parametrize("case", range(len(_SEESAW_CASES)), ids=lambda c: f"case{c}")
+def test_seesaw_lockstep_is_bitwise_the_sequential_loop(case, max_iters):
+    game, dims, restarts = _SEESAW_CASES[case]
+    _assert_lockstep_is_sequential(game, dims, restarts, max_iters, seed=7)
+
+
+@pytest.mark.parametrize(
+    "game,dims,restarts,seed,stop",
+    [(*_random_game(12, 2), 3, 0, 1), (games.magic_square(), (4, 4), 20, 23, 3)],
+    ids=["random", "magic_square"],
+)
+def test_seesaw_stop_inside_the_lockstep_group_is_bitwise(game, dims, restarts, seed, stop):
+    # restart 0 stays below 1 - 1e-9 and restart `stop` of the group reaches
+    # it.  In the magic_square case later restarts of the group reach it
+    # first, so taking restarts as they finish instead of in index order
+    # would return another strategy.
+    val, stopped_at = _assert_lockstep_is_sequential(game, dims, restarts, 500, seed)
+    assert val >= 1.0 - 1e-9
+    assert stopped_at == stop
+
+
+def _count_calls(monkeypatch, name):
+    seen = [0]
+    plain = getattr(games, name)
+
+    def counted(*args):
+        seen[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(games, name, counted)
+    return seen
+
+
+def test_seesaw_restart_zero_runs_alone(monkeypatch):
+    # magic_square reaches 1 - 1e-9 in restart 0 at seed 7: the other 19
+    # restarts never draw their POVMs
+    draws = _count_calls(monkeypatch, "_random_povms")
+    res = games.seesaw(games.magic_square(), (4, 4), restarts=20, seed=7)
+    assert res.value >= 1.0 - 1e-9
+    assert draws[0] == 1
+
+
+def test_seesaw_lockstep_shares_povm_updates(monkeypatch):
+    # five restarts of chsh^2, none reaching 1: restart 0 alone, then 1..4
+    # in one group, two players, one _optimize_povm call each per iteration
+    calls = _count_calls(monkeypatch, "_optimize_povm")
+    draws = _count_calls(monkeypatch, "_random_povms")
+    games.seesaw(games.repeat(games.chsh(), 2), (4, 4), restarts=5, seed=7)
+    assert draws[0] == 5
+    assert calls[0] <= 60
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,35 @@ def test_psd_power_on_a_stack_equals_single_calls(dim, power):
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
 
+def _masked_power(mat, power, cutoff=qcore.EIG_CUTOFF):
+    """psd_power's earlier form: zero the tiny eigenvalues, clip the negative
+    ones, then a boolean gather and scatter of the positive ones."""
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+    w = np.clip(np.where(np.abs(w) < cutoff, 0.0, w), 0.0, None)
+    out = np.zeros_like(w)
+    pos = w > 0
+    out[pos] = w[pos] ** power
+    return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.5, -0.5, 1.0, 2.0])
+def test_psd_power_is_bitwise_the_masked_form(power):
+    c = qcore.EIG_CUTOFF
+    edges = [0.0, c / 2, -c / 2, c, -c, -1e6, -3.0, 1e-3, 2.0]
+    # diagonal matrices, whose eigh returns these eigenvalues exactly, so
+    # the mask meets each edge case itself
+    diag = np.array([np.diag(np.roll(edges, k)).astype(complex) for k in range(3)])
+    assert np.array_equal(np.linalg.eigvalsh(diag[0]), np.sort(edges))
+    # and rotated stacks, where eigh's rounding lands near the edges
+    rng = np.random.default_rng(5)
+    U = np.array([qcore.random_unitary(len(edges), rng) for _ in range(4)])
+    rotated = U @ diag[np.arange(4) % 3] @ U.conj().swapaxes(-1, -2)
+    for mats in (diag, rotated, rotated.reshape(2, 2, len(edges), len(edges)), rotated[0]):
+        got = qcore.psd_power(mats, power)
+        assert got.tobytes() == _masked_power(mats, power).tobytes()
+    assert qcore.psd_sqrt(rotated).tobytes() == _masked_power(rotated, 0.5).tobytes()
+
+
 def test_trace_norm_matches_svd(rng):
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     expected = float(np.sum(np.linalg.svd(m, compute_uv=False)))
