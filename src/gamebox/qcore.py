@@ -189,10 +189,10 @@ def psd_project_eigs(mat: np.ndarray, cutoff: float = EIG_CUTOFF) -> tuple[np.nd
 def psd_power(mat: np.ndarray, power: float, cutoff: float = EIG_CUTOFF) -> np.ndarray:
     """`mat ** power` on the support of a PSD matrix (generalised for power < 0),
     matrix by matrix on a ``(..., d, d)`` stack.  Eigenvalues below `cutoff`,
-    negative ones included, count as zero, so power 0 gives the projector
-    onto the positive eigenspace."""
+    and all that are not positive whatever `cutoff` is, count as zero, so
+    power 0 gives the projector onto the positive eigenspace."""
     w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
-    keep = w >= cutoff
+    keep = (w >= cutoff) & (w > 0)
     w = (np.where(keep, w, 1.0) ** power) * keep
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 

@@ -678,14 +678,14 @@ def test_seesaw_lockstep_is_bitwise_the_sequential_loop(case, max_iters):
 
 @pytest.mark.parametrize(
     "game,dims,restarts,seed,stop",
-    [(*_random_game(12, 2), 3, 0, 1), (games.magic_square(), (4, 4), 20, 23, 3)],
+    [(*_random_game(12, 2), 3, 0, 1), (games.magic_square(), (4, 4), 20, 15, 1)],
     ids=["random", "magic_square"],
 )
 def test_seesaw_stop_inside_the_lockstep_group_is_bitwise(game, dims, restarts, seed, stop):
-    # restart 0 stays below 1 - 1e-9 and restart `stop` of the group reaches
-    # it.  In the magic_square case later restarts of the group reach it
-    # first, so taking restarts as they finish instead of in index order
-    # would return another strategy.
+    # restart 0 stays below 1 - 1e-9 and restart `stop` of the group of
+    # restarts 1 and 2 reaches it.  In the magic_square case restart 2
+    # reaches it first (9 iterations against 13), so taking restarts as they
+    # finish instead of in index order would return another strategy.
     val, stopped_at = _assert_lockstep_is_sequential(game, dims, restarts, 500, seed)
     assert val >= 1.0 - 1e-9
     assert stopped_at == stop
@@ -703,23 +703,27 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-def test_seesaw_restart_zero_runs_alone(monkeypatch):
-    # magic_square reaches 1 - 1e-9 in restart 0 at seed 7: the other 19
-    # restarts never draw their POVMs
+@pytest.mark.parametrize("seed,stop,drawn", [(7, 0, 1), (15, 1, 3), (23, 3, 7)])
+def test_seesaw_runs_restarts_in_doubling_groups(monkeypatch, seed, stop, drawn):
+    # magic_square reaches 1 - 1e-9 in restart `stop`: only the groups up to
+    # its own (restart 0, then 1-2, then 3-6) draw their POVMs
+    assert _sequential_seesaw(games.magic_square(), (4, 4), 20, 500, seed)[3] == stop
     draws = _count_calls(monkeypatch, "_random_povms")
-    res = games.seesaw(games.magic_square(), (4, 4), restarts=20, seed=7)
+    res = games.seesaw(games.magic_square(), (4, 4), restarts=20, seed=seed)
     assert res.value >= 1.0 - 1e-9
-    assert draws[0] == 1
+    assert draws[0] == drawn
 
 
 def test_seesaw_lockstep_shares_povm_updates(monkeypatch):
-    # five restarts of chsh^2, none reaching 1: restart 0 alone, then 1..4
-    # in one group, two players, one _optimize_povm call each per iteration
+    # five restarts of chsh^2, none reaching 1, in groups 0, 1-2 and 3-4 of
+    # 14, 16 and 15 iterations (the longest member's); two players, one
+    # _optimize_povm call each per iteration of a group, against 146 for
+    # the 73 iterations of the restarts one at a time
     calls = _count_calls(monkeypatch, "_optimize_povm")
     draws = _count_calls(monkeypatch, "_random_povms")
     games.seesaw(games.repeat(games.chsh(), 2), (4, 4), restarts=5, seed=7)
     assert draws[0] == 5
-    assert calls[0] <= 60
+    assert calls[0] == 2 * (14 + 16 + 15)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ def _masked_power(mat, power, cutoff=qcore.EIG_CUTOFF):
     return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+@pytest.mark.parametrize("cutoff", [qcore.EIG_CUTOFF, 0.0, -qcore.EIG_CUTOFF])
 @pytest.mark.parametrize("power", [0.0, 0.5, -0.5, 1.0, 2.0])
-def test_psd_power_is_bitwise_the_masked_form(power):
+def test_psd_power_is_bitwise_the_masked_form(power, cutoff):
     c = qcore.EIG_CUTOFF
     edges = [0.0, c / 2, -c / 2, c, -c, -1e6, -3.0, 1e-3, 2.0]
     # diagonal matrices, whose eigh returns these eigenvalues exactly, so
@@ -182,9 +183,11 @@ def test_psd_power_is_bitwise_the_masked_form(power):
     U = np.array([qcore.random_unitary(len(edges), rng) for _ in range(4)])
     rotated = U @ diag[np.arange(4) % 3] @ U.conj().swapaxes(-1, -2)
     for mats in (diag, rotated, rotated.reshape(2, 2, len(edges), len(edges)), rotated[0]):
-        got = qcore.psd_power(mats, power)
-        assert got.tobytes() == _masked_power(mats, power).tobytes()
-    assert qcore.psd_sqrt(rotated).tobytes() == _masked_power(rotated, 0.5).tobytes()
+        got = qcore.psd_power(mats, power, cutoff)
+        assert got.tobytes() == _masked_power(mats, power, cutoff).tobytes()
+    # an exact zero eigenvalue is dropped at every cutoff, never powered
+    assert np.all(np.isfinite(qcore.psd_power(diag, power, cutoff)))
+    assert qcore.psd_sqrt(rotated, cutoff).tobytes() == _masked_power(rotated, 0.5, cutoff).tobytes()
 
 
 def test_trace_norm_matches_svd(rng):
