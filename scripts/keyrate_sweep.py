@@ -39,7 +39,8 @@ def main() -> None:
     args = ap.parse_args()
 
     grid = {
-        "n": [int(float(x)) for x in args.n.split(",")],
+        # whole numbers as int; diqkd.sweep refuses the others
+        "n": [int(v) if v.is_integer() else v for v in _floats(args.n)],
         "alpha": _floats(args.alpha),
         "gamma": _floats(args.gamma),
         "delta": _floats(args.delta),

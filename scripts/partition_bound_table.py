@@ -33,7 +33,10 @@ def main() -> None:
             for variant in bounds.VARIANTS:
                 ns = bounds.eff_ns(game, eps, variant).eff
                 local = bounds.eff_local(game, eps, variant).eff
-                print(f"{name:<14} {eps:>5.2f} {variant:<11} {ns:>10.6f} {local:>10.6f} {local - ns:>10.6f}")
+                # each value is an LP optimum checked to 1e-9, so a gap that
+                # rounds to zero prints as 0.000000, whatever its sign
+                gap = round(local - ns, 6) + 0.0
+                print(f"{name:<14} {eps:>5.2f} {variant:<11} {ns:>10.6f} {local:>10.6f} {gap:>10.6f}")
         print("-" * len(header))
 
 

@@ -2,19 +2,16 @@
 
 Contents:
 
-* a self-contained dense two-phase simplex solver (Bland's anti-cycling
-  pivot rule) -- the single LP backend used by everything below.  Its
-  pivot kernels are numpy operations: the entering column is the first
-  negative reduced cost, the leaving row follows the sequential min-ratio
-  and tie rule over the candidate rows, and a pivot is a rank-1 update of
-  the rows it changes, in chunks of at most 2^17 doubles (1 MB) of
-  temporaries.  They make the pivots, and compute the values, of a
-  per-entry loop bit for bit.  Each result carries deterministic
-  ``stats`` (size, pivots per phase, rows dropped, backend);
-* ``ns_game_value`` -- exact maximum winning probability over the
-  no-signalling polytope (an inputless player's outputs split it into
-  sub-games; a sub-game whose cap cannot beat the best so far is not
-  solved);
+* one self-contained LP solver, numpy only: Mehrotra's predictor-corrector
+  interior-point method on the homogeneous self-dual embedding, with
+  dense normal equations.  Every answer comes with one dual per row and
+  passes ``check_lp_certificate`` (residuals and duality gap within
+  1e-9) or is refused.  Each result carries deterministic ``stats``
+  (size, iterations, checked gap, backend);
+* ``ns_game_value`` -- maximum winning probability over the
+  no-signalling polytope, within the LP check's 1e-9 (an inputless player's outputs split it into
+  sub-games; a sub-game whose cap cannot beat the best so far by more
+  than that is not solved);
 * ``eff_ns`` / ``eff_local`` -- "efficiency" partition bounds: the players
   may abort (a per-player extra output), and we maximise the probability
   eta of not aborting subject to winning with conditional probability at
@@ -25,8 +22,8 @@ Contents:
   quantity, the weights of a mixture of deterministic strategies an upper
   bound (one column per group of strategies with equal columns).  Its
   rows are the head rows that fix the column set (no-signalling, or
-  weights summing to one), then the mass rows, then the win rows, then
-  the eta floor;
+  weights summing to one), then the mass rows, then the win rows; eta
+  is reported within [``ETA_FLOOR``, 1];
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
   unit vectors (bracketed by an SDP dual bound) and sign matrices;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
@@ -58,9 +55,9 @@ from .games import Correlation, GamePredicate
 ETA_FLOOR = 1e-9
 VARIANTS = ("worst_case", "tilde", "average")
 
-_PIVOT_TOL = 1e-10
-_COST_TOL = 1e-9
-_CHUNK = 1 << 17  # doubles of temporaries per chunk of a pivot's row update (1 MB)
+_LP_GAP = 1e-9  # largest checked residual or duality gap that solve_lp returns
+_IPM_TOL = 1e-11  # relative residuals and gap at which the interior-point iterations stop
+_IPM_CAP = 200  # interior-point iterations
 _GAMMA2_GAP = 1e-7  # relative duality gap at which a gamma2_star solve stops
 _GAMMA2_CAP = 10_000  # iterations of a gamma2_star solve
 
@@ -83,112 +80,192 @@ class LinearProgram:
 
 @dataclass
 class LPResult:
-    """The optimum ``value`` and a vertex ``x`` attaining it.
+    """The optimum ``value``, a primal point ``x`` and one dual ``y`` per row
+    of ``A`` as given, checked by :func:`check_lp_certificate`.
 
-    ``stats`` says what the solver did, deterministically: ``rows`` and
-    ``cols`` (the shape of ``A`` as given), ``pivots_phase1`` (including
-    the pivots that drive artificial variables out of the basis),
-    ``pivots_phase2``, ``dropped_rows`` (redundant rows removed after
-    phase 1) and ``backend``.
+    ``y`` is the dual of the program as stated: at the optimum ``c.x`` equals
+    ``b.y`` plus ``ub`` times the positive part of the reduced costs
+    ``c - A^T y`` (``c`` negated for a minimisation).  ``stats`` says what
+    the solver did, deterministically: ``rows`` and ``cols`` (the shape of
+    ``A`` as given), ``iterations``, ``gap`` (the checked duality gap) and
+    ``backend``.
     """
 
     value: float
     x: np.ndarray
+    y: np.ndarray
     stats: dict
 
 
-def _pivot(T: np.ndarray, row: int, col: int, work: np.ndarray) -> None:
-    """Eliminate column ``col`` from every row but ``row``.
-
-    The rows with a nonzero entry in that column get one rank-1 update,
-    ``T[rows] -= f[rows, None] * T[row]``, run in place on each contiguous
-    run of them, in chunks that fit the scratch buffer ``work``.  Each
-    entry gets one multiply and one subtract, as in a per-row loop, and
-    rows with a zero entry are not touched, so the results are bitwise
-    those of the loop, down to the sign of zero."""
-    T[row] /= T[row, col]
-    piv = T[row]
-    f = T[:, col].copy()
-    # hit[i + 1]: row i is updated; the False ends make the runs' edges pair up
-    hit = np.zeros(f.size + 2, dtype=bool)
-    np.not_equal(f, 0.0, out=hit[1:-1])
-    hit[row + 1] = False
-    edges = np.flatnonzero(hit[1:] != hit[:-1]).tolist()
-    step = work.size // T.shape[1]
-    buf = work[: step * T.shape[1]].reshape(step, T.shape[1])
-    for start, stop in zip(edges[::2], edges[1::2]):
-        for a in range(start, stop, step):
-            block = T[a : min(a + step, stop)]
-            prod = buf[: block.shape[0]]
-            np.multiply(f[a : a + block.shape[0], None], piv, out=prod)
-            np.subtract(block, prod, out=block)
+def _independent_rows(A: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``A`` that are not linear combinations of
+    earlier rows, by a row-order Cholesky factorisation of the Gram matrix
+    ``G = A A^T``: row i is kept when its residual ``d[i]`` (its squared
+    distance from the span of the rows kept so far) exceeds
+    ``1e-9 G[i, i]``; the new column of the factor then updates every
+    residual."""
+    G = A @ A.T
+    d = np.diag(G).copy()
+    Lt = np.zeros((min(A.shape), G.shape[0]))  # row k: the factor's k-th column
+    keep = []
+    for i in range(G.shape[0]):
+        if d[i] <= 1e-9 * G[i, i]:
+            continue
+        k = len(keep)
+        col = (G[i] - Lt[:k, i] @ Lt[:k]) / math.sqrt(d[i])
+        Lt[k] = col
+        d -= col * col
+        keep.append(i)
+    return np.array(keep, dtype=np.int64)
 
 
-def _enter(T: np.ndarray) -> int | None:
-    """Bland's rule: the smallest column with negative reduced cost."""
-    neg = np.flatnonzero(T[-1, :-1] < -_COST_TOL)
-    return int(neg[0]) if neg.size else None
+def _factors(M: np.ndarray) -> bool:
+    """Whether the Cholesky factorisation of ``M`` succeeds with every
+    squared pivot above ``1e-9`` of its diagonal entry (the test of
+    :func:`_independent_rows`)."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diag(L) ** 2 > 1e-9 * np.diag(M)))
 
 
-def _leave(T: np.ndarray, col: int, basis: list[int]) -> int | None:
-    """Min-ratio row; ties broken by smallest basic-variable index (Bland).
+def _mehrotra(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """min c.x  s.t.  A x = b, x >= 0, by Mehrotra's predictor-corrector
+    method on the homogeneous self-dual embedding (Xu, Hung and Ye 1996;
+    Andersen and Andersen 2000), with dense normal equations.
 
-    The rule runs in row order over the rows with a positive entry: a
-    ratio within ``_PIVOT_TOL`` of the best so far is a tie, so a chain of
-    near-ties can end elsewhere than ``argmin`` would."""
-    rows = np.flatnonzero(T[:-1, col] > _PIVOT_TOL)
-    ratios = T[rows, -1] / T[rows, col]
-    best_row = None
-    best_ratio = None
-    for i, ratio in zip(rows.tolist(), ratios.tolist()):
-        if (
-            best_ratio is None
-            or ratio < best_ratio - _PIVOT_TOL
-            or (abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[best_row])
-        ):
-            best_ratio = ratio
-            best_row = i
-    return best_row
+    Returns ``(status, x, y, iterations)``.  Status ``optimal``: the
+    relative residuals of ``A x = b`` and ``A^T y + z = c`` and the
+    relative gap ``c.x - b.y`` are within ``_IPM_TOL``.  Status
+    ``infeasible``: mu is below ``_IPM_TOL`` with tau below kappa (tau goes
+    to 0 when the primal or the dual program is infeasible, kappa when both
+    are feasible).  Status ``stalled``: after ``_IPM_CAP``
+    iterations, or once mu is below ``_IPM_TOL`` and a step made the
+    residuals worse (rounding in the normal equations has taken over), the
+    iterate with the smallest residuals so far.  Returns None, before any
+    step, when the first normal matrix ``A A^T`` does not factor: ``A`` has
+    dependent rows.
+    """
+    m, n = A.shape
+    x, z, y = np.ones(n), np.ones(n), np.zeros(m)
+    tau = kappa = 1.0
+    b_scale = 1.0 + np.abs(b).max(initial=0.0)
+    c_scale = 1.0 + np.abs(c).max(initial=0.0)
+    best = (math.inf,)
+    As = np.empty_like(A)  # A scaled by sqrt(x / z) column-wise, rewritten in place
+    for it in range(_IPM_CAP + 1):
+        r_p = tau * b - A @ x
+        r_d = tau * c - A.T @ y - z
+        cx, by = c @ x, b @ y
+        r_g = cx - by + kappa
+        mu = (x @ z + tau * kappa) / (n + 1)
+        err = max(np.abs(r_p).max(initial=0.0) / (b_scale * tau), np.abs(r_d).max(initial=0.0) / (c_scale * tau),
+                  abs(cx - by) / (tau + abs(cx)))
+        if err <= _IPM_TOL:
+            return "optimal", x / tau, y / tau, it
+        if mu <= _IPM_TOL and tau < kappa:
+            return "infeasible", x / tau, y / tau, it
+        if it == _IPM_CAP or (mu <= _IPM_TOL and err > best[0]):
+            _, x, y, tau, it = best
+            return "stalled", x / tau, y / tau, it
+        if err < best[0]:
+            best = (err, x, y, tau, it)
+        d = x / z
+        np.multiply(A, np.sqrt(d), out=As)
+        M = As @ As.T
+        if it == 0 and not _factors(M):
+            return None
+
+        def solve(rhs):
+            try:
+                return np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:  # singular near a degenerate optimum
+                return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+        def direction(eta, r_xz, r_tk, v=None):
+            """Newton step that removes the share ``eta`` of the residuals
+            and moves x z and tau kappa by ``r_xz`` and ``r_tk``; ``v``
+            solves its normal equations, ``q`` those of the tau column."""
+            r1 = eta * r_d - r_xz / x
+            if v is None:
+                v = solve(eta * r_p + A @ (d * r1))
+            u = d * (A.T @ v - r1)
+            dtau = (eta * r_g + r_tk / tau + c @ u - b @ v) / tau_denom
+            dx = u + p * dtau
+            return dx, v + q * dtau, (r_xz - z * dx) / x, dtau, (r_tk - kappa * dtau) / tau
+
+        def longest(dx, dz, dtau, dk):
+            """The largest step in (0, 1] that keeps x, z, tau and kappa >= 0."""
+            return 1.0 / max(1.0, (-dx / x).max(initial=0.0), (-dz / z).max(initial=0.0), -dtau / tau, -dk / kappa)
+
+        # predictor (affine scaling); the tau column's normal equations are solved with it
+        q, v = solve(np.column_stack([b + A @ (d * c), r_p + A @ (d * (r_d + z))])).T
+        p = d * (A.T @ q - c)
+        tau_denom = kappa / tau - c @ p + b @ q
+        dx, dy, dz, dtau, dk = direction(1.0, -x * z, -tau * kappa, v)
+        gone = 1.0 - longest(dx, dz, dtau, dk)
+        g = gone * gone * min(0.1, gone)  # the centring weight
+        # corrector: centre towards g mu and cancel the predictor's second-order term
+        dx, dy, dz, dtau, dk = direction(1.0 - g, g * mu - x * z - dx * dz, g * mu - tau * kappa - dtau * dk)
+        step = 0.99995 * longest(dx, dz, dtau, dk)
+        x, y, z = x + step * dx, y + step * dy, z + step * dz
+        tau, kappa = tau + step * dtau, kappa + step * dk
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], work: np.ndarray) -> tuple[str, int]:
-    """Pivot to optimality; returns the status and the number of pivots."""
-    # Bland's rule never revisits a basis in exact arithmetic; rounding in the
-    # tableau can break it, and a revisited basis then loops forever.
-    seen = {hash(tuple(sorted(basis)))}
-    while True:
-        j = _enter(T)
-        if j is None:
-            return "optimal", len(seen) - 1
-        r = _leave(T, j, basis)
-        if r is None:
-            return "unbounded", len(seen) - 1
-        _pivot(T, r, j, work)
-        basis[r] = j
-        key = hash(tuple(sorted(basis)))
-        if key in seen:
-            raise CapabilityError(f"simplex revisited a basis after {len(seen)} pivots: rounding broke Bland's rule")
-        seen.add(key)
+def check_lp_certificate(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> dict:
+    """How far ``x`` and ``y`` (one dual per row) are from an optimal
+    primal-dual pair of ``lp``, each measure 0 at one.
+
+    In the maximisation form (``c`` and ``y`` negated for a minimisation):
+    ``primal_residual`` is the largest violation of a row, of ``x >= 0`` or
+    of ``x <= ub``; ``dual_sign_error`` the largest dual of the wrong sign
+    (``<=`` rows need ``y >= 0``, ``>=`` rows ``y <= 0``);
+    ``reduced_cost_violation`` the largest positive reduced cost
+    ``(c - A^T y)_j`` of a variable with no upper bound; and ``gap`` the
+    dual bound ``b.y + sum_j ub_j max((c - A^T y)_j, 0)`` minus ``c.x``.
+    """
+    s = 1.0 if lp.maximize else -1.0
+    A = np.asarray(lp.A, dtype=float)
+    b = np.asarray(lp.b, dtype=float).reshape(-1)
+    c = s * np.asarray(lp.c, dtype=float).reshape(-1)
+    y = s * np.asarray(y, dtype=float)
+    ub = np.full(c.size, np.inf) if lp.upper_bounds is None else np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
+    le, ge = [np.array([t == sense for t in lp.senses], dtype=bool) for sense in ("<=", ">=")]
+    excess = A @ x - b
+    excess = np.where(le, excess, np.where(ge, -excess, np.abs(excess)))
+    primal = max(excess.max(initial=0.0), (-x).max(initial=0.0), (x - ub).max(initial=0.0))
+    sign = np.where(le, -y, np.where(ge, y, 0.0)).max(initial=0.0)
+    reduced = np.maximum(c - A.T @ y, 0.0)
+    bounded = np.isfinite(ub)
+    return {
+        "primal_residual": float(primal),
+        "dual_sign_error": float(sign),
+        "reduced_cost_violation": float(reduced[~bounded].max(initial=0.0)),
+        "gap": float(b @ y + ub[bounded] @ reduced[bounded] - c @ x),
+    }
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+    """Solve ``lp`` by the interior-point method of :func:`_mehrotra` and
+    check the answer with :func:`check_lp_certificate`.
 
-    Variables are non-negative; an upper bound of ``+inf`` bounds nothing.
-    The pivot kernels are numpy operations that pick the same pivots, and
-    compute the same floating-point values, as a per-entry loop: the
-    entering column is the first with reduced cost below ``-_COST_TOL``,
-    the leaving row follows the sequential min-ratio rule of
-    :func:`_leave`, and each pivot is a rank-1 update of the rows it
-    changes, run in chunks of at most 2^17 doubles (1 MB) of temporaries.
+    Variables are non-negative; an upper bound of ``+inf`` bounds nothing,
+    a finite one becomes a ``<=`` row.  Inequality rows gain a slack
+    variable.  Dependent rows are looked for only when the first normal
+    matrix does not factor; they are then left out, after checking that
+    their right-hand sides agree with the rows kept, and their duals are 0.
 
     Raises ``ValidationError`` for a non-finite ``c``, ``A`` or ``b`` or a
     NaN or ``-inf`` upper bound, before any work; ``LPInfeasibleError`` or
-    ``LPUnboundedError`` on the two failure modes.
+    ``LPUnboundedError`` on the two failure modes (an LP whose embedding
+    reports either is solved once more with ``c = 0``: it is infeasible if
+    that fails too); ``CapabilityError`` rather than return an answer whose
+    checked residuals or duality gap exceed ``_LP_GAP``.
     """
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float).reshape(-1)
-    c = np.array(lp.c, dtype=float).reshape(-1)
+    A = np.asarray(lp.A, dtype=float)
+    b = np.asarray(lp.b, dtype=float).reshape(-1)
+    c = np.asarray(lp.c, dtype=float).reshape(-1)
     senses = list(lp.senses)
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise DimensionMismatchError(f"LP shapes inconsistent: A {A.shape}, b {b.size}, c {c.size}")
@@ -199,110 +276,51 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     for name, arr in (("c", c), ("A", A), ("b", b)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"LP {name} has non-finite entries")
-    stats = {"rows": b.size, "cols": c.size, "pivots_phase1": 0, "pivots_phase2": 0, "dropped_rows": 0,
-             "backend": "dense_bland"}
+    m, n = b.size, c.size
+    bounded = np.zeros(0, dtype=np.int64)
     if lp.upper_bounds is not None:
         ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
-        if ub.size != c.size:
+        if ub.size != n:
             raise DimensionMismatchError("one upper bound per variable required")
         if np.any(np.isnan(ub) | (ub == -np.inf)):
             raise ValidationError("upper bounds must be numbers or +inf (no bound)")
-        finite = np.isfinite(ub)
-        A = np.vstack([A, np.eye(c.size)[finite]])
-        b = np.concatenate([b, ub[finite]])
-        senses += ["<="] * int(finite.sum())
+        bounded = np.flatnonzero(np.isfinite(ub))
+        b = np.concatenate([b, ub[bounded]])
+        senses += ["<="] * bounded.size
 
-    n = c.size
-    m = b.size
-    obj = -c if lp.maximize else c.copy()
-
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    slack_cols = []
-    art_rows = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            slack_cols.append((i, 1.0))
-        elif s == ">=":
-            slack_cols.append((i, -1.0))
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-
-    n_slack = len(slack_cols)
-    n_struct = n + n_slack
-    n_art = len(art_rows)
-    width = n_struct + n_art + 1
-
-    T = np.zeros((m + 1, width))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    for k, (i, sign) in enumerate(slack_cols):
-        T[i, n + k] = sign
-    basis = [-1] * m
-    for k, (i, sign) in enumerate(slack_cols):
-        if sign > 0:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        T[i, n_struct + k] = 1.0
-        basis[i] = n_struct + k
-    # scratch for the pivots' row updates, at least one row; T only shrinks.
-    # One buffer per solve: a fresh temporary of this size on every pivot
-    # costs page faults that, measured, took longer than the arithmetic.
-    work = np.empty(max(width, min(_CHUNK, T.size)))
-
-    # phase 1: minimise the artificial variables
-    if n_art:
-        T[-1, :] = 0.0
-        for k in range(n_art):
-            T[-1, n_struct + k] = 1.0
-        for i in range(m):
-            if basis[i] >= n_struct:
-                T[-1] -= T[i]
-        status, stats["pivots_phase1"] = _run_simplex(T, basis, work)
-        if status == "unbounded":  # cannot happen: phase-1 objective >= 0
-            raise LPInfeasibleError("phase 1 failed")
-        feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(b))) if b.size else 0.0))
-        if -T[-1, -1] > feas_tol:
-            raise LPInfeasibleError(f"infeasible (phase-1 objective {-T[-1, -1]:.3e})")
-        # drive remaining artificial basics out, dropping redundant rows
-        drop = []
-        for i in range(m):
-            if basis[i] >= n_struct:
-                cols = np.flatnonzero(np.abs(T[i, :n_struct]) > _PIVOT_TOL)
-                if cols.size == 0:
-                    drop.append(i)
-                else:
-                    _pivot(T, i, int(cols[0]), work)
-                    basis[i] = int(cols[0])
-                    stats["pivots_phase1"] += 1
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = T[keep + [m]]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-            stats["dropped_rows"] = len(drop)
-        T = np.delete(T, np.s_[n_struct : n_struct + n_art], axis=1)
-
-    # phase 2
-    T[-1, :] = 0.0
-    T[-1, :n] = obj
-    for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0.0:
-            T[-1] -= obj[basis[i]] * T[i]
-    status, stats["pivots_phase2"] = _run_simplex(T, basis, work)
-    if status == "unbounded":
+    # standard form, built in one array: the rows, one row x_j <= ub_j per
+    # finite bound, a slack column per inequality row; min (-c).x for max c.x
+    slack = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
+    ineq = np.flatnonzero(slack)
+    A_std = np.zeros((b.size, n + ineq.size))
+    A_std[:m, :n] = A
+    A_std[m + np.arange(bounded.size), bounded] = 1.0
+    A_std[ineq, n + np.arange(ineq.size)] = slack[ineq]
+    A = A_std
+    c_std = np.concatenate([-c if lp.maximize else c, np.zeros(ineq.size)])
+    rows = np.arange(b.size)
+    out = _mehrotra(A, b, c_std)
+    if out is None:
+        rows = _independent_rows(A)
+        drop = np.setdiff1d(np.arange(b.size), rows)
+        coef = np.linalg.lstsq(A[rows].T, A[drop].T, rcond=None)[0]
+        if np.abs(b[rows] @ coef - b[drop]).max(initial=0.0) > _LP_GAP * (1.0 + np.abs(b).max()):
+            raise LPInfeasibleError("infeasible: dependent equality rows disagree")
+        out = _mehrotra(A[rows], b[rows], c_std)
+    status, x, y_std, iterations = out
+    if status == "infeasible":
+        if _mehrotra(A[rows], b[rows], np.zeros_like(c_std))[0] != "optimal":
+            raise LPInfeasibleError("infeasible: the interior-point embedding found no feasible point")
         raise LPUnboundedError("objective unbounded over the feasible region")
-
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    return LPResult(value=float(np.dot(c, x)), x=x, stats=stats)
+    y = np.zeros(b.size)
+    y[rows] = -y_std if lp.maximize else y_std
+    x, y = x[:n], y[:m]
+    check = check_lp_certificate(lp, x, y)
+    if max(check["primal_residual"], check["dual_sign_error"], check["reduced_cost_violation"],
+           abs(check["gap"])) > _LP_GAP:
+        raise CapabilityError(f"interior-point answer ({status} after {iterations} iterations) fails its check: {check}")
+    stats = {"rows": m, "cols": n, "iterations": iterations, "gap": check["gap"], "backend": "mehrotra"}
+    return LPResult(value=float(c @ x), x=x, y=y, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +346,9 @@ def _ns_constraint_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _independent_ns_rows(out_sizes: tuple, in_sizes: tuple) -> np.ndarray:
-    """Indices of the rows of :func:`_all_ns_rows` that are not linear
-    combinations of earlier rows, by a row-order Cholesky factorisation of
-    the Gram matrix ``G = A A^T``: row i is kept when its residual
-    ``d[i]`` (its squared distance from the span of the rows kept so far)
-    exceeds ``1e-9 G[i, i]``; the new column of the factor then updates
-    every residual.  Only the (read-only) indices are cached."""
-    A, _ = _all_ns_rows(out_sizes, in_sizes)
-    G = A @ A.T
-    d = np.diag(G).copy()
-    Lt = np.zeros((min(A.shape), G.shape[0]))  # row k: the factor's k-th column
-    keep = []
-    for i in range(G.shape[0]):
-        if d[i] <= 1e-9 * G[i, i]:
-            continue
-        k = len(keep)
-        col = (G[i] - Lt[:k, i] @ Lt[:k]) / math.sqrt(d[i])
-        Lt[k] = col
-        d -= col * col
-        keep.append(i)
-    keep = np.array(keep, dtype=np.int64)
+    """:func:`_independent_rows` of :func:`_all_ns_rows`; only the
+    (read-only) indices are cached."""
+    keep = _independent_rows(_all_ns_rows(out_sizes, in_sizes)[0])
     keep.flags.writeable = False
     return keep
 
@@ -389,7 +390,8 @@ def _all_ns_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
-    """Exact maximum winning probability over no-signalling correlations.
+    """Maximum winning probability over no-signalling correlations, within
+    the checked 1e-9 duality gap of its LP.
 
     Players with a single input are handled by an exact decomposition: a
     no-signalling box with an inputless player is precisely a mixture over
@@ -397,7 +399,8 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     players), so the linear objective is maximised by conditioning on the
     best output.  A sub-game is solved only if its cap, the weight
     ``sum_x p(x)`` of the inputs at which some answer wins, exceeds the
-    best value so far: no correlation wins more than that.  Remaining
+    best value so far by more than that gap: no correlation wins more
+    than the cap.  Remaining
     games are solved by one LP of at most ``budget`` variables (an integer
     in [0, inf), checked first, before any sub-game is skipped or solved).
     """
@@ -421,7 +424,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
         for e in range(out_sizes[j]):
             V_e = np.take(V, e, axis=j)
             V_e = np.squeeze(V_e, axis=(l - 1) + j)
-            if float(np.sum(p_rest * V_e.any(axis=tuple(range(l - 1))))) <= best:
+            if float(np.sum(p_rest * V_e.any(axis=tuple(range(l - 1))))) <= best + _LP_GAP:
                 continue
             sub = GamePredicate(inputs=rest_inputs, outputs=rest_outputs, p=p_rest, V=V_e)
             best = max(best, ns_game_value(sub, budget))
@@ -451,16 +454,6 @@ class PartitionBoundResult:
     certificate: Correlation
 
 
-def _p_weighted(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``sum_x p[x] * rows[x]`` as a one-row matrix, accumulated in input
-    order: the simplex pivots on these exact coefficients, and a BLAS
-    product may sum in another order."""
-    total = np.zeros((1, rows.shape[1]))
-    for px, row in zip(p, rows):
-        total[0] += px * row
-    return total
-
-
 def _lp_rows(
     p: np.ndarray, mass: np.ndarray, win: np.ndarray, eps: float, variant: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -470,11 +463,11 @@ def _lp_rows(
     check_range("eps", eps, 0.0, 1.0)
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float).reshape(1, -1)
     if variant == "average":
-        mass = _p_weighted(p, mass)
+        mass = p @ mass
     if variant != "worst_case":
-        win = _p_weighted(p, win)
+        win = p @ win
     return mass, win
 
 
@@ -482,8 +475,9 @@ def _efficiency_lp(
     head: np.ndarray, head_rhs: np.ndarray, mass: np.ndarray, win: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     """The abort-augmented efficiency LP shared by :func:`eff_ns` and
-    :func:`eff_local`; returns eta (at least ``ETA_FLOOR``) and the column
-    weights.
+    :func:`eff_local`; returns eta, raised to ``ETA_FLOOR`` if below it and
+    cut to 1 (a probability) if the interior-point answer lies a rounding
+    error above, and the column weights.
 
     The columns carry non-negative weights; ``head w = head_rhs`` fixes
     which weights are allowed.  Row x of the per-input mass (win) rows
@@ -499,23 +493,21 @@ def _efficiency_lp(
       sum_x p(x) win_x >= (1 - eps) eta.
 
     Row layout over the columns followed by eta: the head rows (=), then
-    the mass rows (=), then the win rows (>=), then the floor
-    eta >= ``ETA_FLOOR``.
+    the mass rows (=), then the win rows (>=).  An input that no answer
+    wins forces eta = 0 under ``worst_case``; the floor then gives eff
+    ``1 / ETA_FLOOR``.
     """
-
-    def with_eta(rows, coef):
-        return np.hstack([rows, np.full((rows.shape[0], 1), coef)])
-
-    n = head.shape[1]
-    floor = np.zeros((1, n + 1))
-    floor[0, -1] = 1.0
-    A = np.vstack([with_eta(head, 0.0), with_eta(mass, -1.0), with_eta(win, -(1.0 - eps)), floor])
-    b = np.concatenate([head_rhs, np.zeros(mass.shape[0] + win.shape[0]), [ETA_FLOOR]])
-    senses = ["="] * (head.shape[0] + mass.shape[0]) + [">="] * (win.shape[0] + 1)
+    n, k = head.shape[1], head.shape[0] + mass.shape[0]
+    A = np.zeros((k + win.shape[0], n + 1))
+    np.concatenate([head, mass, win], out=A[:, :n])
+    A[head.shape[0] : k, n] = -1.0
+    A[k:, n] = -(1.0 - eps)
+    b = np.concatenate([head_rhs, np.zeros(A.shape[0] - head.shape[0])])
+    senses = ["="] * k + [">="] * win.shape[0]
     c = np.zeros(n + 1)
     c[-1] = 1.0
     res = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b, maximize=True))
-    return max(float(res.x[-1]), ETA_FLOOR), res.x[:n]
+    return min(max(float(res.x[-1]), ETA_FLOOR), 1.0), res.x[:n]
 
 
 def _distinct_columns(rows: np.ndarray) -> np.ndarray:
@@ -526,9 +518,9 @@ def _distinct_columns(rows: np.ndarray) -> np.ndarray:
     of uint64 words: rows holding only 0.0 and 1.0 are packed eight to a
     byte, any other row enters as its float64 bit patterns."""
     bits = rows.view(np.uint64)
-    one = np.float64(1.0).view(np.uint64)
-    binary = np.all((bits == 0) | (bits == one), axis=1)
-    packed = np.packbits(bits[binary] == one, axis=0)
+    is_one = bits == np.float64(1.0).view(np.uint64)
+    binary = np.all(is_one | (bits == 0), axis=1)
+    packed = np.packbits(is_one[binary], axis=0)
     words = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
     words[:, : packed.shape[0]] = packed.T
     keys = np.vstack([words.view(np.uint64).T, bits[~binary]])
@@ -575,9 +567,8 @@ def eff_local(
     variants, over the weights of the deterministic abort-augmented
     strategies (at most ``budget`` of them); its head row makes the
     weights sum to one.  Strategies with bitwise-equal LP columns share
-    one column, the first in index order: eta, eff and the certificate are
-    bitwise those of the LP over every strategy.  The certificate is the
-    mixture's correlation.  ``budget`` is an integer in [0, inf), checked
+    one column, the first in index order, which leaves the LP's optimum
+    unchanged.  The certificate is the mixture's correlation.  ``budget`` is an integer in [0, inf), checked
     first.
     """
     check_range("budget", budget, 0, math.inf, integer=True)
@@ -612,10 +603,6 @@ def eff_local(
     mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
     win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
     mass, win = _lp_rows(game.p, mass, win, eps, variant)
-    # Strategies whose LP columns are bitwise equal share one column: the
-    # first of a group is the one Bland's rule can pick, and the columns
-    # after it stay equal to it and never enter, so the simplex makes the
-    # same pivots, with the same arithmetic, as on the full list.
     cols = _distinct_columns(np.vstack([mass, win]))
     eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass[:, cols], win[:, cols], eps)
     w = np.zeros(n_d)

@@ -361,7 +361,8 @@ def _cmd_diqkd_rate(args):
 
 def _cmd_diqkd_sweep(args):
     axes = {
-        "n": [int(v) for v in _float_list(args.n)],
+        # whole numbers as int; sweep refuses the others
+        "n": [int(v) if v.is_integer() else v for v in _float_list(args.n)],
         "alpha": list(_float_list(args.alpha)),
         "gamma": list(_float_list(args.gamma)),
         "delta": list(_float_list(args.delta)),

@@ -66,13 +66,11 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_range("n", self.n, 1, math.inf)
+        check_range("n", self.n, 1, math.inf, integer=True)
         check_range("alpha", self.alpha, 0.0, 1.0, lo_open=True)
         check_range("gamma", self.gamma, 0.0, 1.0, lo_open=True)
         check_range("delta", self.delta, 0.0, 0.5, hi_open=True)
-        check_range("seed", self.seed, 0, math.inf)
-        if int(self.seed) != self.seed:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
+        check_range("seed", self.seed, 0, math.inf, integer=True)
 
     @property
     def s_size(self) -> int:
@@ -107,8 +105,8 @@ class LeakageBudget:
     used_bits: int = 0
 
     def __post_init__(self) -> None:
-        check_range("limit_bits", self.limit_bits, 0, math.inf)
-        check_range("used_bits", self.used_bits, 0, math.inf)
+        check_range("limit_bits", self.limit_bits, 0, math.inf, integer=True)
+        check_range("used_bits", self.used_bits, 0, math.inf, integer=True)
 
     def debit(self, bits: int) -> None:
         # a bare comparison, not check_range: this runs once per leakage message
@@ -278,8 +276,7 @@ class TestSetCheatingBoxes(BoxPair):
     bit), Bob's box learns enough to answer consistently in that round."""
 
     def __init__(self, guess_count: int):
-        check_range("guess_count", guess_count, 0, math.inf)
-        self.guess_count = int(guess_count)
+        self.guess_count = check_range("guess_count", guess_count, 0, math.inf, integer=True)
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
@@ -460,7 +457,7 @@ def run_protocol(
     leakage channel is open to the adversary and the boxes between input
     entry and output production, then locked.
     """
-    check_range("run_index", run_index, 0, math.inf)
+    check_range("run_index", run_index, 0, math.inf, integer=True)
     n = params.n
     rng_x = np.random.default_rng([params.seed, run_index, 0])
     rng_y = np.random.default_rng([params.seed, run_index, 1])
@@ -655,7 +652,8 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
 
     Returns one dict per cell with SWEEP_COLUMNS keys.
     """
-    check_range("runs_per_cell", runs_per_cell, 0, math.inf)
+    check_range("runs_per_cell", runs_per_cell, 0, math.inf, integer=True)
+    check_range("seed", seed, 0, math.inf, integer=True)
     rows = []
     for ci, cell in enumerate(cells):
         unknown = set(cell) - _CELL_KEYS
@@ -667,14 +665,14 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
         if missing:
             raise ValidationError(f"sweep cell missing {sorted(missing)}")
         for key, value in conf.items():
-            check_range(key, value, -math.inf, math.inf)
+            check_range(key, value, -math.inf, math.inf, integer=key == "n")
 
         abort_freq = math.nan
         qber = math.nan
         pre_est = 1.0
         if runs_per_cell > 0:
             params = ProtocolParams(
-                n=int(conf["n"]),
+                n=conf["n"],
                 alpha=float(conf["alpha"]),
                 gamma=float(conf["gamma"]),
                 delta=float(conf["delta"]),
@@ -697,7 +695,7 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
                 gamma=float(conf["gamma"]),
                 delta=float(conf["delta"]),
                 c=float(conf["c"]),
-                n=int(conf["n"]),
+                n=conf["n"],
                 nu=float(conf["nu"]),
                 beta=float(conf["beta"]),
                 PrE=pre_est,

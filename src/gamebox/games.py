@@ -333,7 +333,7 @@ def strategy_value(game: GamePredicate, strategy: ClassicalStrategy) -> float:
     return float(np.cumsum(np.where(_wins(game, strategy), game.p, 0.0))[-1])
 
 
-_GATHER_CHUNK = 2**18
+_GATHER_ENTRIES = 2**18
 
 
 def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ...]]:
@@ -344,7 +344,7 @@ def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ..
     negative entries included: ``p * V``, or the repetition probe's game
     whose inputs pair each input with the other player's message.  The
     player with the largest strategy space (the last on ties) best-responds
-    exactly; the others' maps run in row-major order, ``_GATHER_CHUNK``
+    exactly; the others' maps run in row-major order, ``_GATHER_ENTRIES``
     table entries at a time.  Callers check their own budget first:
     ``classical_value`` the strategy space, the probe its ``_split_work``.
     """
@@ -370,7 +370,7 @@ def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ..
         return m // out_o[t] ** (in_o[t] - 1 - x_j) % out_o[t]
 
     n_combos = math.prod(sizes)
-    chunk = max(1, _GATHER_CHUNK // (n_in_r * n_out_r))
+    chunk = max(1, _GATHER_ENTRIES // (n_in_r * n_out_r))
     best_val, best_id, best_r_map = -math.inf, 0, None
     for start in range(0, n_combos, chunk):
         ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)

@@ -24,7 +24,7 @@ from gamebox.errors import (
 )
 
 # ---------------------------------------------------------------------------
-# simplex solver, cross-checked against scipy
+# LP solver, cross-checked against scipy
 # ---------------------------------------------------------------------------
 
 
@@ -245,7 +245,9 @@ def _counting_solves(monkeypatch):
     return solved
 
 
-def test_ns_value_skips_capped_subgames_bitwise(monkeypatch):
+def test_ns_value_skips_capped_subgames(monkeypatch):
+    # a sub-game is skipped when its cap is within the LP check's 1e-9 of
+    # the best so far, so the value is within 1e-9 of the full maximum
     solved = _counting_solves(monkeypatch)
     later_wins = pruned = 0
     for seed in range(8):
@@ -255,7 +257,7 @@ def test_ns_value_skips_capped_subgames_bitwise(monkeypatch):
             reference = _ns_value_every_subgame(game)
             every = len(solved) - start
             value = bounds.ns_game_value(game)
-            assert np.float64(value).view(np.int64) == np.float64(reference).view(np.int64)
+            assert value == pytest.approx(reference, abs=1e-9)
             pruned += len(solved) - start - every < every
             sub_values = [_ns_value_every_subgame(sub) for sub in _subgames(game)]
             later_wins += max(sub_values[1:]) > sub_values[0]
@@ -265,14 +267,14 @@ def test_ns_value_skips_capped_subgames_bitwise(monkeypatch):
 
 def test_ns_value_mse_solves_one_lp(monkeypatch):
     # every sub-game caps at 1/9 (its guess (x, y) has weight 2/18), which
-    # the first one reaches
+    # the first one reaches within the LP's checked gap
     solved = _counting_solves(monkeypatch)
     value = bounds.ns_game_value(games.mse())
     assert len(solved) == 1
     solved.clear()
     reference = _ns_value_every_subgame(games.mse())
     assert len(solved) == 36
-    assert np.float64(value).view(np.int64) == np.float64(reference).view(np.int64)
+    assert value == pytest.approx(reference, abs=1e-9)
 
 
 def test_ns_value_budget_is_checked_before_the_decomposition():
@@ -487,8 +489,18 @@ def test_ns_rows_are_the_independent_rows_in_order(out_sizes, in_sizes):
 def test_ns_lps_carry_no_dependent_rows(monkeypatch):
     # the partition-lp benchmark grid, the eff_ns(chsh^2) solves and the
     # mse sub-LP that is solved; the 36 mse sub-LPs share one constraint
-    # matrix, and dropped_rows depends on that matrix alone
+    # matrix.  Every first normal matrix factors, so solve_lp never scans
+    # for dependent rows.
     solved = _counting_solves(monkeypatch)
+    real = bounds._mehrotra
+    unfactored = []
+
+    def recorded(A, b, c):
+        out = real(A, b, c)
+        unfactored.append(out is None)
+        return out
+
+    monkeypatch.setattr(bounds, "_mehrotra", recorded)
     for game in (games.chsh(), games.magic_square()):
         for eps in PARTITION_LP_EPS:
             for variant in bounds.VARIANTS:
@@ -500,7 +512,7 @@ def test_ns_lps_carry_no_dependent_rows(monkeypatch):
     bounds.ns_game_value(chsh2)
     bounds.ns_game_value(games.mse())
     assert len(solved) == 2 * 2 * len(PARTITION_LP_EPS) * len(bounds.VARIANTS) + 3 + 1 + 1
-    assert all(s["dropped_rows"] == 0 for s in solved)
+    assert len(unfactored) == len(solved) and not any(unfactored)
 
 
 def test_ns_row_selection_runs_once_per_shape():
@@ -670,29 +682,32 @@ LOCAL_DIFFERENTIAL_GAMES = {
 
 @pytest.mark.parametrize("name", list(LOCAL_DIFFERENTIAL_GAMES))
 def test_eff_local_distinct_columns_match_every_strategy(name, monkeypatch):
-    # eta, eff, the certificate and the pivot counts are bitwise those of
-    # the LP over every strategy, which has one column per strategy
+    # eta and eff are within 1e-9 of the LP over every strategy, which has
+    # one column per strategy, and the certificate meets its rows
     solved = _counting_solves(monkeypatch)
     game = LOCAL_DIFFERENTIAL_GAMES[name]()
     for eps in PARTITION_LP_EPS:
         for variant in bounds.VARIANTS:
             reference, rows = _eff_local_every_strategy(game, eps, variant)
             res = bounds.eff_local(game, eps, variant)
-            assert np.array([res.eta, res.eff]).tobytes() == np.array(reference[:2]).tobytes()
+            assert res.eta == pytest.approx(reference[0], abs=1e-9)
+            assert res.eff == pytest.approx(reference[1], rel=1e-9)
             assert res.certificate.q.shape == reference[2].shape
-            assert res.certificate.q.tobytes() == reference[2].tobytes()
+            _check_certificate(game, eps, variant, res)
             every, distinct = solved[-2:]
             assert every["cols"] == rows.shape[1] + 1
             assert distinct["cols"] == np.unique(rows, axis=1).shape[1] + 1
-            assert dict(distinct, cols=0) == dict(every, cols=0)
 
 
 def test_eff_local_magic_square_lp_columns(monkeypatch):
-    # 15 625 strategies; the LP keeps the distinct columns and eta
+    # 15 625 strategies; the LP keeps the distinct columns and eta.  The
+    # p-weighted rows of tilde and average are BLAS products, whose rounding
+    # can tell apart columns with equal sums (summed in input order, they
+    # gave 190 and 28)
     solved = _counting_solves(monkeypatch)
     for variant in bounds.VARIANTS:
         bounds.eff_local(games.magic_square(), 0.1, variant)
-    assert [s["cols"] for s in solved] == [924, 190, 28]
+    assert [s["cols"] for s in solved] == [924, 191, 36]
 
 
 @pytest.mark.parametrize("variant", ["worst_case", "tilde"])
@@ -704,195 +719,42 @@ def test_eff_ns_matches_highs_where_rounding_used_to_revisit_a_basis(variant):
     assert bounds.eff_ns(game, 0.0, variant).eta == pytest.approx(eta, abs=1e-9)
 
 
-@pytest.mark.slow
-def test_simplex_stops_when_rounding_revisits_a_basis():
-    # HiGHS solves this LP (eta = 0.4693887921...); the dense tableau drifts
-    # until Bland's rule cycles (after 64 372 pivots), and the solver must
-    # stop rather than loop forever
+def test_eff_ns_solves_the_lp_the_dense_simplex_cycled_on():
+    # the dense Bland tableau drifted on this LP until a basis recurred
+    # (after 64 372 pivots); HiGHS gives eta = 0.4693887921...
     game = _random_game(13, (2, 2, 2), (2, 2, 2))
     assert _reference_eta(_reference_lp(game, "no_signalling"), 0.0, "average") == pytest.approx(0.4693887921, abs=1e-9)
-    with pytest.raises(CapabilityError, match="revisited a basis"):
-        bounds.eff_ns(game, 0.0, "average")
+    assert bounds.eff_ns(game, 0.0, "average").eta == pytest.approx(0.4693887921, abs=1e-9)
+
+
+def test_ns_value_of_chsh_cubed(monkeypatch):
+    # 848 x 4096 after the dependent no-signalling rows are left out; a
+    # Popescu-Rohrlich box on each copy wins every cell
+    solved = _counting_solves(monkeypatch)
+    assert bounds.ns_game_value(games.repeat(games.chsh(), 3)) == pytest.approx(1.0, abs=1e-9)
+    assert [(s["rows"], s["cols"]) for s in solved] == [(848, 4096)]
+    assert abs(solved[0]["gap"]) <= 1e-9
+
+
+@pytest.mark.parametrize("relaxation", ["no_signalling", "local"])
+def test_efficiency_floor_when_an_input_cannot_be_won(relaxation):
+    # input (1, 1) has no winning answer: at eps 0, worst_case and tilde
+    # force eta = 0, reported at its floor; average aborts there only
+    V = games.chsh().V.copy()
+    V[..., 1, 1] = False
+    game = games.GamePredicate(inputs=((0, 1), (0, 1)), outputs=((0, 1), (0, 1)), p=np.full((2, 2), 0.25), V=V)
+    fn = bounds.eff_ns if relaxation == "no_signalling" else bounds.eff_local
+    for variant in ("worst_case", "tilde"):
+        res = fn(game, 0.0, variant)
+        assert res.eta == bounds.ETA_FLOOR and res.eff == 1.0 / bounds.ETA_FLOOR
+    eta = _reference_eta(_reference_lp(game, relaxation), 0.0, "average")
+    assert eta > 0.25
+    assert fn(game, 0.0, "average").eta == pytest.approx(eta, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# the vectorised pivot kernels against the scalar loops they replaced
+# the interior-point solver and its certificates
 # ---------------------------------------------------------------------------
-
-
-def _scalar_pivot(T, row, col):
-    T[row] /= T[row, col]
-    piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * piv
-
-
-def _scalar_enter(T):
-    costs = T[-1, :-1]
-    for j in range(costs.size):
-        if costs[j] < -bounds._COST_TOL:
-            return j
-    return None
-
-
-def _scalar_leave(T, col, basis):
-    best_row = None
-    best_ratio = None
-    for i in range(T.shape[0] - 1):
-        a = T[i, col]
-        if a > bounds._PIVOT_TOL:
-            ratio = T[i, -1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio - bounds._PIVOT_TOL
-                or (abs(ratio - best_ratio) <= bounds._PIVOT_TOL and basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
-
-
-def _scalar_run_simplex(T, basis):
-    seen = {hash(tuple(sorted(basis)))}
-    pivots = 0
-    while True:
-        j = _scalar_enter(T)
-        if j is None:
-            return "optimal", pivots
-        r = _scalar_leave(T, j, basis)
-        if r is None:
-            return "unbounded", pivots
-        _scalar_pivot(T, r, j)
-        pivots += 1
-        basis[r] = j
-        key = hash(tuple(sorted(basis)))
-        if key in seen:
-            raise CapabilityError(f"simplex revisited a basis after {len(seen)} pivots: rounding broke Bland's rule")
-        seen.add(key)
-
-
-def _scalar_solve_lp(lp):
-    """Reference: the two-phase Bland simplex with the per-entry, per-column
-    and per-row loops that ``solve_lp``'s kernels replaced, counting its
-    pivots as ``LPResult.stats`` does."""
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float).reshape(-1)
-    c = np.array(lp.c, dtype=float).reshape(-1)
-    senses = list(lp.senses)
-    stats = {"rows": b.size, "cols": c.size, "pivots_phase1": 0, "pivots_phase2": 0, "dropped_rows": 0,
-             "backend": "dense_bland"}
-    if lp.upper_bounds is not None:
-        ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
-        finite = np.isfinite(ub)
-        A = np.vstack([A, np.eye(c.size)[finite]])
-        b = np.concatenate([b, ub[finite]])
-        senses += ["<="] * int(finite.sum())
-    n, m = c.size, b.size
-    obj = -c if lp.maximize else c.copy()
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-    slack_cols = [(i, 1.0 if s == "<=" else -1.0) for i, s in enumerate(senses) if s != "="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    n_struct = n + len(slack_cols)
-    n_art = len(art_rows)
-    T = np.zeros((m + 1, n_struct + n_art + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    basis = [-1] * m
-    for k, (i, sign) in enumerate(slack_cols):
-        T[i, n + k] = sign
-        if sign > 0:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        T[i, n_struct + k] = 1.0
-        basis[i] = n_struct + k
-    if n_art:
-        T[-1, :] = 0.0
-        for k in range(n_art):
-            T[-1, n_struct + k] = 1.0
-        for i in range(m):
-            if basis[i] >= n_struct:
-                T[-1] -= T[i]
-        status, stats["pivots_phase1"] = _scalar_run_simplex(T, basis)
-        if status == "unbounded":
-            raise LPInfeasibleError("phase 1 failed")
-        feas_tol = 1e-8 * (1.0 + (float(np.max(np.abs(b))) if b.size else 0.0))
-        if -T[-1, -1] > feas_tol:
-            raise LPInfeasibleError(f"infeasible (phase-1 objective {-T[-1, -1]:.3e})")
-        drop = []
-        for i in range(m):
-            if basis[i] >= n_struct:
-                piv_col = None
-                for j in range(n_struct):
-                    if abs(T[i, j]) > bounds._PIVOT_TOL:
-                        piv_col = j
-                        break
-                if piv_col is None:
-                    drop.append(i)
-                else:
-                    _scalar_pivot(T, i, piv_col)
-                    basis[i] = piv_col
-                    stats["pivots_phase1"] += 1
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = T[keep + [m]]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-            stats["dropped_rows"] = len(drop)
-        T = np.delete(T, np.s_[n_struct : n_struct + n_art], axis=1)
-    T[-1, :] = 0.0
-    T[-1, :n] = obj
-    for i in range(m):
-        if basis[i] < n and obj[basis[i]] != 0.0:
-            T[-1] -= obj[basis[i]] * T[i]
-    status, stats["pivots_phase2"] = _scalar_run_simplex(T, basis)
-    if status == "unbounded":
-        raise LPUnboundedError("objective unbounded over the feasible region")
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    return bounds.LPResult(value=float(np.dot(c, x)), x=x, stats=stats)
-
-
-def _bits(res):
-    """A result in a form that compares bit for bit, the sign of zero included."""
-    return np.float64(res.value).view(np.int64), res.x.view(np.int64).tolist(), res.stats
-
-
-def _outcome(solve, lp):
-    try:
-        return _bits(solve(lp))
-    except GameboxError as err:
-        return type(err).__name__, str(err)
-
-
-@pytest.fixture
-def both_routes(monkeypatch):
-    """Solve every LP of the test with ``solve_lp`` and with the scalar
-    reference, asserting bitwise-equal results, equal stats (hence equal
-    pivot counts) or the same error after the same number of pivots; the
-    stats of the solves are collected in the returned list."""
-    solve = bounds.solve_lp
-    solved = []
-
-    def checked(lp):
-        ref = _outcome(_scalar_solve_lp, lp)
-        try:
-            res = solve(lp)
-        except GameboxError as err:
-            assert (type(err).__name__, str(err)) == ref
-            raise
-        assert _bits(res) == ref
-        solved.append(res.stats)
-        return res
-
-    monkeypatch.setattr(bounds, "solve_lp", checked)
-    return solved
 
 
 PARTITION_LP_EPS = (0.0, 0.05, 0.1, 0.2)
@@ -900,29 +762,34 @@ PARTITION_LP_EPS = (0.0, 0.05, 0.1, 0.2)
 
 @pytest.mark.parametrize("fn", [bounds.eff_ns, bounds.eff_local], ids=["ns", "local"])
 @pytest.mark.parametrize("game", [games.chsh, games.magic_square], ids=["chsh", "magic_square"])
-def test_vectorised_simplex_matches_scalar_on_partition_grid(game, fn, both_routes):
+def test_partition_grid_matches_highs_with_checked_gaps(game, fn, monkeypatch):
+    solved = _counting_solves(monkeypatch)
     game = game()
+    lp = _reference_lp(game, "no_signalling" if fn is bounds.eff_ns else "local")
     for eps in PARTITION_LP_EPS:
         for variant in bounds.VARIANTS:
-            fn(game, eps, variant)
-    assert len(both_routes) == len(PARTITION_LP_EPS) * len(bounds.VARIANTS)
-    assert all(s["pivots_phase1"] + s["pivots_phase2"] > 0 for s in both_routes)
+            assert fn(game, eps, variant).eta == pytest.approx(_reference_eta(lp, eps, variant), abs=1e-9)
+    assert len(solved) == len(PARTITION_LP_EPS) * len(bounds.VARIANTS)
+    assert all(abs(s["gap"]) <= 1e-9 and s["backend"] == "mehrotra" for s in solved)
 
 
-def test_vectorised_simplex_matches_scalar_on_repeated_and_inputless_games(both_routes):
+def test_repeated_and_inputless_games_match_their_values(monkeypatch):
+    solved = _counting_solves(monkeypatch)
     chsh2 = games.repeat(games.chsh(), 2)
+    lp = _reference_lp(chsh2, "no_signalling")
     for variant in bounds.VARIANTS:
-        bounds.eff_ns(chsh2, 0.1, variant)
-    bounds.ns_game_value(chsh2)
-    bounds.ns_game_value(games.mse())  # the first sub-game's cap bounds the other 35
-    assert len(both_routes) == 3 + 1 + 1
+        assert bounds.eff_ns(chsh2, 0.1, variant).eta == pytest.approx(_reference_eta(lp, 0.1, variant), abs=1e-9)
+    assert bounds.ns_game_value(chsh2) == pytest.approx(1.0, abs=1e-9)
+    assert bounds.ns_game_value(games.mse()) == pytest.approx(1 / 9, abs=1e-9)
+    assert len(solved) == 3 + 1 + 1
     # eff_ns(chsh^2, 0.1, "worst_case"): 112 independent head rows of 136
-    # (see _ns_constraint_rows), 16 mass rows, 16 win rows and the eta floor
-    assert max(s["rows"] for s in both_routes) == 145
+    # (see _ns_constraint_rows), 16 mass rows and 16 win rows
+    assert max(s["rows"] for s in solved) == 144
+    assert all(abs(s["gap"]) <= 1e-9 for s in solved)
 
 
 def _random_program(seed):
-    """Small integer programs, so that ratio ties and degenerate pivots are
+    """Small integer programs, so that ties and degenerate vertices are
     common; odd seeds are feasible by construction."""
     r = np.random.default_rng([59, seed])
     n, m = int(r.integers(2, 7)), int(r.integers(2, 7))
@@ -937,67 +804,77 @@ def _random_program(seed):
     return bounds.LinearProgram(c=c, A=A, senses=senses, b=b, maximize=bool(seed % 4), upper_bounds=ub)
 
 
-def test_vectorised_simplex_matches_scalar_on_random_programs(both_routes):
-    # 15 solve, 12 are infeasible and 3 unbounded
+def test_solve_lp_matches_highs_on_integer_programs():
+    # 15 solve, 12 are infeasible and 3 unbounded; some have dependent rows
     outcomes = []
     for seed in range(30):
+        lp = _random_program(seed)
+        ref = _scipy_solve(lp)
+        want = {0: "solved", 2: "LPInfeasibleError", 3: "LPUnboundedError"}[ref.status]
         try:
-            bounds.solve_lp(_random_program(seed))
-            outcomes.append("solved")
+            res = bounds.solve_lp(lp)
         except GameboxError as err:
-            outcomes.append(type(err).__name__)
-    assert {"solved", "LPInfeasibleError", "LPUnboundedError"} <= set(outcomes)
+            assert type(err).__name__ == want, seed
+            outcomes.append(want)
+            continue
+        assert want == "solved", seed
+        assert res.value == pytest.approx(-ref.fun if lp.maximize else ref.fun, abs=1e-9), seed
+        check = bounds.check_lp_certificate(lp, res.x, res.y)
+        assert max(check["primal_residual"], check["dual_sign_error"], check["reduced_cost_violation"]) <= 1e-9
+        assert check["gap"] == res.stats["gap"] and abs(check["gap"]) <= 1e-9
+        outcomes.append(want)
+    assert outcomes.count("solved") == 15
+    assert outcomes.count("LPInfeasibleError") == 12 and outcomes.count("LPUnboundedError") == 3
 
 
-def test_vectorised_simplex_cycles_like_scalar(monkeypatch, both_routes):
-    # A leaving rule that ignores the ratio test makes both routes revisit a
-    # basis within a few pivots; the real LP that cycles takes 64 372 pivots,
-    # ~25 s on the scalar route.
-    def first_nonzero(T, col, basis):
-        rows = np.flatnonzero(np.abs(T[:-1, col]) > bounds._PIVOT_TOL)
-        return int(rows[0]) if rows.size else None
-
-    def scalar_first_nonzero(T, col, basis):
-        for i in range(T.shape[0] - 1):
-            if abs(T[i, col]) > bounds._PIVOT_TOL:
-                return i
-        return None
-
-    monkeypatch.setattr(bounds, "_leave", first_nonzero)
-    monkeypatch.setitem(globals(), "_scalar_leave", scalar_first_nonzero)
-    revisits = 0
-    for seed in range(30):
-        try:
-            bounds.solve_lp(_random_program(seed))
-        except CapabilityError as err:
-            assert "revisited a basis" in str(err)
-            revisits += 1
-        except GameboxError:
-            pass
-    assert revisits > 0
+def test_lp_certificate_measures_each_fault():
+    # max x1 + x2  s.t.  x1 + x2 <= 2, x1 - x2 >= 0, x2 <= 1: optimum 2, with
+    # y = (1, 0) and no positive reduced cost
+    lp = bounds.LinearProgram(c=np.array([1.0, 1.0]), A=np.array([[1.0, 1.0], [1.0, -1.0]]), senses=("<=", ">="),
+                              b=np.array([2.0, 0.0]), upper_bounds=np.array([np.inf, 1.0]))
+    good = bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    assert good == {"primal_residual": 0.0, "dual_sign_error": 0.0, "reduced_cost_violation": 0.0, "gap": 0.0}
+    res = bounds.solve_lp(lp)
+    assert res.value == pytest.approx(2.0, abs=1e-9) and abs(res.stats["gap"]) <= 1e-9
+    # a <= row exceeded, a >= row with a positive dual, a variable with no
+    # upper bound left a positive reduced cost, a loose dual bound
+    assert bounds.check_lp_certificate(lp, np.array([2.0, 0.5]), np.array([1.0, 0.0]))["primal_residual"] == 0.5
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.0, 0.25]))["dual_sign_error"] == 0.25
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([0.5, 0.0]))["reduced_cost_violation"] == 0.5
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.5, 0.0]))["gap"] == 1.0
+    # the same pair for the minimisation of -c: the duals change sign
+    flipped = dataclasses.replace(lp, c=-lp.c, maximize=False)
+    assert bounds.check_lp_certificate(flipped, np.array([1.0, 1.0]), np.array([-1.0, 0.0])) == good
 
 
-def test_pivot_updates_wide_tableau_in_several_chunks(monkeypatch, both_routes):
-    # 16 384 columns and 12 dense rows: one chunk holds 7 rows of the
-    # tableau, and a pivot updates all 13 (the objective row too)
-    pivot = bounds._pivot
-    chunks = []
+def test_solve_lp_refuses_an_answer_that_fails_its_check(monkeypatch):
+    lp = bounds.LinearProgram(c=np.array([1.0, 1.0]), A=np.array([[1.0, 2.0], [3.0, 1.0]]), senses=("<=", "<="),
+                              b=np.array([4.0, 6.0]))
+    real = bounds._mehrotra
 
-    def measured(T, row, col, work):
-        hit = T[:, col] != 0.0
-        hit[row] = False
-        longest = max((len(list(g)) for h, g in itertools.groupby(hit) if h), default=0)
-        chunks.append(math.ceil(longest / (work.size // T.shape[1])))
-        pivot(T, row, col, work)
+    def off_by_1e_8(A, b, c):
+        status, x, y, iterations = real(A, b, c)
+        return status, x * (1 + 1e-8), y, iterations
 
-    monkeypatch.setattr(bounds, "_pivot", measured)
-    r = np.random.default_rng(61)
-    A = r.integers(1, 5, size=(12, 1 << 14)).astype(float)
-    b = A @ r.integers(0, 2, size=A.shape[1])
-    c = r.integers(-3, 4, size=A.shape[1]).astype(float)
-    bounds.solve_lp(bounds.LinearProgram(c=c, A=A, senses=["="] * 6 + ["<="] * 6, b=b, maximize=True))
-    assert max(chunks) > 1
-    assert both_routes[0]["cols"] == 1 << 14
+    monkeypatch.setattr(bounds, "_mehrotra", off_by_1e_8)
+    with pytest.raises(CapabilityError, match="fails its check"):
+        bounds.solve_lp(lp)
+
+
+def test_dependent_rows_are_scanned_only_when_the_normal_matrix_fails():
+    # row 2 is twice row 1: the first normal matrix does not factor, the
+    # row is left out and gets dual 0; with an inconsistent right-hand side
+    # the program is infeasible
+    lp = bounds.LinearProgram(
+        c=np.array([1.0, 1.0]),
+        A=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]),
+        senses=("=", "=", "<="),
+        b=np.array([1.0, 2.0, 0.5]),
+    )
+    res = bounds.solve_lp(lp)
+    assert res.value == pytest.approx(1.0, abs=1e-9) and res.y[1] == 0.0
+    with pytest.raises(LPInfeasibleError, match="dependent equality rows disagree"):
+        bounds.solve_lp(dataclasses.replace(lp, b=np.array([1.0, 2.5, 0.5])))
 
 
 def test_lp_stats_are_deterministic():
@@ -1009,8 +886,9 @@ def test_lp_stats_are_deterministic():
     )
     first, second = bounds.solve_lp(lp), bounds.solve_lp(lp)
     assert first.stats == second.stats
-    assert first.stats == {"rows": 3, "cols": 2, "pivots_phase1": 2, "pivots_phase2": 0, "dropped_rows": 1,
-                           "backend": "dense_bland"}
+    assert sorted(first.stats) == ["backend", "cols", "gap", "iterations", "rows"]
+    assert (first.stats["rows"], first.stats["cols"], first.stats["backend"]) == (3, 2, "mehrotra")
+    assert 0 < first.stats["iterations"] <= 20
 
 
 def test_lp_solve_leaves_scipy_unimported():

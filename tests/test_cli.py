@@ -115,6 +115,14 @@ def test_non_finite_sweep_value_exits_one(capsys, flag):
     assert "finite" in err
 
 
+def test_fractional_sweep_n_exits_one(capsys):
+    # it was truncated to 5000
+    code, out, err = run(capsys, "diqkd", "sweep", "--n", "5000.5", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.01")
+    assert code == 1
+    assert out == ""
+    assert "n must be an integer" in err
+
+
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
 _SEESAW = ("game", "value", "--builtin", "chsh", "--method", "seesaw")
 _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
@@ -665,7 +673,8 @@ def test_readme_probe_output_is_pinned(capsys):
 PINNED_GAME_VALUE_OUTPUTS = [
     (
         "game value --builtin mse --method ns",
-        '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "ns",\n  "value": 0.1111111111111111\n}\n',
+        # the interior-point optimum of the one sub-LP solved, 1/9 within its checked gap
+        '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "ns",\n  "value": 0.11111111111111098\n}\n',
     ),
     (
         "game value --builtin mse --method classical",

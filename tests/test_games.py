@@ -258,7 +258,7 @@ def test_classical_value_equals_reference_search(name, monkeypatch):
     res = games.classical_value(game)
     assert (res.value, res.certificate.maps) == want
     # ties between chunks also keep the first optimum
-    monkeypatch.setattr(games, "_GATHER_CHUNK", 5)
+    monkeypatch.setattr(games, "_GATHER_ENTRIES", 5)
     assert games.classical_value(game) == res
 
 
@@ -282,7 +282,7 @@ def test_classical_value_matches_brute_force_on_random_three_player_games(seed, 
     assert games.strategy_value(game, res.certificate) == pytest.approx(res.value, abs=1e-12)
     assert (res.value, res.certificate.maps) == _reference_search(game)
     # scoring the maps a few at a time keeps the same first optimum
-    monkeypatch.setattr(games, "_GATHER_CHUNK", 5)
+    monkeypatch.setattr(games, "_GATHER_ENTRIES", 5)
     assert games.classical_value(game) == res
 
 

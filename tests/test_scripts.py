@@ -1,8 +1,15 @@
-"""The experiment scripts, run in-process with their default arguments."""
+"""The experiment scripts: the partition table in-process with its default
+arguments, the others as processes on small grids."""
 
+import csv
+import io
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+from gamebox import diqkd
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -43,3 +50,41 @@ def test_partition_bound_table_output_is_pinned(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["partition_bound_table.py"])
     runpy.run_path(str(SCRIPTS / "partition_bound_table.py"), run_name="__main__")
     assert capsys.readouterr().out == PINNED_PARTITION_TABLE
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=env)
+
+
+def test_repetition_probe_prints_one_row_per_case():
+    proc = _run_script("repetition_probe.py", "--games", "chsh", "--copies", "1,2", "--comm-bits", "0,1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["game", "n", "comm", "value", "classical^n", "kind"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [("chsh", "1", "0"), ("chsh", "1", "1"), ("chsh", "2", "0"),
+                                                  ("chsh", "2", "1")]
+    assert [float(r[3]) for r in rows] == [0.75, 1.0, 0.625, 0.75]
+
+
+def test_keyrate_sweep_prints_one_row_per_cell():
+    proc = _run_script("keyrate_sweep.py", "--n", "1000,2000", "--alpha", "0.5", "--gamma", "0.1,0.2",
+                       "--delta", "0.02", "--runs", "2", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert proc.stdout.splitlines()[0] == ",".join(diqkd.SWEEP_COLUMNS)
+    assert len(rows) == 4
+    assert [(r["n"], r["gamma"], r["seed"]) for r in rows] == [("1000", "0.1", "3"), ("1000", "0.2", "3"),
+                                                               ("2000", "0.1", "3"), ("2000", "0.2", "3")]
+    assert "positive" in proc.stderr
+
+
+def test_keyrate_sweep_refuses_a_fractional_round_count():
+    # it was truncated to 1000
+    proc = _run_script("keyrate_sweep.py", "--n", "1000.5", "--alpha", "0.5", "--gamma", "0.1", "--delta", "0.02")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "n must be an integer" in proc.stderr

@@ -142,13 +142,25 @@ def test_non_finite_number_is_refused(call, value):
         lambda: bounds.ns_game_value(games.chsh(), budget=-1),
         lambda: bounds.eff_local(games.chsh(), 0.1, budget=-1),
         lambda: games.repeat(games.chsh(), 2, budget=-1),
+        lambda: diqkd.ProtocolParams(**_with(_PROTOCOL, n=100.5)),
+        lambda: diqkd.ProtocolParams(**_with(_PROTOCOL, seed=1.5)),
+        lambda: diqkd.run_protocol(diqkd.ProtocolParams(**_PROTOCOL), diqkd.baseline_cheating_boxes(), run_index=1.5),
+        lambda: diqkd.sweep([_SWEEP_CELL], 2.5, 0),
+        lambda: diqkd.sweep([_with(_SWEEP_CELL, n=100.7)], 0, 0),
+        lambda: diqkd.sweep([_SWEEP_CELL], 0, -1),
+        lambda: diqkd.sweep([_SWEEP_CELL], 0, 1.5),
+        lambda: diqkd.test_set_cheating_boxes(2.5),
+        lambda: diqkd.LeakageBudget(10.5),
+        lambda: diqkd.LeakageBudget(10, 0.5),
     ],
     ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
          "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
          "subset-n-float", "subset-trials-float", "probe-n-float", "probe-comm_bits-float", "probe-seed-float",
          "repeat-n-float", "serfling-trials-float", "probe-budget-neg",
          "classical-budget-neg", "classical-budget-float", "ns-budget-neg", "eff_local-budget-neg",
-         "repeat-budget-neg"],
+         "repeat-budget-neg", "protocol-n-float", "protocol-seed-float", "run_index-float", "sweep-runs-float",
+         "sweep-cell-n-float", "sweep-seed-neg", "sweep-seed-float", "test_set-guess-float",
+         "budget-limit-float", "budget-used-float"],
 )
 def test_out_of_range_count_or_seed_is_refused(call):
     # each of these crashed inside numpy, returned a wrong result or ran
