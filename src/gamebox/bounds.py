@@ -9,9 +9,9 @@ Contents:
   1e-9) or is refused.  Each result carries deterministic ``stats``
   (size, iterations, checked gap, backend);
 * ``ns_game_value`` -- maximum winning probability over the
-  no-signalling polytope, within the LP check's 1e-9 (an inputless player's outputs split it into
-  sub-games; a sub-game whose cap cannot beat the best so far by more
-  than that is not solved);
+  no-signalling polytope, within the LP check's 1e-9 and cut to [0, 1]
+  (an inputless player's outputs split it into sub-games; a sub-game
+  whose cap cannot beat the best so far by more than that is not solved);
 * ``eff_ns`` / ``eff_local`` -- "efficiency" partition bounds: the players
   may abort (a per-player extra output), and we maximise the probability
   eta of not aborting subject to winning with conditional probability at
@@ -20,7 +20,9 @@ Contents:
   and ``average`` counting variants), over different columns: the entries
   of a no-signalling correlation give a lower bound on the quantum
   quantity, the weights of a mixture of deterministic strategies an upper
-  bound (one column per group of strategies with equal columns).  Its
+  bound (one column per group of strategies with equal columns, found
+  from one exact base-3 integer key per strategy, so that no float table
+  over all strategies is built and ``repeat(chsh, 2)`` runs).  Its
   rows are the head rows that fix the column set (no-signalling, or
   weights summing to one), then the mass rows, then the win rows; eta
   is reported within [``ETA_FLOOR``, 1];
@@ -60,6 +62,7 @@ _IPM_TOL = 1e-11  # relative residuals and gap at which the interior-point itera
 _IPM_CAP = 200  # interior-point iterations
 _GAMMA2_GAP = 1e-7  # relative duality gap at which a gamma2_star solve stops
 _GAMMA2_CAP = 10_000  # iterations of a gamma2_star solve
+_KEY_DIGITS = 39  # base-3 digits in one int64 word of an eff_local strategy key
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,9 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     best value so far by more than that gap: no correlation wins more
     than the cap.  Remaining
     games are solved by one LP of at most ``budget`` variables (an integer
-    in [0, inf), checked first, before any sub-game is skipped or solved).
+    in [0, inf), checked first, before any sub-game is skipped or solved),
+    whose value is cut to [0, 1], a probability, when the interior-point
+    answer lies a rounding error outside.
     """
     check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
@@ -438,7 +443,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     # each winning entry scores p(x); entries at p(x) == 0 keep a +0.0 coefficient
     c = np.where(game.V & (game.p != 0.0), game.p, 0.0).reshape(-1)
     res = solve_lp(LinearProgram(c=c, A=A, senses=["="] * b.size, b=b, maximize=True))
-    return float(res.value)
+    return min(max(float(res.value), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +515,16 @@ def _efficiency_lp(
     return min(max(float(res.x[-1]), ETA_FLOOR), 1.0), res.x[:n]
 
 
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first column of each group of equal columns
+    of the integer array ``keys`` (one key word per row)."""
+    order = np.lexsort(keys)  # stable: equal keys stay in ascending index order
+    ranked = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    return np.sort(order[first])
+
+
 def _distinct_columns(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first column of each group of bitwise-equal
     columns of ``rows``.
@@ -523,12 +538,7 @@ def _distinct_columns(rows: np.ndarray) -> np.ndarray:
     packed = np.packbits(is_one[binary], axis=0)
     words = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
     words[:, : packed.shape[0]] = packed.T
-    keys = np.vstack([words.view(np.uint64).T, bits[~binary]])
-    order = np.lexsort(keys)  # stable: equal keys stay in ascending index order
-    ranked = keys[:, order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    return np.sort(order[first])
+    return _first_of_each(np.vstack([words.view(np.uint64).T, bits[~binary]]))
 
 
 def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
@@ -568,54 +578,82 @@ def eff_local(
     strategies (at most ``budget`` of them); its head row makes the
     weights sum to one.  Strategies with bitwise-equal LP columns share
     one column, the first in index order, which leaves the LP's optimum
-    unchanged.  The certificate is the mixture's correlation.  ``budget`` is an integer in [0, inf), checked
-    first.
+    unchanged; :func:`_local_columns` finds them from one exact integer
+    key per strategy, so no float table over all strategies is built
+    (``repeat(chsh, 2)``, 390 625 strategies, takes well under a second).
+    The certificate is the mixture's correlation.  ``budget`` is an
+    integer in [0, inf), checked first.
     """
     check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
-    out_sizes = game.output_sizes
     in_sizes = game.input_sizes
-    aug_sizes = tuple(s + 1 for s in out_sizes)
-    map_counts = tuple(aug_sizes[j] ** in_sizes[j] for j in range(l))
-    n_d = math.prod(map_counts)
+    aug_sizes = tuple(s + 1 for s in game.output_sizes)
+    n_d = math.prod(aug_sizes[j] ** in_sizes[j] for j in range(l))
     if n_d > budget:
         raise BudgetExceededError(f"{n_d} deterministic abort-augmented strategies exceed budget {budget}")
+    maps, cols, mass, win = _local_columns(game, eps, variant)
+    eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass, win, eps)
 
+    # the mixture's correlation; each entry sums its strategies d in ascending order
+    q = np.zeros(aug_sizes + in_sizes)
+    used = w_cols > 1e-12
+    d_idx = np.unravel_index(cols[used], tuple(m.shape[0] for m in maps))
+    xs = np.indices(in_sizes).reshape(l, -1)
+    np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w_cols[used][:, None])
+    cert = Correlation(q=q, players=l)
+    return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="local", certificate=cert)
+
+
+def _local_columns(
+    game: GamePredicate, eps: float, variant: str
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of :func:`eff_local`'s LP: ``(maps, cols, mass, win)``.
+
+    ``maps[j][d_j, x_j]`` is player j's output (``out_sizes[j]`` meaning
+    abort) at input x_j under its d_j-th map; strategy d is the tuple
+    (d_1, ..., d_l), numbered row-major.  ``cols`` are the ascending
+    indices of the first strategy of each group whose LP columns are
+    bitwise equal; ``mass`` and ``win`` are those columns' rows, as
+    :func:`_lp_rows` gives them for ``variant``.
+
+    Each strategy gets one exact integer key, base-3 digit per joint input
+    x (row-major): 0 when a player aborts, 1 when nobody aborts and the
+    answer loses, 2 when it wins.  One int64 word holds ``_KEY_DIGITS``
+    digits (3^39 < 2^63), so a game with more inputs has several words.
+    The key is summed input by input from the table
+    ``digit(a, x) 3^(x mod _KEY_DIGITS)``, gathered along each player's map
+    column.  Equal keys mean equal per-input rows, so only the first
+    strategy of each key is decoded into rows; groups whose ``p``-weighted
+    rows tie are then merged by :func:`_distinct_columns`.  Each group's
+    first index is its smallest, so the columns and rows are bitwise those
+    of :func:`_distinct_columns` on the rows of every strategy.
+    """
+    l = game.players
+    in_sizes = game.input_sizes
+    aug_sizes = tuple(s + 1 for s in game.output_sizes)
     maps = [
         np.array(list(itertools.product(range(aug_sizes[j]), repeat=in_sizes[j])), dtype=np.int64)
         for j in range(l)
     ]
-
-    def on_axes(a, j):
-        """``a[d_j, x_j]`` laid on axes j and l + j of (d_1, ..., d_l, x_1, ..., x_l)."""
-        shape = [1] * (2 * l)
-        shape[j], shape[l + j] = a.shape
-        return a.reshape(shape)
-
-    # player j's output under its d_j-th map at input x_j, and x_j itself
-    outs = [on_axes(maps[j], j) for j in range(l)]
-    inputs = [on_axes(np.arange(in_sizes[j])[None, :], j) for j in range(l)]
-    non_abort = tuple(slice(s) for s in out_sizes)
-    kept = np.zeros(aug_sizes, dtype=bool)
-    kept[non_abort] = True
-    won = np.zeros(aug_sizes + in_sizes, dtype=bool)
-    won[non_abort] = game.V
-    mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
-    win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
-    mass, win = _lp_rows(game.p, mass, win, eps, variant)
-    cols = _distinct_columns(np.vstack([mass, win]))
-    eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass[:, cols], win[:, cols], eps)
-    w = np.zeros(n_d)
-    w[cols] = w_cols
-
-    # the mixture's correlation; each entry sums its strategies d in ascending order
-    q = np.zeros(aug_sizes + in_sizes)
-    ds = np.flatnonzero(w > 1e-12)
-    d_idx = np.unravel_index(ds, map_counts)
-    xs = np.indices(in_sizes).reshape(l, -1)
-    np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w[ds][:, None])
-    cert = Correlation(q=q, players=l)
-    return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="local", certificate=cert)
+    flat = np.arange(math.prod(in_sizes))
+    digit = np.zeros(aug_sizes + in_sizes, dtype=np.int64)
+    digit[tuple(slice(s) for s in game.output_sizes)] = 1 + game.V
+    code = digit * (3 ** (flat % _KEY_DIGITS)).reshape(in_sizes)
+    keys = np.zeros((-(-flat.size // _KEY_DIGITS),) + tuple(m.shape[0] for m in maps), dtype=np.int64)
+    for i, x in enumerate(np.ndindex(*in_sizes)):
+        part = code[(Ellipsis,) + x]
+        for j in range(l):
+            part = np.take(part, maps[j][:, x[j]], axis=j)
+        keys[i // _KEY_DIGITS] += part
+    keys = keys.reshape(keys.shape[0], -1)
+    first = _first_of_each(keys)
+    # one contiguous run of digits per strategy, the layout of the table of
+    # every strategy: p @ rows then runs the same BLAS kernel and rounds alike
+    words = keys[:, first].T[:, flat // _KEY_DIGITS]
+    digits = np.ascontiguousarray(words // 3 ** (flat % _KEY_DIGITS) % 3).T
+    mass, win = _lp_rows(game.p, (digits > 0).astype(float), (digits == 2).astype(float), eps, variant)
+    keep = _distinct_columns(np.vstack([mass, win]))
+    return maps, first[keep], mass[:, keep], win[:, keep]
 
 
 # ---------------------------------------------------------------------------

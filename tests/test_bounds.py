@@ -129,7 +129,8 @@ def test_ns_value_chsh_is_one_with_explicit_box():
         if game.win((a, b), (x, y))
     )
     assert witness == pytest.approx(1.0, abs=1e-12)
-    assert bounds.ns_game_value(game) == pytest.approx(1.0, abs=1e-9)
+    # the interior-point optimum lies 7.4e-13 above 1; the value is cut to a probability
+    assert bounds.ns_game_value(game) == 1.0
 
 
 def test_ns_value_magic_square_is_one_with_explicit_box():
@@ -144,7 +145,8 @@ def test_ns_value_magic_square_is_one_with_explicit_box():
             q[a, b, x, y] = 1 / 8
     box = games.Correlation(q=q, players=2)
     box.validate()  # marginals input-independent: genuinely no-signalling
-    assert bounds.ns_game_value(game) == pytest.approx(1.0, abs=1e-9)
+    # the interior-point optimum lies 4.4e-13 above 1; the value is cut to a probability
+    assert bounds.ns_game_value(game) == 1.0
 
 
 def test_ns_value_dominates_classical_on_random_games(rng):
@@ -628,7 +630,11 @@ def test_ns_value_matches_highs_on_three_player_game():
 
 def _eff_local_every_strategy(game, eps, variant):
     """eff_local over every deterministic abort-augmented strategy, equal
-    columns included; returns the result and the LP's mass and win rows."""
+    columns included; returns the result and the LP's mass and win rows.
+
+    The rows are built the way eff_local built them before its integer
+    keys: float gathers over the whole (input, strategy) table, laid out
+    one contiguous column per strategy."""
     l = game.players
     out_sizes, in_sizes = game.output_sizes, game.input_sizes
     aug_sizes = tuple(s + 1 for s in out_sizes)
@@ -680,6 +686,15 @@ LOCAL_DIFFERENTIAL_GAMES = {
 }
 
 
+def _assert_local_columns_match(game, eps, variant, rows):
+    # the integer keys pick bitwise the columns, indices and rows that
+    # _distinct_columns picks from the rows of every strategy
+    cols = bounds._distinct_columns(rows)
+    _, key_cols, mass, win = bounds._local_columns(game, eps, variant)
+    assert np.array_equal(key_cols, cols)
+    assert np.array_equal(np.vstack([mass, win]).view(np.uint64), rows[:, cols].view(np.uint64))
+
+
 @pytest.mark.parametrize("name", list(LOCAL_DIFFERENTIAL_GAMES))
 def test_eff_local_distinct_columns_match_every_strategy(name, monkeypatch):
     # eta and eff are within 1e-9 of the LP over every strategy, which has
@@ -697,6 +712,39 @@ def test_eff_local_distinct_columns_match_every_strategy(name, monkeypatch):
             every, distinct = solved[-2:]
             assert every["cols"] == rows.shape[1] + 1
             assert distinct["cols"] == np.unique(rows, axis=1).shape[1] + 1
+            _assert_local_columns_match(game, eps, variant, rows)
+
+
+def test_eff_local_keys_of_several_words():
+    # 8 x 5 = 40 joint inputs, one base-3 digit each, need two int64 words
+    # (39 digits fit in one); one output per player keeps it at 2^13
+    # strategies, 7906 of them distinct.  worst_case sits at the floor (an
+    # input that the one answer loses cannot be won), tilde at the floor
+    # at eps 0.1 and at 1 at eps 0.2 (p.V = 0.82), average at 0.84 and 1
+    r = np.random.default_rng(3)
+    game = games.GamePredicate(
+        inputs=(tuple(range(8)), tuple(range(5))), outputs=((0,), (0,)),
+        p=r.dirichlet(np.ones(40)).reshape(8, 5), V=r.random((1, 1, 8, 5)) < 0.8,
+    )
+    assert math.prod(game.input_sizes) > bounds._KEY_DIGITS
+    for eps in (0.1, 0.2):
+        for variant in bounds.VARIANTS:
+            reference, rows = _eff_local_every_strategy(game, eps, variant)
+            res = bounds.eff_local(game, eps, variant)
+            assert res.eta == pytest.approx(reference[0], abs=1e-9)
+            assert res.eff == pytest.approx(reference[1], rel=1e-9)
+            _check_certificate(game, eps, variant, res)
+            _assert_local_columns_match(game, eps, variant, rows)
+
+
+def test_eff_local_of_chsh_squared():
+    # 390 625 strategies, 23 646 distinct worst_case columns; HiGHS gives
+    # eta 0.3333333333333333 for worst_case and average
+    chsh2 = games.repeat(games.chsh(), 2)
+    for variant in bounds.VARIANTS:
+        res = bounds.eff_local(chsh2, 0.1, variant)
+        assert res.eta == pytest.approx(1 / 3, abs=1e-9)
+        _check_certificate(chsh2, 0.1, variant, res)
 
 
 def test_eff_local_magic_square_lp_columns(monkeypatch):

@@ -676,6 +676,15 @@ PINNED_GAME_VALUE_OUTPUTS = [
         # the interior-point optimum of the one sub-LP solved, 1/9 within its checked gap
         '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "ns",\n  "value": 0.11111111111111098\n}\n',
     ),
+    # the interior-point optima lie 7.4e-13 and 4.4e-13 above 1 and are cut to 1
+    (
+        "game value --builtin chsh --method ns",
+        '{\n  "game": "chsh",\n  "kind": "exact",\n  "method": "ns",\n  "value": 1.0\n}\n',
+    ),
+    (
+        "game value --builtin magic_square --method ns",
+        '{\n  "game": "magic_square",\n  "kind": "exact",\n  "method": "ns",\n  "value": 1.0\n}\n',
+    ),
     (
         "game value --builtin mse --method classical",
         '{\n  "game": "mse",\n  "kind": "exact",\n  "method": "classical",\n  "value": 0.1111111111111111\n}\n',
@@ -699,7 +708,9 @@ PINNED_GAME_VALUE_OUTPUTS = [
 
 
 @pytest.mark.parametrize(
-    "command,expected", PINNED_GAME_VALUE_OUTPUTS, ids=["mse-ns", "mse-classical", "magic_square-seesaw"]
+    "command,expected",
+    PINNED_GAME_VALUE_OUTPUTS,
+    ids=["mse-ns", "chsh-ns", "magic_square-ns", "mse-classical", "magic_square-seesaw"],
 )
 def test_game_value_outputs_are_pinned(capsys, command, expected):
     code, out, _ = run(capsys, *command.split())
