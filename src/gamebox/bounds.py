@@ -34,7 +34,6 @@ Contents:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -333,62 +332,50 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 def _ns_constraint_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
     """Normalisation + per-player no-signalling equality rows ``A q = b``
     over the entries of ``q[a_1, ..., a_l, x_1, ..., x_l]`` (row-major),
-    of full row rank.
+    of full row rank; ``b`` is ones on the normalisation rows, then zeros.
 
-    The rows are a maximal independent subset of those of
-    :func:`_all_ns_rows`, so they cut out the same (no-signalling)
-    polytope: walking those rows in order, a row is kept unless it is a
-    combination of the rows kept before it.  The normalisation rows come
-    first and are all kept, so ``b`` is ones, then zeros.  The kept
-    indices are chosen once per shape (:func:`_independent_ns_rows`).
-    """
-    A, b = _all_ns_rows(out_sizes, in_sizes)
-    keep = _independent_ns_rows(tuple(out_sizes), tuple(in_sizes))
-    return A[keep], b[keep]
-
-
-@functools.cache
-def _independent_ns_rows(out_sizes: tuple, in_sizes: tuple) -> np.ndarray:
-    """:func:`_independent_rows` of :func:`_all_ns_rows`; only the
-    (read-only) indices are cached."""
-    keep = _independent_rows(_all_ns_rows(out_sizes, in_sizes)[0])
-    keep.flags.writeable = False
-    return keep
-
-
-def _all_ns_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Every normalisation and per-player no-signalling row, dependent ones
-    included.
-
-    First one normalisation row per input x, then, for each player j with
-    more than one input, one row per (other inputs, other outputs, x_j >= 1)
-    equating j's marginal at x_j with the one at x_j = 0.  Per-player
-    marginal conditions imply every subset marginal condition, so these
-    rows cut out exactly the no-signalling polytope.  Some of them are
-    dependent: summing player j's rows over the other players' outputs
-    (if any) gives differences of normalisation rows.
+    First one normalisation row per input x.  Then, for each player j with
+    more than one input, the rows equating j's marginal at x_j >= 1 with
+    the one at x_j = 0, one per (other inputs x_-j, other outputs a_-j,
+    x_j) in row-major order; these cut out the no-signalling polytope, as
+    per-player marginal conditions imply every subset marginal condition.
+    Of them only those are written where (a) some other player answers
+    below its last output and (b) every earlier player i < j at its last
+    output has x_i = 0: the rows a row-order walk keeps, a row being kept
+    unless it combines the rows before it.  A row failing (a) is a
+    difference of normalisation rows minus j's rows at the other a_-j.  Up
+    to rows with more players below their last output, a row equates the
+    marginal of the players S below their last output at two inputs that
+    differ in x_j only, an edge of the grid of the inputs outside S; (b)
+    keeps the spanning tree of that grid that the walk finds first.
     """
     l = len(out_sizes)
     shape = tuple(out_sizes) + tuple(in_sizes)
-    n_vars = int(np.prod(shape))
-    n_in = int(np.prod(in_sizes))
-    idx = np.arange(n_vars).reshape(shape)
-    norm = np.zeros((n_in, n_vars))
-    norm[np.arange(n_in)[:, None], idx.reshape(-1, n_in).T] = 1.0
-    blocks = [norm]
+    n_in = math.prod(in_sizes)
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    top = np.array(out_sizes) - 1  # each player's last output
+    grids = []
     for j in range(l):
         if in_sizes[j] == 1:
             continue
         others = [k for k in range(l) if k != j]
         # axes (other inputs, other outputs, x_j, a_j): one row per leading index and x_j >= 1
-        grid = idx.transpose([l + k for k in others] + others + [l + j, j]).reshape(-1, in_sizes[j], out_sizes[j])
-        block = np.zeros((grid.shape[0], in_sizes[j] - 1, n_vars))
-        r = np.arange(grid.shape[0])[:, None, None]
-        k = np.arange(in_sizes[j] - 1)[None, :, None]
-        block[r, k, grid[:, :1, :]] = 1.0
-        block[r, k, grid[:, 1:, :]] = -1.0
-        blocks.append(block.reshape(-1, n_vars))
-    A = np.vstack(blocks)
+        grid = idx.transpose([l + k for k in others] + others + [l + j, j])
+        keep = np.ones(grid.shape[:-2], dtype=bool)
+        keep[(Ellipsis,) + tuple(top[others])] = False  # (a): every other player at its last output
+        for i in range(j):  # (b): earlier player i (axes i and l - 1 + i) at its last output, input >= 1
+            at = [slice(None)] * (2 * l - 2)
+            at[i], at[l - 1 + i] = slice(1, None), top[i]
+            keep[tuple(at)] = False
+        grids.append(grid[keep])
+    A = np.zeros((n_in + sum(g.shape[0] * (g.shape[1] - 1) for g in grids), idx.size))
+    A[np.arange(n_in)[:, None], idx.reshape(-1, n_in).T] = 1.0
+    start = n_in
+    for g in grids:
+        r = start + np.arange(g.shape[0] * (g.shape[1] - 1)).reshape(g.shape[0], g.shape[1] - 1, 1)
+        A[r, g[:, :1]] = 1.0
+        A[r, g[:, 1:]] = -1.0
+        start += r.size
     return A, np.concatenate([np.ones(n_in), np.zeros(A.shape[0] - n_in)])
 
 
@@ -459,15 +446,18 @@ class PartitionBoundResult:
     certificate: Correlation
 
 
-def _lp_rows(
-    p: np.ndarray, mass: np.ndarray, win: np.ndarray, eps: float, variant: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check ``eps`` and ``variant``; return the mass and win rows that the
-    efficiency LP of :func:`_efficiency_lp` has for ``variant``: the
-    per-input rows, or their ``p``-weighted sum where the variant sums."""
+def _check_eps_variant(eps: float, variant: str) -> None:
+    """The checks :func:`eff_ns` and :func:`eff_local` make first, before
+    any rows or strategy keys are built."""
     check_range("eps", eps, 0.0, 1.0)
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
+def _lp_rows(p: np.ndarray, mass: np.ndarray, win: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The mass and win rows that the efficiency LP of
+    :func:`_efficiency_lp` has for ``variant``: the per-input rows, or
+    their ``p``-weighted sum where the variant sums."""
     p = np.asarray(p, dtype=float).reshape(1, -1)
     if variant == "average":
         mass = p @ mass
@@ -548,8 +538,10 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     The efficiency LP of :func:`_efficiency_lp`, which defines the
     variants, over the entries of a correlation whose outputs gain one
     abort symbol per player; its head rows are the normalisation and
-    no-signalling rows.  The certificate is that correlation.
+    no-signalling rows.  The certificate is that correlation.  ``eps`` (in
+    [0, 1]) and ``variant`` are checked first.
     """
+    _check_eps_variant(eps, variant)
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
     shape = tuple(s + 1 for s in out_sizes) + in_sizes
@@ -562,7 +554,7 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     mass[rows, cols] = 1.0
     win = np.zeros((n_in, n_q))
     win[rows, cols] = game.V.reshape(-1, n_in).T
-    eta, q = _efficiency_lp(head, head_rhs, *_lp_rows(game.p, mass, win, eps, variant), eps)
+    eta, q = _efficiency_lp(head, head_rhs, *_lp_rows(game.p, mass, win, variant), eps)
     cert = Correlation(q=q.reshape(shape), players=game.players)
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="no_signalling", certificate=cert)
 
@@ -582,16 +574,18 @@ def eff_local(
     key per strategy, so no float table over all strategies is built
     (``repeat(chsh, 2)``, 390 625 strategies, takes well under a second).
     The certificate is the mixture's correlation.  ``budget`` is an
-    integer in [0, inf), checked first.
+    integer in [0, inf), checked first, then ``eps`` (in [0, 1]) and
+    ``variant``.
     """
     check_range("budget", budget, 0, math.inf, integer=True)
+    _check_eps_variant(eps, variant)
     l = game.players
     in_sizes = game.input_sizes
     aug_sizes = tuple(s + 1 for s in game.output_sizes)
     n_d = math.prod(aug_sizes[j] ** in_sizes[j] for j in range(l))
     if n_d > budget:
         raise BudgetExceededError(f"{n_d} deterministic abort-augmented strategies exceed budget {budget}")
-    maps, cols, mass, win = _local_columns(game, eps, variant)
+    maps, cols, mass, win = _local_columns(game, variant)
     eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass, win, eps)
 
     # the mixture's correlation; each entry sums its strategies d in ascending order
@@ -604,9 +598,7 @@ def eff_local(
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="local", certificate=cert)
 
 
-def _local_columns(
-    game: GamePredicate, eps: float, variant: str
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+def _local_columns(game: GamePredicate, variant: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """The columns of :func:`eff_local`'s LP: ``(maps, cols, mass, win)``.
 
     ``maps[j][d_j, x_j]`` is player j's output (``out_sizes[j]`` meaning
@@ -651,7 +643,7 @@ def _local_columns(
     # every strategy: p @ rows then runs the same BLAS kernel and rounds alike
     words = keys[:, first].T[:, flat // _KEY_DIGITS]
     digits = np.ascontiguousarray(words // 3 ** (flat % _KEY_DIGITS) % 3).T
-    mass, win = _lp_rows(game.p, (digits > 0).astype(float), (digits == 2).astype(float), eps, variant)
+    mass, win = _lp_rows(game.p, (digits > 0).astype(float), (digits == 2).astype(float), variant)
     keep = _distinct_columns(np.vstack([mass, win]))
     return maps, first[keep], mass[:, keep], win[:, keep]
 

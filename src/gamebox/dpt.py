@@ -53,8 +53,6 @@ class DPTParams:
     zeta: float | None = None
     nu: float | None = None
     alphabet_sizes: tuple[int, ...] | None = None
-    C_size: int = 0
-    PrE: float = 1.0
     exponent_const: float = 1.0
 
     def __post_init__(self) -> None:
@@ -64,8 +62,6 @@ class DPTParams:
             value = getattr(self, name)
             if value is not None:
                 check_range(name, value, 0.0, 1.0)
-        check_range("PrE", self.PrE, 0.0, 1.0, lo_open=True)
-        check_range("C_size", self.C_size, 0, math.inf)
         check_range("exponent_const", self.exponent_const, 0.0, math.inf, lo_open=True)
         if self.c is not None:
             check_range("c", self.c, 0.0, math.inf)

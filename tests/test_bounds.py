@@ -358,6 +358,18 @@ def test_eff_validation():
         bounds.eff_local(games.chsh(), 0.1, "median")
 
 
+@pytest.mark.parametrize("eff", [bounds.eff_ns, bounds.eff_local])
+@pytest.mark.parametrize("eps,variant", [(0.1, "median"), (math.nan, "worst_case"), (1.5, "worst_case")])
+def test_eff_checks_eps_and_variant_before_any_rows(eff, eps, variant, monkeypatch):
+    def reached(*args):
+        raise AssertionError("rows built before eps and variant were checked")
+
+    monkeypatch.setattr(bounds, "_ns_constraint_rows", reached)
+    monkeypatch.setattr(bounds, "_local_columns", reached)
+    with pytest.raises(ValidationError):
+        eff(games.repeat(games.chsh(), 2), eps, variant)
+
+
 # ---------------------------------------------------------------------------
 # efficiency LPs rebuilt from the definitions and solved by HiGHS
 # ---------------------------------------------------------------------------
@@ -424,9 +436,10 @@ def _ns_equalities(out_sizes, in_sizes):
 
 
 def _ns_rows_by_loops(out_sizes, in_sizes):
-    """The per-entry loops the solver's no-signalling rows were first built
-    with.  The simplex pivots on their independent subset, so their order
-    and values are part of every result."""
+    """Every normalisation and per-player no-signalling row, dependent ones
+    included, by per-entry loops: one row per input x, then per player j
+    with more than one input one row per (other inputs, other outputs,
+    x_j >= 1), in that order."""
     l = len(out_sizes)
     shape = tuple(out_sizes) + tuple(in_sizes)
     n = int(np.prod(shape))
@@ -451,41 +464,50 @@ def _ns_rows_by_loops(out_sizes, in_sizes):
     return np.array(rows)
 
 
-@pytest.mark.parametrize(
-    "out_sizes,in_sizes",
-    [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,))],
-)
-def test_ns_rows_match_per_entry_loops(out_sizes, in_sizes):
-    A, b = bounds._all_ns_rows(out_sizes, in_sizes)
-    n_in = int(np.prod(in_sizes))
-    assert np.array_equal(A, _ns_rows_by_loops(out_sizes, in_sizes))
-    assert np.array_equal(b, np.r_[np.ones(n_in), np.zeros(A.shape[0] - n_in)])
+def _random_ns_shapes(count, seed, max_entries=3000):
+    """Seeded (out_sizes, in_sizes) of 1-4 players, 1-4 outputs and 1-3
+    inputs each, with at most ``max_entries`` correlation entries."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    while len(shapes) < count:
+        l = int(rng.integers(1, 5))
+        outs, ins = (tuple(int(v) for v in rng.integers(1, hi, l)) for hi in (5, 4))
+        if math.prod(outs) * math.prod(ins) <= max_entries:
+            shapes.append((outs, ins))
+    return shapes
 
 
 @pytest.mark.parametrize(
     "out_sizes,in_sizes",
     [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,)),
-     ((5, 5), (4, 4)), ((4, 4), (6, 3))],
+     ((5, 5), (4, 4)), ((4, 4), (6, 3)),
+     ((2, 2, 2, 2), (2, 2, 2, 2)), ((1, 3), (2, 2)), ((3, 3, 2), (1, 2, 1)), ((2, 1, 2), (2, 3, 2))]
+    + _random_ns_shapes(50, seed=16),
 )
 def test_ns_rows_are_the_independent_rows_in_order(out_sizes, in_sizes):
-    A_all, b_all = bounds._all_ns_rows(out_sizes, in_sizes)
+    # the closed rule writes bitwise the rows that a row-order walk keeps
+    # from every row of the per-entry loops
+    A_all = _ns_rows_by_loops(out_sizes, in_sizes)
+    n_in = math.prod(in_sizes)
+    b_all = np.r_[np.ones(n_in), np.zeros(A_all.shape[0] - n_in)]
+    keep = bounds._independent_rows(A_all)
     A, b = bounds._ns_constraint_rows(out_sizes, in_sizes)
-    keep = bounds._independent_ns_rows(out_sizes, in_sizes)
-    # an independent walk: keep a row when it raises the rank of the rows kept so far
-    walk = []
-    for i in range(A_all.shape[0]):
-        if np.linalg.matrix_rank(A_all[walk + [i]]) > len(walk):
-            walk.append(i)
-    assert keep.tolist() == walk
-    assert np.array_equal(A, A_all[keep]) and np.array_equal(b, b_all[keep])
+    assert np.array_equal(A.view(np.uint64), A_all[keep].view(np.uint64))
+    assert np.array_equal(b.view(np.uint64), b_all[keep].view(np.uint64))
     assert np.linalg.matrix_rank(A) == A.shape[0] == np.linalg.matrix_rank(A_all)
     # every dropped row, right-hand side included, is a combination of the kept rows
     dropped = np.setdiff1d(np.arange(A_all.shape[0]), keep)
     coef = np.linalg.lstsq(A.T, A_all[dropped].T, rcond=None)[0]
     assert np.abs(A.T @ coef - A_all[dropped].T).max(initial=0.0) <= 1e-12
     assert np.abs(b @ coef - b_all[dropped]).max(initial=0.0) <= 1e-12
-    n_in = int(np.prod(in_sizes))
-    assert keep[:n_in].tolist() == list(range(n_in))
+    # up to 150 rows (the first seven shapes among them): the walk keeps a
+    # row exactly when it raises the rank of the rows kept so far
+    if A_all.shape[0] <= 150:
+        walk = []
+        for i in range(A_all.shape[0]):
+            if np.linalg.matrix_rank(A_all[walk + [i]]) > len(walk):
+                walk.append(i)
+        assert keep.tolist() == walk
 
 
 def test_ns_lps_carry_no_dependent_rows(monkeypatch):
@@ -515,16 +537,6 @@ def test_ns_lps_carry_no_dependent_rows(monkeypatch):
     bounds.ns_game_value(games.mse())
     assert len(solved) == 2 * 2 * len(PARTITION_LP_EPS) * len(bounds.VARIANTS) + 3 + 1 + 1
     assert len(unfactored) == len(solved) and not any(unfactored)
-
-
-def test_ns_row_selection_runs_once_per_shape():
-    bounds._independent_ns_rows.cache_clear()
-    bounds.ns_game_value(games.mse())  # one sub-LP solved
-    bounds.ns_game_value(games.mse())
-    bounds.eff_ns(games.chsh(), 0.1)
-    bounds.eff_ns(games.chsh(), 0.2, "average")
-    info = bounds._independent_ns_rows.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
 
 
 def _reference_lp(game, relaxation):
@@ -657,7 +669,7 @@ def _eff_local_every_strategy(game, eps, variant):
     won[non_abort] = game.V
     mass = kept[tuple(outs)].reshape(n_d, -1).T.astype(float)
     win = won[tuple(outs + inputs)].reshape(n_d, -1).T.astype(float)
-    mass, win = bounds._lp_rows(game.p, mass, win, eps, variant)
+    mass, win = bounds._lp_rows(game.p, mass, win, variant)
     eta, w = bounds._efficiency_lp(np.ones((1, n_d)), np.ones(1), mass, win, eps)
     q = np.zeros(aug_sizes + in_sizes)
     ds = np.flatnonzero(w > 1e-12)
@@ -690,7 +702,7 @@ def _assert_local_columns_match(game, eps, variant, rows):
     # the integer keys pick bitwise the columns, indices and rows that
     # _distinct_columns picks from the rows of every strategy
     cols = bounds._distinct_columns(rows)
-    _, key_cols, mass, win = bounds._local_columns(game, eps, variant)
+    _, key_cols, mass, win = bounds._local_columns(game, variant)
     assert np.array_equal(key_cols, cols)
     assert np.array_equal(np.vstack([mass, win]).view(np.uint64), rows[:, cols].view(np.uint64))
 

@@ -12,7 +12,7 @@ from gamebox.errors import BudgetExceededError, ValidationError, check_distribut
 
 _PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
 _RATE = dict(alpha=0.04, gamma=0.01, delta=0.001, c=0.001, n=10**6, nu=0.3, beta=0.5, PrE=1.0)
-_DPT = dict(l=2, n=1000, c=0.0005, nu=0.3, eps=0.3, zeta=0.9, alphabet_sizes=(4, 4), C_size=1, PrE=1.0)
+_DPT = dict(l=2, n=1000, c=0.0005, nu=0.3, eps=0.3, zeta=0.9, alphabet_sizes=(4, 4))
 _CHERNOFF = dict(delta=0.05, gamma=0.2, alpha=0.5, n=1000)
 _SERFLING = dict(n=20, gamma=0.2, eps=0.2, pattern=np.zeros(20), trials=10, seed=0)
 _RANDV = dict(t=10, n=50, c=0.01, l=2, nu=0.3, beta_const=0.1, alphabet_sizes=(4, 4))
@@ -35,7 +35,7 @@ def _with(base, **changes):
 def _dpt_bound(**changes):
     """Build the parameters, then evaluate the bound that reads each field."""
     params = dpt.DPTParams(**_with(_DPT, **changes))
-    return dpt.dpt_case_i_bound(params), dpt.delta_of(params.C_size, params.PrE, params.n, params.alphabet_sizes)
+    return dpt.dpt_case_i_bound(params)
 
 
 def _probe(seed, **changes):
@@ -49,7 +49,7 @@ def _cases():
     cases += [(f"KeyRateParams.{k}", lambda v, k=k: diqkd.key_rate(diqkd.KeyRateParams(**_with(_RATE, **{k: v}))))
               for k in _RATE]
     cases += [(f"DPTParams.{k}", lambda v, k=k: _dpt_bound(**{k: v}))
-              for k in ("l", "n", "c", "nu", "eps", "zeta", "C_size", "PrE", "exponent_const")]
+              for k in ("l", "n", "c", "nu", "eps", "zeta", "exponent_const")]
     cases += [
         ("DPTParams.c_j", lambda v: _dpt_bound(c=None, c_j=(v, 0.0))),
         ("DPTParams.alphabet_sizes", lambda v: _dpt_bound(alphabet_sizes=(v, 4))),
@@ -197,7 +197,7 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: diqkd.ProtocolParams(n=1, alpha=1.0, gamma=1.0, delta=0.0, seed=0),
         lambda: diqkd.KeyRateParams(alpha=1.0, gamma=0.0, delta=0.0, c=0.0, n=1, nu=0.0, beta=0.0, PrE=1.0),
         lambda: diqkd.KeyRateParams(alpha=0.5, gamma=1.0, delta=0.125, c=0.1, n=10, nu=1.0, beta=1.0),
-        lambda: dpt.DPTParams(l=1, n=1, c=0.0, eps=0.0, zeta=0.0, nu=0.0, C_size=0, PrE=1.0),
+        lambda: dpt.DPTParams(l=1, n=1, c=0.0, eps=0.0, zeta=0.0, nu=0.0),
         lambda: dpt.DPTParams(l=2, n=1, c_j=(0.0, 0.0), eps=1.0, zeta=1.0, nu=1.0),
         lambda: diqkd.LeakageBudget(0, 0),
         lambda: diqkd.HonestBoxes(0.0, 0),
