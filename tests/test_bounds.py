@@ -435,11 +435,14 @@ def _ns_equalities(out_sizes, in_sizes):
     return np.array(rows), np.array(rhs)
 
 
-def _ns_rows_by_loops(out_sizes, in_sizes):
+def _ns_rows_by_loops(out_sizes, in_sizes, closed_rule=False):
     """Every normalisation and per-player no-signalling row, dependent ones
     included, by per-entry loops: one row per input x, then per player j
     with more than one input one row per (other inputs, other outputs,
-    x_j >= 1), in that order."""
+    x_j >= 1), in that order.  With ``closed_rule`` only the rows that
+    ``_ns_constraint_rows`` writes are kept: player j's row where some
+    other player answers below its last output and every earlier player
+    at its last output has input 0."""
     l = len(out_sizes)
     shape = tuple(out_sizes) + tuple(in_sizes)
     n = int(np.prod(shape))
@@ -454,6 +457,9 @@ def _ns_rows_by_loops(out_sizes, in_sizes):
             continue
         for x_rest in np.ndindex(*(in_sizes[k] for k in range(l) if k != j)):
             for a_rest in np.ndindex(*(out_sizes[k] for k in range(l) if k != j)):
+                last = [a_rest[i] == out_sizes[k] - 1 for i, k in enumerate(k for k in range(l) if k != j)]
+                if closed_rule and (all(last) or any(last[i] and x_rest[i] != 0 for i in range(j))):
+                    continue
                 for xj in range(1, in_sizes[j]):
                     row = np.zeros(n)
                     for aj in range(out_sizes[j]):
@@ -462,6 +468,18 @@ def _ns_rows_by_loops(out_sizes, in_sizes):
                         row[np.ravel_multi_index(a + x_rest[:j] + (xj,) + x_rest[j:], shape)] -= 1.0
                     rows.append(row)
     return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "out_sizes,in_sizes",
+    [((2, 2), (2, 2)), ((3, 5), (3, 2)), ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (2, 2, 2)), ((4,), (3,))],
+)
+def test_ns_rows_match_per_entry_loops(out_sizes, in_sizes):
+    # the vectorised rows are bitwise the closed rule written entry by entry
+    A, b = bounds._ns_constraint_rows(out_sizes, in_sizes)
+    n_in = math.prod(in_sizes)
+    assert np.array_equal(A.view(np.uint64), _ns_rows_by_loops(out_sizes, in_sizes, closed_rule=True).view(np.uint64))
+    assert np.array_equal(b, np.r_[np.ones(n_in), np.zeros(A.shape[0] - n_in)])
 
 
 def _random_ns_shapes(count, seed, max_entries=3000):
