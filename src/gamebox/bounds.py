@@ -27,7 +27,8 @@ Contents:
   weights summing to one), then the mass rows, then the win rows; eta
   is reported within [``ETA_FLOOR``, 1];
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
-  unit vectors (bracketed by an SDP dual bound) and sign matrices;
+  unit vectors and sign matrices: exact for one row; past that a
+  certified bracket (an SDP dual bound) within 1e-7 relative;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
   below the local partition upper bound for XOR predicates.
 """
@@ -655,36 +656,9 @@ def _local_columns(game: GamePredicate, variant: str) -> tuple[list[np.ndarray],
 @dataclass(frozen=True)
 class Gamma2Result:
     value: float
-    kind: str  # "exact_small" or "lower_bound"
+    kind: str  # "exact" (one row) or "lower_bound" (value and upper bracket the norm)
     sign_matrix: np.ndarray | None = None
     upper: float | None = None  # gamma2_star: certified upper end; gamma2_alpha: None
-
-
-def _gamma2_two_rows(A: np.ndarray) -> float:
-    """Exact optimum for a 2-row matrix: one gauge-fixed angle, fine grid
-    plus local refinement."""
-    c0, c1 = A[0], A[1]
-    r = c0 * c0 + c1 * c1
-    s = 2.0 * c0 * c1
-
-    def f(thetas: np.ndarray) -> np.ndarray:
-        vals = r[None, :] + s[None, :] * np.cos(thetas)[:, None]
-        return np.sqrt(np.clip(vals, 0.0, None)).sum(axis=1)
-
-    thetas = np.arange(0.0, math.pi + 1e-9, 1e-3)
-    vals = f(thetas)
-    k = int(np.argmax(vals))
-    best_t = thetas[k]
-    h = 1e-3
-    for _ in range(4):
-        lo = max(0.0, best_t - h)
-        hi = min(math.pi, best_t + h)
-        grid = np.linspace(lo, hi, 201)
-        vals = f(grid)
-        k = int(np.argmax(vals))
-        best_t = grid[k]
-        h = (hi - lo) / 100.0
-    return float(f(np.array([best_t]))[0])
 
 
 def _unit_rows(W: np.ndarray) -> np.ndarray:
@@ -723,20 +697,19 @@ def _gamma2_alternating(A: np.ndarray) -> tuple[float, float]:
 def gamma2_star(M: np.ndarray) -> Gamma2Result:
     """max sum_xy M[x,y] <u_x, v_y> over unit vectors.
 
-    Vectors of dimension min(m, n) suffice.  Exact for min(m, n) <= 2
-    (closed form / gauge-fixed angle grid refined to 1e-7), where
-    ``upper`` equals ``value``.  Otherwise ``value`` and ``upper`` are the
-    ends of the duality bracket of ``_gamma2_alternating``, closed to a
-    relative gap of ``_GAMMA2_GAP`` unless its iteration cap is reached.
+    Vectors of dimension min(m, n) suffice.  Exact for one row (closed
+    form ``sum |M|``), where ``upper`` equals ``value``.  Past that
+    ``value`` and ``upper`` are the ends of the certified duality bracket
+    of ``_gamma2_alternating``, closed to a relative gap of
+    ``_GAMMA2_GAP`` (1e-7) unless its iteration cap is reached.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0 or not np.all(np.isfinite(M)):
         raise ValidationError("matrix must be 2-d, non-empty and finite")
     A = M if M.shape[0] <= M.shape[1] else M.T
-    k = A.shape[0]
-    if k <= 2:
-        value = float(np.sum(np.abs(A))) if k == 1 else _gamma2_two_rows(A)
-        return Gamma2Result(value=value, kind="exact_small", upper=value)
+    if A.shape[0] == 1:
+        value = float(np.sum(np.abs(A)))
+        return Gamma2Result(value=value, kind="exact", upper=value)
     lower, upper = _gamma2_alternating(A)
     return Gamma2Result(value=lower, kind="lower_bound", upper=upper)
 
@@ -755,7 +728,9 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     Each class divides by its gamma2* ``upper``, so the value is a lower
     bound on the best ratio (``upper`` of the result is None).  Matrices
     whose denominator is at most 1e-15 are skipped.  The result is
-    ``exact_small`` when every gamma2* solve is exact (min(m, n) <= 2).
+    ``exact`` when every gamma2* solve is exact (one row); past that each
+    solve is a certified bracket within 1e-7 relative, and the result is
+    a ``lower_bound``.
     More than 12 cells raise ``BudgetExceededError`` before any work.
     """
     F = np.asarray(F, dtype=float)
@@ -780,7 +755,7 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     _, first = np.unique(cls, return_index=True)
     gs = [gamma2_star(canon[k] * p) for k in first]
     denom = 2.0 * np.array([g.upper for g in gs])[cls]
-    kind = "exact_small" if all(g.kind == "exact_small" for g in gs) else "lower_bound"
+    kind = "exact" if all(g.kind == "exact" for g in gs) else "lower_bound"
     ok = denom > 1e-15
     cand = np.full(len(S), -math.inf)
     cand[ok] = ((alpha + 1.0) * corr[ok] - (alpha - 1.0)) / denom[ok]

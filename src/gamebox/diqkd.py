@@ -351,7 +351,7 @@ class AdversaryRound:
 
     def __post_init__(self) -> None:
         _check_endpoints(self.src, self.dst)
-        check_range("bits", self.bits, 0, math.inf)
+        check_range("bits", self.bits, 0, math.inf, integer=True)
         if self.function_id not in ADVERSARY_FUNCTIONS:
             raise ValidationError(
                 f"unknown function_id {self.function_id!r}; "
@@ -395,10 +395,6 @@ def load_adversary(source) -> ScriptedAdversary:
             src, dst, bits, function_id = entry["from"], entry["to"], entry["bits"], entry["function_id"]
         except KeyError as missing:
             raise ValidationError(f"adversary round missing key {missing}") from None
-        try:
-            bits = int(bits)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"adversary round bits must be an integer, got {bits!r}") from None
         rounds.append(AdversaryRound(src=src, dst=dst, bits=bits, function_id=function_id))
     return ScriptedAdversary(tuple(rounds))
 
@@ -535,7 +531,7 @@ class KeyRateParams:
         check_range("gamma", self.gamma, 0.0, 1.0)  # the formula is well-defined without testing
         check_range("delta", self.delta, 0.0, 0.125)
         check_range("c", self.c, 0.0, math.inf)
-        check_range("n", self.n, 1, math.inf)
+        check_range("n", self.n, 1, math.inf, integer=True)
         check_range("nu", self.nu, 0.0, 1.0)
         check_range("beta", self.beta, 0.0, math.inf)
         check_range("PrE", self.PrE, 0.0, 1.0, lo_open=True)
@@ -571,7 +567,7 @@ def chernoff_abort_bound(delta: float, gamma: float, alpha: float, n: int) -> fl
     check_range("delta", delta, 0.0, math.inf)
     check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
     check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
-    check_range("n", n, 1, math.inf)
+    check_range("n", n, 1, math.inf, integer=True)
     return float(2.0 ** (-2.0 * delta**2 * gamma * alpha * n))
 
 

@@ -34,7 +34,7 @@ _WIN_EPS = 1e-12
 def _log2_alphabet(alphabet_sizes) -> float:
     if alphabet_sizes is None:
         raise ValidationError("alphabet_sizes required")
-    sizes = tuple(int(check_range("alphabet size", s, 1, math.inf)) for s in alphabet_sizes)
+    sizes = tuple(check_range("alphabet size", s, 1, math.inf, integer=True) for s in alphabet_sizes)
     return math.log2(check_range("total output alphabet", math.prod(sizes), 2, math.inf))
 
 
@@ -48,7 +48,6 @@ class DPTParams:
     l: int
     n: int
     c: float | None = None
-    c_j: tuple[float, ...] | None = None
     eps: float | None = None
     zeta: float | None = None
     nu: float | None = None
@@ -56,8 +55,8 @@ class DPTParams:
     exponent_const: float = 1.0
 
     def __post_init__(self) -> None:
-        check_range("l", self.l, 1, math.inf)
-        check_range("n", self.n, 1, math.inf)
+        check_range("l", self.l, 1, math.inf, integer=True)
+        check_range("n", self.n, 1, math.inf, integer=True)
         for name in ("eps", "zeta", "nu"):
             value = getattr(self, name)
             if value is not None:
@@ -65,32 +64,14 @@ class DPTParams:
         check_range("exponent_const", self.exponent_const, 0.0, math.inf, lo_open=True)
         if self.c is not None:
             check_range("c", self.c, 0.0, math.inf)
-        if self.c_j is not None:
-            object.__setattr__(self, "c_j", tuple(float(v) for v in self.c_j))
-            if len(self.c_j) != self.l:
-                raise ValidationError(f"{len(self.c_j)} per-player budgets for {self.l} players")
-            for v in self.c_j:
-                check_range("per-player communication", v, 0.0, math.inf)
-            if self.c is not None and abs(sum(self.c_j) - self.c) > 1e-9:
-                raise ValidationError(
-                    f"c={self.c} inconsistent with sum(c_j)={sum(self.c_j)}"
-                )
-
-    @property
-    def total_comm(self) -> float:
-        if self.c is not None:
-            return float(self.c)
-        if self.c_j is not None:
-            return float(sum(self.c_j))
-        raise ValidationError("neither c nor c_j supplied")
 
 
 def delta_of(C_size: int, PrE: float, n: int, alphabet_sizes) -> float:
     """Per-copy information spent by conditioning: ``(|C| log2 prod|A_j| +
     log2(1/PrE)) / n``."""
-    check_range("n", n, 1, math.inf)
+    check_range("n", n, 1, math.inf, integer=True)
     check_range("PrE", PrE, 0.0, 1.0, lo_open=True)
-    check_range("C_size", C_size, 0, math.inf)
+    check_range("C_size", C_size, 0, math.inf, integer=True)
     return (C_size * _log2_alphabet(alphabet_sizes) + math.log2(1.0 / PrE)) / n
 
 
@@ -98,9 +79,9 @@ def dpt_case_i_bound(params: DPTParams) -> float:
     """Success bound ``base^floor(exponent_const nu^2 n / (l^2 log2 prod|A_j|))``
     with ``base = 1 - nu/2 + 4 sqrt(l c)``; returns 1 when the base
     reaches 1 (the bound is vacuous there).  Requires ``c < 1``."""
-    if params.nu is None:
-        raise ValidationError("nu required")
-    c = check_range("c", params.total_comm, 0.0, 1.0, hi_open=True)
+    if params.c is None or params.nu is None:
+        raise ValidationError("c and nu required")
+    c = check_range("c", params.c, 0.0, 1.0, hi_open=True)
     base = 1.0 - params.nu / 2.0 + 4.0 * math.sqrt(params.l * c)
     if base >= 1.0:
         return 1.0
@@ -119,10 +100,10 @@ def dpt_case_ii_bound(params: DPTParams, eff: float) -> float:
     is sound only for a lower bound on eff*, such as ``bounds.eff_ns``:
     an upper bound (``bounds.eff_local``) can widen it past what the
     theorem allows."""
-    if params.eps is None or params.zeta is None:
-        raise ValidationError("eps and zeta required")
+    if params.eps is None or params.zeta is None or params.c is None:
+        raise ValidationError("c, eps and zeta required")
     check_range("eff", eff, 1.0, math.inf)
-    c = params.total_comm
+    c = float(params.c)
     ceiling = params.zeta**2 * eff / (270.0 * params.l**3)
     if not 1.0 <= c < ceiling:
         raise GateViolationError(
@@ -152,11 +133,11 @@ def randv_bound(
     clamped to [0, 1]."""
     if mode not in ("generic", "mse"):
         raise ValidationError(f"unknown mode {mode!r}")
-    check_range("n", n, 1, math.inf)
-    check_range("t", t, 0, n)
+    check_range("n", n, 1, math.inf, integer=True)
+    check_range("t", t, 0, n, integer=True)
     check_range("c", c, 0.0, math.inf)
     check_range("beta_const", beta_const, 0.0, math.inf)
-    check_range("l", l, 1, math.inf)
+    check_range("l", l, 1, math.inf, integer=True)
     check_range("nu", nu, 0.0, 1.0)
     if t == 0:
         return 1.0

@@ -47,8 +47,6 @@ ODD_STRINGS: tuple[str, ...] = ("001", "010", "100", "111")
 EVEN_BITS = np.array([[int(c) for c in s] for s in EVEN_STRINGS], dtype=np.uint8)
 ODD_BITS = np.array([[int(c) for c in s] for s in ODD_STRINGS], dtype=np.uint8)
 
-DENSE_PREDICATE_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class GamePredicate:
@@ -56,10 +54,7 @@ class GamePredicate:
 
     ``p`` has shape ``(|X_1|, ..., |X_l|)``.  ``V`` is always a dense
     boolean array of shape ``(|A_1|, ..., |A_l|, |X_1|, ..., |X_l|)``; an
-    array of another dtype is accepted when every entry is 0 or 1.  A
-    callable ``V(a_indices, x_indices) -> bool`` is accepted only at
-    construction: it is evaluated once on every cell (at most
-    ``DENSE_PREDICATE_LIMIT`` of them) and replaced by that array.
+    array of another dtype is accepted when every entry is 0 or 1.
     """
 
     inputs: tuple[tuple[Label, ...], ...]
@@ -80,12 +75,7 @@ class GamePredicate:
         want = self.output_sizes + self.input_sizes
         V = self.V
         if not isinstance(V, np.ndarray):
-            if not callable(V):
-                raise ValidationError("V must be a boolean array or a callable")
-            if math.prod(want) > DENSE_PREDICATE_LIMIT:
-                raise BudgetExceededError(f"dense predicate table of {math.prod(want)} entries over limit")
-            l = self.players
-            V = np.array([bool(V(c[:l], c[l:])) for c in np.ndindex(*want)], dtype=bool).reshape(want)
+            raise ValidationError("V must be a numpy array of 0/1 entries")
         if V.shape != want:
             raise DimensionMismatchError(f"V shape {V.shape} != {want}")
         if V.dtype != bool and not np.all(np.isin(V, (0, 1))):

@@ -983,8 +983,8 @@ def test_lp_solve_leaves_scipy_unimported():
 def test_gamma2_star_single_row_is_l1():
     M = np.array([[0.5, -1.5, 2.0]])
     res = bounds.gamma2_star(M)
-    assert res.kind == "exact_small"
-    assert res.value == pytest.approx(4.0, abs=1e-12)
+    assert res.kind == "exact"
+    assert res.value == res.upper == pytest.approx(4.0, abs=1e-12)
 
 
 def test_gamma2_star_chsh_sign_matrix():
@@ -994,7 +994,8 @@ def test_gamma2_star_chsh_sign_matrix():
     res = bounds.gamma2_star(F)
     oracle = 2.0 * (math.cos(math.pi / 8) ** 2 - 0.5)
     assert res.value == pytest.approx(oracle, abs=1e-9)
-    assert res.kind == "exact_small"
+    assert res.kind == "lower_bound"
+    assert res.value <= res.upper <= res.value * (1 + 1e-7)
 
 
 def test_gamma2_star_scaling_and_transpose(rng):
@@ -1058,13 +1059,28 @@ def test_gamma2_star_bracket_lies_in_the_grothendieck_sandwich():
         assert res.upper - res.value <= 1e-7 * res.upper, M
 
 
-def test_gamma2_two_rows_lies_in_the_dual_bracket():
+def test_gamma2_star_two_rows_brackets_a_dense_angle_scan():
+    # an independent route: for unit u_0, u_1 with <u_0, u_1> = t and each
+    # v_y aligned with its column, the objective is sum_y sqrt(r_y + s_y t);
+    # its maximum on a dense grid of t can only lie below the optimum
+    t = np.linspace(-1.0, 1.0, 20_001)
     r = np.random.default_rng(42)
     for _ in range(300):
         A = r.normal(size=(2, int(r.integers(2, 7))))
-        value = bounds._gamma2_two_rows(A)
-        lower, upper = bounds._gamma2_alternating(A)
-        assert lower - 1e-12 * upper <= value <= upper * (1 + 1e-12), A
+        rows, cross = A[0] ** 2 + A[1] ** 2, 2.0 * A[0] * A[1]
+        best = float(np.max(np.sqrt(np.clip(rows + cross * t[:, None], 0.0, None)).sum(axis=1)))
+        res = bounds.gamma2_star(A)
+        assert res.kind == "lower_bound"
+        assert best <= res.upper * (1 + 1e-12), A
+        assert res.value >= best * (1 - 1e-7), A
+    # the sign-flip class matrices that check_thm2 solves for the 2 x 4 game
+    # and CHSH (uniform p), 8 + 2 classes: each bracket closes
+    for n in (4, 2):
+        for interior in itertools.product((1.0, -1.0), repeat=n - 1):
+            canon = np.ones((2, n))
+            canon[1, 1:] = interior
+            res = bounds.gamma2_star(canon / (2 * n))
+            assert res.upper - res.value <= 1e-12 * res.upper, (canon, res)
 
 
 def test_gamma2_alpha_at_one_inverts_gamma2_star():
@@ -1082,7 +1098,7 @@ def test_gamma2_alpha_exhausts_small_and_refuses_large():
     with pytest.raises(BudgetExceededError):
         bounds.gamma2_alpha(F, np.full((3, 5), 1 / 15), 2.0)
     small = bounds.gamma2_alpha(np.ones((2, 2)), np.full((2, 2), 0.25), 2.0)
-    assert small.kind == "exact_small"
+    assert small.kind == "lower_bound"
 
 
 def test_gamma2_alpha_validation():
@@ -1111,16 +1127,16 @@ def _gamma2_alpha_full_loop(Fs, p, alphas):
         signs = np.array([1.0 if (bits >> k) & 1 == 0 else -1.0 for k in range(cells)])
         corr = np.sum(flat_F * signs * flat_p, axis=1)[:, None]
         g = bounds.gamma2_star((signs * flat_p).reshape(p.shape))
-        if g.kind != "exact_small":
+        if g.kind != "exact":
             exact = False
-        denom = 2.0 * g.value
+        denom = 2.0 * g.upper
         if denom <= 1e-15:
             continue
         cand = ((alphas + 1.0) * corr - (alphas - 1.0)) / denom
         better = cand > best
         best[better] = cand[better]
         best_sign[better] = signs
-    return best, "exact_small" if exact else "lower_bound", best_sign.reshape(best.shape + p.shape)
+    return best, "exact" if exact else "lower_bound", best_sign.reshape(best.shape + p.shape)
 
 
 def _memoized(fn):
@@ -1157,19 +1173,20 @@ def test_gamma2_alpha_matches_full_enumeration(shape, monkeypatch):
 
 
 def test_gamma2_star_is_constant_on_sign_flip_classes():
-    # gamma2* itself is invariant under row and column flips, and the 3-row
-    # solve brackets it: every member's value is below every member's upper
+    # gamma2* itself is invariant under row and column flips, and the solve
+    # brackets it: every member's value is below every member's upper
     rng = np.random.default_rng(33)
-    p = rng.dirichlet(np.ones(9)).reshape(3, 3)
-    for interior in itertools.product((1.0, -1.0), repeat=4):
-        canon = np.ones((3, 3))
-        canon[1:, 1:] = np.reshape(interior, (2, 2))
-        results = []
-        for _ in range(3):
-            rows = rng.choice((-1.0, 1.0), size=(3, 1))
-            cols = rng.choice((-1.0, 1.0), size=(1, 3))
-            results.append(bounds.gamma2_star(rows * canon * cols * p))
-        assert max(g.value for g in results) <= min(g.upper for g in results), (interior, results)
+    for m, n in ((3, 3), (2, 3)):
+        p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        for interior in itertools.product((1.0, -1.0), repeat=(m - 1) * (n - 1)):
+            canon = np.ones((m, n))
+            canon[1:, 1:] = np.reshape(interior, (m - 1, n - 1))
+            results = []
+            for _ in range(3):
+                rows = rng.choice((-1.0, 1.0), size=(m, 1))
+                cols = rng.choice((-1.0, 1.0), size=(1, n))
+                results.append(bounds.gamma2_star(rows * canon * cols * p))
+            assert max(g.value for g in results) <= min(g.upper for g in results), ((m, n), interior, results)
 
 
 def test_gamma2_alpha_divides_by_the_upper_end(monkeypatch):

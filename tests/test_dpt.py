@@ -27,12 +27,11 @@ def test_params_validation():
         dpt.DPTParams(l=0, n=10)
     with pytest.raises(ValidationError):
         dpt.DPTParams(l=2, n=10, nu=1.5)
+    no_c = dpt.DPTParams(l=2, n=10, nu=0.5, eps=0.5, zeta=0.9, alphabet_sizes=(2, 2))
     with pytest.raises(ValidationError):
-        dpt.DPTParams(l=2, n=10, c=1.0, c_j=(0.2, 0.2))  # inconsistent totals
-    p = dpt.DPTParams(l=2, n=10, c_j=(0.25, 0.5))
-    assert p.total_comm == pytest.approx(0.75)
+        dpt.dpt_case_i_bound(no_c)
     with pytest.raises(ValidationError):
-        dpt.DPTParams(l=2, n=10).total_comm
+        dpt.dpt_case_ii_bound(no_c, 100.0)
 
 
 def test_delta_of_arithmetic():

@@ -93,26 +93,16 @@ def test_game_predicate_validation():
         )
 
 
-def test_callable_predicate_densifies():
-    game = games.GamePredicate(
-        inputs=((0, 1), (0, 1)),
-        outputs=((0, 1), (0, 1)),
-        p=np.full((2, 2), 0.25),
-        V=lambda a, x: (a[0] ^ a[1]) == (x[0] & x[1]),
-    )
-    np.testing.assert_array_equal(game.dense_V(), games.chsh().dense_V())
-
-
-def test_callable_predicate_over_limit_is_refused():
+def test_callable_predicate_is_refused():
     calls = []
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValidationError):
         games.GamePredicate(
-            inputs=((0,), (0,)),
-            outputs=(tuple(range(1000)), tuple(range(1001))),
-            p=np.ones((1, 1)),
-            V=lambda a, x: calls.append(a) or True,
+            inputs=((0, 1), (0, 1)),
+            outputs=((0, 1), (0, 1)),
+            p=np.full((2, 2), 0.25),
+            V=lambda a, x: calls.append(a) or (a[0] ^ a[1]) == (x[0] & x[1]),
         )
-    assert calls == []  # refused before any cell is evaluated
+    assert calls == []  # refused without evaluating a cell
 
 
 # ---------------------------------------------------------------------------

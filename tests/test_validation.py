@@ -51,7 +51,6 @@ def _cases():
     cases += [(f"DPTParams.{k}", lambda v, k=k: _dpt_bound(**{k: v}))
               for k in ("l", "n", "c", "nu", "eps", "zeta", "exponent_const")]
     cases += [
-        ("DPTParams.c_j", lambda v: _dpt_bound(c=None, c_j=(v, 0.0))),
         ("DPTParams.alphabet_sizes", lambda v: _dpt_bound(alphabet_sizes=(v, 4))),
         ("LeakageBudget.limit_bits", lambda v: diqkd.LeakageBudget(v)),
         ("LeakageBudget.used_bits", lambda v: diqkd.LeakageBudget(10, v)),
@@ -152,6 +151,19 @@ def test_non_finite_number_is_refused(call, value):
         lambda: diqkd.test_set_cheating_boxes(2.5),
         lambda: diqkd.LeakageBudget(10.5),
         lambda: diqkd.LeakageBudget(10, 0.5),
+        lambda: dpt.DPTParams(**_with(_DPT, l=2.5)),
+        lambda: dpt.DPTParams(**_with(_DPT, n=10.5)),
+        lambda: dpt.randv_bound(**_with(_RANDV, t=0.5)),
+        lambda: dpt.randv_bound(**_with(_RANDV, n=50.5)),
+        lambda: dpt.randv_bound(**_with(_RANDV, l=2.5)),
+        lambda: dpt.delta_of(**_with(_DELTA_OF, n=100.5)),
+        lambda: dpt.delta_of(**_with(_DELTA_OF, C_size=1.5)),
+        lambda: dpt.delta_of(**_with(_DELTA_OF, alphabet_sizes=(4.5, 4))),
+        lambda: diqkd.KeyRateParams(**_with(_RATE, n=1000.5)),
+        lambda: diqkd.chernoff_abort_bound(**_with(_CHERNOFF, n=10.5)),
+        lambda: diqkd.AdversaryRound("eve", "alice_box", 2.5, "ones"),
+        lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": 2.5, "function_id": "ones"}]}),
+        lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": "3", "function_id": "ones"}]}),
     ],
     ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
          "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
@@ -160,7 +172,10 @@ def test_non_finite_number_is_refused(call, value):
          "classical-budget-neg", "classical-budget-float", "ns-budget-neg", "eff_local-budget-neg",
          "repeat-budget-neg", "protocol-n-float", "protocol-seed-float", "run_index-float", "sweep-runs-float",
          "sweep-cell-n-float", "sweep-seed-neg", "sweep-seed-float", "test_set-guess-float",
-         "budget-limit-float", "budget-used-float"],
+         "budget-limit-float", "budget-used-float", "dpt-l-float", "dpt-n-float", "randv-t-float",
+         "randv-n-float", "randv-l-float", "delta_of-n-float", "delta_of-C_size-float", "alphabet-size-float",
+         "keyrate-n-float", "chernoff-n-float", "adversary-bits-float", "load-adversary-bits-float",
+         "load-adversary-bits-string"],
 )
 def test_out_of_range_count_or_seed_is_refused(call):
     # each of these crashed inside numpy, returned a wrong result or ran
@@ -198,7 +213,7 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: diqkd.KeyRateParams(alpha=1.0, gamma=0.0, delta=0.0, c=0.0, n=1, nu=0.0, beta=0.0, PrE=1.0),
         lambda: diqkd.KeyRateParams(alpha=0.5, gamma=1.0, delta=0.125, c=0.1, n=10, nu=1.0, beta=1.0),
         lambda: dpt.DPTParams(l=1, n=1, c=0.0, eps=0.0, zeta=0.0, nu=0.0),
-        lambda: dpt.DPTParams(l=2, n=1, c_j=(0.0, 0.0), eps=1.0, zeta=1.0, nu=1.0),
+        lambda: dpt.DPTParams(l=2, n=1, c=0.0, eps=1.0, zeta=1.0, nu=1.0),
         lambda: diqkd.LeakageBudget(0, 0),
         lambda: diqkd.HonestBoxes(0.0, 0),
         lambda: diqkd.HonestBoxes(0.5, 0),
