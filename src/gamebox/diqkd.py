@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,10 @@ class LeakageBudget:
         check_range("used_bits", self.used_bits, 0, math.inf, integer=True)
 
     def debit(self, bits: int) -> None:
-        # a bare comparison, not check_range: this runs once per leakage message
-        if not bits >= 0:
+        # bare checks, not check_range: this runs once per leakage message
+        if not isinstance(bits, numbers.Integral):
+            raise ValidationError(f"message length must be an integer, got {bits!r}")
+        if bits < 0:
             raise ValidationError(f"message length must be >= 0, got {bits}")
         if self.used_bits + bits > self.limit_bits:
             raise BudgetExceededError(

@@ -494,18 +494,50 @@ def _game_operator(pV: np.ndarray, M: Sequence[np.ndarray]) -> np.ndarray:
     return (W + W.conj().T) / 2
 
 
-def _effective_operators(pV: np.ndarray, M: Sequence[np.ndarray], psi_t: np.ndarray, j: int) -> np.ndarray:
-    """Stack ``G[x_j, a_j]`` of player j's effective operators:
-    ``<psi| W |psi> = sum_{x_j, a_j} Tr(M[j][x_j, a_j] G[x_j, a_j])``, where
-    ``G`` holds the other players' stacks only."""
-    l = len(M)
-    others = [k for k in range(l) if k != j]
-    # einsum labels: 0 = a_j, 1 = x_j, 2 / 3 = row / column of G (the ket /
-    # bra side of psi), 4 + 2k / 5 + 2k = row / column of player k's M
-    idx = [0, 1] + [i for k in others for i in (4 + 2 * k, 5 + 2 * k)]
+def _effective_subscripts(l: int, j: int) -> tuple[list[int], list[int], list[int]]:
+    """einsum labels of ``_effective_operators``: 0 = a_j, 1 = x_j, 2 / 3 =
+    row / column of G (the ket / bra side of psi), 4 + 2k / 5 + 2k = row /
+    column of player k's M.  Returns the labels of the contracted table,
+    of the bra and of the ket."""
+    idx = [0, 1] + [i for k in range(l) if k != j for i in (4 + 2 * k, 5 + 2 * k)]
     bra = [3 if k == j else 4 + 2 * k for k in range(l)]
     ket = [2 if k == j else 5 + 2 * k for k in range(l)]
-    return np.einsum(_contract(pV, M, skip=j), idx, psi_t.conj(), bra, psi_t, ket, [1, 0, 2, 3], optimize=True)
+    return idx, bra, ket
+
+
+def _effective_path(pV: np.ndarray, local_dims: Sequence[int], j: int) -> list:
+    """``np.einsum_path``'s greedy plan for player j's ``_effective_operators``,
+    the plan ``optimize=True`` makes on every call.  It depends on the
+    shapes only, so it is planned on empty stand-ins."""
+    l = len(local_dims)
+    T = np.empty((pV.shape[j], pV.shape[l + j]) + tuple(d for k in range(l) if k != j for d in [local_dims[k]] * 2))
+    psi_t = np.empty(local_dims)
+    idx, bra, ket = _effective_subscripts(l, j)
+    return np.einsum_path(T, idx, psi_t, bra, psi_t, ket, [1, 0, 2, 3], optimize="greedy")[0]
+
+
+def _effective_operators(pV: np.ndarray, M: Sequence[np.ndarray], psi_t: np.ndarray, j: int, path) -> np.ndarray:
+    """Stack ``G[x_j, a_j]`` of player j's effective operators:
+    ``<psi| W |psi> = sum_{x_j, a_j} Tr(M[j][x_j, a_j] G[x_j, a_j])``, where
+    ``G`` holds the other players' stacks only.  ``path`` is the einsum
+    plan, ``_effective_path(pV, local_dims, j)``."""
+    idx, bra, ket = _effective_subscripts(len(M), j)
+    return np.einsum(_contract(pV, M, skip=j), idx, psi_t.conj(), bra, psi_t, ket, [1, 0, 2, 3], optimize=path)
+
+
+def _pair_rounds(n: int) -> list[list[tuple[int, int]]]:
+    """The pairs ``i < j`` of ``range(n)`` in round-robin rounds of
+    disjoint pairs (the circle method): n - 1 rounds for even n, n rounds
+    with one output left out of each for odd n.  Odd n puts ``(i, j)`` in
+    round ``(i + j) mod n``; even n does the same for ``1..n-1`` modulo
+    n - 1 and pairs 0 with the output left out, ``(0, j)`` in round
+    ``2j mod (n - 1)``.  For n = 4:
+    ``[(0, 3), (1, 2)], [(0, 2), (1, 3)], [(0, 1), (2, 3)]``."""
+    m = n - 1 + n % 2
+    rounds = [[] for _ in range(m)]
+    for i, j in itertools.combinations(range(n), 2):
+        rounds[(2 * j if i == 0 and n % 2 == 0 else i + j) % m].append((i, j))
+    return rounds
 
 
 def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray:
@@ -516,31 +548,51 @@ def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray
     More outcomes: repeated exact two-outcome improvements on pairs, each
     applied to an input only when its own gain exceeds ``tol``; an input
     leaves the batch after a sweep that improved it by at most ``tol``, and
-    no input gets more than 60 sweeps.
+    no input gets more than 60 sweeps.  A sweep visits the pairs in the
+    round-robin rounds of ``_pair_rounds``; the pairs of a round touch
+    different elements, so one batched step over the (input, pair) stack
+    does the round, the same as its pairs one after another.
+
+    ``current`` must be projective, as every stack the seesaw passes in
+    is (Haar splits, the two-outcome projectors, this update's own
+    output).  Then ``S = M_alpha + M_beta`` is a projector and the exact
+    pair update ``S^(1/2) P+(S^(1/2) D S^(1/2)) S^(1/2)``, with
+    ``D = G_alpha - G_beta`` and ``P+`` the projector onto the positive
+    part, is ``P+(S D S)``: one ``eigh`` per pair step, and the output is
+    projective again.  ``eigh`` gets ``S D S + S - I``, which has the same
+    positive part: the shift puts the complement of S at eigenvalue -1,
+    where rounding cannot mix it into small positive eigenvalues of
+    ``S D S``; such mixing leaks ``M_alpha`` out of S, and
+    ``M_beta = S - M_alpha`` then drifts from a projector and below 0
+    (by 1e-12 within one seesaw on a random 3-player game).
     """
     k, n, d = current.shape[:3]
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+    ident = np.eye(d, dtype=complex)
+    eye = np.broadcast_to(ident, (k, d, d))
     if n == 1:
         return eye[:, None].copy()
     if n == 2:
         P = qcore.psd_power(G[:, 0] - G[:, 1], 0.0)
         return np.stack([P, eye - P], axis=1)
+    rounds = [np.array(pairs).T for pairs in _pair_rounds(n)]
     ms = current.astype(complex)
     active = np.arange(k)
     for _ in range(60):
         cur, g = ms[active], G[active]
         improved = np.zeros(active.size)
-        for alpha in range(n):
-            for beta in range(alpha + 1, n):
-                S = cur[:, alpha] + cur[:, beta]
-                delta = g[:, alpha] - g[:, beta]
-                shalf = qcore.psd_sqrt(S)
-                new_alpha = shalf @ qcore.psd_power(shalf @ delta @ shalf, 0.0) @ shalf
-                gain = np.einsum("kij,kji->k", new_alpha - cur[:, alpha], delta).real
-                up = gain > tol
-                improved[up] += gain[up]
-                cur[up, alpha] = (new_alpha[up] + new_alpha[up].conj().swapaxes(-1, -2)) / 2
-                cur[up, beta] = S[up] - cur[up, alpha]
+        for alpha, beta in rounds:
+            old_alpha = cur[:, alpha]
+            S = old_alpha + cur[:, beta]
+            delta = g[:, alpha] - g[:, beta]
+            P = qcore.psd_power(S @ delta @ S + S - ident, 0.0)
+            gain = np.einsum("kpij,kpji->kp", P - old_alpha, delta).real
+            up = gain > tol
+            improved += np.where(up, gain, 0.0).sum(axis=1)
+            i, q = np.nonzero(up)
+            new_alpha = P[i, q]
+            new_alpha = (new_alpha + new_alpha.conj().swapaxes(-1, -2)) / 2
+            cur[i, alpha[q]] = new_alpha
+            cur[i, beta[q]] = S[i, q] - new_alpha
         ms[active] = cur
         active = active[improved > tol]
         if active.size == 0:
@@ -576,9 +628,12 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
     ``(restarts, |X_j|, |A_j|, d_j, d_j)`` stack: an iteration takes one
     batched ``eigh`` of the restarts' game operators and, per player, one
     ``_optimize_povm`` call on the stacks flattened to ``restarts * |X_j|``
-    inputs.  Both act matrix by matrix and input by input, so each restart
-    computes exactly what it would alone.  The contractions stay per
-    restart: a batched ``tensordot`` could block its sums differently."""
+    inputs, whose round-robin pair rounds each take one batched ``eigh``
+    over every (input, pair).  Both act matrix by matrix and input by
+    input, so each restart computes exactly what it would alone.  The
+    contractions stay per restart: a batched ``tensordot`` could block its
+    sums differently.  Each player's einsum plan for the effective
+    operators is made once here (``_effective_path``), not on every call."""
     draws = [_random_povms(game, local_dims, np.random.default_rng([seed, r])) for r in rs]
     povms = [np.stack(M) for M in zip(*draws)]
     live, prev = list(rs), [-1.0] * len(rs)
@@ -587,13 +642,14 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
         return np.stack([_game_operator(pV, [M[i] for M in povms]) for i in range(len(live))])
 
     W = game_operators()
+    paths = [_effective_path(pV, local_dims, j) for j in range(game.players)]
     finished, nxt = {}, rs.start
     for it in range(max_iters):
         psi = np.linalg.eigh(W)[1][..., -1]
         for j in range(game.players):
             G = np.concatenate(
                 [
-                    _effective_operators(pV, [M[i] for M in povms], psi[i].reshape(local_dims), j)
+                    _effective_operators(pV, [M[i] for M in povms], psi[i].reshape(local_dims), j, paths[j])
                     for i in range(len(live))
                 ]
             )
@@ -633,6 +689,10 @@ def seesaw(
     restart ``r`` draws fresh Haar-random projective measurements from
     ``numpy.random.default_rng([seed, r])``, and stops once an iteration
     gains less than ``tol``; a restart that reaches 1 - 1e-9 ends the search.
+    The measurements stay projective throughout: with three or more
+    outputs, ``_optimize_povm`` improves pairs of outputs in round-robin
+    rounds, one ``eigh`` per pair step, and its exact pair update returns
+    projectors when given projectors.
 
     Player j's POVMs are one ``(|X_j|, |A_j|, d_j, d_j)`` stack, and ``W``
     and player j's effective operators each come from one contraction of

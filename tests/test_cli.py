@@ -669,7 +669,8 @@ def test_readme_probe_output_is_pinned(capsys):
 
 # Outputs captured before the mse table was built by broadcasting and
 # before seesaw restarts ran in lockstep.  magic_square at seed 7 reaches
-# 1 - 1e-9 in restart 0, which runs alone.
+# 1 - 1e-9 in restart 0, which runs alone; its value was re-pinned when the
+# POVM update moved to round-robin pair rounds (0.9999999991736805 before).
 PINNED_GAME_VALUE_OUTPUTS = [
     (
         "game value --builtin mse --method ns",
@@ -701,7 +702,7 @@ PINNED_GAME_VALUE_OUTPUTS = [
         '  "method": "seesaw",\n'
         '  "restarts": 20,\n'
         '  "seed": 7,\n'
-        '  "value": 0.9999999991736805\n'
+        '  "value": 0.9999999991941269\n'
         "}\n",
     ),
 ]

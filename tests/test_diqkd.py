@@ -48,6 +48,27 @@ def test_budget_metering():
         b.debit(-1)
 
 
+@pytest.mark.parametrize("bits", [2.5, 2.0, "3", None, np.float64(2.0)])
+def test_debit_refuses_non_integers(bits):
+    # a fractional debit would leave used_bits fractional while the channel
+    # log records int(bits)
+    b = diqkd.LeakageBudget(10)
+    with pytest.raises(ValidationError):
+        b.debit(bits)
+    ch = diqkd.LeakageChannel(b)
+    with pytest.raises(ValidationError):
+        ch.send("eve", "alice_box", bits)
+    assert b.used_bits == 0
+    assert ch.log == []
+
+
+def test_debit_accepts_numpy_integers():
+    ch = diqkd.LeakageChannel(diqkd.LeakageBudget(10))
+    ch.send("eve", "alice_box", np.int64(2))
+    assert ch.budget.used_bits == 2
+    assert ch.inbox("alice_box") == [("eve", 2, "")]
+
+
 def test_channel_routing_and_lock():
     ch = diqkd.LeakageChannel(diqkd.LeakageBudget(8))
     ch.send("alice_box", "eve", 3, "101")
