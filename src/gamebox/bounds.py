@@ -25,7 +25,9 @@ Contents:
   over all strategies is built and ``repeat(chsh, 2)`` runs).  Its
   rows are the head rows that fix the column set (no-signalling, or
   weights summing to one), then the mass rows, then the win rows; eta
-  is reported within [``ETA_FLOOR``, 1];
+  is reported within [``ETA_FLOOR``, 1], and at the floor ``eff_ns``
+  reports ``1 / ETA_FLOOR`` (still a lower bound) and ``eff_local``
+  ``inf`` (the only upper bound it can give);
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
   unit vectors and sign matrices: exact for one row; past that a
   certified bracket (an SDP dual bound) within 1e-7 relative;
@@ -490,8 +492,7 @@ def _efficiency_lp(
 
     Row layout over the columns followed by eta: the head rows (=), then
     the mass rows (=), then the win rows (>=).  An input that no answer
-    wins forces eta = 0 under ``worst_case``; the floor then gives eff
-    ``1 / ETA_FLOOR``.
+    wins forces eta = 0 under ``worst_case``, reported at the floor.
     """
     n, k = head.shape[1], head.shape[0] + mass.shape[0]
     A = np.zeros((k + win.shape[0], n + 1))
@@ -596,7 +597,9 @@ def eff_local(
     xs = np.indices(in_sizes).reshape(l, -1)
     np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w_cols[used][:, None])
     cert = Correlation(q=q, players=l)
-    return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="local", certificate=cert)
+    # at the floor, 1 / eta would be no upper bound on eff*
+    eff = math.inf if eta == ETA_FLOOR else 1.0 / eta
+    return PartitionBoundResult(eta=eta, eff=eff, variant=variant, relaxation="local", certificate=cert)
 
 
 def _local_columns(game: GamePredicate, variant: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:

@@ -407,11 +407,15 @@ def load_adversary(source) -> ScriptedAdversary:
 # ---------------------------------------------------------------------------
 
 
-def _pass_threshold(delta: float, t: int) -> int:
-    """The fewest agreeing rounds out of ``t`` that pass the abort test,
-    ceil((1 - 2 delta) t); the 1e-9 keeps a product that rounds just above
-    an integer from asking one round more."""
-    return math.ceil((1.0 - 2.0 * delta) * t - 1e-9)
+def _agreement(a_T, b_T, x_T, y_T, delta: float) -> tuple[int, bool]:
+    """The probed rounds whose cells agree (Alice's bit at Bob's input
+    against Bob's at Alice's), and whether they pass: at least
+    ceil((1 - 2 delta) t) of the t rounds; the 1e-9 keeps a product that
+    rounds just above an integer from asking one round more."""
+    t = x_T.size
+    rows = np.arange(t)
+    matches = int((a_T[rows, y_T] == b_T[rows, x_T]).sum())
+    return matches, matches >= math.ceil((1.0 - 2.0 * delta) * t - 1e-9)
 
 
 def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
@@ -422,12 +426,9 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     b_T = np.asarray(b_T)
     x_T = np.asarray(x_T)
     y_T = np.asarray(y_T)
-    t = x_T.size
-    if not (a_T.shape[0] == b_T.shape[0] == t == y_T.size):
+    if not (a_T.shape[0] == b_T.shape[0] == x_T.size == y_T.size):
         raise ValidationError("test-set arrays must be aligned")
-    rows = np.arange(t)
-    matches = int((a_T[rows, y_T] == b_T[rows, x_T]).sum())
-    return matches >= _pass_threshold(delta, t)
+    return _agreement(a_T, b_T, x_T, y_T, delta)[1]
 
 
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
@@ -482,10 +483,8 @@ def run_protocol(
     S = np.sort(rng_s.choice(n, size=params.s_size, replace=False))
     T = np.sort(rng_t.choice(S, size=params.t_size, replace=False))
 
-    A_T, B_T, x_T, y_T = A[T], B[T], xs[T], ys[T]
-    rows_T = np.arange(T.size)
-    matches = int((A_T[rows_T, y_T] == B_T[rows_T, x_T]).sum())
-    passed = matches >= _pass_threshold(params.delta, T.size)
+    A_T = A[T]
+    matches, passed = _agreement(A_T, B[T], xs[T], ys[T], params.delta)
 
     x_S, y_S = xs[S], ys[S]
     key_a = A[S, y_S]

@@ -29,6 +29,8 @@ from .errors import (
 
 _PROBE_TENSOR_LIMIT = 50_000_000
 _WIN_EPS = 1e-12
+_ASCENT_PASSES = 200
+_PRODUCT_START_BUDGET = 10**8  # single-copy strategies that classical_value enumerates for the product start
 
 
 def _log2_alphabet(alphabet_sizes) -> float:
@@ -233,59 +235,97 @@ def _exhaustive_split(PV, kA, kB):
     return best, best_cert
 
 
-def _ascend(PV, g_A, g_B, f_A, f_B, mA, mB, max_passes=200):
-    """Coordinate ascent over the four protocol maps, each block updated to
-    its exact best response."""
-    NX, NY, MA, MB = PV.shape
+def _best_outputs(PV, f, f_other, g, g_other):
+    """One player's best answer table ``f`` (own inputs, messages received)
+    against the other's table ``f_other``, for the messages ``g`` it sends
+    and ``g_other`` it receives; ``PV`` has the player's axes first.
+    Entry (x, m) is the first argmax of the win weights summed in
+    ascending y over the inputs y that send m; a message no y sends keeps
+    its entry."""
+    other = f_other[:, g].T  # the other player's answer at (x, y)
+    gathered = np.take_along_axis(PV, other[:, :, None, None], axis=3)[..., 0]
+    sums = np.zeros((PV.shape[0], f.shape[1], PV.shape[2]))
+    np.add.at(sums, (slice(None), g_other), gathered)
+    return np.where(np.bincount(g_other, minlength=f.shape[1]) > 0, sums.argmax(axis=2), f)
+
+
+def _best_messages(PV, f, f_other, g_other):
+    """One player's best message map for fixed answer tables, oriented as in
+    :func:`_best_outputs`: x sends the first m that maximises the win
+    weight summed over y, one row sum per (x, m) as numpy sums a 1-D array."""
+    NX, NY = PV.shape[:2]
+    own = f[:, g_other]  # the player's answer at (x, y)
+    gains = PV[np.arange(NX)[:, None, None], np.arange(NY), own[:, None, :], f_other.T[None]]
+    return gains.sum(axis=2).argmax(axis=1)
+
+
+def _ascend(PV, g_A, g_B, f_A, f_B):
+    """Block coordinate ascent: each pass sets f_A, f_B, g_A, g_B in turn to
+    their exact best responses (Bob's on the transposed tensor), until a
+    pass gains at most 1e-15 or after ``_ASCENT_PASSES`` passes.  Returns
+    the value and the final maps."""
+    PVt = PV.transpose(1, 0, 3, 2)
     value = _protocol_value(PV, g_A, g_B, f_A, f_B)
-    for _ in range(max_passes):
-        b_sel = f_B[:, g_A].T  # (NX, NY)
-        for x in range(NX):
-            T = np.take_along_axis(PV[x], b_sel[x][:, None, None], axis=2)[:, :, 0]
-            for m in range(mB):
-                mask = g_B == m
-                if mask.any():
-                    f_A[x, m] = int(np.argmax(T[mask].sum(axis=0)))
-        a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]
-        for y in range(NY):
-            T = np.take_along_axis(PV[:, y], a_sel[:, y][:, None, None], axis=1)[:, 0, :]
-            for m in range(mA):
-                mask = g_A == m
-                if mask.any():
-                    f_B[y, m] = int(np.argmax(T[mask].sum(axis=0)))
-        a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]
-        for x in range(NX):
-            gains = [
-                float(
-                    PV[x, np.arange(NY), a_sel[x], f_B[:, m]].sum()
-                )
-                for m in range(mA)
-            ]
-            g_A[x] = int(np.argmax(gains))
-        b_sel = f_B[:, g_A].T
-        for y in range(NY):
-            gains = [
-                float(PV[np.arange(NX), y, f_A[:, m], b_sel[:, y]].sum())
-                for m in range(mB)
-            ]
-            g_B[y] = int(np.argmax(gains))
+    for _ in range(_ASCENT_PASSES):
+        f_A = _best_outputs(PV, f_A, f_B, g_A, g_B)
+        f_B = _best_outputs(PVt, f_B, f_A, g_B, g_A)
+        g_A = _best_messages(PV, f_A, f_B, g_B)
+        g_B = _best_messages(PVt, f_B, f_A, g_A)
         new_value = _protocol_value(PV, g_A, g_B, f_A, f_B)
         if new_value <= value + 1e-15:
             value = max(value, new_value)
             break
         value = new_value
-    return value
+    return value, (g_A, g_B, f_A, f_B)
+
+
+def _product_answers(game: games_mod.GamePredicate, n: int):
+    """Each player's answers over its n-fold inputs under the per-copy
+    product of a classical optimum; None past ``_PRODUCT_START_BUDGET``
+    single-copy strategies."""
+    if math.prod(m**k for m, k in zip(game.output_sizes, game.input_sizes)) > _PRODUCT_START_BUDGET:
+        return None
+    maps = games_mod.classical_value(game, budget=_PRODUCT_START_BUDGET).certificate.maps
+    answers = []
+    for j, (k, m) in enumerate(zip(game.input_sizes, game.output_sizes)):
+        table = np.asarray(maps[j])
+        copies = np.unravel_index(np.arange(k**n), (k,) * n)  # each copy's input, copy 0 most significant
+        answers.append(np.ravel_multi_index(tuple(table[c] for c in copies), (m,) * n))
+    return answers
+
+
+def _ascent_split(PV, kA, kB, seed, product):
+    """Yields (value, certificate) of :func:`_ascend` on one split from each
+    start in turn: the ``product`` answers with every message 0, when
+    given, then eight seeded random protocols."""
+    NX, NY, MA, MB = PV.shape
+    mA, mB = 2**kA, 2**kB
+    starts = []
+    if product is not None:
+        starts.append((np.zeros(NX, dtype=np.int64), np.zeros(NY, dtype=np.int64),
+                       np.repeat(product[0][:, None], mB, axis=1), np.repeat(product[1][:, None], mA, axis=1)))
+    for r in range(8):
+        rng = np.random.default_rng([seed, kA, r])
+        starts.append((rng.integers(0, mA, NX), rng.integers(0, mB, NY),
+                       rng.integers(0, MA, (NX, mB)), rng.integers(0, MB, (NY, mA))))
+    for start in starts:
+        value, protocol = _ascend(PV, *start)
+        yield value, _certificate(kA, kB, *protocol)
 
 
 def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     """Search for the best one-round-communication protocol on ``probe.n``
-    parallel copies.
+    parallel copies, split by split (kA from ``comm_bits`` down), keeping a
+    protocol that beats the best so far by more than 1e-15 and stopping at
+    value 1.
 
-    Exhaustive (exact) when the summed :func:`_split_work` of the message
-    splits fits in ``search_budget`` (an integer >= 0, checked before any
-    work): :func:`_exhaustive_split` solves each split as message-augmented
-    games.  Otherwise seeded coordinate-ascent restarts from the per-copy
-    product strategy; the result is then a lower bound."""
+    ``exhaustive`` (exact) when the summed :func:`_split_work` fits in
+    ``search_budget`` (an integer >= 0, checked before any work):
+    :func:`_exhaustive_split` solves each split.  ``lower_bound``
+    otherwise: :func:`_ascend` runs block best responses until a pass
+    gains at most 1e-15, from nine starts per split: the per-copy product
+    of the classical optimum (when its single-copy strategies are at most
+    ``_PRODUCT_START_BUDGET``) and eight seeded ones."""
     game = probe.game
     if game.players != 2:
         raise CapabilityError("repetition probe implemented for two players only")
@@ -296,61 +336,20 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     PV = _repeated_tensors(game, probe.n)
     NX, NY, MA, MB = PV.shape
     splits = [(kA, probe.comm_bits - kA) for kA in range(probe.comm_bits, -1, -1)]
-    total_work = sum(_split_work(NX, NY, MA, MB, kA, kB) for kA, kB in splits)
+    if sum(_split_work(NX, NY, MA, MB, kA, kB) for kA, kB in splits) <= probe.search_budget:
+        kind = "exhaustive"
+        runs = ([_exhaustive_split(PV, kA, kB)] for kA, kB in splits)
+    else:
+        kind, product = "lower_bound", _product_answers(game, probe.n)
+        runs = (_ascent_split(PV, kA, kB, probe.seed, product) for kA, kB in splits)
 
-    if total_work <= probe.search_budget:
-        best, best_cert = -math.inf, None
-        for kA, kB in splits:
-            value, cert = _exhaustive_split(PV, kA, kB)
-            if value > best + 1e-15:
-                best, best_cert = value, cert
-            if best >= 1.0 - _WIN_EPS:
-                break
-        return dataclasses.replace(
-            probe, best_value=min(best, 1.0), kind="exhaustive", certificate=best_cert
-        )
-
-    base = games_mod.classical_value(game)
-    amap = np.asarray(base.certificate.maps[0], dtype=np.int64)
-    bmap = np.asarray(base.certificate.maps[1], dtype=np.int64)
-    xs = np.stack(np.unravel_index(np.arange(NX), (game.input_sizes[0],) * probe.n))
-    ys = np.stack(np.unravel_index(np.arange(NY), (game.input_sizes[1],) * probe.n))
-    out_a = np.ravel_multi_index(tuple(amap[xs[i]] for i in range(probe.n)), (game.output_sizes[0],) * probe.n)
-    out_b = np.ravel_multi_index(tuple(bmap[ys[i]] for i in range(probe.n)), (game.output_sizes[1],) * probe.n)
-
-    best, best_state = -1.0, None
-    for kA, kB in splits:
-        mA, mB = 2**kA, 2**kB
-        starts = [
-            (
-                np.zeros(NX, dtype=np.int64),
-                np.zeros(NY, dtype=np.int64),
-                np.repeat(out_a[:, None], mB, axis=1).astype(np.int64),
-                np.repeat(out_b[:, None], mA, axis=1).astype(np.int64),
-            )
-        ]
-        for r in range(8):
-            rng = np.random.default_rng([probe.seed, kA, r])
-            starts.append(
-                (
-                    rng.integers(0, mA, NX),
-                    rng.integers(0, mB, NY),
-                    rng.integers(0, MA, (NX, mB)),
-                    rng.integers(0, MB, (NY, mA)),
-                )
-            )
-        for g_A, g_B, f_A, f_B in starts:
-            value = _ascend(PV, g_A, g_B, f_A, f_B, mA, mB)
-            if value > best + 1e-15:
-                best = value
-                best_state = _certificate(kA, kB, g_A, g_B, f_A, f_B)
-            if best >= 1.0 - _WIN_EPS:
-                break
+    best, best_cert = -math.inf, None
+    for value, cert in itertools.chain.from_iterable(runs):
+        if value > best + 1e-15:
+            best, best_cert = value, cert
         if best >= 1.0 - _WIN_EPS:
             break
-    return dataclasses.replace(
-        probe, best_value=min(best, 1.0), kind="lower_bound", certificate=best_state
-    )
+    return dataclasses.replace(probe, best_value=min(best, 1.0), kind=kind, certificate=best_cert)
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class ClassicalStrategy:
 
     maps: tuple[tuple[int, ...], ...]
 
-    def outputs(self, x_idx: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.maps[j][x] for j, x in enumerate(x_idx))
-
 
 @dataclass(frozen=True)
 class QuantumStrategy:

@@ -694,7 +694,8 @@ def _eff_local_every_strategy(game, eps, variant):
     d_idx = np.unravel_index(ds, map_counts)
     xs = np.indices(in_sizes).reshape(l, -1)
     np.add.at(q, tuple(maps[j][d_idx[j][:, None], xs[j]] for j in range(l)) + tuple(xs), w[ds][:, None])
-    return (eta, 1.0 / eta, q), np.vstack([mass, win])
+    eff = math.inf if eta == bounds.ETA_FLOOR else 1.0 / eta  # no upper bound on eff* at the floor
+    return (eta, eff, q), np.vstack([mass, win])
 
 
 def _zero_p_game():
@@ -822,9 +823,12 @@ def test_efficiency_floor_when_an_input_cannot_be_won(relaxation):
     V[..., 1, 1] = False
     game = games.GamePredicate(inputs=((0, 1), (0, 1)), outputs=((0, 1), (0, 1)), p=np.full((2, 2), 0.25), V=V)
     fn = bounds.eff_ns if relaxation == "no_signalling" else bounds.eff_local
+    # at the floor eff_ns keeps 1 / ETA_FLOOR, a lower bound on eff*, and
+    # eff_local gives inf, the only upper bound left
+    floor_eff = 1.0 / bounds.ETA_FLOOR if relaxation == "no_signalling" else math.inf
     for variant in ("worst_case", "tilde"):
         res = fn(game, 0.0, variant)
-        assert res.eta == bounds.ETA_FLOOR and res.eff == 1.0 / bounds.ETA_FLOOR
+        assert res.eta == bounds.ETA_FLOOR and res.eff == floor_eff
     eta = _reference_eta(_reference_lp(game, relaxation), 0.0, "average")
     assert eta > 0.25
     assert fn(game, 0.0, "average").eta == pytest.approx(eta, abs=1e-9)

@@ -282,6 +282,23 @@ def test_bounds_eff_json_fields(capsys):
     assert doc["certificate"] is not None
 
 
+def test_bounds_eff_local_at_the_eta_floor_prints_null(capsys, tmp_path):
+    # input (1, 1) has no winning answer, so eta sits at its floor
+    doc = games.game_to_json(games.chsh())
+    V = np.array(doc["V"]).reshape(2, 2, 2, 2)
+    V[..., 1, 1] = 0
+    doc["V"] = V.reshape(-1).tolist()
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    code, out, _ = run(capsys, "bounds", "eff", "--game", str(path), "--eps", "0.0", "--relaxation", "local")
+    assert code == 0
+    assert json.loads(out, parse_constant=refuse)["eff"] is None
+
+
 def test_bounds_gamma2_matrix_forms(capsys, tmp_path):
     raw = tmp_path / "raw.json"
     raw.write_text(json.dumps([[0.25, 0.25], [0.25, -0.25]]))

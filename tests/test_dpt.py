@@ -217,6 +217,129 @@ def test_probe_budget_switches_to_hill_climb():
     )
 
 
+def test_probe_ascent_runs_past_the_product_start_budget():
+    # 10^16 single-copy strategies: no product start, only the seeded ones
+    r = np.random.default_rng(5)
+    game = games.GamePredicate(
+        inputs=(tuple(range(8)),) * 2, outputs=(tuple(range(10)),) * 2, p=np.full((8, 8), 1 / 64),
+        V=r.random((10, 10, 8, 8)) < 0.3,
+    )
+    probe = dpt.empirical_repeated_value(dpt.RepetitionProbe(game, n=1, comm_bits=0))
+    assert probe.kind == "lower_bound"
+    assert _replay_certificate(game, 1, probe.certificate) == pytest.approx(probe.best_value, abs=1e-12)
+
+
+def _protocol_wins(PV, g_A, g_B, f_A, f_B):
+    """Values of a batch of protocols, each map with a leading batch axis."""
+    NX, NY = PV.shape[:2]
+    x, y, k = np.arange(NX)[:, None], np.arange(NY)[None, :], np.arange(len(f_A))[:, None, None]
+    return PV[x, y, f_A[k, x, g_B[:, None, :]], f_B[k, y, g_A[:, :, None]]].sum(axis=(1, 2))
+
+
+def _block_gain(PV, cert, name):
+    """How much more than ``cert`` the best choice of its block ``name``
+    wins, the other three maps fixed, over every table of that block."""
+    NX, NY, MA, MB = PV.shape
+    mA, mB = 2 ** cert["kA"], 2 ** cert["kB"]
+    shapes = {"g_A": (mA, (NX,)), "g_B": (mB, (NY,)), "f_A": (MA, (NX, mB)), "f_B": (MB, (NY, mA))}
+    maps = {block: np.asarray(cert[block]).reshape(shape)[None] for block, (_, shape) in shapes.items()}
+    choices, shape = shapes[name]
+    tables = np.array(list(itertools.product(range(choices), repeat=math.prod(shape)))).reshape(-1, *shape)
+    batch = {block: np.broadcast_to(m, (len(tables), *m.shape[1:])) for block, m in maps.items()}
+    return _protocol_wins(PV, **{**batch, name: tables}).max() - _protocol_wins(PV, **maps)[0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_best_response_helpers_reach_the_block_maximum(seed):
+    # Alice's blocks on PV, Bob's on the transposed tensor, at random maps
+    # with one bit each way (at most 3^(3*2) tables per block)
+    game = _random_two_player_game(seed)
+    PV = dpt._repeated_tensors(game, 1)
+    PVt = PV.transpose(1, 0, 3, 2)
+    NX, NY, MA, MB = PV.shape
+    r = np.random.default_rng([seed, 5])
+    maps = {"g_A": r.integers(0, 2, NX), "g_B": r.integers(0, 2, NY),
+            "f_A": r.integers(0, MA, (NX, 2)), "f_B": r.integers(0, MB, (NY, 2))}
+    g_A, g_B, f_A, f_B = maps.values()
+    responses = {
+        "f_A": dpt._best_outputs(PV, f_A, f_B, g_A, g_B),
+        "f_B": dpt._best_outputs(PVt, f_B, f_A, g_B, g_A),
+        "g_A": dpt._best_messages(PV, f_A, f_B, g_B),
+        "g_B": dpt._best_messages(PVt, f_B, f_A, g_A),
+    }
+    for name, response in responses.items():
+        assert _block_gain(PV, {"kA": 1, "kB": 1, **maps, name: response}, name) <= 1e-12, name
+    # an answer column for a message nobody sends keeps its entries
+    for f, f_new, g_other in ((f_A, responses["f_A"], g_B), (f_B, responses["f_B"], g_A)):
+        unsent = np.bincount(g_other, minlength=2) == 0
+        assert np.array_equal(f_new[:, unsent], f[:, unsent])
+
+
+def _ref_ascend(PV, g_A, g_B, f_A, f_B, mA, mB, max_passes=200):
+    """The block ascent as loops over each input and message, as the probe
+    ran it before its array best responses; updates the maps in place and
+    returns the value."""
+    NX, NY, MA, MB = PV.shape
+    value = dpt._protocol_value(PV, g_A, g_B, f_A, f_B)
+    for _ in range(max_passes):
+        b_sel = f_B[:, g_A].T
+        for x in range(NX):
+            T = np.take_along_axis(PV[x], b_sel[x][:, None, None], axis=2)[:, :, 0]
+            for m in range(mB):
+                mask = g_B == m
+                if mask.any():
+                    f_A[x, m] = int(np.argmax(T[mask].sum(axis=0)))
+        a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]
+        for y in range(NY):
+            T = np.take_along_axis(PV[:, y], a_sel[:, y][:, None, None], axis=1)[:, 0, :]
+            for m in range(mA):
+                mask = g_A == m
+                if mask.any():
+                    f_B[y, m] = int(np.argmax(T[mask].sum(axis=0)))
+        a_sel = f_A[np.arange(NX)[:, None], g_B[None, :]]
+        for x in range(NX):
+            g_A[x] = int(np.argmax([float(PV[x, np.arange(NY), a_sel[x], f_B[:, m]].sum()) for m in range(mA)]))
+        b_sel = f_B[:, g_A].T
+        for y in range(NY):
+            g_B[y] = int(np.argmax([float(PV[np.arange(NX), y, f_A[:, m], b_sel[:, y]].sum()) for m in range(mB)]))
+        new_value = dpt._protocol_value(PV, g_A, g_B, f_A, f_B)
+        if new_value <= value + 1e-15:
+            value = max(value, new_value)
+            break
+        value = new_value
+    return value
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ascent_matches_the_loop_reference_bitwise(seed):
+    # two copies of a 3-input game give message groups of up to 9 inputs
+    game = _random_two_player_game(seed)
+    PV = dpt._repeated_tensors(game, 1 + seed % 2)
+    NX, NY, MA, MB = PV.shape
+    for kA, kB in ((2, 0), (1, 1), (0, 2)):
+        mA, mB = 2**kA, 2**kB
+        r = np.random.default_rng([seed, kA, 7])
+        for _ in range(3):
+            start = (r.integers(0, mA, NX), r.integers(0, mB, NY),
+                     r.integers(0, MA, (NX, mB)), r.integers(0, MB, (NY, mA)))
+            value, protocol = dpt._ascend(PV, *(m.copy() for m in start))
+            assert value == _ref_ascend(PV, *start, mA, mB)
+            assert all(np.array_equal(new, ref) for new, ref in zip(protocol, start))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_probe_ascent_ends_at_a_best_response_in_every_block(seed):
+    # one bit keeps every block small enough to enumerate (at most 3^(3*2)
+    # answer tables)
+    game = _random_two_player_game(seed)
+    got = dpt.empirical_repeated_value(dpt.RepetitionProbe(game, n=1, comm_bits=1, search_budget=1, seed=seed))
+    assert got.kind == "lower_bound"
+    PV = dpt._repeated_tensors(game, 1)
+    for name in ("f_A", "f_B", "g_A", "g_B"):
+        assert _block_gain(PV, got.certificate, name) <= 1e-12, name
+    assert _replay_certificate(game, 1, got.certificate) == pytest.approx(got.best_value, abs=1e-12)
+
+
 # The exhaustive search before it became games.best_deterministic on a
 # message-augmented game: the player with the smaller output-map space is
 # enumerated in chunks (Bob only when his is strictly smaller, through a

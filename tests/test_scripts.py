@@ -1,5 +1,6 @@
-"""The experiment scripts: the partition table in-process with its default
-arguments, the others as processes on small grids."""
+"""The experiment scripts: the partition table and the repetition probe
+in-process with their default arguments, the scripts as processes on small
+grids."""
 
 import csv
 import io
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gamebox import diqkd
+from gamebox import diqkd, dpt
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,6 +51,78 @@ def test_partition_bound_table_output_is_pinned(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["partition_bound_table.py"])
     runpy.run_path(str(SCRIPTS / "partition_bound_table.py"), run_name="__main__")
     assert capsys.readouterr().out == PINNED_PARTITION_TABLE
+
+
+# stdout of scripts/repetition_probe.py with no arguments
+PINNED_REPETITION_TABLE = (
+    "game             n  comm        value  classical^n kind        \n"
+    "chsh             1     0   0.75000000   0.75000000 exhaustive  \n"
+    "chsh             1     1   1.00000000   0.75000000 exhaustive  \n"
+    "chsh             1     2   1.00000000   0.75000000 exhaustive  \n"
+    "chsh             2     0   0.62500000   0.56250000 exhaustive  \n"
+    "chsh             2     1   0.75000000   0.56250000 exhaustive  \n"
+    "chsh             2     2   1.00000000   0.56250000 lower_bound \n"
+    "magic_square     1     0   0.88888889   0.88888889 exhaustive  \n"
+    "magic_square     1     1   1.00000000   0.88888889 exhaustive  \n"
+    "magic_square     1     2   1.00000000   0.88888889 lower_bound \n"
+    "magic_square     2     0   0.80246914   0.79012346 lower_bound \n"
+    "magic_square     2     1   0.92592593   0.79012346 lower_bound \n"
+    "magic_square     2     2   1.00000000   0.79012346 lower_bound \n"
+)
+
+# (game, n, comm_bits) -> (value, kind, certificate) of each probe that the
+# default run of scripts/repetition_probe.py makes
+PINNED_REPETITION_PROBES = {
+    ("chsh", 1, 0): (0.75, "exhaustive", {"kA": 0, "kB": 0, "g_A": [0, 0], "g_B": [0, 0], "f_A": [[0], [0]],
+                                          "f_B": [[0], [0]]}),
+    ("chsh", 1, 1): (1.0, "exhaustive", {"kA": 1, "kB": 0, "g_A": [0, 1], "g_B": [0, 0], "f_A": [[0], [0]],
+                                         "f_B": [[0, 0], [0, 1]]}),
+    ("chsh", 1, 2): (1.0, "exhaustive", {"kA": 2, "kB": 0, "g_A": [0, 1], "g_B": [0, 0], "f_A": [[0], [0]],
+                                         "f_B": [[0, 0, 0, 0], [0, 1, 0, 0]]}),
+    ("chsh", 2, 0): (0.625, "exhaustive", {"kA": 0, "kB": 0, "g_A": [0, 0, 0, 0], "g_B": [0, 0, 0, 0],
+                                           "f_A": [[0], [0], [0], [1]], "f_B": [[0], [0], [0], [2]]}),
+    ("chsh", 2, 1): (0.75, "exhaustive", {"kA": 1, "kB": 0, "g_A": [0, 0, 0, 1], "g_B": [0, 0, 0, 0],
+                                          "f_A": [[0], [0], [0], [0]], "f_B": [[0, 0], [0, 1], [0, 2], [0, 3]]}),
+    ("chsh", 2, 2): (1.0, "lower_bound", {"kA": 2, "kB": 0, "g_A": [0, 2, 1, 3], "g_B": [0, 0, 0, 0],
+                                          "f_A": [[1], [0], [0], [2]],
+                                          "f_B": [[1, 0, 0, 2], [1, 0, 1, 3], [1, 2, 0, 0], [1, 2, 1, 1]]}),
+    ("magic_square", 1, 0): (0.8888888888888888, "exhaustive", {"kA": 0, "kB": 0, "g_A": [0, 0, 0],
+                                                                "g_B": [0, 0, 0], "f_A": [[0], [0], [1]],
+                                                                "f_B": [[0], [0], [0]]}),
+    ("magic_square", 1, 1): (1.0, "exhaustive", {"kA": 1, "kB": 0, "g_A": [0, 0, 1], "g_B": [0, 0, 0],
+                                                 "f_A": [[0], [0], [0]], "f_B": [[0, 1], [0, 1], [0, 1]]}),
+    ("magic_square", 1, 2): (1.0, "lower_bound", {"kA": 2, "kB": 0, "g_A": [0, 0, 1], "g_B": [0, 0, 0],
+                                                  "f_A": [[0], [2], [0]],
+                                                  "f_B": [[1, 1, 1, 0], [0, 1, 3, 0], [1, 1, 0, 0]]}),
+    ("magic_square", 2, 0): (0.8024691358024691, "lower_bound", {
+        "kA": 0, "kB": 0, "g_A": [0] * 9, "g_B": [0] * 9,
+        "f_A": [[1], [1], [5], [1], [1], [1], [9], [9], [9]], "f_B": [[0], [3], [3], [9], [11], [11], [0], [3], [3]]}),
+    ("magic_square", 2, 1): (0.9259259259259258, "lower_bound", {
+        "kA": 1, "kB": 0, "g_A": [1, 0, 1, 1, 0, 1, 0, 0, 0], "g_B": [0] * 9,
+        "f_A": [[0], [1], [0], [0], [9], [0], [13], [13], [13]],
+        "f_B": [[0, 1], [3, 1], [3, 1], [0, 1], [3, 1], [3, 1], [4, 1], [7, 1], [7, 1]]}),
+    ("magic_square", 2, 2): (1.0, "lower_bound", {
+        "kA": 2, "kB": 0, "g_A": [3, 2, 1, 2, 0, 3, 1, 0, 0], "g_B": [0] * 9,
+        "f_A": [[8], [0], [5], [0], [3], [1], [6], [7], [4]],
+        "f_B": [[9, 6, 0, 9], [9, 4, 0, 8], [10, 7, 0, 8], [1, 14, 0, 1], [1, 12, 0, 0], [2, 15, 0, 0],
+                [1, 14, 0, 9], [1, 12, 0, 8], [2, 15, 0, 8]]}),
+}
+
+
+def test_repetition_probe_output_is_pinned(monkeypatch, capsys):
+    probes = {}
+    search = dpt.empirical_repeated_value
+
+    def recording(probe):
+        done = search(probe)
+        probes[done.game.name, done.n, done.comm_bits] = (done.best_value, done.kind, done.certificate)
+        return done
+
+    monkeypatch.setattr(dpt, "empirical_repeated_value", recording)
+    monkeypatch.setattr(sys, "argv", ["repetition_probe.py"])
+    runpy.run_path(str(SCRIPTS / "repetition_probe.py"), run_name="__main__")
+    assert capsys.readouterr().out == PINNED_REPETITION_TABLE
+    assert probes == PINNED_REPETITION_PROBES
 
 
 def _run_script(name, *args):
