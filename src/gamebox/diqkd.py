@@ -32,6 +32,11 @@ from .errors import (
 
 _ENDPOINTS = ("alice_box", "bob_box", "eve")
 
+# Rounds per chunk of the simulator's draws: a chunk's int64 and float64
+# temporaries (512 kB each) stay in cache.  A generator's stream does not
+# depend on how its draws are split, so the chunk size changes no output.
+_CHUNK = 2**16
+
 SWEEP_COLUMNS = (
     "n",
     "alpha",
@@ -168,9 +173,10 @@ class LeakageChannel:
 class BoxPair:
     """A pair of devices answering n parallel grid-game rounds.
 
-    ``produce`` receives both input strings and the (pre-output) leakage
-    channel, and must return Alice rows with even parity and Bob rows
-    with odd parity, shapes (n, 3) uint8.
+    ``produce`` receives both input strings, as uint8 arrays of length n
+    with entries in {0, 1, 2}, and the (pre-output) leakage channel.  It
+    must return Alice rows with even parity and Bob rows with odd parity,
+    shapes (n, 3), entries 0 or 1 (uint8 rows are checked fastest).
     """
 
     def produce(self, xs: np.ndarray, ys: np.ndarray, channel: LeakageChannel):
@@ -226,6 +232,22 @@ def _grid_inputs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def _chunks(n: int):
+    """``(lo, hi)`` bounds of the consecutive ``_CHUNK``-round slices of
+    ``range(n)``."""
+    for lo in range(0, n, _CHUNK):
+        yield lo, min(lo + _CHUNK, n)
+
+
+def _draw_inputs(rng, n: int) -> np.ndarray:
+    """``rng.integers(0, 3, n)`` as uint8, drawn chunk by chunk (the same
+    numbers as one call of length n)."""
+    out = np.empty(n, dtype=np.uint8)
+    for lo, hi in _chunks(n):
+        out[lo:hi] = rng.integers(0, 3, hi - lo)
+    return out
+
+
 class HonestBoxes(BoxPair):
     """Ideal strategy with per-copy win probability exactly 1 - delta:
     with probability 2*delta Bob's answer is replaced by a uniform
@@ -247,17 +269,31 @@ class HonestBoxes(BoxPair):
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
+        xs = xs.astype(np.uint8, copy=False).ravel()
+        ys = ys.astype(np.uint8, copy=False).ravel()
         n = xs.size
-        eighths = 8.0 * self._rng.random(n)
-        cell = np.ceil(eighths, out=eighths).astype(np.uint8)
-        del eighths  # 8 bytes a round: free it before the noise draws
-        cell += 27 * xs.astype(np.uint8).ravel()  # 9 (3x + y) + ceil(8u) <= 80
-        cell += 9 * ys.astype(np.uint8).ravel()
-        idx = np.take(_ms_index_table(), cell)
-        A = np.take(games_mod.EVEN_BITS, idx >> 2, axis=0)
-        b_idx = idx & 3
-        noisy = self._rng.random(n) < 2.0 * self.delta
-        np.copyto(b_idx, self._rng.integers(0, 4, n), casting="unsafe", where=noisy)
+        joint = _ms_index_table()
+        alice_rows = games_mod.EVEN_BITS[joint >> 2]  # (81, 3): Alice's row per table entry
+        bob_index = joint & 3  # Bob's row index per table entry
+        A = np.empty((n, 3), dtype=np.uint8)
+        b_idx = np.empty(n, dtype=np.uint8)
+        noisy = np.empty(n, dtype=bool)
+        # three draw phases over all n rounds, each filled chunk by chunk:
+        # cell uniforms, noise flags, replacement answers for Bob
+        for lo, hi in _chunks(n):
+            eighths = self._rng.random(hi - lo)
+            eighths *= 8.0
+            cell = np.ceil(eighths, out=eighths).astype(np.uint8)
+            cell += 27 * xs[lo:hi]  # 9 (3x + y) + ceil(8u) <= 80
+            cell += 9 * ys[lo:hi]
+            np.take(alice_rows, cell, axis=0, out=A[lo:hi])
+            np.take(bob_index, cell, out=b_idx[lo:hi])
+        for lo, hi in _chunks(n):
+            np.less(self._rng.random(hi - lo), 2.0 * self.delta, out=noisy[lo:hi])
+        for lo, hi in _chunks(n):
+            answers = self._rng.integers(0, 4, hi - lo)
+            hit = np.flatnonzero(noisy[lo:hi])
+            b_idx[lo + hit] = answers[hit]
         return A, np.take(games_mod.ODD_BITS, b_idx, axis=0)
 
 
@@ -334,7 +370,8 @@ def _payload_input_prefix(src, bits, xs, ys):
     stream = xs if src == "alice_box" else ys if src == "bob_box" else None
     if stream is None:
         return "0" * bits
-    digits = "".join(format(int(v), "02b") for v in stream)
+    # two digits a round: only the first ceil(bits / 2) rounds are read
+    digits = "".join(format(int(v), "02b") for v in stream[: (bits + 1) // 2])
     return digits[:bits].ljust(bits, "0")
 
 
@@ -407,38 +444,53 @@ def load_adversary(source) -> ScriptedAdversary:
 # ---------------------------------------------------------------------------
 
 
-def _agreement(a_T, b_T, x_T, y_T, delta: float) -> tuple[int, bool]:
-    """The probed rounds whose cells agree (Alice's bit at Bob's input
-    against Bob's at Alice's), and whether they pass: at least
-    ceil((1 - 2 delta) t) of the t rounds; the 1e-9 keeps a product that
-    rounds just above an integer from asking one round more."""
-    t = x_T.size
-    rows = np.arange(t)
-    matches = int((a_T[rows, y_T] == b_T[rows, x_T]).sum())
-    return matches, matches >= math.ceil((1.0 - 2.0 * delta) * t - 1e-9)
+def _agreement(agree: np.ndarray, delta: float) -> tuple[int, bool]:
+    """The number of probed rounds whose cells agree (``agree`` holds one
+    flag per round: Alice's bit at Bob's input against Bob's at Alice's),
+    and whether they pass: at least ceil((1 - 2 delta) t) of the t rounds;
+    the 1e-9 keeps a product that rounds just above an integer from asking
+    one round more."""
+    matches = int(np.count_nonzero(agree))
+    return matches, matches >= math.ceil((1.0 - 2.0 * delta) * agree.size - 1e-9)
+
+
+def _check_bits(who: str, rows: np.ndarray) -> None:
+    """Refuse ``rows`` unless every entry is 0 or 1.  One reduction for
+    uint8 and bool rows; other dtypes are compared entry by entry (before
+    any cast, which would wrap 257 to 1)."""
+    if rows.dtype in (np.uint8, np.bool_):
+        bits = rows.size == 0 or rows.max() <= 1
+    else:
+        bits = ((rows == 0) | (rows == 1)).all()
+    if not bits:
+        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
 
 
 def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     """True (pass) iff the probed cells agree in at least
-    ceil((1 - 2 delta) |T|) rounds; the boundary is inclusive."""
+    ceil((1 - 2 delta) |T|) rounds; the boundary is inclusive.  ``x_T`` and
+    ``y_T`` are inputs in {0, 1, 2}, ``a_T`` and ``b_T`` rows of shape
+    (|T|, 3) holding bits."""
     check_range("delta", delta, 0.0, 0.5)
-    a_T = np.asarray(a_T)
-    b_T = np.asarray(b_T)
-    x_T = np.asarray(x_T)
-    y_T = np.asarray(y_T)
-    if not (a_T.shape[0] == b_T.shape[0] == x_T.size == y_T.size):
-        raise ValidationError("test-set arrays must be aligned")
-    return _agreement(a_T, b_T, x_T, y_T, delta)[1]
+    x_T, y_T = _grid_inputs(x_T, y_T)
+    t = x_T.size
+    a_T, b_T = np.asarray(a_T), np.asarray(b_T)
+    for who, rows in (("Alice", a_T), ("Bob", b_T)):
+        if rows.shape != (t, 3):
+            raise ValidationError(f"test-set {who} rows must have shape ({t}, 3), got {rows.shape}")
+        _check_bits(who, rows)
+    rounds = np.arange(t)
+    return _agreement(a_T[rounds, y_T.ravel()] == b_T[rounds, x_T.ravel()], delta)[1]
 
 
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
-    """``rows`` as uint8 after checking that every entry is 0 or 1 (before
-    the cast, which would wrap 257 to 1) and that each row's parity is
-    ``parity``."""
-    if not ((rows == 0) | (rows == 1)).all():
-        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
+    """``rows`` as uint8 after checking that every entry is 0 or 1 and
+    that each row's parity is ``parity``."""
+    _check_bits(who, rows)
     rows = rows.astype(np.uint8, copy=False)
-    if np.any((rows[:, 0] ^ rows[:, 1] ^ rows[:, 2]) != parity):
+    odd = rows[:, 0] ^ rows[:, 1]
+    odd ^= rows[:, 2]
+    if (odd != parity).any():
         raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
     return rows
 
@@ -456,6 +508,12 @@ def run_protocol(
     Alice inputs, Bob inputs, key set S, test set T within S.  The
     leakage channel is open to the adversary and the boxes between input
     entry and output production, then locked.
+
+    Inputs are drawn in chunks of ``_CHUNK`` rounds into uint8 arrays,
+    which the adversary and the boxes receive; chunked draws are the same
+    streams as whole-length ones, so the record does not depend on the
+    chunk size.  The record's dtypes are fixed: ``S``, ``T``, ``x_S`` and
+    ``y_S`` are int64, ``a_T`` and the keys uint8.
     """
     check_range("run_index", run_index, 0, math.inf, integer=True)
     n = params.n
@@ -464,8 +522,8 @@ def run_protocol(
     rng_s = np.random.default_rng([params.seed, run_index, 2])
     rng_t = np.random.default_rng([params.seed, run_index, 3])
 
-    xs = rng_x.integers(0, 3, n)
-    ys = rng_y.integers(0, 3, n)
+    xs = _draw_inputs(rng_x, n)
+    ys = _draw_inputs(rng_y, n)
 
     channel = LeakageChannel(budget if budget is not None else LeakageBudget(0))
     if adversary is not None:
@@ -480,24 +538,30 @@ def run_protocol(
     A = _bit_rows("Alice", A, parity=0)
     B = _bit_rows("Bob", B, parity=1)
 
-    S = np.sort(rng_s.choice(n, size=params.s_size, replace=False))
-    T = np.sort(rng_t.choice(S, size=params.t_size, replace=False))
-
-    A_T = A[T]
-    matches, passed = _agreement(A_T, B[T], xs[T], ys[T], params.delta)
+    key_rounds = np.zeros(n, dtype=bool)
+    key_rounds[rng_s.choice(n, size=params.s_size, replace=False)] = True
+    S = np.flatnonzero(key_rounds)
+    del key_rounds  # free each temporary of n or |S| entries once read: they set the peak
+    # positions within S: the same draws as rng_t.choice(S, ...), and S is
+    # sorted, so T = S[tested] is sorted too
+    tested = np.sort(rng_t.choice(S.size, size=params.t_size, replace=False))
+    T = S[tested]
 
     x_S, y_S = xs[S], ys[S]
-    key_a = A[S, y_S]
-    key_b = B[S, x_S]
+    cells = 3 * S  # flat index of each key round's first cell
+    key_a = A.reshape(-1)[cells + y_S]
+    key_b = B.reshape(-1)[cells + x_S]
+    del cells
+    matches, passed = _agreement(key_a[tested] == key_b[tested], params.delta)
     mismatch_S = float((key_a != key_b).mean())
     qber = 1.0 - matches / T.size
 
     return TranscriptRecord(
         S=S,
         T=T,
-        x_S=x_S,
-        y_S=y_S,
-        a_T=A_T,
+        x_S=x_S.astype(np.int64),
+        y_S=y_S.astype(np.int64),
+        a_T=A[T],
         aborted=not passed,
         K_A=key_a if passed else None,
         K_B=key_b if passed else None,

@@ -590,6 +590,39 @@ def test_readme_diqkd_outputs_are_pinned(capsys, command, expected):
     assert out == expected
 
 
+# n = 10^6 with an input_prefix adversary: inputs of several chunks, and a
+# payload that reads only the first four of 10^6 rounds.
+PINNED_BULK_ADVERSARY_ARGV = [
+    "diqkd", "run", "--n", "1000000", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05", "--runs", "2",
+    "--adversary", '{"rounds": [{"from": "alice_box", "to": "eve", "bits": 8, "function_id": "input_prefix"}]}',
+    "--limit-bits", "8", "--seed", "1",
+]
+PINNED_BULK_ADVERSARY_OUTPUT = (
+    "{\n"
+    '  "abort_freq": 0.0,\n'
+    '  "aborts": 0,\n'
+    '  "alpha": 0.5,\n'
+    '  "boxes": "honest",\n'
+    '  "completed": 2,\n'
+    '  "delta": 0.05,\n'
+    '  "gamma": 0.2,\n'
+    '  "keys_equal_completed": 0,\n'
+    '  "leaked_bits_mean": 8.0,\n'
+    '  "mismatch_mean": 0.050083,\n'
+    '  "n": 1000000,\n'
+    '  "qber_mean": 0.05033000000000004,\n'
+    '  "runs": 2,\n'
+    '  "seed": 1\n'
+    "}\n"
+)
+
+
+def test_bulk_adversary_run_output_is_pinned(capsys):
+    code, out, _ = run(capsys, *PINNED_BULK_ADVERSARY_ARGV)
+    assert code == 0
+    assert out == PINNED_BULK_ADVERSARY_OUTPUT
+
+
 # The README seesaw command.  The value's last digits follow the rounding
 # of the batched contractions: 0.8535533905932748 before them.
 PINNED_SEESAW_OUTPUT = (

@@ -1,6 +1,8 @@
 """Protocol simulation, leakage accounting, rate formula, and sampling tails."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +375,177 @@ def test_adversary_payload_functions():
     # inputs serialise two bits per round, most significant round first
     assert diqkd.ADVERSARY_FUNCTIONS["input_prefix"]("alice_box", 4, xs, ys) == "1001"
     assert diqkd.ADVERSARY_FUNCTIONS["input_prefix"]("bob_box", 3, xs, ys) == "000"
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_input_prefix_reads_only_the_rounds_it_sends(dtype):
+    # the whole-stream formula, for every length up to past the padding
+    xs = np.array([2, 1, 0, 2, 1], dtype=dtype)
+    ys = np.array([0, 1, 2, 2, 0], dtype=dtype)
+    prefix = diqkd.ADVERSARY_FUNCTIONS["input_prefix"]
+    for src, stream in (("alice_box", xs), ("bob_box", ys), ("eve", None)):
+        digits = "" if stream is None else "".join(format(int(v), "02b") for v in stream)
+        for bits in range(2 * xs.size + 4):
+            assert prefix(src, bits, xs, ys) == digits[:bits].ljust(bits, "0")
+
+
+# ---------------------------------------------------------------------------
+# differential check against the whole-length simulator
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceHonestBoxes(diqkd.HonestBoxes):
+    """HonestBoxes.produce with each draw phase in one call of length n,
+    the whole-length reference."""
+
+    def produce(self, xs, ys, channel):
+        xs, ys = diqkd._grid_inputs(xs, ys)
+        n = xs.size
+        eighths = 8.0 * self._rng.random(n)
+        cell = np.ceil(eighths, out=eighths).astype(np.uint8)
+        del eighths
+        cell += 27 * xs.astype(np.uint8).ravel()
+        cell += 9 * ys.astype(np.uint8).ravel()
+        idx = np.take(diqkd._ms_index_table(), cell)
+        A = np.take(games.EVEN_BITS, idx >> 2, axis=0)
+        b_idx = idx & 3
+        noisy = self._rng.random(n) < 2.0 * self.delta
+        np.copyto(b_idx, self._rng.integers(0, 4, n), casting="unsafe", where=noisy)
+        return A, np.take(games.ODD_BITS, b_idx, axis=0)
+
+
+def _reference_bit_rows(who, rows, parity):
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
+    rows = rows.astype(np.uint8, copy=False)
+    if np.any((rows[:, 0] ^ rows[:, 1] ^ rows[:, 2]) != parity):
+        raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
+    return rows
+
+
+def _reference_run_protocol(params, boxes, adversary=None, budget=None, run_index=0):
+    """run_protocol with int64 inputs of length n, sorted choices and 2-D
+    gathers, the whole-length reference."""
+    n = params.n
+    rng_x = np.random.default_rng([params.seed, run_index, 0])
+    rng_y = np.random.default_rng([params.seed, run_index, 1])
+    rng_s = np.random.default_rng([params.seed, run_index, 2])
+    rng_t = np.random.default_rng([params.seed, run_index, 3])
+    xs = rng_x.integers(0, 3, n)
+    ys = rng_y.integers(0, 3, n)
+    channel = diqkd.LeakageChannel(budget if budget is not None else diqkd.LeakageBudget(0))
+    if adversary is not None:
+        adversary.execute(channel, xs, ys)
+    A, B = boxes.produce(xs, ys, channel)
+    channel.lock()
+    A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
+    B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
+    S = np.sort(rng_s.choice(n, size=params.s_size, replace=False))
+    T = np.sort(rng_t.choice(S, size=params.t_size, replace=False))
+    A_T = A[T]
+    x_T, y_T = xs[T], ys[T]
+    rows = np.arange(T.size)
+    matches = int((A_T[rows, y_T] == B[T][rows, x_T]).sum())
+    passed = matches >= math.ceil((1.0 - 2.0 * params.delta) * T.size - 1e-9)
+    x_S, y_S = xs[S], ys[S]
+    key_a = A[S, y_S]
+    key_b = B[S, x_S]
+    return diqkd.TranscriptRecord(
+        S=S,
+        T=T,
+        x_S=x_S,
+        y_S=y_S,
+        a_T=A_T,
+        aborted=not passed,
+        K_A=key_a if passed else None,
+        K_B=key_b if passed else None,
+        qber=1.0 - matches / T.size,
+        mismatch_S=float((key_a != key_b).mean()),
+        matches=matches,
+        leaked_bits=channel.budget.used_bits,
+    )
+
+
+class _InputRowBoxes(diqkd.BoxPair):
+    """Rows that depend on both inputs, returned in ``dtype``, so that the
+    key gathers read every cell position."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def produce(self, xs, ys, channel):
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        A = games.EVEN_BITS[(xs + ys) % 4]
+        B = games.ODD_BITS[(2 * xs + ys + 1) % 4]
+        return A.astype(self.dtype), B.astype(self.dtype)
+
+
+_PREFIX_ADVERSARY = {
+    "rounds": [
+        {"from": "alice_box", "to": "eve", "bits": 7, "function_id": "input_prefix"},
+        {"from": "bob_box", "to": "eve", "bits": 4, "function_id": "input_prefix"},
+    ]
+}
+
+# name -> (boxes of the change, boxes of the reference, adversary, budget)
+_DIFFERENTIAL_BOXES = {
+    "honest": (lambda: diqkd.honest_boxes(0.05, 3), lambda: _ReferenceHonestBoxes(0.05, 3), None, 0),
+    "honest-noiseless": (lambda: diqkd.honest_boxes(0.0, 4), lambda: _ReferenceHonestBoxes(0.0, 4), None, 0),
+    "baseline": (diqkd.baseline_cheating_boxes, diqkd.baseline_cheating_boxes, None, 0),
+    "test_set": (lambda: diqkd.test_set_cheating_boxes(30), lambda: diqkd.test_set_cheating_boxes(30), None, 100),
+    "input_prefix": (lambda: diqkd.honest_boxes(0.1, 5), lambda: _ReferenceHonestBoxes(0.1, 5), _PREFIX_ADVERSARY, 11),
+    "int64-rows": (lambda: _InputRowBoxes(np.int64), lambda: _InputRowBoxes(np.int64), None, 0),
+    "int32-rows": (lambda: _InputRowBoxes(np.int32), lambda: _InputRowBoxes(np.int32), None, 0),
+    "bool-rows": (lambda: _InputRowBoxes(bool), lambda: _InputRowBoxes(bool), None, 0),
+}
+
+# (n, alpha, gamma): chunk edges around 2^16 rounds; Generator.choice takes
+# Floyd's algorithm for the small sets and the tail shuffle once the
+# population exceeds 10^4 and the sample 1/50 of it
+_DIFFERENTIAL_SIZES = [
+    (n, alpha, gamma)
+    for n in (1, 2, 3, 65535, 65536, 65537, 131073)
+    for alpha, gamma in ((0.5, 0.2), (0.01, 0.3))
+] + [(200_000, 0.9, 0.03)]
+
+
+def _assert_records_equal(got, want):
+    for field in dataclasses.fields(diqkd.TranscriptRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert a.dtype == b.dtype, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert type(a) is type(b), field.name
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_BOXES))
+@pytest.mark.parametrize("n,alpha,gamma", _DIFFERENTIAL_SIZES)
+def test_run_protocol_matches_the_whole_length_reference(n, alpha, gamma, name):
+    make, make_ref, adversary, limit = _DIFFERENTIAL_BOXES[name]
+    adversary = None if adversary is None else diqkd.load_adversary(adversary)
+    params = diqkd.ProtocolParams(n=n, alpha=alpha, gamma=gamma, delta=0.05, seed=n % 7)
+    for run_index in (0, 2):
+        got = diqkd.run_protocol(params, make(), adversary, diqkd.LeakageBudget(limit), run_index)
+        want = _reference_run_protocol(params, make_ref(), adversary, diqkd.LeakageBudget(limit), run_index)
+        _assert_records_equal(got, want)
+
+
+def test_honest_run_peak_memory_per_round():
+    # one honest run at n = 10^6 holds inputs, rows and sets of at most 30
+    # bytes a round at once (36.7 with int64 inputs and whole-length draws)
+    n = 10**6
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=1)
+    boxes = diqkd.honest_boxes(0.05, 1)
+    tracemalloc.start()
+    try:
+        diqkd.run_protocol(params, boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 30.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ _SUBSTATE = dict(
 )
 _XOR_F = np.array([[0, 0], [0, 1]])
 _SWEEP_CELL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, c=0.001, nu=0.3, beta=0.5)
-_ABORT_TEST_ARRAYS = (np.zeros((4, 2), dtype=int), np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+_ABORT_TEST_ARRAYS = (np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=int), np.zeros(4, dtype=int), np.zeros(4, dtype=int))
 _UNIFORM = np.full((2, 2), 0.25)
 _LP = dict(c=np.array([1.0, 0.0]), A=np.array([[1.0, 1.0]]), senses=("<=",), b=np.array([1.0]))
 _CONSTANT = games.ClassicalStrategy(((0, 0), (0, 0)))
@@ -182,6 +182,32 @@ def test_out_of_range_count_or_seed_is_refused(call):
     # with no cap; counts, seeds and budgets must be integers
     with pytest.raises(ValidationError):
         call()
+
+
+_ROW = np.zeros((1, 3), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "a_T,b_T,x_T,y_T",
+    [
+        (_ROW, _ROW, [0], [-1]),  # numpy would read column 2
+        (_ROW, _ROW, [0], [3]),
+        (_ROW, _ROW, [0], [0.0]),
+        (_ROW, _ROW, [2.0], [0]),
+        (_ROW, _ROW, [True], [0]),
+        (_ROW, _ROW, [0, 1], [0]),
+        (np.zeros((2, 3), dtype=int), _ROW, [0], [0]),
+        (np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=int), [0], [0]),
+        (_ROW, np.array([[0, 0, 2]]), [0], [0]),
+        (np.array([[0, 0, 257]]), _ROW, [0], [0]),
+        (_ROW, np.array([[0, 0, 0.5]]), [0], [0]),
+    ],
+    ids=["y-minus-1", "y-three", "y-float", "x-float", "x-bool", "lengths", "alice-rows-length",
+         "two-columns", "bob-two", "alice-257", "bob-half"],
+)
+def test_abort_test_refuses_inputs_off_the_grid_and_rows_that_are_not_bits(a_T, b_T, x_T, y_T):
+    with pytest.raises(ValidationError):
+        diqkd.abort_test(a_T, b_T, x_T, y_T, 0.1)
 
 
 @pytest.mark.parametrize(
