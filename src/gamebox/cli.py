@@ -313,22 +313,25 @@ def _cmd_diqkd_run(args):
         n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta, seed=args.seed
     )
     adversary = diqkd.load_adversary(args.adversary) if args.adversary else None
-    aborts = 0
-    qbers = []
-    mismatches = []
-    leaked = []
-    keys_equal = 0
-    completed = 0
-    for r in range(args.runs):
-        budget = diqkd.LeakageBudget(args.limit_bits)
-        rec = diqkd.run_protocol(params, _make_boxes(args, r), adversary, budget, run_index=r)
-        aborts += int(rec.aborted)
-        qbers.append(rec.qber)
-        mismatches.append(rec.mismatch_S)
-        leaked.append(rec.leaked_bits)
-        if not rec.aborted:
-            completed += 1
-            keys_equal += int(bool(np.array_equal(rec.K_A, rec.K_B)))
+    if adversary is None and args.limit_bits == 0:
+        # nothing can leak: one batch of whole runs (leakage budgets are per run)
+        batch = diqkd.run_batch(params, _make_boxes(args, 0), args.runs)
+        aborted, qbers, mismatches = batch.aborted, batch.qber, batch.mismatch_S
+        leaked = [0]  # LeakageBudget(0) lets no bit through
+        keys_equal = int(np.count_nonzero(batch.keys_equal))
+    else:
+        aborted, qbers, mismatches, leaked = [], [], [], []
+        keys_equal = 0
+        for r in range(args.runs):
+            budget = diqkd.LeakageBudget(args.limit_bits)
+            rec = diqkd.run_protocol(params, _make_boxes(args, r), adversary, budget, run_index=r)
+            aborted.append(rec.aborted)
+            qbers.append(rec.qber)
+            mismatches.append(rec.mismatch_S)
+            leaked.append(rec.leaked_bits)
+            if not rec.aborted:
+                keys_equal += int(bool(np.array_equal(rec.K_A, rec.K_B)))
+    aborts = int(np.count_nonzero(aborted))
     return {
         "n": args.n,
         "alpha": args.alpha,
@@ -342,7 +345,7 @@ def _cmd_diqkd_run(args):
         "mismatch_mean": float(np.mean(mismatches)),
         "leaked_bits_mean": float(np.mean(leaked)),
         "keys_equal_completed": keys_equal,
-        "completed": completed,
+        "completed": args.runs - aborts,
         "seed": args.seed,
     }
 

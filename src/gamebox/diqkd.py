@@ -12,12 +12,15 @@ own.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,9 @@ _ENDPOINTS = ("alice_box", "bob_box", "eve")
 
 # Rounds per chunk of the simulator's draws: a chunk's int64 and float64
 # temporaries (512 kB each) stay in cache.  A generator's stream does not
-# depend on how its draws are split, so the chunk size changes no output.
+# depend on how its draws are split, so the chunk size changes no output
+# of one run.  It also sets the block of max(1, _CHUNK // n) whole runs
+# that ``run_batch`` simulates at once, so batched outputs depend on it.
 _CHUNK = 2**16
 
 SWEEP_COLUMNS = (
@@ -284,6 +289,9 @@ class HonestBoxes(BoxPair):
             eighths = self._rng.random(hi - lo)
             eighths *= 8.0
             cell = np.ceil(eighths, out=eighths).astype(np.uint8)
+            # free each chunk's 8-byte temporaries once read, here and below:
+            # in a block of whole runs they set the peak
+            del eighths
             cell += 27 * xs[lo:hi]  # 9 (3x + y) + ceil(8u) <= 80
             cell += 9 * ys[lo:hi]
             np.take(alice_rows, cell, axis=0, out=A[lo:hi])
@@ -294,6 +302,7 @@ class HonestBoxes(BoxPair):
             answers = self._rng.integers(0, 4, hi - lo)
             hit = np.flatnonzero(noisy[lo:hi])
             b_idx[lo + hit] = answers[hit]
+            del answers, hit
         return A, np.take(games_mod.ODD_BITS, b_idx, axis=0)
 
 
@@ -444,14 +453,14 @@ def load_adversary(source) -> ScriptedAdversary:
 # ---------------------------------------------------------------------------
 
 
-def _agreement(agree: np.ndarray, delta: float) -> tuple[int, bool]:
-    """The number of probed rounds whose cells agree (``agree`` holds one
-    flag per round: Alice's bit at Bob's input against Bob's at Alice's),
-    and whether they pass: at least ceil((1 - 2 delta) t) of the t rounds;
-    the 1e-9 keeps a product that rounds just above an integer from asking
-    one round more."""
-    matches = int(np.count_nonzero(agree))
-    return matches, matches >= math.ceil((1.0 - 2.0 * delta) * agree.size - 1e-9)
+def _agreement(agree: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``agree`` (shape (..., t), one flag per probed round:
+    Alice's bit at Bob's input against Bob's at Alice's), the number of
+    rounds whose cells agree and whether they pass: at least
+    ceil((1 - 2 delta) t) of the t rounds; the 1e-9 keeps a product that
+    rounds just above an integer from asking one round more."""
+    matches = np.count_nonzero(agree, axis=-1)
+    return matches, matches >= math.ceil((1.0 - 2.0 * delta) * agree.shape[-1] - 1e-9)
 
 
 def _check_bits(who: str, rows: np.ndarray) -> None:
@@ -480,7 +489,7 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
             raise ValidationError(f"test-set {who} rows must have shape ({t}, 3), got {rows.shape}")
         _check_bits(who, rows)
     rounds = np.arange(t)
-    return _agreement(a_T[rounds, y_T.ravel()] == b_T[rounds, x_T.ravel()], delta)[1]
+    return bool(_agreement(a_T[rounds, y_T.ravel()] == b_T[rounds, x_T.ravel()], delta)[1])
 
 
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
@@ -493,6 +502,109 @@ def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
     if (odd != parity).any():
         raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
     return rows
+
+
+class _Block(NamedTuple):
+    """Outcome of one block of b whole runs of n rounds.  Row i of each
+    (b, ...) array belongs to the block's run i; ``S`` holds round indices
+    within the block (run i's rounds are ``i n .. (i + 1) n - 1``) and
+    ``tested`` positions within each row of ``S``."""
+
+    S: np.ndarray  # (b, s) int64
+    tested: np.ndarray  # (b, t) int64, sorted along each row
+    x_S: np.ndarray  # (b, s) uint8
+    y_S: np.ndarray  # (b, s) uint8
+    A: np.ndarray  # (b n, 3) uint8, Alice's rows
+    key_a: np.ndarray  # (b, s) uint8
+    key_b: np.ndarray  # (b, s) uint8
+    matches: np.ndarray  # (b,) int64
+    passed: np.ndarray  # (b,) bool
+    qber: np.ndarray  # (b,) float64
+    mismatch_S: np.ndarray  # (b,) float64
+
+
+def _simulate(
+    params: ProtocolParams,
+    boxes: BoxPair,
+    runs: int,
+    run_index: int,
+    channel: LeakageChannel,
+    adversary: ScriptedAdversary | None = None,
+):
+    """Yield the ``_Block`` of each block of ``b = max(1, _CHUNK // n)``
+    whole runs (the last block holds the remainder), simulated as one
+    pass of ``b n`` rounds.
+
+    The four generators ``[params.seed, run_index, k]`` (k = 0..3: Alice
+    inputs, Bob inputs, key set S, test set T within S) are seeded once
+    and consumed in order across blocks.  The channel is locked after the
+    last block's outputs are produced.  With ``runs = 1`` this is one run
+    drawn exactly as ``run_protocol`` describes."""
+    check_range("run_index", run_index, 0, math.inf, integer=True)
+    rngs = tuple(np.random.default_rng([params.seed, run_index, k]) for k in range(4))
+    per_block = max(1, _CHUNK // params.n)
+    for first in range(0, runs, per_block):
+        b = min(per_block, runs - first)
+        # one call a block: no temporary of a block outlives it
+        yield _simulate_block(params, boxes, b, rngs, channel, adversary, lock=first + b == runs)
+
+
+def _simulate_block(params, boxes, b, rngs, channel, adversary, lock) -> _Block:
+    """``b`` whole runs as one pass of ``b n`` rounds: each party's inputs
+    drawn in one ``_draw_inputs`` call, seen once by the adversary and the
+    boxes, and the rows checked once; only the exact-size S and T draws
+    are made run by run."""
+    n, s, t = params.n, params.s_size, params.t_size
+    rng_x, rng_y, rng_s, rng_t = rngs
+    xs = _draw_inputs(rng_x, b * n)
+    ys = _draw_inputs(rng_y, b * n)
+    if adversary is not None:
+        adversary.execute(channel, xs, ys)
+    A, B = boxes.produce(xs, ys, channel)
+    if lock:
+        channel.lock()
+
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.shape != (b * n, 3) or B.shape != (b * n, 3):
+        raise ValidationError(f"boxes returned shapes {A.shape}, {B.shape}; expected ({b * n}, 3)")
+    A = _bit_rows("Alice", A, parity=0)
+    B = _bit_rows("Bob", B, parity=1)
+
+    key_rounds = np.zeros((b, n), dtype=bool)
+    for row in key_rounds:
+        row[rng_s.choice(n, size=s, replace=False)] = True
+    # each run holds s key rounds, so the sorted flat indices split into
+    # one row a run
+    S = np.flatnonzero(key_rounds).reshape(b, s)
+    del key_rounds  # free each temporary of n or |S| entries once read: they set the peak
+    # positions within S: the same draws as rng_t.choice(S, ...), and S is
+    # sorted, so each run's T = S[tested] is sorted too
+    tested = np.empty((b, t), dtype=np.int64)
+    for row in tested:
+        row[:] = rng_t.choice(s, size=t, replace=False)
+    tested.sort(axis=1)
+
+    x_S, y_S = xs[S], ys[S]
+    cells = 3 * S  # flat index of each key round's first cell
+    key_a = A.reshape(-1)[cells + y_S]
+    key_b = B.reshape(-1)[cells + x_S]
+    del cells
+    agree = key_a == key_b
+    matches, passed = _agreement(np.take_along_axis(agree, tested, axis=1), params.delta)
+    return _Block(
+        S=S,
+        tested=tested,
+        x_S=x_S,
+        y_S=y_S,
+        A=A,
+        key_a=key_a,
+        key_b=key_b,
+        matches=matches,
+        passed=passed,
+        qber=1.0 - matches / t,
+        mismatch_S=(s - np.count_nonzero(agree, axis=1)) / s,
+    )
 
 
 def run_protocol(
@@ -514,61 +626,77 @@ def run_protocol(
     streams as whole-length ones, so the record does not depend on the
     chunk size.  The record's dtypes are fixed: ``S``, ``T``, ``x_S`` and
     ``y_S`` are int64, ``a_T`` and the keys uint8.
+
+    This is the one-run case of the block core behind ``run_batch``.
+    Runs without leakage are simulated faster by ``run_batch``, in blocks
+    of whole runs from one set of streams; run r > 0 of such a batch is
+    therefore not ``run_protocol(run_index=r)``, and batched outputs
+    depend on ``_CHUNK`` (one run's record does not).
     """
-    check_range("run_index", run_index, 0, math.inf, integer=True)
-    n = params.n
-    rng_x = np.random.default_rng([params.seed, run_index, 0])
-    rng_y = np.random.default_rng([params.seed, run_index, 1])
-    rng_s = np.random.default_rng([params.seed, run_index, 2])
-    rng_t = np.random.default_rng([params.seed, run_index, 3])
-
-    xs = _draw_inputs(rng_x, n)
-    ys = _draw_inputs(rng_y, n)
-
     channel = LeakageChannel(budget if budget is not None else LeakageBudget(0))
-    if adversary is not None:
-        adversary.execute(channel, xs, ys)
-    A, B = boxes.produce(xs, ys, channel)
-    channel.lock()
-
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != (n, 3) or B.shape != (n, 3):
-        raise ValidationError(f"boxes returned shapes {A.shape}, {B.shape}; expected ({n}, 3)")
-    A = _bit_rows("Alice", A, parity=0)
-    B = _bit_rows("Bob", B, parity=1)
-
-    key_rounds = np.zeros(n, dtype=bool)
-    key_rounds[rng_s.choice(n, size=params.s_size, replace=False)] = True
-    S = np.flatnonzero(key_rounds)
-    del key_rounds  # free each temporary of n or |S| entries once read: they set the peak
-    # positions within S: the same draws as rng_t.choice(S, ...), and S is
-    # sorted, so T = S[tested] is sorted too
-    tested = np.sort(rng_t.choice(S.size, size=params.t_size, replace=False))
-    T = S[tested]
-
-    x_S, y_S = xs[S], ys[S]
-    cells = 3 * S  # flat index of each key round's first cell
-    key_a = A.reshape(-1)[cells + y_S]
-    key_b = B.reshape(-1)[cells + x_S]
-    del cells
-    matches, passed = _agreement(key_a[tested] == key_b[tested], params.delta)
-    mismatch_S = float((key_a != key_b).mean())
-    qber = 1.0 - matches / T.size
-
+    (block,) = _simulate(params, boxes, 1, run_index, channel, adversary)
+    S, passed = block.S[0], bool(block.passed[0])
+    T = S[block.tested[0]]
     return TranscriptRecord(
         S=S,
         T=T,
-        x_S=x_S.astype(np.int64),
-        y_S=y_S.astype(np.int64),
-        a_T=A[T],
+        x_S=block.x_S[0].astype(np.int64),
+        y_S=block.y_S[0].astype(np.int64),
+        a_T=block.A[T],
         aborted=not passed,
-        K_A=key_a if passed else None,
-        K_B=key_b if passed else None,
+        K_A=block.key_a[0] if passed else None,
+        K_B=block.key_b[0] if passed else None,
+        qber=float(block.qber[0]),
+        mismatch_S=float(block.mismatch_S[0]),
+        matches=int(block.matches[0]),
+        leaked_bits=channel.budget.used_bits,
+    )
+
+
+class BatchRecord(NamedTuple):
+    """Per-run outcomes of ``run_batch``, one entry a run.  (A named tuple,
+    not a dataclass like ``TranscriptRecord``: it is cheaper to define at
+    import.)"""
+
+    aborted: np.ndarray  # bool
+    qber: np.ndarray  # float64: 1 - matches / |T|
+    mismatch_S: np.ndarray  # float64: fraction of key rounds whose bits differ
+    matches: np.ndarray  # int64: agreeing test rounds
+    keys_equal: np.ndarray  # bool: the run passed and K_A == K_B
+
+
+def run_batch(params: ProtocolParams, boxes: BoxPair, runs: int, run_index: int = 0) -> BatchRecord:
+    """``runs`` protocol executions without leakage, as per-run arrays.
+
+    Runs without leakage are simulated in blocks of whole runs from one
+    set of streams: the four protocol generators ``[params.seed,
+    run_index, k]`` and ``boxes`` are seeded once for the batch and
+    consumed in order, a block of ``max(1, _CHUNK // n)`` runs at a time
+    (one input draw, one ``boxes.produce`` call and one row check a
+    block); only the exact-size S and T draws are made run by run.  So
+    ``run_batch(params, boxes, 1, run_index=i)`` equals ``run_protocol``
+    at ``run_index=i`` with equally seeded boxes, but run r > 0 of a batch
+    is not ``run_protocol(run_index=r)``, a batch of 50 runs is not the
+    first 50 of a batch of 1000, and batched outputs depend on
+    ``_CHUNK``.
+
+    The whole batch shares one channel with ``LeakageBudget(0)``: a box
+    that tries to leak raises ``BudgetExceededError``.
+    """
+    check_range("runs", runs, 1, math.inf, integer=True)
+    channel = LeakageChannel(LeakageBudget(0))
+    # map keeps no block alive while the next one is simulated
+    per_block = map(
+        operator.attrgetter("passed", "qber", "mismatch_S", "matches"),
+        _simulate(params, boxes, runs, run_index, channel),
+    )
+    passed, qber, mismatch_S, matches = (np.concatenate(column) for column in zip(*per_block))
+    return BatchRecord(
+        aborted=~passed,
         qber=qber,
         mismatch_S=mismatch_S,
         matches=matches,
-        leaked_bits=channel.budget.used_bits,
+        keys_equal=passed & (mismatch_S == 0.0),
     )
 
 
@@ -708,61 +836,71 @@ def expand_grid(axes: dict) -> list[dict]:
     return cells
 
 
+def _checked_cell(
+    cell: dict, runs_per_cell: int, seed: int
+) -> tuple[dict, ProtocolParams | None, KeyRateParams]:
+    """One sweep cell with defaults filled in, checked: its protocol
+    parameters (when it will be simulated) and its rate parameters at
+    ``PrE = 1``."""
+    unknown = set(cell) - _CELL_KEYS
+    if unknown:
+        raise ValidationError(f"unknown sweep keys {sorted(unknown)}")
+    conf = dict(_CELL_DEFAULTS)
+    conf.update(cell)
+    missing = {"n", "alpha", "gamma", "delta"} - set(conf)
+    if missing:
+        raise ValidationError(f"sweep cell missing {sorted(missing)}")
+    for key, value in conf.items():
+        check_range(key, value, -math.inf, math.inf, integer=key == "n")
+    params = None
+    if runs_per_cell > 0:
+        params = ProtocolParams(
+            n=conf["n"],
+            alpha=float(conf["alpha"]),
+            gamma=float(conf["gamma"]),
+            delta=float(conf["delta"]),
+            seed=seed,
+        )
+    rate_params = KeyRateParams(
+        alpha=float(conf["alpha"]),
+        gamma=float(conf["gamma"]),
+        delta=float(conf["delta"]),
+        c=float(conf["c"]),
+        n=conf["n"],
+        nu=float(conf["nu"]),
+        beta=float(conf["beta"]),
+    )
+    return conf, params, rate_params
+
+
 def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
     """Evaluate the rate formula (and, when runs_per_cell > 0, honest-box
     abort/error statistics feeding PrE) on each parameter cell.
+
+    Every cell is checked before the first run.  Cell ``ci`` is simulated
+    as one ``run_batch(params, honest_boxes(delta, [seed, ci, 7]),
+    runs_per_cell, run_index=ci)``: runs without leakage are simulated in
+    blocks of whole runs from one set of streams, so ``runs_per_cell = 50``
+    is not a prefix of ``runs_per_cell = 1000``, and the statistics depend
+    on ``_CHUNK``.
 
     Returns one dict per cell with SWEEP_COLUMNS keys.
     """
     check_range("runs_per_cell", runs_per_cell, 0, math.inf, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
+    checked = [_checked_cell(cell, runs_per_cell, seed) for cell in cells]
     rows = []
-    for ci, cell in enumerate(cells):
-        unknown = set(cell) - _CELL_KEYS
-        if unknown:
-            raise ValidationError(f"unknown sweep keys {sorted(unknown)}")
-        conf = dict(_CELL_DEFAULTS)
-        conf.update(cell)
-        missing = {"n", "alpha", "gamma", "delta"} - set(conf)
-        if missing:
-            raise ValidationError(f"sweep cell missing {sorted(missing)}")
-        for key, value in conf.items():
-            check_range(key, value, -math.inf, math.inf, integer=key == "n")
-
+    for ci, (conf, params, rate_params) in enumerate(checked):
         abort_freq = math.nan
         qber = math.nan
         pre_est = 1.0
-        if runs_per_cell > 0:
-            params = ProtocolParams(
-                n=conf["n"],
-                alpha=float(conf["alpha"]),
-                gamma=float(conf["gamma"]),
-                delta=float(conf["delta"]),
-                seed=seed,
-            )
-            aborts = 0
-            qbers = []
-            for r in range(runs_per_cell):
-                boxes = honest_boxes(float(conf["delta"]), [seed, ci, r, 7])
-                rec = run_protocol(params, boxes, run_index=ci * runs_per_cell + r)
-                aborts += int(rec.aborted)
-                qbers.append(rec.qber)
-            abort_freq = aborts / runs_per_cell
-            qber = float(np.mean(qbers))
+        if params is not None:
+            batch = run_batch(params, honest_boxes(params.delta, [seed, ci, 7]), runs_per_cell, run_index=ci)
+            abort_freq = int(np.count_nonzero(batch.aborted)) / runs_per_cell
+            qber = float(np.mean(batch.qber))
             pre_est = max(1.0 - abort_freq, 1e-9)
 
-        rate = key_rate(
-            KeyRateParams(
-                alpha=float(conf["alpha"]),
-                gamma=float(conf["gamma"]),
-                delta=float(conf["delta"]),
-                c=float(conf["c"]),
-                n=conf["n"],
-                nu=float(conf["nu"]),
-                beta=float(conf["beta"]),
-                PrE=pre_est,
-            )
-        )
+        rate = key_rate(dataclasses.replace(rate_params, PrE=pre_est))
         rows.append(
             {
                 "n": int(conf["n"]),

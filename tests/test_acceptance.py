@@ -17,6 +17,7 @@ import pytest
 import scipy.stats
 
 from gamebox import bounds, diqkd, dpt, entropy, games, qcore
+from gamebox.errors import BudgetExceededError
 
 # ---------------------------------------------------------------------------
 # 1. exact and variational game values
@@ -242,6 +243,41 @@ def test_honest_protocol_noiseless_and_noisy_statistics():
     qber_mean = float(np.mean(qbers))
     sem = float(np.std(qbers, ddof=1)) / math.sqrt(len(qbers))
     assert abs(qber_mean - delta) <= 3 * max(sem, math.sqrt(delta * (1 - delta) / t / len(qbers)))
+
+
+def test_honest_protocol_statistics_in_batches():
+    # the same guarantees over batches of whole runs (run_batch)
+    for n, runs in ((200, 1000), (5000, 50)):
+        params0 = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.5, delta=0.0, seed=909)
+        batch = diqkd.run_batch(params0, diqkd.honest_boxes(0.0, [909, n]), runs)
+        assert not batch.aborted.any()
+        assert batch.keys_equal.all()  # K_A == K_B in every run
+        assert (batch.mismatch_S == 0.0).all()
+
+    delta, runs = 0.05, 400
+    params = diqkd.ProtocolParams(n=2000, alpha=0.5, gamma=0.2, delta=delta, seed=910)
+    t = params.t_size
+    batch = diqkd.run_batch(params, diqkd.honest_boxes(delta, [910, 1]), runs)
+    freq = float(batch.aborted.mean())
+    tail = 2.0 ** (-2 * delta**2 * params.gamma * params.alpha * params.n)
+    assert freq <= tail + 3 * math.sqrt(max(freq * (1 - freq), 1e-12) / runs)
+    qbers = batch.qber[~batch.aborted]
+    sem = float(np.std(qbers, ddof=1)) / math.sqrt(qbers.size)
+    assert abs(float(qbers.mean()) - delta) <= 3 * max(sem, math.sqrt(delta * (1 - delta) / t / qbers.size))
+
+    # the deterministic local cheater agrees in 2/3 of the probed cells,
+    # far below the 0.9 threshold: caught in every run
+    cheat = diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), 200)
+    assert cheat.aborted.all()
+    assert not cheat.keys_equal.any()
+
+    class LeakingBoxes(diqkd.BoxPair):
+        def produce(self, xs, ys, channel):
+            channel.send("bob_box", "alice_box", 2, "00")
+            raise AssertionError("the send above must exceed the zero budget")
+
+    with pytest.raises(BudgetExceededError):
+        diqkd.run_batch(params, LeakingBoxes(), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -512,8 +512,10 @@ def test_repeated_invocations_identical(capsys):
 
 
 # The stdout of the README diqkd commands at their README seeds (the honest
-# run with 50 of its 1000 runs; the sweep is the 8-cell grid the benchmark
-# runs). Any change in a draw stream or a kernel's arithmetic shows here.
+# run with 50 of its 1000 runs, which is not a prefix of the 1000: both are
+# one batch of whole runs; the sweep is the 8-cell grid the benchmark runs).
+# Any change in a draw stream, a kernel's arithmetic or the block size
+# (diqkd._CHUNK) of the honest run and the sweep shows here.
 PINNED_DIQKD_OUTPUTS = [
     (
         "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 50 --seed 1",
@@ -527,9 +529,9 @@ PINNED_DIQKD_OUTPUTS = [
         '  "gamma": 0.2,\n'
         '  "keys_equal_completed": 0,\n'
         '  "leaked_bits_mean": 0.0,\n'
-        '  "mismatch_mean": 0.050599999999999985,\n'
+        '  "mismatch_mean": 0.050519999999999995,\n'
         '  "n": 2000,\n'
-        '  "qber_mean": 0.052100000000000035,\n'
+        '  "qber_mean": 0.04810000000000003,\n'
         '  "runs": 50,\n'
         '  "seed": 1\n'
         "}\n",
@@ -556,14 +558,14 @@ PINNED_DIQKD_OUTPUTS = [
     (
         "diqkd sweep --n 5000 --alpha 0.5 --gamma 0.1,0.2 --delta 0.02,0.05 --c 0,0.001 --runs 50 --seed 1",
         "n,alpha,gamma,delta,c,nu,beta,PrE_est,abort_freq,qber,rate_bits,rate_per_copy,eps_smooth,seed\n"
-        "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.01888000000000002,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
-        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.96,0.04,0.02240000000000002,-4082.778739170996,-0.8165557478341992,0.008138020833333334,1\n"
-        "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.05112000000000002,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.05432000000000002,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.019680000000000017,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
-        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.020120000000000016,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
-        "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.05440000000000003,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.051800000000000034,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
+        "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.019520000000000017,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
+        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.92,0.08,0.02072000000000002,-4082.84013971566,-0.816568027943132,0.008491847826086956,1\n"
+        "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.048080000000000025,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.05008000000000002,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.02100000000000002,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
+        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.021200000000000017,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
+        "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.051240000000000036,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.05044000000000004,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
     ),
     (
         "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8",

@@ -549,6 +549,149 @@ def test_honest_run_peak_memory_per_round():
 
 
 # ---------------------------------------------------------------------------
+# batches of whole runs
+# ---------------------------------------------------------------------------
+
+# name -> boxes seeded alike on every call; each runs on a budget of 0
+_BATCH_BOXES = {
+    "honest": lambda: diqkd.honest_boxes(0.05, 3),
+    "honest-noiseless": lambda: diqkd.honest_boxes(0.0, 4),
+    "baseline": diqkd.baseline_cheating_boxes,
+    "test_set": lambda: diqkd.test_set_cheating_boxes(30),
+}
+_BATCH_SIZES = (1, 7, 2000, 2**16 - 1, 2**16 + 1)
+
+
+def _batch_row(batch, r):
+    return {name: getattr(batch, name)[r].item() for name in batch._fields}
+
+
+def _record_row(rec):
+    return {
+        "aborted": rec.aborted,
+        "qber": rec.qber,
+        "mismatch_S": rec.mismatch_S,
+        "matches": rec.matches,
+        "keys_equal": not rec.aborted and bool(np.array_equal(rec.K_A, rec.K_B)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_BATCH_BOXES))
+@pytest.mark.parametrize("n", _BATCH_SIZES)
+def test_one_run_batch_is_run_protocol(n, name):
+    make = _BATCH_BOXES[name]
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=n % 5)
+    for run_index in (0, 3):
+        batch = diqkd.run_batch(params, make(), 1, run_index=run_index)
+        rec = diqkd.run_protocol(params, make(), budget=diqkd.LeakageBudget(0), run_index=run_index)
+        assert batch.aborted.dtype == bool and batch.keys_equal.dtype == bool
+        assert batch.qber.dtype == batch.mismatch_S.dtype == np.float64
+        assert batch.matches.dtype == np.int64
+        row = _batch_row(batch, 0)
+        want = _record_row(rec)
+        assert row == want
+        assert [type(v) for v in row.values()] == [type(v) for v in want.values()]
+
+
+# Run 0 reads the first n inputs and the first S and T draws of the
+# batch's streams.  Noisy honest boxes draw their noise flags after all of
+# a block's cell uniforms, so they match only when a block holds one run
+# (n > _CHUNK / 2).
+@pytest.mark.parametrize(
+    "n,name",
+    [(n, name) for n in _BATCH_SIZES for name in _BATCH_BOXES if name != "honest" or n > diqkd._CHUNK // 2],
+)
+def test_first_run_of_a_batch_is_run_protocol(n, name):
+    make = _BATCH_BOXES[name]
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=2)
+    runs = 3 if n > 2**15 else 40
+    batch = diqkd.run_batch(params, make(), runs, run_index=1)
+    rec = diqkd.run_protocol(params, make(), budget=diqkd.LeakageBudget(0), run_index=1)
+    assert batch.aborted.shape == (runs,)
+    assert _batch_row(batch, 0) == _record_row(rec)
+
+
+def _reference_run_batch(params, boxes, runs, run_index=0):
+    """run_batch as a loop over whole-length blocks and per-run 2-D
+    gathers, with int64 inputs and sorted choices."""
+    n, s, t = params.n, params.s_size, params.t_size
+    rng_x, rng_y, rng_s, rng_t = (np.random.default_rng([params.seed, run_index, k]) for k in range(4))
+    channel = diqkd.LeakageChannel(diqkd.LeakageBudget(0))
+    per_block = max(1, diqkd._CHUNK // n)
+    rows = []
+    for first in range(0, runs, per_block):
+        b = min(per_block, runs - first)
+        xs = rng_x.integers(0, 3, b * n)
+        ys = rng_y.integers(0, 3, b * n)
+        A, B = boxes.produce(xs, ys, channel)
+        A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
+        B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
+        for i in range(b):
+            run = slice(i * n, (i + 1) * n)
+            x, y, a, bb = xs[run], ys[run], A[run], B[run]
+            S = np.sort(rng_s.choice(n, size=s, replace=False))
+            T = np.sort(rng_t.choice(S, size=t, replace=False))
+            matches = int((a[T, y[T]] == bb[T, x[T]]).sum())
+            passed = matches >= math.ceil((1.0 - 2.0 * params.delta) * t - 1e-9)
+            key_a, key_b = a[S, y[S]], bb[S, x[S]]
+            rows.append({
+                "aborted": not passed,
+                "qber": 1.0 - matches / t,
+                "mismatch_S": float((key_a != key_b).mean()),
+                "matches": matches,
+                "keys_equal": passed and bool(np.array_equal(key_a, key_b)),
+            })
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name", ["honest", "honest-noiseless", "baseline", "int64-rows", "bool-rows"]
+)
+@pytest.mark.parametrize("n,runs", [(1, 5), (7, 100), (2000, 70), (30000, 5), (2**16 + 1, 2)])
+def test_run_batch_matches_the_whole_block_reference(n, runs, name):
+    make, make_ref, _, _ = _DIFFERENTIAL_BOXES[name]
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.3, delta=0.05, seed=n % 3)
+    batch = diqkd.run_batch(params, make(), runs, run_index=2)
+    want = _reference_run_batch(params, make_ref(), runs, run_index=2)
+    assert [_batch_row(batch, r) for r in range(runs)] == want
+
+
+class _LeakingBoxes(diqkd.BaselineCheatingBoxes):
+    def produce(self, xs, ys, channel):
+        channel.send("alice_box", "bob_box", 1, "0")
+        return super().produce(xs, ys, channel)
+
+
+def test_run_batch_refuses_leaks_and_bad_counts():
+    params = diqkd.ProtocolParams(n=50, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
+    with pytest.raises(BudgetExceededError):
+        diqkd.run_batch(params, _LeakingBoxes(), 10)
+    for runs in (0, -1, 2.5):
+        with pytest.raises(ValidationError):
+            diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), runs)
+    with pytest.raises(ValidationError):
+        diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), 2, run_index=-1)
+
+
+def test_run_batch_checks_every_block_of_rows():
+    # rows are checked a block at a time: a bad row in a later block is
+    # refused too
+    class LateBadParity(diqkd.BoxPair):
+        calls = 0
+
+        def produce(self, xs, ys, channel):
+            self.calls += 1
+            B = np.tile(games.ODD_BITS[0], (xs.size, 1))
+            if self.calls == 2:
+                B[-1] = games.EVEN_BITS[0]
+            return np.tile(games.EVEN_BITS[0], (xs.size, 1)), B
+
+    params = diqkd.ProtocolParams(n=2**15, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
+    with pytest.raises(ValidationError, match="parity"):
+        diqkd.run_batch(params, LateBadParity(), 5)
+
+
+# ---------------------------------------------------------------------------
 # rate formula and tails
 # ---------------------------------------------------------------------------
 
@@ -685,6 +828,28 @@ def test_sweep_with_runs_feeds_pre_estimate():
         [{"n": 200, "alpha": 0.5, "gamma": 0.2, "delta": 0.0}], runs_per_cell=10, seed=4
     )
     assert rows == again
+
+
+def test_sweep_checks_every_cell_before_the_first_run(monkeypatch):
+    calls = []
+    real = diqkd.run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diqkd, "run_batch", counting)
+    good = {"n": 200, "alpha": 0.5, "gamma": 0.2, "delta": 0.02}
+    # an unknown key; delta past ProtocolParams' and past KeyRateParams'
+    # range; a missing key
+    bad_cells = ({**good, "zeta": 1}, {**good, "delta": 0.7}, {**good, "delta": 0.2}, {"n": 200, "alpha": 0.5})
+    for bad in bad_cells:
+        with pytest.raises(ValidationError):
+            diqkd.sweep([good, good, bad], runs_per_cell=5, seed=0)
+    assert calls == []
+    # with valid cells the wrapper sees one call a cell
+    diqkd.sweep([good, good], runs_per_cell=5, seed=0)
+    assert len(calls) == 2
 
 
 def test_sweep_validation():
