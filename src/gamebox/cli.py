@@ -391,7 +391,7 @@ def _pattern_from_spec(spec: str, n: int):
             return z
         if kind == "iid":
             prob = check_range("iid probability", float(value), 0.0, 1.0)
-            return lambda rng: (rng.random(n) < prob).astype(float)
+            return lambda rng: rng.random(n) < prob
     except ValueError as exc:  # int("abc") / float("abc"), or a ValidationError
         raise ValidationError(f"bad pattern {spec!r}: {exc}") from None
     raise ValidationError(

@@ -42,6 +42,10 @@ _ENDPOINTS = ("alice_box", "bob_box", "eve")
 # that ``run_batch`` simulates at once, so batched outputs depend on it.
 _CHUNK = 2**16
 
+# numpy's hypergeometric sampler refuses a population with this many good
+# or bad members
+_HYPERGEOMETRIC_MAX = 10**9
+
 SWEEP_COLUMNS = (
     "n",
     "alpha",
@@ -298,12 +302,17 @@ class HonestBoxes(BoxPair):
             np.take(bob_index, cell, out=b_idx[lo:hi])
         for lo, hi in _chunks(n):
             np.less(self._rng.random(hi - lo), 2.0 * self.delta, out=noisy[lo:hi])
+        # Bob's rows are gathered chunk by chunk once his chunk's indices are
+        # final: a uint8 index over all n rounds would be cast to an 8-byte
+        # temporary
+        B = np.empty((n, 3), dtype=np.uint8)
         for lo, hi in _chunks(n):
             answers = self._rng.integers(0, 4, hi - lo)
             hit = np.flatnonzero(noisy[lo:hi])
             b_idx[lo + hit] = answers[hit]
             del answers, hit
-        return A, np.take(games_mod.ODD_BITS, b_idx, axis=0)
+            np.take(games_mod.ODD_BITS, b_idx[lo:hi].astype(np.intp), axis=0, out=B[lo:hi])
+        return A, B
 
 
 class BaselineCheatingBoxes(BoxPair):
@@ -472,7 +481,7 @@ def _check_bits(who: str, rows: np.ndarray) -> None:
     else:
         bits = ((rows == 0) | (rows == 1)).all()
     if not bits:
-        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
+        raise ValidationError(f"{who} must hold only bits 0 and 1")
 
 
 def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
@@ -487,7 +496,7 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
     for who, rows in (("Alice", a_T), ("Bob", b_T)):
         if rows.shape != (t, 3):
             raise ValidationError(f"test-set {who} rows must have shape ({t}, 3), got {rows.shape}")
-        _check_bits(who, rows)
+        _check_bits(f"{who} rows", rows)
     rounds = np.arange(t)
     return bool(_agreement(a_T[rounds, y_T.ravel()] == b_T[rounds, x_T.ravel()], delta)[1])
 
@@ -495,7 +504,7 @@ def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
     """``rows`` as uint8 after checking that every entry is 0 or 1 and
     that each row's parity is ``parity``."""
-    _check_bits(who, rows)
+    _check_bits(f"{who} rows", rows)
     rows = rows.astype(np.uint8, copy=False)
     odd = rows[:, 0] ^ rows[:, 1]
     odd ^= rows[:, 2]
@@ -765,14 +774,39 @@ def chernoff_abort_bound(delta: float, gamma: float, alpha: float, n: int) -> fl
     return float(2.0 ** (-2.0 * delta**2 * gamma * alpha * n))
 
 
+def _check_population(good: int, n: int) -> None:
+    """Refuse a string of length n with ``good`` ones that numpy's
+    hypergeometric sampler cannot draw from."""
+    if max(good, n - good) >= _HYPERGEOMETRIC_MAX:
+        raise ValidationError(
+            f"pattern with {good} ones and {n - good} zeros: each count must be below {_HYPERGEOMETRIC_MAX}"
+        )
+
+
+def _pattern_ones(Z, n: int) -> int:
+    """The number of ones in the pattern ``Z``, after checking that it
+    holds n entries, each 0 or 1."""
+    Z = np.asarray(Z)
+    if Z.size != n:
+        raise ValidationError(f"pattern has {Z.size} values, expected {n}")
+    _check_bits("pattern", Z)
+    return int(np.count_nonzero(Z))
+
+
 def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: int) -> dict:
     """Monte Carlo check of the sampling tail bound 2^{-2 eps^2 gamma n}.
 
-    ``pattern`` is a 0/1 array of length n, or a callable drawing one per
-    trial from a supplied generator.  The estimated event: the uniform
-    test subset T of size floor(gamma n) looks nearly all-good
-    (sum_{i in T} Z_i >= (1 - eps) gamma n) while the whole string is bad
-    (sum_i Z_i < (1 - 2 eps) n).
+    ``pattern`` is an array of n entries, each 0 or 1, or a callable
+    drawing one such array per trial from a supplied generator.  The
+    estimated event: the uniform test subset T of size floor(gamma n)
+    looks nearly all-good (sum_{i in T} Z_i >= ceil((1 - eps) gamma n))
+    while the whole string is bad (sum_i Z_i < ceil((1 - 2 eps) n)).  Both
+    thresholds are integers; as in the abort test, a 1e-9 keeps a product
+    that rounds just above an integer from asking one round more.
+
+    Each trial draws only what the event reads: the number of good rounds
+    in T, which for a string with K ones is Hypergeometric(K, n - K, t).
+    A fixed pattern therefore costs O(trials) draws whatever n is.
     """
     check_range("n", n, 1, math.inf, integer=True)
     check_range("trials", trials, 1, math.inf, integer=True)
@@ -781,40 +815,30 @@ def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: in
     check_range("seed", seed, 0, math.inf, integer=True)
     t = math.floor(gamma * n + 1e-9)
     bound = float(2.0 ** (-2.0 * eps**2 * gamma * n))
-    if t == 0:  # empty test set can never look nearly all-good
-        return {"empirical": 0.0, "bound": bound}
+    subset_floor = math.ceil((1.0 - eps) * gamma * n - 1e-9)
+    total_ceiling = math.ceil((1.0 - 2.0 * eps) * n - 1e-9)
     rng = np.random.default_rng([seed, 0])
-    subset_floor = (1.0 - eps) * gamma * n
-    total_ceiling = (1.0 - 2.0 * eps) * n
 
-    hits = 0
     if callable(pattern):
+        if t == 0:  # an empty test set never looks nearly all-good
+            return {"empirical": 0.0, "bound": bound}
+        hits = 0
         for _ in range(trials):
-            Z = np.asarray(pattern(rng), dtype=float)
-            if Z.size != n:
-                raise ValidationError(f"pattern produced {Z.size} values, expected {n}")
-            if Z.sum() >= total_ceiling:
-                continue
-            T = rng.choice(n, size=t, replace=False)
-            if Z[T].sum() >= subset_floor:
-                hits += 1
+            good = _pattern_ones(pattern(rng), n)
+            if subset_floor <= good < total_ceiling:
+                _check_population(good, n)
+                hits += int(rng.hypergeometric(good, n - good, t) >= subset_floor)
         return {"empirical": hits / trials, "bound": bound}
 
-    Z = np.asarray(pattern, dtype=float)
-    if Z.size != n:
-        raise ValidationError(f"pattern has {Z.size} values, expected {n}")
-    if Z.sum() >= total_ceiling:
+    good = _pattern_ones(pattern, n)
+    if t == 0 or not subset_floor <= good < total_ceiling:
         return {"empirical": 0.0, "bound": bound}
-    # chunks of at most 1 MB of keys; rng.random fills row-major, so every
-    # chunk size draws the same keys
-    chunk = max(1, 2**17 // n)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        keys = rng.random((m, n))
-        subsets = np.argpartition(keys, t - 1, axis=1)[:, :t] if t < n else np.tile(np.arange(n), (m, 1))
-        hits += int((Z[subsets].sum(axis=1) >= subset_floor).sum())
-        done += m
+    _check_population(good, n)
+    # _CHUNK trials at a time, the same numbers as one call of length trials
+    hits = sum(
+        int(np.count_nonzero(rng.hypergeometric(good, n - good, t, size=hi - lo) >= subset_floor))
+        for lo, hi in _chunks(trials)
+    )
     return {"empirical": hits / trials, "bound": bound}
 
 

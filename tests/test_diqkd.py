@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -548,6 +549,23 @@ def test_honest_run_peak_memory_per_round():
     assert peak / n <= 30.0
 
 
+def test_honest_produce_peak_memory_per_round():
+    # Alice's and Bob's rows (6 bytes a round), Bob's row index and the
+    # noise flags (2 bytes) and chunk-sized temporaries; a gather of Bob's
+    # rows over all n rounds at once took 16 bytes a round
+    n = 10**6
+    rng = np.random.default_rng(0)
+    xs, ys = (rng.integers(0, 3, n).astype(np.uint8) for _ in range(2))
+    boxes = diqkd.honest_boxes(0.05, 1)
+    tracemalloc.start()
+    try:
+        boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 10.0
+
+
 # ---------------------------------------------------------------------------
 # batches of whole runs
 # ---------------------------------------------------------------------------
@@ -747,22 +765,72 @@ def test_serfling_mc_exact_small_case():
     assert out["bound"] == pytest.approx(2 ** (-2 * eps**2 * gamma * n), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,trials", [(1000, 500), (300, 1000), (5000, 60)])
+def _exact_serfling_tail(n, gamma, eps, good):
+    """P(the serfling event) for a fixed string with ``good`` ones, from
+    exact rational thresholds and hypergeometric terms summed with
+    ``math.comb``; ``gamma`` and ``eps`` are Fractions."""
+    if good >= math.ceil((1 - 2 * eps) * n):
+        return 0.0
+    t = math.floor(gamma * n)
+    floor = math.ceil((1 - eps) * gamma * n)
+    favourable = sum(math.comb(good, k) * math.comb(n - good, t - k) for k in range(floor, t + 1))
+    return favourable / math.comb(n, t)
+
+
+_SERFLING_CASES = [  # n, gamma, eps, good rounds
+    (100, Fraction(1, 5), Fraction(1, 5), 59),  # the README command: P(>= 16 of 20) = 0.0273514284
+    (10, Fraction(1, 2), Fraction(1, 5), 5),
+    (60, Fraction(1, 4), Fraction(1, 5), 35),
+    (1000, Fraction(1, 5), Fraction(1, 20), 899),
+    (200, Fraction(3, 10), Fraction(1, 10), 150),
+    (20, Fraction(1), Fraction(1, 10), 15),  # T is the whole string: never both
+]
+
+
+@pytest.mark.parametrize(
+    "n,gamma,eps,good", _SERFLING_CASES, ids=["readme", "n10", "n60", "n1000", "n200", "whole-string"]
+)
+def test_serfling_mc_matches_the_exact_tail(n, gamma, eps, good):
+    exact = _exact_serfling_tail(n, gamma, eps, good)
+    trials = 10**5
+    pattern = np.concatenate([np.ones(good), np.zeros(n - good)])
+    out = diqkd.serfling_mc(n, float(gamma), float(eps), pattern, trials=trials, seed=2)
+    assert abs(out["empirical"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+def test_serfling_mc_callable_matches_the_exact_tail():
+    # a fresh shuffle per trial has the same count of good rounds in T
+    n, gamma, eps, good, trials = 60, Fraction(1, 4), Fraction(1, 5), 35, 20000
+    exact = _exact_serfling_tail(n, gamma, eps, good)
+    Z = np.concatenate([np.ones(good), np.zeros(n - good)])
+    out = diqkd.serfling_mc(n, float(gamma), float(eps), lambda rng: rng.permutation(Z), trials=trials, seed=5)
+    assert abs(out["empirical"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+@pytest.mark.parametrize("n,trials", [(1000, 500), (300, 1000), (5000, 60), (1000, 2**16 + 5), (300, 3 * 2**16)])
 def test_serfling_mc_chunks_match_one_shot_draw(n, trials):
-    # every chunk size draws the same keys: rng.random fills row-major.
-    # 11 zeros and eps = 5/n make the whole string bad while a test set of
-    # 0.2 n rounds holds at most one zero about a third of the time.
+    # each trial is one hypergeometric draw of the good rounds in T, made
+    # _CHUNK trials at a time: the same numbers as one call.  11 zeros and
+    # eps = 5/n make the whole string bad while a test set of 0.2 n rounds
+    # holds at most one zero about a third of the time.
     gamma, eps, seed = 0.2, 5 / n, 4
     Z = np.ones(n)
     Z[:11] = 0.0
     t = math.floor(gamma * n + 1e-9)
-    keys = np.random.default_rng([seed, 0]).random((trials, n))
-    subsets = np.argpartition(keys, t - 1, axis=1)[:, :t]
-    hits = int((Z[subsets].sum(axis=1) >= (1.0 - eps) * gamma * n).sum())
-    assert trials > 2**17 // n  # the case spans several chunks
+    counts = np.random.default_rng([seed, 0]).hypergeometric(n - 11, 11, t, size=trials)
+    hits = int((counts >= t - 1).sum())
     assert 0.1 * trials < hits < 0.9 * trials
     out = diqkd.serfling_mc(n, gamma, eps, Z, trials=trials, seed=seed)
     assert out["empirical"] == hits / trials
+
+
+def test_serfling_mc_refuses_a_population_numpy_cannot_sample():
+    # numpy's hypergeometric sampler raises a bare ValueError for these
+    for good, n in ((10**9, 10**9 + 5), (5, 10**9 + 5)):
+        with pytest.raises(ValidationError, match="below 1000000000"):
+            diqkd._check_population(good, n)
+    diqkd._check_population(10**9 - 1, 2 * 10**9 - 2)
+    np.random.default_rng(0).hypergeometric(10**9 - 1, 10**9 - 1, 3)
 
 
 def test_serfling_mc_degenerate_patterns():

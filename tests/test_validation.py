@@ -83,6 +83,7 @@ def _cases():
               for k in _CHERNOFF]
     cases += [(f"serfling_mc.{k}", lambda v, k=k: diqkd.serfling_mc(**_with(_SERFLING, **{k: v})))
               for k in ("n", "gamma", "eps", "trials", "seed")]
+    cases.append(("serfling_mc.pattern", lambda v: diqkd.serfling_mc(**_with(_SERFLING, pattern=np.full(20, v)))))
     cases += [(f"seesaw.{k}", lambda v, k=k: games.seesaw(games.chsh(), (2, 2), **{k: v}))
               for k in ("restarts", "max_iters", "tol", "seed")]
     cases.append(("RepetitionProbe.seed", lambda v: dpt.empirical_repeated_value(_probe(v))))
@@ -182,6 +183,27 @@ def test_out_of_range_count_or_seed_is_refused(call):
     # with no cap; counts, seeds and budgets must be integers
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("value", [0.5, math.nan, 2.0, -1.0, 257], ids=["half", "nan", "two", "minus-one", "257"])
+@pytest.mark.parametrize("kind", ["array", "callable"])
+def test_serfling_pattern_entries_must_be_bits(monkeypatch, kind, value):
+    # a string with 10 good rounds of 20 is bad and can fool T, so a valid
+    # pattern is checked for the sampler and sampled; one entry off {0, 1}
+    # is refused before that
+    draws = []
+    monkeypatch.setattr(diqkd, "_check_population", lambda *args: draws.append(args))
+    valid = np.concatenate([np.ones(10), np.zeros(10)])
+    diqkd.serfling_mc(**_with(_SERFLING, pattern=valid))
+    assert len(draws) == 1
+    bad = valid.copy()
+    bad[-1] = value
+    draws.clear()
+    calls = iter([valid, bad])
+    pattern = bad if kind == "array" else lambda rng: next(calls)
+    with pytest.raises(ValidationError, match="only bits 0 and 1"):
+        diqkd.serfling_mc(**_with(_SERFLING, pattern=pattern, trials=2))
+    assert len(draws) == (0 if kind == "array" else 1)
 
 
 _ROW = np.zeros((1, 3), dtype=np.uint8)
