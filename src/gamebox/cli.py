@@ -378,25 +378,24 @@ def _cmd_diqkd_sweep(args):
 
 
 def _pattern_from_spec(spec: str, n: int):
-    if spec == "ones":
-        return np.ones(n)
-    if spec == "zeros":
-        return np.zeros(n)
+    """The checked P of ``iid:P``, or a uint8 string of n bits, checked for
+    the sampler before it is built."""
+    check_range("n", n, 1, math.inf, integer=True)
     kind, _, value = spec.partition(":")
     try:
-        if kind == "threshold":
-            k = check_range("threshold count", int(value), 0, n)
-            z = np.zeros(n)
-            z[:k] = 1.0
-            return z
         if kind == "iid":
-            prob = check_range("iid probability", float(value), 0.0, 1.0)
-            return lambda rng: rng.random(n) < prob
+            return check_range("iid probability", float(value), 0.0, 1.0)
+        good = {"ones": n, "zeros": 0}.get(spec)
+        if kind == "threshold":
+            good = check_range("threshold count", int(value), 0, n)
     except ValueError as exc:  # int("abc") / float("abc"), or a ValidationError
         raise ValidationError(f"bad pattern {spec!r}: {exc}") from None
-    raise ValidationError(
-        f"unknown pattern {spec!r}; use ones | zeros | threshold:K | iid:P"
-    )
+    if good is None:
+        raise ValidationError(f"unknown pattern {spec!r}; use ones | zeros | threshold:K | iid:P")
+    diqkd._check_population(good, n)
+    z = np.zeros(n, dtype=np.uint8)
+    z[:good] = 1
+    return z
 
 
 def _cmd_diqkd_serfling(args):
@@ -554,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--n", type=int, required=True)
     dse.add_argument("--gamma", type=_finite_float, required=True)
     dse.add_argument("--eps", type=_finite_float, required=True)
-    dse.add_argument("--pattern", default="ones", help="ones | zeros | threshold:K | iid:P")
+    dse.add_argument("--pattern", default="ones", help="ones | zeros | threshold:K (K ones) | iid:P (Bernoulli(P) "
+                     "bits a trial); a trial draws only the count of good rounds in the string and in T")
     dse.add_argument("--trials", type=int, default=10000)
     _add_common(dse)
     dse.set_defaults(handler=_cmd_diqkd_serfling)

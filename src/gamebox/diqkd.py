@@ -783,62 +783,53 @@ def _check_population(good: int, n: int) -> None:
         )
 
 
-def _pattern_ones(Z, n: int) -> int:
-    """The number of ones in the pattern ``Z``, after checking that it
-    holds n entries, each 0 or 1."""
-    Z = np.asarray(Z)
-    if Z.size != n:
-        raise ValidationError(f"pattern has {Z.size} values, expected {n}")
-    _check_bits("pattern", Z)
-    return int(np.count_nonzero(Z))
-
-
 def serfling_mc(n: int, gamma: float, eps: float, pattern, trials: int, seed: int) -> dict:
     """Monte Carlo check of the sampling tail bound 2^{-2 eps^2 gamma n}.
 
-    ``pattern`` is an array of n entries, each 0 or 1, or a callable
-    drawing one such array per trial from a supplied generator.  The
+    ``pattern`` is a fixed array of n entries, each 0 or 1, or a
+    probability P: i.i.d. Bernoulli(P) bits drawn afresh each trial.  The
     estimated event: the uniform test subset T of size floor(gamma n)
     looks nearly all-good (sum_{i in T} Z_i >= ceil((1 - eps) gamma n))
     while the whole string is bad (sum_i Z_i < ceil((1 - 2 eps) n)).  Both
     thresholds are integers; as in the abort test, a 1e-9 keeps a product
     that rounds just above an integer from asking one round more.
 
-    Each trial draws only what the event reads: the number of good rounds
-    in T, which for a string with K ones is Hypergeometric(K, n - K, t).
-    A fixed pattern therefore costs O(trials) draws whatever n is.
+    Each trial draws only the counts the event reads: the number K of good
+    rounds in the string (fixed, or Binomial(n, P)), then the number in T,
+    Hypergeometric(K, n - K, t): O(trials) draws whatever n is.
     """
     check_range("n", n, 1, math.inf, integer=True)
     check_range("trials", trials, 1, math.inf, integer=True)
     check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
     check_range("eps", eps, 0.0, 0.5, lo_open=True)
     check_range("seed", seed, 0, math.inf, integer=True)
+    iid = np.ndim(pattern) == 0
+    if iid:  # K may be 0 or n, and the sampler needs K and n - K below its limit
+        prob = check_range("iid probability", pattern, 0.0, 1.0)
+        check_range("n of an i.i.d. pattern", n, 1, _HYPERGEOMETRIC_MAX, hi_open=True)
+    else:
+        Z = np.asarray(pattern)
+        if Z.size != n:
+            raise ValidationError(f"pattern has {Z.size} values, expected {n}")
+        _check_bits("pattern", Z)
+        good = int(np.count_nonzero(Z))
+        _check_population(good, n)
     t = math.floor(gamma * n + 1e-9)
     bound = float(2.0 ** (-2.0 * eps**2 * gamma * n))
     subset_floor = math.ceil((1.0 - eps) * gamma * n - 1e-9)
     total_ceiling = math.ceil((1.0 - 2.0 * eps) * n - 1e-9)
-    rng = np.random.default_rng([seed, 0])
-
-    if callable(pattern):
-        if t == 0:  # an empty test set never looks nearly all-good
-            return {"empirical": 0.0, "bound": bound}
-        hits = 0
-        for _ in range(trials):
-            good = _pattern_ones(pattern(rng), n)
-            if subset_floor <= good < total_ceiling:
-                _check_population(good, n)
-                hits += int(rng.hypergeometric(good, n - good, t) >= subset_floor)
-        return {"empirical": hits / trials, "bound": bound}
-
-    good = _pattern_ones(pattern, n)
-    if t == 0 or not subset_floor <= good < total_ceiling:
+    # the event is empty when T is, or when a fixed string's count lies
+    # outside [subset_floor, total_ceiling)
+    if t == 0 or not iid and not subset_floor <= good < total_ceiling:
         return {"empirical": 0.0, "bound": bound}
-    _check_population(good, n)
-    # _CHUNK trials at a time, the same numbers as one call of length trials
-    hits = sum(
-        int(np.count_nonzero(rng.hypergeometric(good, n - good, t, size=hi - lo) >= subset_floor))
-        for lo, hi in _chunks(trials)
-    )
+    rng = np.random.default_rng([seed, 0])
+    # _CHUNK trials at a time; a fixed pattern draws the same numbers as
+    # one call of length trials
+    hits = 0
+    for lo, hi in _chunks(trials):
+        K = rng.binomial(n, prob, hi - lo) if iid else good
+        fooled = rng.hypergeometric(K, n - K, t, size=hi - lo) >= subset_floor
+        hits += int(np.count_nonzero(fooled & (K < total_ceiling)))
     return {"empirical": hits / trials, "bound": bound}
 
 

@@ -309,9 +309,16 @@ def game_to_json(game: GamePredicate) -> dict:
 
 
 def _wins(game: GamePredicate, strategy: ClassicalStrategy) -> np.ndarray:
-    """Boolean table over the inputs: does `strategy` win on input x?"""
+    """Boolean table over the inputs: does `strategy` win on input x?
+    Refuses maps that do not send each input to an output index."""
+    maps = [np.asarray(m) for m in strategy.maps]
+    if len(maps) != game.players:
+        raise ValidationError(f"strategy has {len(maps)} maps for a {game.players}-player game")
+    for j, (m, n_in, n_out) in enumerate(zip(maps, game.input_sizes, game.output_sizes)):
+        if m.shape != (n_in,) or m.dtype.kind not in "iu" or m.min() < 0 or m.max() >= n_out:
+            raise ValidationError(f"player {j}'s map must send {n_in} inputs to outputs 0..{n_out - 1}, got {m!r}")
     xs = np.ix_(*(np.arange(s) for s in game.input_sizes))
-    return game.V[tuple(np.asarray(m)[x] for m, x in zip(strategy.maps, xs)) + xs]
+    return game.V[tuple(m[x] for m, x in zip(maps, xs)) + xs]
 
 
 def strategy_value(game: GamePredicate, strategy: ClassicalStrategy) -> float:
@@ -786,30 +793,27 @@ def random_subset_value(
 
     Plays ``n`` independent copies of ``game`` with the given per-copy
     deterministic strategy (one strategy applied to every copy, or a
-    sequence of ``n`` per-copy strategies), draws a uniformly random subset
-    of ``t`` coordinates per trial, and reports the fraction of trials in
-    which every copy in the subset was won.
+    sequence of ``n`` per-copy strategies) and reports the fraction of
+    trials in which every copy of a uniformly random subset of ``t``
+    coordinates was won.  Besides its inputs, a trial draws only the count
+    of won copies in the subset: Hypergeometric(won, n - won, t).
     """
     check_range("n", n, 1, math.inf, integer=True)
     check_range("trials", trials, 1, math.inf, integer=True)
     check_range("subset size", t, 0, n, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
     if isinstance(strategy, ClassicalStrategy):
-        per_copy = [strategy] * n
+        win_vecs = np.broadcast_to(_wins(game, strategy).reshape(-1), (n, game.p.size))
     else:
         per_copy = list(strategy)
         if len(per_copy) != n:
             raise ValidationError(f"need one strategy per copy, got {len(per_copy)} for n={n}")
+        win_vecs = np.stack([_wins(game, s).reshape(-1) for s in per_copy])
     if t == 0:
         return 1.0
-    p_flat = game.p.reshape(-1)
-    cum = np.cumsum(p_flat)
+    cum = np.cumsum(game.p.reshape(-1))
     cum[-1] = 1.0
-    win_vecs = np.stack([_wins(game, s).reshape(-1) for s in per_copy])
     rng = np.random.default_rng([seed])
     draws = np.searchsorted(cum, rng.random(size=(trials, n)), side="right")
-    wins = win_vecs[np.arange(n)[None, :], draws]
-    keys = rng.random(size=(trials, n))
-    subset = np.argpartition(keys, t - 1, axis=1)[:, :t]
-    ok = np.all(np.take_along_axis(wins, subset, axis=1), axis=1)
-    return float(np.mean(ok))
+    won = np.count_nonzero(win_vecs[np.arange(n)[None, :], draws], axis=1)
+    return float(np.mean(rng.hypergeometric(won, n - won, t) == t))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,7 @@ _RAGGED = [[0.5, 0.25], [0.25]]
         ((*_SEESAW, "--restarts", "-1"), None),
         ((*_SEESAW, "--seed", "-5"), None),
         ((*_SERFLING, "--seed", "-1"), None),
+        (("diqkd", "serfling", "--n", "-5", "--gamma", "0.2", "--eps", "0.2", "--pattern", "ones"), None),
         (("dpt", "probe", "--builtin", "chsh", "--n", "1", "--seed", "-1"), None),
         (("dpt", "probe", "--builtin", "chsh", "--budget", "-5"), None),
         (("game", "value", "--builtin", "chsh", "--budget", "-1"), None),
@@ -156,6 +158,7 @@ _RAGGED = [[0.5, 0.25], [0.25]]
     ],
     ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs",
          "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
+         "serfling-negative-n",
          "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-object-without-M",
          "gamma2-ragged-matrix", "gamma2-alpha-ragged-p", "thm2-ragged-p", "substate-sigma-not-a-table",
          "substate-file-not-object"],
@@ -466,6 +469,22 @@ def test_diqkd_serfling_cli_patterns(capsys):
         "--pattern", "sometimes",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("pattern", ["ones", "zeros", "threshold:2000000000", "iid:0.5"])
+def test_serfling_pattern_numpy_cannot_sample_is_refused_before_it_is_built(capsys, pattern):
+    # a string of 3 * 10^9 bits would take 3 GB before the sampler's check
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "diqkd", "serfling", "--n", "3000000000", "--gamma", "0.2", "--eps", "0.2", "--pattern", pattern
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert "below 1000000000" in err or "i.i.d. pattern" in err
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -798,12 +798,14 @@ def test_serfling_mc_matches_the_exact_tail(n, gamma, eps, good):
     assert abs(out["empirical"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
-def test_serfling_mc_callable_matches_the_exact_tail():
-    # a fresh shuffle per trial has the same count of good rounds in T
-    n, gamma, eps, good, trials = 60, Fraction(1, 4), Fraction(1, 5), 35, 20000
-    exact = _exact_serfling_tail(n, gamma, eps, good)
-    Z = np.concatenate([np.ones(good), np.zeros(n - good)])
-    out = diqkd.serfling_mc(n, float(gamma), float(eps), lambda rng: rng.permutation(Z), trials=trials, seed=5)
+def test_serfling_mc_iid_matches_the_exact_mixture():
+    # an i.i.d. Bernoulli(P) string holds K ~ Binomial(n, P) good rounds:
+    # the event's chance is the binomial mixture of the fixed-string tails
+    n, gamma, eps, P, trials = 100, Fraction(1, 5), Fraction(1, 5), Fraction(11, 20), 10**5
+    exact = float(sum(math.comb(n, k) * P**k * (1 - P) ** (n - k) * Fraction(_exact_serfling_tail(n, gamma, eps, k))
+                      for k in range(n + 1)))
+    assert exact == pytest.approx(0.0080489530, abs=1e-10)
+    out = diqkd.serfling_mc(n, float(gamma), float(eps), 0.55, trials=trials, seed=8)
     assert abs(out["empirical"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
@@ -842,14 +844,26 @@ def test_serfling_mc_degenerate_patterns():
     assert out["empirical"] == 0.0  # empty test set
 
 
-def test_serfling_mc_callable_pattern():
-    def fresh(rng):
-        return rng.integers(0, 2, 12)
+def test_serfling_mc_iid_pattern():
+    # P = 0 never has a good round in T; P = 1 never has a bad string
+    for prob in (0, 0.0, 1, 1.0):
+        assert diqkd.serfling_mc(100, 0.2, 0.2, prob, 1000, 0)["empirical"] == 0.0
+    out = diqkd.serfling_mc(12, 0.5, 0.25, 0.5, trials=2000, seed=3)
+    assert 0.0 < out["empirical"] < 1.0
+    assert diqkd.serfling_mc(12, 0.5, 0.25, 0.5, trials=2000, seed=3) == out
 
-    out = diqkd.serfling_mc(12, 0.5, 0.25, fresh, trials=2000, seed=3)
-    assert 0.0 <= out["empirical"] <= 1.0
-    again = diqkd.serfling_mc(12, 0.5, 0.25, fresh, trials=2000, seed=3)
-    assert out == again
+
+def test_serfling_mc_refuses_an_iid_string_the_sampler_cannot_draw(monkeypatch):
+    # K ~ Binomial(n, P) may reach n, so n itself must be below numpy's limit
+    draws = []
+    monkeypatch.setattr(diqkd.np.random, "default_rng", lambda *args: draws.append(args))
+    for n in (10**9, 3 * 10**9):
+        with pytest.raises(ValidationError, match="i.i.d. pattern"):
+            diqkd.serfling_mc(n, 0.2, 0.2, 0.5, 10, 0)
+    assert draws == []
+    monkeypatch.undo()
+    out = diqkd.serfling_mc(10**9 - 1, 1e-8, 0.2, 0.5, 3, 0)
+    assert out["empirical"] in (0.0, 1 / 3, 2 / 3, 1.0)
 
 
 def test_serfling_mc_validation():

@@ -818,12 +818,25 @@ def test_random_subset_value_perfect_strategy_wins_everything():
     game = games.chsh()
     # x*y = 0 on three of four cells; answering (0, 0) everywhere wins those
     always_zero = games.ClassicalStrategy(((0, 0), (0, 0)))
-    est = games.random_subset_value(game, n=6, t=3, strategy=always_zero, trials=4000, seed=5)
-    # per-copy win chance 3/4; winning three random copies of six is likelier
-    # than winning a fixed triple, but can never beat 1
-    assert 0.0 < est <= 1.0
+    trials = 4000
+    est = games.random_subset_value(game, n=6, t=3, strategy=always_zero, trials=trials, seed=5)
+    # each copy is won with chance q = 3/4 independently of the subset, so
+    # three random copies of six are all won with chance q^3 = 0.421875
+    exact = 0.75**3
+    assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
     exact_all = games.random_subset_value(game, n=4, t=0, strategy=always_zero, trials=10, seed=5)
     assert exact_all == 1.0
+
+
+def test_random_subset_value_per_copy_strategies_match_the_subset_average():
+    # copies won with chance 3/4, 3/4, 1/4, 1/4: a random pair is all won
+    # with the average over the six pairs of the product, 22/96
+    zero = games.ClassicalStrategy(((0, 0), (0, 0)))
+    split = games.ClassicalStrategy(((0, 0), (1, 1)))  # a XOR b = 1 wins only on x = y = 1
+    trials = 20000
+    est = games.random_subset_value(games.chsh(), 4, 2, [zero, zero, split, split], trials=trials, seed=1)
+    exact = 22 / 96
+    assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_random_subset_value_monte_carlo_calibration():
@@ -834,6 +847,26 @@ def test_random_subset_value_monte_carlo_calibration():
     )
     s = games.ClassicalStrategy(((0, 0), (0, 0)))
     assert games.random_subset_value(win_all, 5, 3, s, trials=500, seed=0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [((-1, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 0, 0), (0, 0)), ((0,), (0, 0)), ((0, 0),), ((0, 0), (0, 0), (0, 0)),
+     ((0.0, 1.0), (0, 0)), ((True, False), (0, 0)), (((0, 0), (0, 0)), (0, 0))],
+    ids=["negative-output", "output-too-large", "map-too-long", "map-too-short", "player-missing", "extra-player",
+         "float-map", "bool-map", "nested-map"],
+)
+def test_strategy_maps_are_checked_against_the_game(monkeypatch, maps):
+    # a map of -1 wrapped to output 1, a long map was truncated, a missing
+    # player's map was ignored and a float map raised a bare IndexError
+    draws = []
+    monkeypatch.setattr(games.np.random, "default_rng", lambda *args: draws.append(args))
+    strategy = games.ClassicalStrategy(maps)
+    with pytest.raises(ValidationError, match="map"):
+        games.strategy_value(games.chsh(), strategy)
+    with pytest.raises(ValidationError, match="map"):
+        games.random_subset_value(games.chsh(), 4, 2, strategy, trials=10)
+    assert draws == []
 
 
 def test_random_subset_value_validation():

@@ -185,9 +185,10 @@ def test_out_of_range_count_or_seed_is_refused(call):
         call()
 
 
-@pytest.mark.parametrize("value", [0.5, math.nan, 2.0, -1.0, 257], ids=["half", "nan", "two", "minus-one", "257"])
-@pytest.mark.parametrize("kind", ["array", "callable"])
-def test_serfling_pattern_entries_must_be_bits(monkeypatch, kind, value):
+@pytest.mark.parametrize(
+    "value", [0.5, math.nan, 2.0, -1.0, 257], ids=["array-half", "array-nan", "array-two", "array-minus-one", "array-257"]
+)
+def test_serfling_pattern_entries_must_be_bits(monkeypatch, value):
     # a string with 10 good rounds of 20 is bad and can fool T, so a valid
     # pattern is checked for the sampler and sampled; one entry off {0, 1}
     # is refused before that
@@ -199,11 +200,20 @@ def test_serfling_pattern_entries_must_be_bits(monkeypatch, kind, value):
     bad = valid.copy()
     bad[-1] = value
     draws.clear()
-    calls = iter([valid, bad])
-    pattern = bad if kind == "array" else lambda rng: next(calls)
     with pytest.raises(ValidationError, match="only bits 0 and 1"):
-        diqkd.serfling_mc(**_with(_SERFLING, pattern=pattern, trials=2))
-    assert len(draws) == (0 if kind == "array" else 1)
+        diqkd.serfling_mc(**_with(_SERFLING, pattern=bad, trials=2))
+    assert draws == []
+
+
+@pytest.mark.parametrize("prob", [math.nan, 2.0, -1.0, 257, math.inf], ids=["nan", "two", "minus-one", "257", "inf"])
+def test_serfling_iid_probability_must_lie_in_the_unit_interval(monkeypatch, prob):
+    # a scalar pattern is the P of i.i.d. Bernoulli(P) bits, refused before
+    # any draw unless 0 <= P <= 1
+    draws = []
+    monkeypatch.setattr(diqkd.np.random, "default_rng", lambda *args: draws.append(args))
+    with pytest.raises(ValidationError, match="iid probability"):
+        diqkd.serfling_mc(**_with(_SERFLING, pattern=prob))
+    assert draws == []
 
 
 _ROW = np.zeros((1, 3), dtype=np.uint8)
