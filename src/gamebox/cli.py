@@ -57,7 +57,7 @@ def _json_ready(obj):
 def _cell_text(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
         return json.dumps(_json_ready(value), sort_keys=True)
     return str(value)
 
@@ -178,11 +178,8 @@ def _cmd_bounds_eff(args):
     return {
         "game": game.name or args.game,
         "eps": args.eps,
-        "variant": res.variant,
-        "relaxation": res.relaxation,
-        "eta": res.eta,
-        "eff": res.eff,
-        "certificate": res.certificate.q.tolist() if res.certificate is not None else None,
+        **vars(res),
+        "certificate": res.certificate.q if res.certificate is not None else None,
     }
 
 
@@ -213,13 +210,7 @@ def _cmd_bounds_check_thm2(args):
     f = _table(doc["f"], '"f"', "a 0/1 matrix")
     p = _table(doc["p"], '"p"', "a matrix of probabilities")
     res = bounds.check_thm2(f, p, args.eps)
-    return {
-        "eps": args.eps,
-        "alpha": res.alpha,
-        "lower": res.lower,
-        "upper": res.upper,
-        "holds": res.holds,
-    }
+    return {"eps": args.eps, **vars(res)}
 
 
 def _cmd_dpt_bound(args):
@@ -265,16 +256,7 @@ def _cmd_dpt_probe(args):
         search_budget=args.budget, seed=args.seed,
     )
     done = dpt.empirical_repeated_value(probe)
-    return {
-        "game": game.name or args.game,
-        "n": done.n,
-        "comm_bits": done.comm_bits,
-        "search_budget": done.search_budget,
-        "seed": done.seed,
-        "best_value": done.best_value,
-        "kind": done.kind,
-        "certificate": done.certificate,
-    }
+    return {**vars(done), "game": game.name or args.game}
 
 
 def _cmd_dpt_substate(args):
@@ -287,66 +269,36 @@ def _cmd_dpt_substate(args):
         *(_table(doc[key], repr(key), "a table of probabilities") for key in keys),
         args.c, args.eps, args.delta0, args.delta1,
     )
-    return {
-        "status": report.status,
-        "smoothing_pd": report.smoothing_pd,
-        "marginal_pd": report.marginal_pd,
-        "conclusion_pd": report.conclusion_pd,
-        "conclusion_threshold": report.conclusion_threshold,
-        "conclusion_factor": report.conclusion_factor,
-        "witness": report.witness.tolist() if report.witness is not None else None,
-    }
+    return vars(report)
 
 
-def _make_boxes(args, run: int):
+def _make_boxes(args):
     if args.boxes == "honest":
         noise = args.box_delta if args.box_delta is not None else args.delta
-        return diqkd.honest_boxes(noise, [args.seed, run, 101])
+        return diqkd.honest_boxes(noise, [args.seed, 0, 101])
     if args.boxes == "baseline":
         return diqkd.baseline_cheating_boxes()
     return diqkd.test_set_cheating_boxes(args.guess)
 
 
 def _cmd_diqkd_run(args):
-    check_range("runs", args.runs, 1, math.inf)
     params = diqkd.ProtocolParams(
         n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta, seed=args.seed
     )
     adversary = diqkd.load_adversary(args.adversary) if args.adversary else None
-    if adversary is None and args.limit_bits == 0:
-        # nothing can leak: one batch of whole runs (leakage budgets are per run)
-        batch = diqkd.run_batch(params, _make_boxes(args, 0), args.runs)
-        aborted, qbers, mismatches = batch.aborted, batch.qber, batch.mismatch_S
-        leaked = [0]  # LeakageBudget(0) lets no bit through
-        keys_equal = int(np.count_nonzero(batch.keys_equal))
-    else:
-        aborted, qbers, mismatches, leaked = [], [], [], []
-        keys_equal = 0
-        for r in range(args.runs):
-            budget = diqkd.LeakageBudget(args.limit_bits)
-            rec = diqkd.run_protocol(params, _make_boxes(args, r), adversary, budget, run_index=r)
-            aborted.append(rec.aborted)
-            qbers.append(rec.qber)
-            mismatches.append(rec.mismatch_S)
-            leaked.append(rec.leaked_bits)
-            if not rec.aborted:
-                keys_equal += int(bool(np.array_equal(rec.K_A, rec.K_B)))
-    aborts = int(np.count_nonzero(aborted))
+    batch = diqkd.run_batch(params, _make_boxes(args), args.runs, adversary=adversary, limit_bits=args.limit_bits)
+    aborts = int(np.count_nonzero(batch.aborted))
     return {
-        "n": args.n,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "delta": args.delta,
+        **vars(params),
         "boxes": args.boxes,
         "runs": args.runs,
         "aborts": aborts,
         "abort_freq": aborts / args.runs,
-        "qber_mean": float(np.mean(qbers)),
-        "mismatch_mean": float(np.mean(mismatches)),
-        "leaked_bits_mean": float(np.mean(leaked)),
-        "keys_equal_completed": keys_equal,
+        "qber_mean": float(np.mean(batch.qber)),
+        "mismatch_mean": float(np.mean(batch.mismatch_S)),
+        "leaked_bits_mean": float(np.mean(batch.leaked_bits)),
+        "keys_equal_completed": int(np.count_nonzero(batch.keys_equal)),
         "completed": args.runs - aborts,
-        "seed": args.seed,
     }
 
 
@@ -355,11 +307,7 @@ def _cmd_diqkd_rate(args):
         alpha=args.alpha, gamma=args.gamma, delta=args.delta,
         c=args.c, n=args.n, nu=args.nu, beta=args.beta, PrE=args.pre,
     )
-    rate = diqkd.key_rate(params)
-    return {
-        "alpha": args.alpha, "gamma": args.gamma, "delta": args.delta, "c": args.c,
-        "n": args.n, "nu": args.nu, "beta": args.beta, "PrE": args.pre, **rate,
-    }
+    return {**vars(params), **diqkd.key_rate(params)}
 
 
 def _cmd_diqkd_sweep(args):
@@ -544,10 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsw.add_argument("--nu", default="0.01")
     dsw.add_argument("--beta", default="1.0")
     dsw.add_argument("--runs", type=int, default=0)
-    dsw.add_argument("--format", choices=("json", "csv"), default="csv")
-    dsw.add_argument("--out", default=None)
-    dsw.add_argument("--seed", type=int, default=0)
-    dsw.set_defaults(handler=_cmd_diqkd_sweep)
+    _add_common(dsw)
+    dsw.set_defaults(handler=_cmd_diqkd_sweep, format="csv")
 
     dse = dq_sub.add_parser("serfling", help="Monte Carlo sampling-tail check")
     dse.add_argument("--n", type=int, required=True)

@@ -36,10 +36,7 @@ from .errors import (
 _ENDPOINTS = ("alice_box", "bob_box", "eve")
 
 # Rounds per chunk of the simulator's draws: a chunk's int64 and float64
-# temporaries (512 kB each) stay in cache.  A generator's stream does not
-# depend on how its draws are split, so the chunk size changes no output
-# of one run.  It also sets the block of max(1, _CHUNK // n) whole runs
-# that ``run_batch`` simulates at once, so batched outputs depend on it.
+# temporaries (512 kB each) stay in cache.
 _CHUNK = 2**16
 
 # numpy's hypergeometric sampler refuses a population with this many good
@@ -274,7 +271,10 @@ class HonestBoxes(BoxPair):
     def __init__(self, delta: float, seed):
         check_range("delta", delta, 0.0, 0.5)
         self.delta = float(delta)
-        self._rng = np.random.default_rng(seed)
+        # one generator per draw phase (cell uniforms, noise flags, Bob's
+        # replacement answers), so that round i reads the i-th draw of each
+        # stream however the rounds are split into calls and chunks
+        self._cells, self._noise, self._answers = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
@@ -285,33 +285,21 @@ class HonestBoxes(BoxPair):
         alice_rows = games_mod.EVEN_BITS[joint >> 2]  # (81, 3): Alice's row per table entry
         bob_index = joint & 3  # Bob's row index per table entry
         A = np.empty((n, 3), dtype=np.uint8)
-        b_idx = np.empty(n, dtype=np.uint8)
-        noisy = np.empty(n, dtype=bool)
-        # three draw phases over all n rounds, each filled chunk by chunk:
-        # cell uniforms, noise flags, replacement answers for Bob
+        B = np.empty((n, 3), dtype=np.uint8)
         for lo, hi in _chunks(n):
-            eighths = self._rng.random(hi - lo)
+            eighths = self._cells.random(hi - lo)
             eighths *= 8.0
             cell = np.ceil(eighths, out=eighths).astype(np.uint8)
-            # free each chunk's 8-byte temporaries once read, here and below:
-            # in a block of whole runs they set the peak
+            # free each chunk's 8-byte temporaries once read: in a block of
+            # whole runs they set the peak
             del eighths
             cell += 27 * xs[lo:hi]  # 9 (3x + y) + ceil(8u) <= 80
             cell += 9 * ys[lo:hi]
             np.take(alice_rows, cell, axis=0, out=A[lo:hi])
-            np.take(bob_index, cell, out=b_idx[lo:hi])
-        for lo, hi in _chunks(n):
-            np.less(self._rng.random(hi - lo), 2.0 * self.delta, out=noisy[lo:hi])
-        # Bob's rows are gathered chunk by chunk once his chunk's indices are
-        # final: a uint8 index over all n rounds would be cast to an 8-byte
-        # temporary
-        B = np.empty((n, 3), dtype=np.uint8)
-        for lo, hi in _chunks(n):
-            answers = self._rng.integers(0, 4, hi - lo)
-            hit = np.flatnonzero(noisy[lo:hi])
-            b_idx[lo + hit] = answers[hit]
-            del answers, hit
-            np.take(games_mod.ODD_BITS, b_idx[lo:hi].astype(np.intp), axis=0, out=B[lo:hi])
+            b_idx = np.take(bob_index, cell)
+            noisy = self._noise.random(hi - lo) < 2.0 * self.delta
+            np.copyto(b_idx, self._answers.integers(0, 4, hi - lo), casting="unsafe", where=noisy)
+            np.take(games_mod.ODD_BITS, b_idx, axis=0, out=B[lo:hi])
         return A, B
 
 
@@ -530,6 +518,7 @@ class _Block(NamedTuple):
     passed: np.ndarray  # (b,) bool
     qber: np.ndarray  # (b,) float64
     mismatch_S: np.ndarray  # (b,) float64
+    leaked_bits: np.ndarray  # (b,) int64
 
 
 def _simulate(
@@ -537,28 +526,28 @@ def _simulate(
     boxes: BoxPair,
     runs: int,
     run_index: int,
-    channel: LeakageChannel,
-    adversary: ScriptedAdversary | None = None,
+    adversary: ScriptedAdversary | None,
+    limit_bits: int,
 ):
-    """Yield the ``_Block`` of each block of ``b = max(1, _CHUNK // n)``
-    whole runs (the last block holds the remainder), simulated as one
-    pass of ``b n`` rounds.
+    """Yield the ``_Block`` of each block of whole runs, in order.
 
     The four generators ``[params.seed, run_index, k]`` (k = 0..3: Alice
     inputs, Bob inputs, key set S, test set T within S) are seeded once
-    and consumed in order across blocks.  The channel is locked after the
-    last block's outputs are produced.  With ``runs = 1`` this is one run
-    drawn exactly as ``run_protocol`` describes."""
+    and consumed in order across blocks, and ``boxes`` sees the rounds of
+    all runs in order.  Each block has its own channel with
+    ``LeakageBudget(limit_bits)``, locked once its outputs are produced.
+    A run that may leak (an adversary, or a positive leash) is a block of
+    its own; otherwise a block holds ``max(1, _CHUNK // n)`` runs."""
     check_range("run_index", run_index, 0, math.inf, integer=True)
     rngs = tuple(np.random.default_rng([params.seed, run_index, k]) for k in range(4))
-    per_block = max(1, _CHUNK // params.n)
+    per_block = max(1, _CHUNK // params.n) if adversary is None and limit_bits == 0 else 1
     for first in range(0, runs, per_block):
-        b = min(per_block, runs - first)
+        channel = LeakageChannel(LeakageBudget(limit_bits))
         # one call a block: no temporary of a block outlives it
-        yield _simulate_block(params, boxes, b, rngs, channel, adversary, lock=first + b == runs)
+        yield _simulate_block(params, boxes, min(per_block, runs - first), rngs, channel, adversary)
 
 
-def _simulate_block(params, boxes, b, rngs, channel, adversary, lock) -> _Block:
+def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
     """``b`` whole runs as one pass of ``b n`` rounds: each party's inputs
     drawn in one ``_draw_inputs`` call, seen once by the adversary and the
     boxes, and the rows checked once; only the exact-size S and T draws
@@ -570,8 +559,7 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary, lock) -> _Block:
     if adversary is not None:
         adversary.execute(channel, xs, ys)
     A, B = boxes.produce(xs, ys, channel)
-    if lock:
-        channel.lock()
+    channel.lock()
 
     A = np.asarray(A)
     B = np.asarray(B)
@@ -613,6 +601,8 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary, lock) -> _Block:
         passed=passed,
         qber=1.0 - matches / t,
         mismatch_S=(s - np.count_nonzero(agree, axis=1)) / s,
+        # a block of several runs has a leash of 0
+        leaked_bits=np.full(b, channel.budget.used_bits, dtype=np.int64),
     )
 
 
@@ -623,27 +613,22 @@ def run_protocol(
     budget: LeakageBudget | None = None,
     run_index: int = 0,
 ) -> TranscriptRecord:
-    """One full protocol execution.
+    """One full protocol execution: the run of ``run_batch(params, boxes,
+    1, run_index, adversary, limit_bits)`` with ``limit_bits`` what
+    ``budget`` (by default ``LeakageBudget(0)``) has left; ``budget`` is
+    then debited with the bits the run leaked.
 
     Draw order (independent streams split off params.seed and run_index):
     Alice inputs, Bob inputs, key set S, test set T within S.  The
     leakage channel is open to the adversary and the boxes between input
-    entry and output production, then locked.
-
-    Inputs are drawn in chunks of ``_CHUNK`` rounds into uint8 arrays,
-    which the adversary and the boxes receive; chunked draws are the same
-    streams as whole-length ones, so the record does not depend on the
-    chunk size.  The record's dtypes are fixed: ``S``, ``T``, ``x_S`` and
-    ``y_S`` are int64, ``a_T`` and the keys uint8.
-
-    This is the one-run case of the block core behind ``run_batch``.
-    Runs without leakage are simulated faster by ``run_batch``, in blocks
-    of whole runs from one set of streams; run r > 0 of such a batch is
-    therefore not ``run_protocol(run_index=r)``, and batched outputs
-    depend on ``_CHUNK`` (one run's record does not).
+    entry and output production, then locked.  The adversary and the
+    boxes receive the inputs as uint8 arrays.  The record's dtypes are
+    fixed: ``S``, ``T``, ``x_S`` and ``y_S`` are int64, ``a_T`` and the
+    keys uint8.
     """
-    channel = LeakageChannel(budget if budget is not None else LeakageBudget(0))
-    (block,) = _simulate(params, boxes, 1, run_index, channel, adversary)
+    budget = budget if budget is not None else LeakageBudget(0)
+    (block,) = _simulate(params, boxes, 1, run_index, adversary, budget.limit_bits - budget.used_bits)
+    budget.debit(int(block.leaked_bits[0]))
     S, passed = block.S[0], bool(block.passed[0])
     T = S[block.tested[0]]
     return TranscriptRecord(
@@ -658,7 +643,7 @@ def run_protocol(
         qber=float(block.qber[0]),
         mismatch_S=float(block.mismatch_S[0]),
         matches=int(block.matches[0]),
-        leaked_bits=channel.budget.used_bits,
+        leaked_bits=budget.used_bits,
     )
 
 
@@ -672,40 +657,43 @@ class BatchRecord(NamedTuple):
     mismatch_S: np.ndarray  # float64: fraction of key rounds whose bits differ
     matches: np.ndarray  # int64: agreeing test rounds
     keys_equal: np.ndarray  # bool: the run passed and K_A == K_B
+    leaked_bits: np.ndarray  # int64: bits the run's channel carried
 
 
-def run_batch(params: ProtocolParams, boxes: BoxPair, runs: int, run_index: int = 0) -> BatchRecord:
-    """``runs`` protocol executions without leakage, as per-run arrays.
+def run_batch(
+    params: ProtocolParams,
+    boxes: BoxPair,
+    runs: int,
+    run_index: int = 0,
+    adversary: ScriptedAdversary | None = None,
+    limit_bits: int = 0,
+) -> BatchRecord:
+    """``runs`` protocol executions, as per-run arrays.
 
-    Runs without leakage are simulated in blocks of whole runs from one
-    set of streams: the four protocol generators ``[params.seed,
-    run_index, k]`` and ``boxes`` are seeded once for the batch and
-    consumed in order, a block of ``max(1, _CHUNK // n)`` runs at a time
-    (one input draw, one ``boxes.produce`` call and one row check a
-    block); only the exact-size S and T draws are made run by run.  So
-    ``run_batch(params, boxes, 1, run_index=i)`` equals ``run_protocol``
-    at ``run_index=i`` with equally seeded boxes, but run r > 0 of a batch
-    is not ``run_protocol(run_index=r)``, a batch of 50 runs is not the
-    first 50 of a batch of 1000, and batched outputs depend on
-    ``_CHUNK``.
-
-    The whole batch shares one channel with ``LeakageBudget(0)``: a box
-    that tries to leak raises ``BudgetExceededError``.
+    The four protocol generators ``[params.seed, run_index, k]`` and
+    ``boxes`` are seeded once for the batch and consumed in order, run
+    after run, so run r depends only on the seed, ``run_index`` and r: a
+    batch of k runs is the first k runs of any longer batch, and its run 0
+    is ``run_protocol(params, boxes, adversary, LeakageBudget(limit_bits),
+    run_index)`` with equally seeded boxes.  Each run has its own channel
+    with ``LeakageBudget(limit_bits)``, open to ``adversary`` and the boxes
+    until its outputs are produced; a leash that is never spent changes
+    no number.
     """
     check_range("runs", runs, 1, math.inf, integer=True)
-    channel = LeakageChannel(LeakageBudget(0))
     # map keeps no block alive while the next one is simulated
     per_block = map(
-        operator.attrgetter("passed", "qber", "mismatch_S", "matches"),
-        _simulate(params, boxes, runs, run_index, channel),
+        operator.attrgetter("passed", "qber", "mismatch_S", "matches", "leaked_bits"),
+        _simulate(params, boxes, runs, run_index, adversary, limit_bits),
     )
-    passed, qber, mismatch_S, matches = (np.concatenate(column) for column in zip(*per_block))
+    passed, qber, mismatch_S, matches, leaked_bits = (np.concatenate(column) for column in zip(*per_block))
     return BatchRecord(
         aborted=~passed,
         qber=qber,
         mismatch_S=mismatch_S,
         matches=matches,
         keys_equal=passed & (mismatch_S == 0.0),
+        leaked_bits=leaked_bits,
     )
 
 
@@ -894,10 +882,7 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
 
     Every cell is checked before the first run.  Cell ``ci`` is simulated
     as one ``run_batch(params, honest_boxes(delta, [seed, ci, 7]),
-    runs_per_cell, run_index=ci)``: runs without leakage are simulated in
-    blocks of whole runs from one set of streams, so ``runs_per_cell = 50``
-    is not a prefix of ``runs_per_cell = 1000``, and the statistics depend
-    on ``_CHUNK``.
+    runs_per_cell, run_index=ci)``.
 
     Returns one dict per cell with SWEEP_COLUMNS keys.
     """

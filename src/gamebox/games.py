@@ -795,25 +795,28 @@ def random_subset_value(
     deterministic strategy (one strategy applied to every copy, or a
     sequence of ``n`` per-copy strategies) and reports the fraction of
     trials in which every copy of a uniformly random subset of ``t``
-    coordinates was won.  Besides its inputs, a trial draws only the count
-    of won copies in the subset: Hypergeometric(won, n - won, t).
+    coordinates was won.  A trial draws only the counts its event reads:
+    the number of won copies, a sum of one Binomial(k, q) draw per group of
+    k copies that share a win probability q, and then the number of won
+    copies in the subset, Hypergeometric(won, n - won, t).
     """
-    check_range("n", n, 1, math.inf, integer=True)
+    # numpy's hypergeometric sampler refuses 10^9 won or lost copies
+    check_range("n", n, 1, 10**9, hi_open=True, integer=True)
     check_range("trials", trials, 1, math.inf, integer=True)
     check_range("subset size", t, 0, n, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
     if isinstance(strategy, ClassicalStrategy):
-        win_vecs = np.broadcast_to(_wins(game, strategy).reshape(-1), (n, game.p.size))
+        q, k = [strategy_value(game, strategy)], [n]
     else:
         per_copy = list(strategy)
         if len(per_copy) != n:
             raise ValidationError(f"need one strategy per copy, got {len(per_copy)} for n={n}")
-        win_vecs = np.stack([_wins(game, s).reshape(-1) for s in per_copy])
+        q, k = np.unique([strategy_value(game, s) for s in per_copy], return_counts=True)
     if t == 0:
         return 1.0
-    cum = np.cumsum(game.p.reshape(-1))
-    cum[-1] = 1.0
     rng = np.random.default_rng([seed])
-    draws = np.searchsorted(cum, rng.random(size=(trials, n)), side="right")
-    won = np.count_nonzero(win_vecs[np.arange(n)[None, :], draws], axis=1)
+    won = np.zeros(trials, dtype=np.int64)
+    # p may hold entries down to -1e-12 and sum to 1 within 1e-9
+    for q_group, k_group in zip(np.clip(q, 0.0, 1.0), k):
+        won += rng.binomial(k_group, q_group, trials)
     return float(np.mean(rng.hypergeometric(won, n - won, t) == t))

@@ -531,10 +531,9 @@ def test_repeated_invocations_identical(capsys):
 
 
 # The stdout of the README diqkd commands at their README seeds (the honest
-# run with 50 of its 1000 runs, which is not a prefix of the 1000: both are
-# one batch of whole runs; the sweep is the 8-cell grid the benchmark runs).
-# Any change in a draw stream, a kernel's arithmetic or the block size
-# (diqkd._CHUNK) of the honest run and the sweep shows here.
+# run with the first 50 of its 1000 runs; the sweep is the 8-cell grid the
+# benchmark runs).  Any change in a draw stream or a kernel's arithmetic
+# shows here.
 PINNED_DIQKD_OUTPUTS = [
     (
         "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 50 --seed 1",
@@ -548,9 +547,9 @@ PINNED_DIQKD_OUTPUTS = [
         '  "gamma": 0.2,\n'
         '  "keys_equal_completed": 0,\n'
         '  "leaked_bits_mean": 0.0,\n'
-        '  "mismatch_mean": 0.050519999999999995,\n'
+        '  "mismatch_mean": 0.04866000000000001,\n'
         '  "n": 2000,\n'
-        '  "qber_mean": 0.04810000000000003,\n'
+        '  "qber_mean": 0.04550000000000003,\n'
         '  "runs": 50,\n'
         '  "seed": 1\n'
         "}\n",
@@ -577,14 +576,14 @@ PINNED_DIQKD_OUTPUTS = [
     (
         "diqkd sweep --n 5000 --alpha 0.5 --gamma 0.1,0.2 --delta 0.02,0.05 --c 0,0.001 --runs 50 --seed 1",
         "n,alpha,gamma,delta,c,nu,beta,PrE_est,abort_freq,qber,rate_bits,rate_per_copy,eps_smooth,seed\n"
-        "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.019520000000000017,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
-        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.92,0.08,0.02072000000000002,-4082.84013971566,-0.816568027943132,0.008491847826086956,1\n"
-        "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.048080000000000025,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.05008000000000002,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.02100000000000002,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
-        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.021200000000000017,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
-        "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.051240000000000036,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.05044000000000004,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
+        "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.018560000000000017,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
+        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.98,0.02,0.02072000000000002,-4082.748991827602,-0.8165497983655203,0.007971938775510204,1\n"
+        "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.04784000000000002,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.04856000000000003,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.020200000000000017,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
+        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.020680000000000018,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
+        "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.04728000000000003,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.048560000000000055,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
     ),
     (
         "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8",
@@ -612,7 +611,8 @@ def test_readme_diqkd_outputs_are_pinned(capsys, command, expected):
 
 
 # n = 10^6 with an input_prefix adversary: inputs of several chunks, and a
-# payload that reads only the first four of 10^6 rounds.
+# payload that reads only the first four of 10^6 rounds.  The adversary
+# changes only leaked_bits_mean: without it the runs print the same numbers.
 PINNED_BULK_ADVERSARY_ARGV = [
     "diqkd", "run", "--n", "1000000", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05", "--runs", "2",
     "--adversary", '{"rounds": [{"from": "alice_box", "to": "eve", "bits": 8, "function_id": "input_prefix"}]}',
@@ -629,9 +629,9 @@ PINNED_BULK_ADVERSARY_OUTPUT = (
     '  "gamma": 0.2,\n'
     '  "keys_equal_completed": 0,\n'
     '  "leaked_bits_mean": 8.0,\n'
-    '  "mismatch_mean": 0.050083,\n'
+    '  "mismatch_mean": 0.049525,\n'
     '  "n": 1000000,\n'
-    '  "qber_mean": 0.05033000000000004,\n'
+    '  "qber_mean": 0.049985,\n'
     '  "runs": 2,\n'
     '  "seed": 1\n'
     "}\n"
@@ -642,6 +642,12 @@ def test_bulk_adversary_run_output_is_pinned(capsys):
     code, out, _ = run(capsys, *PINNED_BULK_ADVERSARY_ARGV)
     assert code == 0
     assert out == PINNED_BULK_ADVERSARY_OUTPUT
+
+
+def test_an_unspent_leash_changes_no_output(capsys):
+    argv = PINNED_DIQKD_OUTPUTS[0][0].split()
+    outputs = {run(capsys, *argv, "--limit-bits", bits)[1] for bits in ("0", "5")}
+    assert outputs == {PINNED_DIQKD_OUTPUTS[0][1]}
 
 
 # The README seesaw command.  The value's last digits follow the rounding

@@ -141,10 +141,10 @@ def _cumsum_produce(boxes, xs, ys):
     n = xs.size
     flat = diqkd._ms_conditional_table()[xs, ys].reshape(n, 16)
     cum = np.cumsum(flat, axis=1)
-    draws = boxes._rng.random((n, 1))
+    draws = boxes._cells.random((n, 1))
     idx = np.minimum((cum < draws).sum(axis=1), 15)
-    noisy = boxes._rng.random(n) < 2.0 * boxes.delta
-    b_idx = np.where(noisy, boxes._rng.integers(0, 4, n), idx % 4)
+    noisy = boxes._noise.random(n) < 2.0 * boxes.delta
+    b_idx = np.where(noisy, boxes._answers.integers(0, 4, n), idx % 4)
     return games.EVEN_BITS[idx // 4].copy(), games.ODD_BITS[b_idx].copy()
 
 
@@ -402,7 +402,7 @@ class _ReferenceHonestBoxes(diqkd.HonestBoxes):
     def produce(self, xs, ys, channel):
         xs, ys = diqkd._grid_inputs(xs, ys)
         n = xs.size
-        eighths = 8.0 * self._rng.random(n)
+        eighths = 8.0 * self._cells.random(n)
         cell = np.ceil(eighths, out=eighths).astype(np.uint8)
         del eighths
         cell += 27 * xs.astype(np.uint8).ravel()
@@ -410,8 +410,8 @@ class _ReferenceHonestBoxes(diqkd.HonestBoxes):
         idx = np.take(diqkd._ms_index_table(), cell)
         A = np.take(games.EVEN_BITS, idx >> 2, axis=0)
         b_idx = idx & 3
-        noisy = self._rng.random(n) < 2.0 * self.delta
-        np.copyto(b_idx, self._rng.integers(0, 4, n), casting="unsafe", where=noisy)
+        noisy = self._noise.random(n) < 2.0 * self.delta
+        np.copyto(b_idx, self._answers.integers(0, 4, n), casting="unsafe", where=noisy)
         return A, np.take(games.ODD_BITS, b_idx, axis=0)
 
 
@@ -550,9 +550,9 @@ def test_honest_run_peak_memory_per_round():
 
 
 def test_honest_produce_peak_memory_per_round():
-    # Alice's and Bob's rows (6 bytes a round), Bob's row index and the
-    # noise flags (2 bytes) and chunk-sized temporaries; a gather of Bob's
-    # rows over all n rounds at once took 16 bytes a round
+    # Alice's and Bob's rows (6 bytes a round) and chunk-sized temporaries;
+    # a gather of Bob's rows over all n rounds at once took 16 bytes a round,
+    # and Bob's row index and noise flags over all n rounds 2 more
     n = 10**6
     rng = np.random.default_rng(0)
     xs, ys = (rng.integers(0, 3, n).astype(np.uint8) for _ in range(2))
@@ -563,7 +563,7 @@ def test_honest_produce_peak_memory_per_round():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 10.0
+    assert peak / n <= 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +591,7 @@ def _record_row(rec):
         "mismatch_S": rec.mismatch_S,
         "matches": rec.matches,
         "keys_equal": not rec.aborted and bool(np.array_equal(rec.K_A, rec.K_B)),
+        "leaked_bits": rec.leaked_bits,
     }
 
 
@@ -612,13 +613,8 @@ def test_one_run_batch_is_run_protocol(n, name):
 
 
 # Run 0 reads the first n inputs and the first S and T draws of the
-# batch's streams.  Noisy honest boxes draw their noise flags after all of
-# a block's cell uniforms, so they match only when a block holds one run
-# (n > _CHUNK / 2).
-@pytest.mark.parametrize(
-    "n,name",
-    [(n, name) for n in _BATCH_SIZES for name in _BATCH_BOXES if name != "honest" or n > diqkd._CHUNK // 2],
-)
+# batch's streams.
+@pytest.mark.parametrize("n,name", [(n, name) for n in _BATCH_SIZES for name in _BATCH_BOXES])
 def test_first_run_of_a_batch_is_run_protocol(n, name):
     make = _BATCH_BOXES[name]
     params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=2)
@@ -630,35 +626,32 @@ def test_first_run_of_a_batch_is_run_protocol(n, name):
 
 
 def _reference_run_batch(params, boxes, runs, run_index=0):
-    """run_batch as a loop over whole-length blocks and per-run 2-D
+    """run_batch as one whole-length block of all runs and per-run 2-D
     gathers, with int64 inputs and sorted choices."""
     n, s, t = params.n, params.s_size, params.t_size
     rng_x, rng_y, rng_s, rng_t = (np.random.default_rng([params.seed, run_index, k]) for k in range(4))
-    channel = diqkd.LeakageChannel(diqkd.LeakageBudget(0))
-    per_block = max(1, diqkd._CHUNK // n)
+    xs = rng_x.integers(0, 3, runs * n)
+    ys = rng_y.integers(0, 3, runs * n)
+    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
+    B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
     rows = []
-    for first in range(0, runs, per_block):
-        b = min(per_block, runs - first)
-        xs = rng_x.integers(0, 3, b * n)
-        ys = rng_y.integers(0, 3, b * n)
-        A, B = boxes.produce(xs, ys, channel)
-        A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
-        B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
-        for i in range(b):
-            run = slice(i * n, (i + 1) * n)
-            x, y, a, bb = xs[run], ys[run], A[run], B[run]
-            S = np.sort(rng_s.choice(n, size=s, replace=False))
-            T = np.sort(rng_t.choice(S, size=t, replace=False))
-            matches = int((a[T, y[T]] == bb[T, x[T]]).sum())
-            passed = matches >= math.ceil((1.0 - 2.0 * params.delta) * t - 1e-9)
-            key_a, key_b = a[S, y[S]], bb[S, x[S]]
-            rows.append({
-                "aborted": not passed,
-                "qber": 1.0 - matches / t,
-                "mismatch_S": float((key_a != key_b).mean()),
-                "matches": matches,
-                "keys_equal": passed and bool(np.array_equal(key_a, key_b)),
-            })
+    for i in range(runs):
+        run = slice(i * n, (i + 1) * n)
+        x, y, a, bb = xs[run], ys[run], A[run], B[run]
+        S = np.sort(rng_s.choice(n, size=s, replace=False))
+        T = np.sort(rng_t.choice(S, size=t, replace=False))
+        matches = int((a[T, y[T]] == bb[T, x[T]]).sum())
+        passed = matches >= math.ceil((1.0 - 2.0 * params.delta) * t - 1e-9)
+        key_a, key_b = a[S, y[S]], bb[S, x[S]]
+        rows.append({
+            "aborted": not passed,
+            "qber": 1.0 - matches / t,
+            "mismatch_S": float((key_a != key_b).mean()),
+            "matches": matches,
+            "keys_equal": passed and bool(np.array_equal(key_a, key_b)),
+            "leaked_bits": 0,
+        })
     return rows
 
 
@@ -672,6 +665,67 @@ def test_run_batch_matches_the_whole_block_reference(n, runs, name):
     batch = diqkd.run_batch(params, make(), runs, run_index=2)
     want = _reference_run_batch(params, make_ref(), runs, run_index=2)
     assert [_batch_row(batch, r) for r in range(runs)] == want
+
+
+def _assert_batches_equal(got, want, runs=None):
+    """Every per-run array of ``got`` bitwise equal to the first ``runs``
+    entries (all of them by default) of ``want``'s."""
+    for name in diqkd.BatchRecord._fields:
+        a, b = getattr(got, name), getattr(want, name)[:runs]
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+# (n, runs): blocks of many runs, of one run, and runs of several chunks,
+# at both chunk sizes
+@pytest.mark.parametrize("name", list(_BATCH_BOXES))
+@pytest.mark.parametrize("n,runs", [(1, 1500), (7, 300), (2000, 40), (2001, 9), (70_000, 3)])
+def test_run_batch_does_not_depend_on_the_chunk_size(monkeypatch, n, runs, name):
+    make = _BATCH_BOXES[name]
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=n % 4)
+    want = diqkd.run_batch(params, make(), runs, run_index=1)
+    monkeypatch.setattr(diqkd, "_CHUNK", 2**10)
+    _assert_batches_equal(diqkd.run_batch(params, make(), runs, run_index=1), want)
+
+
+@pytest.mark.parametrize("name", list(_BATCH_BOXES))
+@pytest.mark.parametrize("n,runs", [(1, 20), (7, 13), (2000, 17), (30_000, 2)])
+def test_a_batch_is_a_prefix_of_a_longer_batch(n, runs, name):
+    make = _BATCH_BOXES[name]
+    params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=n % 3)
+    longer = diqkd.run_batch(params, make(), 3 * runs, run_index=2)
+    _assert_batches_equal(diqkd.run_batch(params, make(), runs, run_index=2), longer, runs)
+
+
+@pytest.mark.parametrize("name", ["honest", "honest-noiseless", "baseline"])
+def test_an_unspent_leash_changes_no_number(name):
+    # a positive leash makes every run a block of its own; boxes that do
+    # not leak draw the same numbers (the test-set cheater spends it)
+    make = _BATCH_BOXES[name]
+    params = diqkd.ProtocolParams(n=2000, alpha=0.5, gamma=0.2, delta=0.05, seed=1)
+    _assert_batches_equal(diqkd.run_batch(params, make(), 50, limit_bits=5), diqkd.run_batch(params, make(), 50))
+
+
+def test_an_adversary_changes_only_the_leaked_bits():
+    adversary = diqkd.load_adversary(_PREFIX_ADVERSARY)
+    params = diqkd.ProtocolParams(n=300, alpha=0.5, gamma=0.2, delta=0.05, seed=3)
+    quiet = diqkd.run_batch(params, diqkd.honest_boxes(0.05, 6), 40)
+    leaky = diqkd.run_batch(params, diqkd.honest_boxes(0.05, 6), 40, adversary=adversary, limit_bits=11)
+    np.testing.assert_array_equal(leaky.leaked_bits, np.full(40, 11))
+    _assert_batches_equal(leaky._replace(leaked_bits=quiet.leaked_bits), quiet)
+
+
+def test_every_run_of_a_test_set_batch_spends_its_own_leash():
+    params = diqkd.ProtocolParams(n=200, alpha=0.5, gamma=0.5, delta=0.1, seed=21)
+    # 5 bits a round: a 500-bit leash buys 40 rounds of every run
+    batch = diqkd.run_batch(params, diqkd.test_set_cheating_boxes(40), 30, limit_bits=500)
+    np.testing.assert_array_equal(batch.leaked_bits, np.full(30, 200))
+    rec = diqkd.run_protocol(params, diqkd.test_set_cheating_boxes(40), budget=diqkd.LeakageBudget(500))
+    assert _batch_row(batch, 0) == _record_row(rec)
+    # a leash for every round defeats the test in every run
+    full = diqkd.run_batch(params, diqkd.test_set_cheating_boxes(params.n), 30, limit_bits=5 * params.n)
+    np.testing.assert_array_equal(full.leaked_bits, np.full(30, 5 * params.n))
+    assert not full.aborted.any()
 
 
 class _LeakingBoxes(diqkd.BaselineCheatingBoxes):
@@ -689,6 +743,9 @@ def test_run_batch_refuses_leaks_and_bad_counts():
             diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), runs)
     with pytest.raises(ValidationError):
         diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), 2, run_index=-1)
+    for limit_bits in (-1, 2.5, math.nan):
+        with pytest.raises(ValidationError):
+            diqkd.run_batch(params, diqkd.baseline_cheating_boxes(), 2, limit_bits=limit_bits)
 
 
 def test_run_batch_checks_every_block_of_rows():

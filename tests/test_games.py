@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -839,6 +840,17 @@ def test_random_subset_value_per_copy_strategies_match_the_subset_average():
     assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
+def test_random_subset_value_draws_counts_not_copies():
+    # one uniform a trial and copy would be 8 * 10^11 bytes of draws here
+    always_zero = games.ClassicalStrategy(((0, 0), (0, 0)))
+    trials = 1000
+    start = time.perf_counter()
+    est = games.random_subset_value(games.chsh(), 10**8, 3, always_zero, trials=trials, seed=2)
+    assert time.perf_counter() - start < 1.0
+    exact = 0.75**3
+    assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
 def test_random_subset_value_monte_carlo_calibration():
     # all copies always won -> every subset passes
     game = games.chsh()
@@ -875,3 +887,5 @@ def test_random_subset_value_validation():
         games.random_subset_value(games.chsh(), 3, 4, s)
     with pytest.raises(ValidationError):
         games.random_subset_value(games.chsh(), 3, 1, [s, s])  # wrong count
+    with pytest.raises(ValidationError):
+        games.random_subset_value(games.chsh(), 10**9, 1, s)  # past numpy's hypergeometric sampler
