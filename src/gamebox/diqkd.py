@@ -254,6 +254,44 @@ def _draw_inputs(rng, n: int) -> np.ndarray:
     return out
 
 
+def _subset(rng, n: int, k: int) -> np.ndarray:
+    """A uniform k-subset of ``range(n)`` (0 <= k <= n), as sorted int64
+    indices, in three steps:
+
+    1. flags: index i is flagged when the i-th 16-bit word of ``ceil(n /
+       4)`` raw 64-bit outputs of ``rng``'s bit generator (little-endian)
+       lies below ``round(65536 k / n)``;
+    2. count: K flags are set;
+    3. fix: a uniform choice (``rng.choice`` of ranks) of K - k of the set
+       flags is cleared, or of k - K of the clear ones is set.
+
+    The result is exactly uniform.  The flags are i.i.d., so their law
+    does not change when the indices are permuted; the fix chooses the
+    flags it flips by rank among those of one value, whichever indices
+    hold them.  So the result's law is invariant under every permutation
+    of ``range(n)``, and the result always has k members: the only such
+    law is the uniform one on k-subsets.  The threshold just keeps K near
+    k: the fix flips about sqrt(k) + n / 2^17 flags on average.
+
+    The words (2 bytes a round) live for one statement, and the flipped
+    flags are located chunk by chunk: besides the n flags and the result,
+    no array of n entries is held, and no int64 index of the whole pool."""
+    threshold = (2**17 * k + n) // (2 * n)  # round(65536 k / n), ties up
+    flags = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n] < threshold
+    surplus = np.count_nonzero(flags) - k
+    if surplus:
+        value = surplus > 0  # clear surplus set flags, or set missing ones
+        ranks = rng.choice(k + surplus if value else n - k - surplus, abs(surplus), replace=False, shuffle=False)
+        ranks.sort()
+        for lo, hi in _chunks(n):
+            chunk = flags[lo:hi]
+            members = (chunk if value else ~chunk).nonzero()[0]
+            cut = ranks.searchsorted(members.size)
+            chunk[members[ranks[:cut]]] = not value
+            ranks = ranks[cut:] - members.size
+    return flags.nonzero()[0]
+
+
 class HonestBoxes(BoxPair):
     """Ideal strategy with per-copy win probability exactly 1 - delta:
     with probability 2*delta Bob's answer is replaced by a uniform
@@ -266,14 +304,17 @@ class HonestBoxes(BoxPair):
     ``cum < u`` holds exactly when ``cum < ceil(8u)/8`` (``8u`` is exact in
     floating point).  The inverse is therefore a 9 x 9 integer table,
     indexed by the input pair and ``ceil(8u)``, and one gather per round
-    replaces comparing ``u`` with all 16 cumulative sums."""
+    replaces comparing ``u`` with all 16 cumulative sums.
+
+    Draw order: each draw phase has its own stream, spawned from ``seed``.
+    Round i reads the i-th cell uniform and the i-th noise flag; the k-th
+    noisy round reads the k-th replacement answer (quiet rounds draw
+    none).  So the rows do not depend on how the rounds are split into
+    calls and chunks."""
 
     def __init__(self, delta: float, seed):
         check_range("delta", delta, 0.0, 0.5)
         self.delta = float(delta)
-        # one generator per draw phase (cell uniforms, noise flags, Bob's
-        # replacement answers), so that round i reads the i-th draw of each
-        # stream however the rounds are split into calls and chunks
         self._cells, self._noise, self._answers = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
 
     def produce(self, xs, ys, channel):
@@ -297,8 +338,8 @@ class HonestBoxes(BoxPair):
             cell += 9 * ys[lo:hi]
             np.take(alice_rows, cell, axis=0, out=A[lo:hi])
             b_idx = np.take(bob_index, cell)
-            noisy = self._noise.random(hi - lo) < 2.0 * self.delta
-            np.copyto(b_idx, self._answers.integers(0, 4, hi - lo), casting="unsafe", where=noisy)
+            noisy = np.flatnonzero(self._noise.random(hi - lo) < 2.0 * self.delta)
+            b_idx[noisy] = self._answers.integers(0, 4, noisy.size)
             np.take(games_mod.ODD_BITS, b_idx, axis=0, out=B[lo:hi])
         return A, B
 
@@ -504,14 +545,14 @@ def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
 class _Block(NamedTuple):
     """Outcome of one block of b whole runs of n rounds.  Row i of each
     (b, ...) array belongs to the block's run i; ``S`` holds round indices
-    within the block (run i's rounds are ``i n .. (i + 1) n - 1``) and
-    ``tested`` positions within each row of ``S``."""
+    within the block (run i's rounds are ``i n .. (i + 1) n - 1``), and so
+    does ``T``."""
 
     S: np.ndarray  # (b, s) int64
-    tested: np.ndarray  # (b, t) int64, sorted along each row
+    T: np.ndarray  # (b, t) int64, a sorted subset of each row of S
     x_S: np.ndarray  # (b, s) uint8
     y_S: np.ndarray  # (b, s) uint8
-    A: np.ndarray  # (b n, 3) uint8, Alice's rows
+    a_T: np.ndarray  # (b, t, 3) uint8, Alice's rows at T
     key_a: np.ndarray  # (b, s) uint8
     key_b: np.ndarray  # (b, s) uint8
     matches: np.ndarray  # (b,) int64
@@ -534,8 +575,11 @@ def _simulate(
     The four generators ``[params.seed, run_index, k]`` (k = 0..3: Alice
     inputs, Bob inputs, key set S, test set T within S) are seeded once
     and consumed in order across blocks, and ``boxes`` sees the rounds of
-    all runs in order.  Each block has its own channel with
-    ``LeakageBudget(limit_bits)``, locked once its outputs are produced.
+    all runs in order.  Run by run, S takes its flags and then its fix
+    from generator 2, and T (positions within S) its flags and then its
+    fix from generator 3 (``_subset``).  Each block has its own channel
+    with ``LeakageBudget(limit_bits)``, locked once its outputs are
+    produced.
     A run that may leak (an adversary, or a positive leash) is a block of
     its own; otherwise a block holds ``max(1, _CHUNK // n)`` runs."""
     check_range("run_index", run_index, 0, math.inf, integer=True)
@@ -568,33 +612,35 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
     A = _bit_rows("Alice", A, parity=0)
     B = _bit_rows("Bob", B, parity=1)
 
-    key_rounds = np.zeros((b, n), dtype=bool)
-    for row in key_rounds:
-        row[rng_s.choice(n, size=s, replace=False)] = True
-    # each run holds s key rounds, so the sorted flat indices split into
-    # one row a run
-    S = np.flatnonzero(key_rounds).reshape(b, s)
-    del key_rounds  # free each temporary of n or |S| entries once read: they set the peak
-    # positions within S: the same draws as rng_t.choice(S, ...), and S is
-    # sorted, so each run's T = S[tested] is sorted too
+    S = np.empty((b, s), dtype=np.int64)
+    # positions within S, sorted like S, so each run's T = S[tested] is
+    # sorted too
     tested = np.empty((b, t), dtype=np.int64)
-    for row in tested:
-        row[:] = rng_t.choice(s, size=t, replace=False)
-    tested.sort(axis=1)
+    for i in range(b):
+        S[i] = _subset(rng_s, n, s)
+        tested[i] = _subset(rng_t, s, t)
+    S += np.arange(0, b * n, n)[:, None]
 
     x_S, y_S = xs[S], ys[S]
-    cells = 3 * S  # flat index of each key round's first cell
-    key_a = A.reshape(-1)[cells + y_S]
-    key_b = B.reshape(-1)[cells + x_S]
+    del xs, ys  # not read again: with them, the key gathers below would set the peak
+    # one index temporary of |S| entries, the flat index of each key
+    # round's cell, first Bob's input's, then Alice's
+    cells = 3 * S
+    cells += y_S
+    key_a = A.reshape(-1)[cells]
+    cells -= y_S
+    cells += x_S
+    key_b = B.reshape(-1)[cells]
     del cells
     agree = key_a == key_b
     matches, passed = _agreement(np.take_along_axis(agree, tested, axis=1), params.delta)
+    T = np.take_along_axis(S, tested, axis=1)
     return _Block(
         S=S,
-        tested=tested,
+        T=T,
         x_S=x_S,
         y_S=y_S,
-        A=A,
+        a_T=A[T],
         key_a=key_a,
         key_b=key_b,
         matches=matches,
@@ -619,24 +665,25 @@ def run_protocol(
     then debited with the bits the run leaked.
 
     Draw order (independent streams split off params.seed and run_index):
-    Alice inputs, Bob inputs, key set S, test set T within S.  The
-    leakage channel is open to the adversary and the boxes between input
-    entry and output production, then locked.  The adversary and the
-    boxes receive the inputs as uint8 arrays.  The record's dtypes are
-    fixed: ``S``, ``T``, ``x_S`` and ``y_S`` are int64, ``a_T`` and the
-    keys uint8.
+    Alice inputs, Bob inputs, key set S (flags, then the fix to exactly
+    ``s_size`` rounds), test set T within S (flags, then the fix); honest
+    boxes draw from their own streams, one replacement answer per noisy
+    round.  The leakage channel is open to the adversary and the boxes
+    between input entry and output production, then locked.  The
+    adversary and the boxes receive the inputs as uint8 arrays.  The
+    record's dtypes are fixed: ``S``, ``T``, ``x_S`` and ``y_S`` are
+    int64, ``a_T`` and the keys uint8.
     """
     budget = budget if budget is not None else LeakageBudget(0)
     (block,) = _simulate(params, boxes, 1, run_index, adversary, budget.limit_bits - budget.used_bits)
     budget.debit(int(block.leaked_bits[0]))
-    S, passed = block.S[0], bool(block.passed[0])
-    T = S[block.tested[0]]
+    passed = bool(block.passed[0])
     return TranscriptRecord(
-        S=S,
-        T=T,
+        S=block.S[0],
+        T=block.T[0],
         x_S=block.x_S[0].astype(np.int64),
         y_S=block.y_S[0].astype(np.int64),
-        a_T=block.A[T],
+        a_T=block.a_T[0],
         aborted=not passed,
         K_A=block.key_a[0] if passed else None,
         K_B=block.key_b[0] if passed else None,

@@ -5,6 +5,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,34 @@ def test_eff_checks_eps_and_variant_before_any_rows(eff, eps, variant, monkeypat
     monkeypatch.setattr(bounds, "_local_columns", reached)
     with pytest.raises(ValidationError):
         eff(games.repeat(games.chsh(), 2), eps, variant)
+
+
+@pytest.mark.parametrize(
+    "make,n_vars", [(games.mse, 16_650), (lambda: games.repeat(games.magic_square(), 2), 23_409)],
+    ids=["mse", "magic_square^2"],
+)
+def test_eff_ns_refuses_an_lp_over_its_budget_before_any_row(make, n_vars, monkeypatch):
+    # their dense LP rows would take ~650 MB and more
+    def reached(*args):
+        raise AssertionError("rows built for an LP over budget")
+
+    game = make()
+    monkeypatch.setattr(bounds, "_ns_constraint_rows", reached)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"{n_vars} LP variables exceed budget 10000"):
+            bounds.eff_ns(game, 0.1, "average")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_eff_ns_budget_counts_the_abort_augmented_entries():
+    # chsh: (2 + 1)^2 abort-augmented output pairs at 4 input pairs
+    assert bounds.eff_ns(games.chsh(), 0.1, budget=36).eta == bounds.eff_ns(games.chsh(), 0.1).eta
+    with pytest.raises(BudgetExceededError, match="36 LP variables exceed budget 35"):
+        bounds.eff_ns(games.chsh(), 0.1, budget=35)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Protocol simulation, leakage accounting, rate formula, and sampling tails."""
 
+import collections
 import dataclasses
+import itertools
 import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,7 +149,8 @@ def _cumsum_produce(boxes, xs, ys):
     draws = boxes._cells.random((n, 1))
     idx = np.minimum((cum < draws).sum(axis=1), 15)
     noisy = boxes._noise.random(n) < 2.0 * boxes.delta
-    b_idx = np.where(noisy, boxes._answers.integers(0, 4, n), idx % 4)
+    b_idx = idx % 4
+    b_idx[noisy] = boxes._answers.integers(0, 4, np.count_nonzero(noisy))  # one answer a noisy round
     return games.EVEN_BITS[idx // 4].copy(), games.ODD_BITS[b_idx].copy()
 
 
@@ -256,6 +262,43 @@ def test_run_protocol_sets_are_nested_and_sorted():
     assert set(rec.T).issubset(set(rec.S))
     assert rec.S.size == params.s_size
     assert rec.T.size == params.t_size
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])
+def test_bulk_run_sets_are_nested_sorted_and_exact_size(alpha):
+    params = diqkd.ProtocolParams(n=10**6, alpha=alpha, gamma=0.2, delta=0.05, seed=3)
+    rec = diqkd.run_protocol(params, diqkd.baseline_cheating_boxes())
+    for name, got, size in (("S", rec.S, params.s_size), ("T", rec.T, params.t_size)):
+        assert got.dtype == np.int64, name
+        assert got.size == size, name
+        assert np.all(np.diff(got) > 0), name  # sorted, so no index twice
+    assert 0 <= rec.S[0] and rec.S[-1] < params.n
+    assert np.isin(rec.T, rec.S).all()
+
+
+# (n, k): non-dyadic fractions, k = n and k = 0, a surplus and a shortfall
+# of flags both likely
+_SUBSET_SHAPES = [(7, 3), (6, 1), (5, 5), (4, 0), (8, 4), (9, 7), (10, 3), (12, 2)]
+
+
+@pytest.mark.parametrize("chunk", [2**16, 4])
+@pytest.mark.parametrize("n,k", _SUBSET_SHAPES)
+def test_subset_is_uniform_over_every_k_subset(monkeypatch, n, k, chunk):
+    # chunk = 4 spreads the flags to flip over several chunks
+    monkeypatch.setattr(diqkd, "_CHUNK", chunk)
+    subsets = list(itertools.combinations(range(n), k))
+    trials = 200 * len(subsets)
+    rng = np.random.default_rng([n, k])
+    seen = collections.Counter()
+    for _ in range(trials):
+        got = diqkd._subset(rng, n, k)
+        assert got.dtype == np.int64
+        seen[tuple(got.tolist())] += 1
+    assert set(seen) <= set(subsets)  # sorted, distinct and of size k
+    if len(subsets) > 1:
+        counts = np.array([seen[sub] for sub in subsets])
+        chi2 = float(((counts - 200) ** 2).sum() / 200)
+        assert scipy.stats.chi2.sf(chi2, len(subsets) - 1) > 1e-3
 
 
 def test_run_protocol_deterministic():
@@ -411,7 +454,7 @@ class _ReferenceHonestBoxes(diqkd.HonestBoxes):
         A = np.take(games.EVEN_BITS, idx >> 2, axis=0)
         b_idx = idx & 3
         noisy = self._noise.random(n) < 2.0 * self.delta
-        np.copyto(b_idx, self._answers.integers(0, 4, n), casting="unsafe", where=noisy)
+        b_idx[noisy] = self._answers.integers(0, 4, np.count_nonzero(noisy))
         return A, np.take(games.ODD_BITS, b_idx, axis=0)
 
 
@@ -424,9 +467,24 @@ def _reference_bit_rows(who, rows, parity):
     return rows
 
 
+def _reference_subset(rng, n, k):
+    """The key and test set draw in one whole-length pass: n flags from one
+    call for ceil(n / 4) raw words, at the threshold round(65536 k / n)
+    taken from exact rationals, and the flags to flip located among all n
+    at once."""
+    threshold = math.floor(Fraction(65536 * k, n) + Fraction(1, 2))
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8").view("<u2")
+    flags = words[:n] < threshold
+    surplus = int(flags.sum()) - k
+    if surplus != 0:
+        pool = np.flatnonzero(flags == (surplus > 0))
+        flags[pool[rng.choice(pool.size, abs(surplus), replace=False, shuffle=False)]] = surplus < 0
+    return np.flatnonzero(flags)
+
+
 def _reference_run_protocol(params, boxes, adversary=None, budget=None, run_index=0):
-    """run_protocol with int64 inputs of length n, sorted choices and 2-D
-    gathers, the whole-length reference."""
+    """run_protocol with int64 inputs of length n, whole-length set draws
+    and 2-D gathers, the whole-length reference."""
     n = params.n
     rng_x = np.random.default_rng([params.seed, run_index, 0])
     rng_y = np.random.default_rng([params.seed, run_index, 1])
@@ -441,8 +499,8 @@ def _reference_run_protocol(params, boxes, adversary=None, budget=None, run_inde
     channel.lock()
     A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
     B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
-    S = np.sort(rng_s.choice(n, size=params.s_size, replace=False))
-    T = np.sort(rng_t.choice(S, size=params.t_size, replace=False))
+    S = _reference_subset(rng_s, n, params.s_size)
+    T = S[_reference_subset(rng_t, params.s_size, params.t_size)]
     A_T = A[T]
     x_T, y_T = xs[T], ys[T]
     rows = np.arange(T.size)
@@ -500,9 +558,8 @@ _DIFFERENTIAL_BOXES = {
     "bool-rows": (lambda: _InputRowBoxes(bool), lambda: _InputRowBoxes(bool), None, 0),
 }
 
-# (n, alpha, gamma): chunk edges around 2^16 rounds; Generator.choice takes
-# Floyd's algorithm for the small sets and the tail shuffle once the
-# population exceeds 10^4 and the sample 1/50 of it
+# (n, alpha, gamma): chunk edges around 2^16 rounds, lengths that end in
+# part of a raw word, and fixes that flip flags in several chunks
 _DIFFERENTIAL_SIZES = [
     (n, alpha, gamma)
     for n in (1, 2, 3, 65535, 65536, 65537, 131073)
@@ -535,18 +592,40 @@ def test_run_protocol_matches_the_whole_length_reference(n, alpha, gamma, name):
 
 
 def test_honest_run_peak_memory_per_round():
-    # one honest run at n = 10^6 holds inputs, rows and sets of at most 30
-    # bytes a round at once (36.7 with int64 inputs and whole-length draws)
+    # One honest run at n = 10^6 holds inputs, rows and sets of at most 19
+    # bytes a round at once (23.6 when the key set came from
+    # Generator.choice).  No line of the package raises the traced memory
+    # by 8 bytes a round: choice's tail shuffle built an int64 arange(n).
     n = 10**6
     params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=1)
     boxes = diqkd.honest_boxes(0.05, 1)
+    diqkd.run_protocol(dataclasses.replace(params, n=10), boxes)  # fill the strategy tables' caches
+    package = os.path.dirname(diqkd.__file__)
+    peaks, rises = [], []
+
+    def trace(frame, event, arg):
+        # at each event in the package: the peak since the last event, and
+        # how far it rose above the memory held then
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        rises.append(peak - trace.held)
+        tracemalloc.reset_peak()
+        trace.held = current
+        return trace
+
+    trace.held = 0
     tracemalloc.start()
+    sys.settrace(trace)
     try:
         diqkd.run_protocol(params, boxes)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
+        sys.settrace(None)
+        peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peak / n <= 30.0
+    assert max(rises) < 8 * n
+    assert max(peaks) / n <= 19.0
 
 
 def test_honest_produce_peak_memory_per_round():
@@ -627,7 +706,7 @@ def test_first_run_of_a_batch_is_run_protocol(n, name):
 
 def _reference_run_batch(params, boxes, runs, run_index=0):
     """run_batch as one whole-length block of all runs and per-run 2-D
-    gathers, with int64 inputs and sorted choices."""
+    gathers, with int64 inputs and whole-length set draws."""
     n, s, t = params.n, params.s_size, params.t_size
     rng_x, rng_y, rng_s, rng_t = (np.random.default_rng([params.seed, run_index, k]) for k in range(4))
     xs = rng_x.integers(0, 3, runs * n)
@@ -639,8 +718,8 @@ def _reference_run_batch(params, boxes, runs, run_index=0):
     for i in range(runs):
         run = slice(i * n, (i + 1) * n)
         x, y, a, bb = xs[run], ys[run], A[run], B[run]
-        S = np.sort(rng_s.choice(n, size=s, replace=False))
-        T = np.sort(rng_t.choice(S, size=t, replace=False))
+        S = _reference_subset(rng_s, n, s)
+        T = S[_reference_subset(rng_t, s, t)]
         matches = int((a[T, y[T]] == bb[T, x[T]]).sum())
         passed = matches >= math.ceil((1.0 - 2.0 * params.delta) * t - 1e-9)
         key_a, key_b = a[S, y[S]], bb[S, x[S]]
