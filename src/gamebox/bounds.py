@@ -64,6 +64,7 @@ _IPM_TOL = 1e-11  # relative residuals and gap at which the interior-point itera
 _IPM_CAP = 200  # interior-point iterations
 _GAMMA2_GAP = 1e-7  # relative duality gap at which a gamma2_star solve stops
 _GAMMA2_CAP = 10_000  # iterations of a gamma2_star solve
+_NS_LP_VARIABLE_LIMIT = 10_000  # eff_ns LP variables; its rows are dense, so mse's 16 650 would take ~650 MB
 _KEY_DIGITS = 39  # base-3 digits in one int64 word of an eff_local strategy key
 
 
@@ -533,30 +534,25 @@ def _distinct_columns(rows: np.ndarray) -> np.ndarray:
     return _first_of_each(np.vstack([words.view(np.uint64).T, bits[~binary]]))
 
 
-def eff_ns(
-    game: GamePredicate, eps: float, variant: str = "worst_case", budget: int = 10_000
-) -> PartitionBoundResult:
+def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
     """Abort-augmented efficiency bound over the no-signalling polytope, a
     lower bound on the quantum quantity; ``eff = 1 / eta``.
 
     The efficiency LP of :func:`_efficiency_lp`, which defines the
     variants, over the entries of a correlation whose outputs gain one
-    abort symbol per player (at most ``budget`` LP variables, counted as
-    :func:`ns_game_value` counts them); its head rows are the
-    normalisation and no-signalling rows.  The certificate is that
-    correlation.  ``budget`` is an integer in [0, inf), checked first, then
-    ``eps`` (in [0, 1]) and ``variant``, then the variable count, before
-    any row is built.  The LP's rows are dense: ``mse``'s 16 650 variables
-    would take ~650 MB, and are refused by the default budget.
+    abort symbol per player; its head rows are the normalisation and
+    no-signalling rows.  The certificate is that correlation.  ``eps`` (in
+    [0, 1]) and ``variant`` are checked first, then the LP's variable
+    count, counted as :func:`ns_game_value` counts them, against
+    ``_NS_LP_VARIABLE_LIMIT`` before any row is built.
     """
-    check_range("budget", budget, 0, math.inf, integer=True)
     _check_eps_variant(eps, variant)
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
     shape = tuple(s + 1 for s in out_sizes) + in_sizes
     n_vars = math.prod(shape)
-    if n_vars > budget:
-        raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
+    if n_vars > _NS_LP_VARIABLE_LIMIT:
+        raise BudgetExceededError(f"{n_vars} LP variables exceed the limit {_NS_LP_VARIABLE_LIMIT}")
     head, head_rhs = _ns_constraint_rows(shape[: game.players], in_sizes)
     n_q, n_in = head.shape[1], int(np.prod(in_sizes))
     # the non-abort entries, one row per input

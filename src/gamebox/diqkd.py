@@ -284,12 +284,25 @@ def _subset(rng, n: int, k: int) -> np.ndarray:
         ranks = rng.choice(k + surplus if value else n - k - surplus, abs(surplus), replace=False, shuffle=False)
         ranks.sort()
         for lo, hi in _chunks(n):
+            if not ranks.size:
+                break
             chunk = flags[lo:hi]
             members = (chunk if value else ~chunk).nonzero()[0]
             cut = ranks.searchsorted(members.size)
             chunk[members[ranks[:cut]]] = not value
             ranks = ranks[cut:] - members.size
     return flags.nonzero()[0]
+
+
+def _subsets(rng, b: int, n: int, k: int) -> np.ndarray:
+    """``b`` draws of ``_subset(rng, n, k)`` as the rows of a (b, k) array;
+    a single draw is used as it is, not copied."""
+    if b == 1:
+        return _subset(rng, n, k)[None]
+    rows = np.empty((b, k), dtype=np.int64)
+    for row in rows:
+        row[:] = _subset(rng, n, k)
+    return rows
 
 
 class HonestBoxes(BoxPair):
@@ -612,13 +625,10 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
     A = _bit_rows("Alice", A, parity=0)
     B = _bit_rows("Bob", B, parity=1)
 
-    S = np.empty((b, s), dtype=np.int64)
+    S = _subsets(rng_s, b, n, s)
     # positions within S, sorted like S, so each run's T = S[tested] is
     # sorted too
-    tested = np.empty((b, t), dtype=np.int64)
-    for i in range(b):
-        S[i] = _subset(rng_s, n, s)
-        tested[i] = _subset(rng_t, s, t)
+    tested = _subsets(rng_t, b, s, t)
     S += np.arange(0, b * n, n)[:, None]
 
     x_S, y_S = xs[S], ys[S]

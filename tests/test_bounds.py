@@ -384,7 +384,7 @@ def test_eff_ns_refuses_an_lp_over_its_budget_before_any_row(make, n_vars, monke
     monkeypatch.setattr(bounds, "_ns_constraint_rows", reached)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match=f"{n_vars} LP variables exceed budget 10000"):
+        with pytest.raises(BudgetExceededError, match=f"{n_vars} LP variables exceed the limit 10000"):
             bounds.eff_ns(game, 0.1, "average")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -392,11 +392,14 @@ def test_eff_ns_refuses_an_lp_over_its_budget_before_any_row(make, n_vars, monke
     assert peak < 2**20
 
 
-def test_eff_ns_budget_counts_the_abort_augmented_entries():
+def test_eff_ns_limit_counts_the_abort_augmented_entries(monkeypatch):
     # chsh: (2 + 1)^2 abort-augmented output pairs at 4 input pairs
-    assert bounds.eff_ns(games.chsh(), 0.1, budget=36).eta == bounds.eff_ns(games.chsh(), 0.1).eta
-    with pytest.raises(BudgetExceededError, match="36 LP variables exceed budget 35"):
-        bounds.eff_ns(games.chsh(), 0.1, budget=35)
+    eta = bounds.eff_ns(games.chsh(), 0.1).eta
+    monkeypatch.setattr(bounds, "_NS_LP_VARIABLE_LIMIT", 36)
+    assert bounds.eff_ns(games.chsh(), 0.1).eta == eta
+    monkeypatch.setattr(bounds, "_NS_LP_VARIABLE_LIMIT", 35)
+    with pytest.raises(BudgetExceededError, match="36 LP variables exceed the limit 35"):
+        bounds.eff_ns(games.chsh(), 0.1)
 
 
 # ---------------------------------------------------------------------------

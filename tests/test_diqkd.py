@@ -616,12 +616,13 @@ def test_honest_run_peak_memory_per_round():
         return trace
 
     trace.held = 0
+    previous = sys.gettrace()
     tracemalloc.start()
     sys.settrace(trace)
     try:
         diqkd.run_protocol(params, boxes)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert max(rises) < 8 * n

@@ -93,7 +93,6 @@ def _cases():
         ("classical_value.budget", lambda v: games.classical_value(games.chsh(), budget=v)),
         ("ns_game_value.budget", lambda v: bounds.ns_game_value(games.chsh(), budget=v)),
         ("eff_local.budget", lambda v: bounds.eff_local(games.chsh(), 0.1, budget=v)),
-        ("eff_ns.budget", lambda v: bounds.eff_ns(games.chsh(), 0.1, budget=v)),
         ("repeat.budget", lambda v: games.repeat(games.chsh(), 2, budget=v)),
     ]
     cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
@@ -166,8 +165,6 @@ def test_non_finite_number_is_refused(call, value):
         lambda: diqkd.AdversaryRound("eve", "alice_box", 2.5, "ones"),
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": 2.5, "function_id": "ones"}]}),
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": "3", "function_id": "ones"}]}),
-        lambda: bounds.eff_ns(games.chsh(), 0.1, budget=-1),
-        lambda: bounds.eff_ns(games.chsh(), 0.1, budget=36.0),
     ],
     ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
          "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
@@ -179,7 +176,7 @@ def test_non_finite_number_is_refused(call, value):
          "budget-limit-float", "budget-used-float", "dpt-l-float", "dpt-n-float", "randv-t-float",
          "randv-n-float", "randv-l-float", "delta_of-n-float", "delta_of-C_size-float", "alphabet-size-float",
          "keyrate-n-float", "chernoff-n-float", "adversary-bits-float", "load-adversary-bits-float",
-         "load-adversary-bits-string", "eff_ns-budget-neg", "eff_ns-budget-float"],
+         "load-adversary-bits-string"],
 )
 def test_out_of_range_count_or_seed_is_refused(call):
     # each of these crashed inside numpy, returned a wrong result or ran
@@ -252,9 +249,8 @@ def test_abort_test_refuses_inputs_off_the_grid_and_rows_that_are_not_bits(a_T, 
         lambda: bounds.ns_game_value(games.chsh(), budget=0),
         lambda: bounds.eff_local(games.chsh(), 0.1, budget=0),
         lambda: games.repeat(games.chsh(), 2, budget=0),
-        lambda: bounds.eff_ns(games.chsh(), 0.1, budget=0),
     ],
-    ids=["classical", "ns", "eff_local", "repeat", "eff_ns"],
+    ids=["classical", "ns", "eff_local", "repeat"],
 )
 def test_zero_budget_is_a_valid_budget(call):
     with pytest.raises(BudgetExceededError):
