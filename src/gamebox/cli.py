@@ -15,11 +15,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from . import bounds, diqkd, dpt, games
 from .errors import GameboxError, ValidationError, check_range
 
 
@@ -91,6 +91,15 @@ def _emit(doc, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that cannot be written as a file, before any work."""
+    if os.path.isdir(path):
+        raise ValidationError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValidationError(f"--out {path!r}: {parent!r} is not a directory")
+
+
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -105,7 +114,9 @@ def _table(value, field: str, forms: str) -> np.ndarray:
         raise ValidationError(f"{field} must be {forms}") from None
 
 
-def _load_game(args) -> games.GamePredicate:
+def _load_game(args):
+    from . import games
+
     if getattr(args, "builtin", None):
         return games.builtin_game(args.builtin)
     if getattr(args, "game", None):
@@ -139,11 +150,14 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers (each imports the gamebox modules it calls, so that a command
+# loads only its own)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_game_value(args):
+    from . import games
+
     game = _load_game(args)
     label = game.name or args.game
     if args.method == "classical":
@@ -162,16 +176,22 @@ def _cmd_game_value(args):
             "seed": args.seed,
         }
     else:  # ns
+        from . import bounds
+
         value = bounds.ns_game_value(game)
         doc = {"game": label, "method": "ns", "value": value, "kind": "exact"}
     return doc
 
 
 def _cmd_game_builtin(args):
+    from . import games
+
     return games.game_to_json(games.builtin_game(args.name))
 
 
 def _cmd_bounds_eff(args):
+    from . import bounds
+
     game = _load_game(args)
     fn = bounds.eff_ns if args.relaxation == "ns" else bounds.eff_local
     res = fn(game, args.eps, args.variant)
@@ -184,6 +204,8 @@ def _cmd_bounds_eff(args):
 
 
 def _cmd_bounds_gamma2(args):
+    from . import bounds
+
     doc = _load_json(args.matrix)
     if args.alpha_approx is not None:
         if not isinstance(doc, dict) or "F" not in doc or "p" not in doc:
@@ -204,6 +226,8 @@ def _cmd_bounds_gamma2(args):
 
 
 def _cmd_bounds_check_thm2(args):
+    from . import bounds
+
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "f" not in doc or "p" not in doc:
         raise ValidationError('check-thm2 needs a file {"f": 0/1 matrix, "p": probability matrix}')
@@ -214,6 +238,8 @@ def _cmd_bounds_check_thm2(args):
 
 
 def _cmd_dpt_bound(args):
+    from . import dpt
+
     alphabets = _int_list(args.alphabets) if args.alphabets else None
     if args.which == "case-i":
         params = dpt.DPTParams(
@@ -250,6 +276,8 @@ def _cmd_dpt_bound(args):
 
 
 def _cmd_dpt_probe(args):
+    from . import dpt
+
     game = _load_game(args)
     probe = dpt.RepetitionProbe(
         game=game, n=args.n, comm_bits=args.comm_bits,
@@ -260,6 +288,8 @@ def _cmd_dpt_probe(args):
 
 
 def _cmd_dpt_substate(args):
+    from . import dpt
+
     doc = _load_json(args.input)
     keys = ("sigma_XB", "psi_X", "rho_B")
     for key in keys:
@@ -273,6 +303,8 @@ def _cmd_dpt_substate(args):
 
 
 def _make_boxes(args):
+    from . import diqkd
+
     if args.boxes == "honest":
         noise = args.box_delta if args.box_delta is not None else args.delta
         return diqkd.honest_boxes(noise, [args.seed, 0, 101])
@@ -282,6 +314,8 @@ def _make_boxes(args):
 
 
 def _cmd_diqkd_run(args):
+    from . import diqkd
+
     params = diqkd.ProtocolParams(
         n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta, seed=args.seed
     )
@@ -303,6 +337,8 @@ def _cmd_diqkd_run(args):
 
 
 def _cmd_diqkd_rate(args):
+    from . import diqkd
+
     params = diqkd.KeyRateParams(
         alpha=args.alpha, gamma=args.gamma, delta=args.delta,
         c=args.c, n=args.n, nu=args.nu, beta=args.beta, PrE=args.pre,
@@ -311,6 +347,8 @@ def _cmd_diqkd_rate(args):
 
 
 def _cmd_diqkd_sweep(args):
+    from . import diqkd
+
     axes = {
         # whole numbers as int; sweep refuses the others
         "n": [int(v) if v.is_integer() else v for v in _float_list(args.n)],
@@ -328,6 +366,8 @@ def _cmd_diqkd_sweep(args):
 def _pattern_from_spec(spec: str, n: int):
     """The checked P of ``iid:P``, or a uint8 string of n bits, checked for
     the sampler before it is built."""
+    from . import diqkd
+
     check_range("n", n, 1, math.inf, integer=True)
     kind, _, value = spec.partition(":")
     try:
@@ -347,6 +387,8 @@ def _pattern_from_spec(spec: str, n: int):
 
 
 def _cmd_diqkd_serfling(args):
+    from . import diqkd
+
     pattern = _pattern_from_spec(args.pattern, args.n)
     res = diqkd.serfling_mc(args.n, args.gamma, args.eps, pattern, args.trials, args.seed)
     return {
@@ -399,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = bnd_sub.add_parser("eff", help="abort-augmented efficiency bound")
     _add_game_source(be)
     be.add_argument("--eps", type=_finite_float, default=0.0)
-    be.add_argument("--variant", choices=bounds.VARIANTS, default="worst_case")
+    be.add_argument("--variant", default="worst_case", help="worst_case | tilde | average")
     be.add_argument("--relaxation", choices=("ns", "local"), default="ns")
     _add_common(be, seed=False)
     be.set_defaults(handler=_cmd_bounds_eff)
@@ -515,14 +557,15 @@ def main(argv=None) -> int:
     except SystemExit as done:
         return int(done.code or 0)
     try:
-        doc = args.handler(args)
-    except (ValidationError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+        if args.out:
+            _check_out(args.out)
+        _emit(args.handler(args), args)
+    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 1
     except GameboxError as exc:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
     return 0
 
 

@@ -3,11 +3,16 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamebox
 from gamebox import cli, diqkd, dpt, games
 
 
@@ -130,6 +135,8 @@ _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}
 _ADVERSARY = ("--adversary", "{tmp}/adv.json")
 _GAMMA2 = ("bounds", "gamma2", "--matrix", "{tmp}/in.json")
 _RAGGED = [[0.5, 0.25], [0.25]]
+_OUT = ("dpt", "bound", "case-i", "--n", "10", "--out")
+_NOT_UTF8 = {"in.json": b"\xff\xfe\x00"}
 
 
 @pytest.mark.parametrize(
@@ -155,17 +162,29 @@ _RAGGED = [[0.5, 0.25], [0.25]]
         (("dpt", "substate-check", "--input", "{tmp}/in.json"),
          {"in.json": {"sigma_XB": "x", "psi_X": [0.5, 0.5], "rho_B": [0.5, 0.5]}}),
         (("dpt", "substate-check", "--input", "{tmp}/in.json"), {"in.json": 5}),
+        (("bounds", "eff", "--builtin", "chsh", "--variant", "median"), None),
+        ((*_OUT, "{tmp}/missing/x.json"), None),
+        ((*_OUT, "{tmp}"), None),
+        (("game", "value", "--game", "{tmp}/in.json"), _NOT_UTF8),
+        (_GAMMA2, _NOT_UTF8),
+        (("bounds", "check-thm2", "--input", "{tmp}/in.json"), _NOT_UTF8),
+        (("dpt", "substate-check", "--input", "{tmp}/in.json"), _NOT_UTF8),
+        (("diqkd", "run", "--n", "10", "--adversary", "{tmp}/in.json"), _NOT_UTF8),
     ],
     ids=["threshold-not-int", "iid-not-float", "adversary-bits-not-int", "adversary-round-not-object", "zero-runs",
          "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
          "serfling-negative-n",
          "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-object-without-M",
          "gamma2-ragged-matrix", "gamma2-alpha-ragged-p", "thm2-ragged-p", "substate-sigma-not-a-table",
-         "substate-file-not-object"],
+         "substate-file-not-object", "eff-unknown-variant", "out-in-missing-directory", "out-is-a-directory",
+         "game-not-utf8", "gamma2-not-utf8", "thm2-not-utf8", "substate-not-utf8", "adversary-not-utf8"],
 )
 def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, files):
     for name, doc in (files or {}).items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+        else:
+            (tmp_path / name).write_text(json.dumps(doc))
     argv = tuple(a.replace("{tmp}", str(tmp_path)) for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -794,3 +813,84 @@ def test_game_value_outputs_are_pinned(capsys, command, expected):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert out == expected
+
+
+# ---------------------------------------------------------------------------
+# the modules a command imports
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Each README command and the gamebox modules it loads besides the package,
+# cli and errors.  bounds, dpt and diqkd import games (and with it qcore) at
+# module level; dpt and diqkd import entropy.
+_GAMES = ("games", "qcore")
+_DPT = ("dpt", "entropy", *_GAMES)
+_DIQKD = ("diqkd", "entropy", *_GAMES)
+README_COMMAND_MODULES = {
+    "game value --builtin magic_square --method classical": _GAMES,
+    "game value --builtin chsh --method seesaw --restarts 20 --seed 7": _GAMES,
+    "bounds eff --builtin magic_square --eps 0.1 --variant average --relaxation ns": ("bounds", *_GAMES),
+    "bounds gamma2 --matrix chsh_sign.json": ("bounds", *_GAMES),
+    "dpt bound case-i --n 1000000 --c 0.0005 --nu 0.3 --l 2": _DPT,
+    "dpt probe --builtin chsh --n 2 --comm-bits 1 --seed 0": _DPT,
+    "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 1000 --seed 1": _DIQKD,
+    "diqkd run --n 200 --boxes test_set --guess 40 --limit-bits 500 --seed 1": _DIQKD,
+    "diqkd rate --alpha 0.04 --gamma 0.01 --delta 0.001 --c 0.001 --n 1000000 --nu 0.3 --beta 0.5": _DIQKD,
+    "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8": _DIQKD,
+}
+
+
+def _python(code, *args, cwd=None):
+    """stdout of ``python -c code *args`` in a fresh process that imports
+    gamebox from this checkout."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_the_table_lists_every_readme_command():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    assert [line.removeprefix("gamebox ") for line in lines if line.startswith("gamebox ")] == list(
+        README_COMMAND_MODULES
+    )
+
+
+@pytest.mark.parametrize("command", list(README_COMMAND_MODULES))
+def test_readme_command_imports_only_its_modules(tmp_path, command):
+    (tmp_path / "chsh_sign.json").write_text("[[1, 1], [1, -1]]")
+    code = (
+        "import contextlib, io, shlex, sys\nfrom gamebox import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(shlex.split(sys.argv[1])) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('gamebox')))"
+    )
+    loaded = _python(code, command, cwd=tmp_path).split()
+    assert loaded == sorted(["gamebox", *(f"gamebox.{m}" for m in ("cli", "errors", *README_COMMAND_MODULES[command]))])
+
+
+def test_package_loads_submodules_on_first_use():
+    code = """
+import json, sys
+import gamebox, gamebox.cli
+loaded = sorted(m for m in sys.modules if m.startswith("gamebox"))
+listed = dir(gamebox)
+star = {}
+exec("from gamebox import *", star)
+try:
+    gamebox.nosuch
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"loaded": loaded, "listed": listed, "star": sorted(k for k in star if k != "__builtins__"),
+                  "resolved": [getattr(gamebox, name).__name__ for name in gamebox.__all__], "missing": missing}))
+"""
+    facts = json.loads(_python(code))
+    submodules = ["bounds", "diqkd", "dpt", "entropy", "games", "qcore"]
+    assert facts["loaded"] == ["gamebox", "gamebox.cli", "gamebox.errors"]
+    assert set(submodules) <= set(facts["listed"])
+    assert facts["star"] == sorted(gamebox.__all__)
+    assert facts["resolved"] == [f"gamebox.{m}" if m in submodules else m for m in gamebox.__all__]
+    assert facts["missing"] == "module 'gamebox' has no attribute 'nosuch'"
