@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 
-_SUBMODULES = ("bounds", "diqkd", "dpt", "entropy", "games", "qcore")
+_SUBMODULES = ("bounds", "diqkd", "dpt", "games", "qcore")
 
 __all__ = [
     *_SUBMODULES,

@@ -101,8 +101,11 @@ def _check_out(path: str) -> None:
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _table(value, field: str, forms: str) -> np.ndarray:
@@ -560,7 +563,7 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         _emit(args.handler(args), args)
-    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 1
     except GameboxError as exc:

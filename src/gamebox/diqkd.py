@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import games as games_mod
-from .entropy import binary_entropy
 from .errors import (
     BudgetExceededError,
     ProtocolViolationError,
@@ -483,8 +482,11 @@ def load_adversary(source) -> ScriptedAdversary:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
         else:
-            with open(text, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            try:
+                with open(text, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{text} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("rounds"), (list, tuple)):
         raise ValidationError("adversary description must be an object with a 'rounds' list")
     rounds = []
@@ -783,6 +785,14 @@ class KeyRateParams:
         check_range("nu", self.nu, 0.0, 1.0)
         check_range("beta", self.beta, 0.0, math.inf)
         check_range("PrE", self.PrE, 0.0, 1.0, lo_open=True)
+
+
+def binary_entropy(x: float) -> float:
+    """h(x) = -x log2 x - (1-x) log2(1-x) on [0, 1]."""
+    check_range("binary entropy argument", x, 0.0, 1.0)
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
 def key_rate(p: KeyRateParams) -> dict:

@@ -1,7 +1,8 @@
 """Closed-form evaluators for direct-product success bounds on repeated
 games, a small empirical probe of repetition with one round of classical
-communication, and a classical feasibility check of the substate
-perturbation step.
+communication, a classical feasibility check of the substate
+perturbation step, and the smoothed max-divergence of the classical
+substate theorem.
 
 The asymptotic constants hidden in the source bounds are exposed as
 ``exponent_const`` (default 1) and ``beta_const``; they are knobs, not
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import games as games_mod
-from .entropy import JointTable, _as_probs
 from .errors import (
     CapabilityError,
+    DimensionMismatchError,
     GateViolationError,
     ValidationError,
+    check_distribution,
     check_range,
 )
 
@@ -418,6 +420,60 @@ def _max_fidelity_capped(sigma: np.ndarray, caps: np.ndarray):
     return min(F, 1.0), r
 
 
+def _probs(name: str, P) -> np.ndarray:
+    """``P`` flattened to a probability vector, entries clipped at 0 after
+    the check (within 1e-9) that it is a distribution."""
+    p = check_distribution(name, np.asarray(P, dtype=float).reshape(-1), neg_tol=1e-9, sum_tol=1e-9)
+    return np.clip(p, 0.0, None)
+
+
+def smoothed_dmax_classical(P, Q, eps: float) -> float:
+    """Smoothed max-divergence: the smallest log2 lambda such that some P'
+    with ||P - P'||_1 <= eps and sum(P') = 1 satisfies P' <= 2^lambda Q,
+    found by bisection.
+
+    For fixed lambda the minimal ell-1 distance from P to the capped
+    simplex {0 <= P' <= 2^lambda Q, sum P' = 1} equals twice the excess
+    ``sum_x max(P(x) - 2^lambda Q(x), 0)``, so feasibility is a monotone
+    threshold condition in lambda.
+    """
+    p = _probs("P", P)
+    q = _probs("Q", Q)
+    if p.size != q.size:
+        raise DimensionMismatchError(f"lengths differ: {p.size} vs {q.size}")
+    check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    outside = float(p[q <= 0.0].sum())
+    if 2.0 * outside > eps + 1e-12:
+        raise ValidationError(
+            f"mass {outside} outside supp(Q) cannot be smoothed away with eps={eps}"
+        )
+
+    supp = q > 0.0
+
+    def excess(lam: float) -> float:
+        return float(np.clip(p[supp] - (2.0**lam) * q[supp], 0.0, None).sum()) + outside
+
+    def feasible(lam: float) -> bool:
+        return 2.0 * excess(lam) <= eps + 1e-12
+
+    lo = 0.0
+    if feasible(lo):
+        return 0.0
+    ratios = p[supp] / q[supp]
+    hi = max(1e-6, math.log2(max(float(np.max(ratios)), 1.0)) + 1e-9)
+    for _ in range(64):  # rounding guard; beyond max ratio the excess is just `outside`
+        if feasible(hi):
+            break
+        hi += 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def substate_perturbation_check_classical(
     sigma_XB, psi_X, rho_B, c: float, eps: float, delta0: float, delta1: float
 ) -> SubstateReport:
@@ -431,8 +487,11 @@ def substate_perturbation_check_classical(
     conclusion asks for purified distance at most ``2 eps + delta0 +
     delta1``.  Both sides are settled exactly by maximising Bhattacharyya
     fidelity over the capped simplex."""
-    table = sigma_XB.table if isinstance(sigma_XB, JointTable) else JointTable(np.asarray(sigma_XB, dtype=float)).table
-    psi, rho = _as_probs(psi_X), _as_probs(rho_B)
+    sigma = np.asarray(sigma_XB, dtype=float)
+    if sigma.ndim != 2:
+        raise ValidationError(f"sigma_XB must be a 2-d array, got {sigma.ndim} dimensions")
+    table = _probs("sigma_XB", sigma).reshape(sigma.shape)
+    psi, rho = _probs("psi_X", psi_X), _probs("rho_B", rho_B)
     if (psi.size, rho.size) != table.shape:
         raise ValidationError(
             f"psi_X and rho_B have {psi.size} and {rho.size} entries, sigma_XB has shape {table.shape}"

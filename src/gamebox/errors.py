@@ -95,7 +95,7 @@ def check_distribution(name: str, table, *, neg_tol: float, sum_tol: float) -> n
     if not np.all(np.isfinite(t)):
         raise ValidationError(f"{name} has non-finite entries")
     if np.min(t) < -neg_tol:
-        raise ValidationError(f"{name} has negative entry {np.min(t)!r}")
+        raise ValidationError(f"{name} has negative entry {float(np.min(t))}")
     if abs(float(t.sum()) - 1.0) > sum_tol:
-        raise ValidationError(f"{name} sums to {t.sum()!r}, not 1")
+        raise ValidationError(f"{name} sums to {float(t.sum())}, not 1")
     return t

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gamebox import bounds, diqkd, dpt, entropy, games, qcore
+from gamebox import bounds, diqkd, dpt, games
 from gamebox.errors import BudgetExceededError
 
 # ---------------------------------------------------------------------------
@@ -94,58 +94,6 @@ def test_discrepancy_lower_bounds_local_efficiency():
 
 
 # ---------------------------------------------------------------------------
-# 5. distance / divergence property suite
-# ---------------------------------------------------------------------------
-
-
-def test_distance_entropy_property_suite():
-    rng = np.random.default_rng(5150)
-    factor_dims = [(2, 2), (2, 3), (3, 2)]
-    violations = 0
-    for i in range(1000):
-        dim = int(rng.integers(2, 7))
-        rho = qcore.random_density(dim, rng)
-        sigma = qcore.random_density(dim, rng)  # full rank: divergences finite
-
-        # Fuchs-van de Graaf, with T the halved trace norm
-        F = qcore.fidelity(rho, sigma)
-        T = qcore.trace_distance(rho, sigma) / 2
-        if not (1 - F <= T + 1e-8 and T <= math.sqrt(max(0.0, 1 - F * F)) + 1e-8):
-            violations += 1
-
-        # Pinsker in bits
-        D = entropy.rel_entropy(rho, sigma)
-        if D < 2.0 * T * T / math.log(2) - 1e-8:
-            violations += 1
-
-        # relative entropy never beats max-divergence
-        if D > entropy.dmax(rho, sigma) + 1e-8:
-            violations += 1
-
-        # unitary invariance
-        U = qcore.random_unitary(dim, rng)
-        ur = U @ rho.mat @ U.conj().T
-        us = U @ sigma.mat @ U.conj().T
-        if abs(entropy.rel_entropy(ur, us) - D) > 1e-8:
-            violations += 1
-        if abs(qcore.fidelity(ur, us) - F) > 1e-8:
-            violations += 1
-
-        # data processing under discarding a subsystem
-        da, db = factor_dims[int(rng.integers(0, len(factor_dims)))]
-        big_r = qcore.random_density(da * db, rng)
-        big_s = qcore.random_density(da * db, rng)
-        red_r = qcore.partial_trace(big_r, (da, db), keep=[0])
-        red_s = qcore.partial_trace(big_s, (da, db), keep=[0])
-        if entropy.rel_entropy(red_r, red_s) > entropy.rel_entropy(big_r, big_s) + 1e-8:
-            violations += 1
-        if qcore.trace_distance(red_r, red_s) > qcore.trace_distance(big_r, big_s) + 1e-8:
-            violations += 1
-
-    assert violations == 0
-
-
-# ---------------------------------------------------------------------------
 # 6. classical substate inequality
 # ---------------------------------------------------------------------------
 
@@ -160,7 +108,7 @@ def test_classical_substate_bound_with_time_budget():
         q = (q + 0.02) / (1.0 + 0.02 * k)  # bounded below: finite divergence
         D = float(scipy.stats.entropy(p, q, base=2))
         for eps in (0.1, 0.3, 0.5):
-            smoothed = entropy.smoothed_dmax_classical(p, q, eps)
+            smoothed = dpt.smoothed_dmax_classical(p, q, eps)
             cap = (4 * D + 1) / eps**2 + math.log2(1 / (1 - eps**2 / 4))
             assert smoothed <= cap, (i, eps)
     assert time.monotonic() - start < 30.0

@@ -190,6 +190,8 @@ def test_bad_input_exits_one_without_traceback(capsys, tmp_path, argv, files):
     assert code == 1
     assert out == ""
     assert err.startswith("gamebox: ")
+    if files is _NOT_UTF8:
+        assert "in.json" in err
 
 
 @pytest.mark.parametrize(
@@ -823,10 +825,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Each README command and the gamebox modules it loads besides the package,
 # cli and errors.  bounds, dpt and diqkd import games (and with it qcore) at
-# module level; dpt and diqkd import entropy.
+# module level.
 _GAMES = ("games", "qcore")
-_DPT = ("dpt", "entropy", *_GAMES)
-_DIQKD = ("diqkd", "entropy", *_GAMES)
+_DPT = ("dpt", *_GAMES)
+_DIQKD = ("diqkd", *_GAMES)
 README_COMMAND_MODULES = {
     "game value --builtin magic_square --method classical": _GAMES,
     "game value --builtin chsh --method seesaw --restarts 20 --seed 7": _GAMES,
@@ -888,7 +890,7 @@ print(json.dumps({"loaded": loaded, "listed": listed, "star": sorted(k for k in 
                   "resolved": [getattr(gamebox, name).__name__ for name in gamebox.__all__], "missing": missing}))
 """
     facts = json.loads(_python(code))
-    submodules = ["bounds", "diqkd", "dpt", "entropy", "games", "qcore"]
+    submodules = ["bounds", "diqkd", "dpt", "games", "qcore"]
     assert facts["loaded"] == ["gamebox", "gamebox.cli", "gamebox.errors"]
     assert set(submodules) <= set(facts["listed"])
     assert facts["star"] == sorted(gamebox.__all__)

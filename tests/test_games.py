@@ -437,7 +437,7 @@ def _ref_optimize_povm(G, current, tol):
         for alpha, beta in itertools.chain.from_iterable(games._pair_rounds(n)):
             S = ms[alpha] + ms[beta]
             delta = G[alpha] - G[beta]
-            shalf = qcore.psd_sqrt(S)
+            shalf = qcore.psd_power(S, 0.5)
             P = _ref_positive_projector(shalf @ delta @ shalf)
             new_alpha = shalf @ P @ shalf
             gain = float(np.real(np.trace((new_alpha - ms[alpha]) @ delta)))

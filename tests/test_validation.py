@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gamebox import bounds, diqkd, dpt, entropy, games, qcore
+from gamebox import bounds, diqkd, dpt, games
 from gamebox.errors import BudgetExceededError, ValidationError, check_distribution, check_range
 
 _PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
@@ -59,16 +59,11 @@ def _cases():
         ("gamma2_alpha.alpha", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), _UNIFORM, v)),
         ("gamma2_alpha.p", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[v, 0.25], [0.25, 0.25]]), 2.0)),
         ("gamma2_star.M", lambda v: bounds.gamma2_star(np.array([[v, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))),
-        ("smoothed_dmax_classical.eps", lambda v: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], v)),
-        ("cond_h0.eps", lambda v: entropy.cond_h0(_UNIFORM, v)),
-        ("binary_entropy.x", lambda v: entropy.binary_entropy(v)),
+        ("smoothed_dmax_classical.eps", lambda v: dpt.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], v)),
+        ("binary_entropy.x", lambda v: diqkd.binary_entropy(v)),
         ("eff_ns.eps", lambda v: bounds.eff_ns(games.chsh(), v)),
         ("eff_local.eps", lambda v: bounds.eff_local(games.chsh(), v)),
         ("check_thm2.eps", lambda v: bounds.check_thm2(_XOR_F, _UNIFORM, v)),
-        ("ClassicalDistribution.tol", lambda v: entropy.ClassicalDistribution([0.5, 0.5], tol=v)),
-        ("JointTable.tol", lambda v: entropy.JointTable(_UNIFORM, tol=v)),
-        ("DensityOperator.tol", lambda v: qcore.DensityOperator(np.eye(2) / 2, tol=v)),
-        ("PureState.tol", lambda v: qcore.PureState(np.array([1.0, 0.0]), tol=v)),
         ("QuantumStrategy.validate.tol",
          lambda v: games.canonical_ms_strategy().validate(games.magic_square(), v)),
         ("Correlation.validate.tol", lambda v: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(v)),
@@ -283,15 +278,12 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, c=0.0, eps=0.0, delta1=0.0)),
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, eps=1.0)),
         lambda: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[0.0, 0.5], [0.25, 0.25]]), 1.0),
-        lambda: qcore.DensityOperator(np.eye(2) / 2, tol=0.0),
-        lambda: qcore.PureState(np.array([1.0, 0.0]), tol=0.0),
         lambda: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(0.0),
         lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.0),
         lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.5),
-        lambda: entropy.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
-        lambda: entropy.cond_h0(_UNIFORM, 0.0),
-        lambda: entropy.binary_entropy(0.0),
-        lambda: entropy.binary_entropy(1.0),
+        lambda: dpt.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
+        lambda: diqkd.binary_entropy(0.0),
+        lambda: diqkd.binary_entropy(1.0),
         lambda: bounds.eff_ns(games.chsh(), 1.0),
         lambda: bounds.eff_local(games.chsh(), 0.0),
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.0),
@@ -328,3 +320,12 @@ def test_check_distribution_tolerances():
     for table in ([], [-1e-10, 1.0], [0.5, 0.49], [math.nan, 1.0]):
         with pytest.raises(ValidationError):
             check_distribution("p", table, neg_tol=1e-12, sum_tol=1e-9)
+
+
+def test_check_distribution_messages_print_plain_numbers():
+    with pytest.raises(ValidationError) as bad_sum:
+        check_distribution("p", np.array([0.45, 0.45]), neg_tol=1e-9, sum_tol=1e-9)
+    assert str(bad_sum.value) == "p sums to 0.9, not 1"
+    with pytest.raises(ValidationError) as negative:
+        check_distribution("p", np.array([-0.5, 1.5]), neg_tol=1e-9, sum_tol=1e-9)
+    assert str(negative.value) == "p has negative entry -0.5"
