@@ -64,7 +64,16 @@ _IPM_TOL = 1e-11  # relative residuals and gap at which the interior-point itera
 _IPM_CAP = 200  # interior-point iterations
 _GAMMA2_GAP = 1e-7  # relative duality gap at which a gamma2_star solve stops
 _GAMMA2_CAP = 10_000  # iterations of a gamma2_star solve
-_NS_LP_VARIABLE_LIMIT = 10_000  # eff_ns LP variables; its rows are dense, so mse's 16 650 would take ~650 MB
+# The no-signalling LPs hold their rows dense, R x V float64s for R rows
+# and V variables, so each caps V before any row is built (until the rows
+# are stored sparse):
+# - eff_ns: mse's 16 650 variables would take ~650 MB;
+# - ns_game_value: chsh^4's 65 536 variables would take 3.64 GiB (7456
+#   rows), while magic_square^2's 20 736 (2241 rows) solves in ~11 s at a
+#   1.57 GB peak on one BLAS thread.
+_NS_LP_VARIABLE_LIMIT = 10_000  # eff_ns
+_NS_VALUE_VARIABLE_LIMIT = 25_000  # ns_game_value
+_LOCAL_STRATEGY_LIMIT = 10**6  # eff_local's deterministic abort-augmented strategies
 _KEY_DIGITS = 39  # base-3 digits in one int64 word of an eff_local strategy key
 
 
@@ -383,7 +392,7 @@ def _ns_constraint_rows(out_sizes, in_sizes) -> tuple[np.ndarray, np.ndarray]:
     return A, np.concatenate([np.ones(n_in), np.zeros(A.shape[0] - n_in)])
 
 
-def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
+def ns_game_value(game: GamePredicate) -> float:
     """Maximum winning probability over no-signalling correlations, within
     the checked 1e-9 duality gap of its LP.
 
@@ -395,20 +404,20 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
     ``sum_x p(x)`` of the inputs at which some answer wins, exceeds the
     best value so far by more than that gap: no correlation wins more
     than the cap.  Remaining
-    games are solved by one LP of at most ``budget`` variables (an integer
-    in [0, inf), checked first, before any sub-game is skipped or solved),
-    whose value is cut to [0, 1], a probability, when the interior-point
-    answer lies a rounding error outside.
+    games are solved by one LP of at most ``_NS_VALUE_VARIABLE_LIMIT``
+    variables (checked first, before any sub-game is skipped or solved
+    and before any row is built), whose value is cut to [0, 1], a
+    probability, when the interior-point answer lies a rounding error
+    outside.
     """
-    check_range("budget", budget, 0, math.inf, integer=True)
     l = game.players
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
     # the LP, if any, is over the players left once the inputless ones are gone
     lp_players = [k for k in range(l) if in_sizes[k] > 1]
     n_vars = math.prod(out_sizes[k] * in_sizes[k] for k in lp_players)
-    if len(lp_players) >= 2 and n_vars > budget:
-        raise BudgetExceededError(f"{n_vars} LP variables exceed budget {budget}")
+    if len(lp_players) >= 2 and n_vars > _NS_VALUE_VARIABLE_LIMIT:
+        raise BudgetExceededError(f"{n_vars} LP variables exceed the limit {_NS_VALUE_VARIABLE_LIMIT}")
 
     if l >= 2 and 1 in in_sizes:
         j = in_sizes.index(1)
@@ -423,7 +432,7 @@ def ns_game_value(game: GamePredicate, budget: int = 200_000) -> float:
             if float(np.sum(p_rest * V_e.any(axis=tuple(range(l - 1))))) <= best + _LP_GAP:
                 continue
             sub = GamePredicate(inputs=rest_inputs, outputs=rest_outputs, p=p_rest, V=V_e)
-            best = max(best, ns_game_value(sub, budget))
+            best = max(best, ns_game_value(sub))
         return best
 
     if l == 1:
@@ -567,32 +576,31 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     return PartitionBoundResult(eta=eta, eff=1.0 / eta, variant=variant, relaxation="no_signalling", certificate=cert)
 
 
-def eff_local(
-    game: GamePredicate, eps: float, variant: str = "worst_case", budget: int = 10**6
-) -> PartitionBoundResult:
+def eff_local(game: GamePredicate, eps: float, variant: str = "worst_case") -> PartitionBoundResult:
     """Abort-augmented efficiency bound over local strategies, an upper
     bound on the quantum quantity; ``eff = 1 / eta``.
 
     The efficiency LP of :func:`_efficiency_lp`, which defines the
     variants, over the weights of the deterministic abort-augmented
-    strategies (at most ``budget`` of them); its head row makes the
-    weights sum to one.  Strategies with bitwise-equal LP columns share
+    strategies (at most ``_LOCAL_STRATEGY_LIMIT`` of them); its head row
+    makes the weights sum to one.  Strategies with bitwise-equal LP columns share
     one column, the first in index order, which leaves the LP's optimum
     unchanged; :func:`_local_columns` finds them from one exact integer
     key per strategy, so no float table over all strategies is built
     (``repeat(chsh, 2)``, 390 625 strategies, takes well under a second).
-    The certificate is the mixture's correlation.  ``budget`` is an
-    integer in [0, inf), checked first, then ``eps`` (in [0, 1]) and
-    ``variant``.
+    The certificate is the mixture's correlation.  ``eps`` (in [0, 1]) and
+    ``variant`` are checked first, then the strategy count against
+    ``_LOCAL_STRATEGY_LIMIT`` before any strategy is built.
     """
-    check_range("budget", budget, 0, math.inf, integer=True)
     _check_eps_variant(eps, variant)
     l = game.players
     in_sizes = game.input_sizes
     aug_sizes = tuple(s + 1 for s in game.output_sizes)
     n_d = math.prod(aug_sizes[j] ** in_sizes[j] for j in range(l))
-    if n_d > budget:
-        raise BudgetExceededError(f"{n_d} deterministic abort-augmented strategies exceed budget {budget}")
+    if n_d > _LOCAL_STRATEGY_LIMIT:
+        raise BudgetExceededError(
+            f"{n_d} deterministic abort-augmented strategies exceed the limit {_LOCAL_STRATEGY_LIMIT}"
+        )
     maps, cols, mass, win = _local_columns(game, variant)
     eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass, win, eps)
 

@@ -243,39 +243,23 @@ def _cmd_bounds_check_thm2(args):
 def _cmd_dpt_bound(args):
     from . import dpt
 
-    alphabets = _int_list(args.alphabets) if args.alphabets else None
+    alphabets = list(_int_list(args.alphabets))
     if args.which == "case-i":
-        params = dpt.DPTParams(
-            l=args.l, n=args.n, c=args.c, nu=args.nu,
-            alphabet_sizes=alphabets, exponent_const=args.exponent_const,
-        )
-        value = dpt.dpt_case_i_bound(params)
-        shown = {"l": args.l, "n": args.n, "c": args.c, "nu": args.nu,
-                 "alphabet_sizes": list(alphabets or ()), "exponent_const": args.exponent_const}
-        return {"bound_name": "case_i", "params": shown, "value": value}
+        params = {"l": args.l, "n": args.n, "c": args.c, "nu": args.nu,
+                  "alphabet_sizes": alphabets, "exponent_const": args.exponent_const}
+        return {"bound_name": "case_i", "params": params, "value": dpt.dpt_case_i_bound(**params)}
     if args.which == "case-ii":
         if args.eff is None:
             raise ValidationError("case-ii needs --eff (a partition-bound efficiency)")
-        params = dpt.DPTParams(
-            l=args.l, n=args.n, c=args.c, eps=args.eps, zeta=args.zeta,
-            alphabet_sizes=alphabets, exponent_const=args.exponent_const,
-        )
-        value = dpt.dpt_case_ii_bound(params, args.eff)
-        shown = {"l": args.l, "n": args.n, "c": args.c, "eps": args.eps, "zeta": args.zeta,
-                 "eff": args.eff, "alphabet_sizes": list(alphabets or ()),
-                 "exponent_const": args.exponent_const}
-        return {"bound_name": "case_ii", "params": shown, "value": value}
+        params = {"l": args.l, "n": args.n, "c": args.c, "eps": args.eps, "zeta": args.zeta,
+                  "eff": args.eff, "alphabet_sizes": alphabets, "exponent_const": args.exponent_const}
+        return {"bound_name": "case_ii", "params": params, "value": dpt.dpt_case_ii_bound(**params)}
     # randv
     if args.t is None:
         raise ValidationError("randv needs --t")
-    value = dpt.randv_bound(
-        args.t, args.n, args.c, args.l, args.nu, args.beta,
-        alphabet_sizes=alphabets, mode=args.mode,
-    )
-    shown = {"t": args.t, "n": args.n, "c": args.c, "l": args.l, "nu": args.nu,
-             "beta_const": args.beta, "alphabet_sizes": list(alphabets or ()),
-             "mode": args.mode}
-    return {"bound_name": "randv", "params": shown, "value": value}
+    params = {"t": args.t, "n": args.n, "c": args.c, "l": args.l, "nu": args.nu,
+              "beta_const": args.beta, "alphabet_sizes": alphabets, "mode": args.mode}
+    return {"bound_name": "randv", "params": params, "value": dpt.randv_bound(**params)}
 
 
 def _cmd_dpt_probe(args):

@@ -189,37 +189,16 @@ class BoxPair:
 
 
 @functools.cache
-def _ms_conditional_table() -> np.ndarray:
-    """q[x, y, a, b]: outcome distribution of the perfect grid strategy,
-    rows/columns indexed into the even/odd string tables."""
-    strat = games_mod.canonical_ms_strategy()
-    psi = strat.state
-    q = np.zeros((3, 3, 4, 4))
-    for x in range(3):
-        for y in range(3):
-            for a in range(4):
-                Ma = strat.povms[0][x][a]
-                for b in range(4):
-                    Mb = strat.povms[1][y][b]
-                    op = np.kron(Ma, Mb)
-                    q[x, y, a, b] = float(np.real(psi.conj() @ op @ psi))
-    q = np.clip(q, 0.0, None)
-    q /= q.sum(axis=(2, 3), keepdims=True)
-    return q
-
-
-@functools.cache
 def _ms_index_table() -> np.ndarray:
-    """Flat inverse-CDF table of the grid strategy: entry ``9 (3x + y) + j``
-    is ``min(#{k : cum[x, y, k] < j/8}, 15)``, the joint outcome index
-    ``4a + b`` that a uniform draw ``u`` with ``ceil(8u) = j`` selects,
-    where ``cum`` is the cumulative sum of ``q[x, y]`` over ``(a, b)``."""
-    cum = np.cumsum(_ms_conditional_table().reshape(9, 16), axis=1)
-    eighths = 8.0 * cum
-    if not np.array_equal(eighths, np.round(eighths)):
-        raise AssertionError("grid-strategy probabilities are not multiples of 1/8")
-    below = cum[:, None, :] < (np.arange(9) / 8.0)[None, :, None]
-    return np.minimum(below.sum(axis=2), 15).astype(np.uint8).ravel()
+    """Flat inverse-CDF table of the grid strategy, whose outcome at each
+    input pair is uniform over the 8 winning joint outcomes ``4a + b``:
+    entry ``9 (3x + y) + j`` is that pair's ``j``-th winning outcome,
+    counting from 1 in ascending order, the one that a uniform draw ``u``
+    with ``ceil(8u) = j`` selects; ``j = 0``, a draw of exactly 0, takes
+    the first."""
+    wins = games_mod.magic_square().V.transpose(2, 3, 0, 1).reshape(9, 16)
+    outcomes = np.nonzero(wins)[1].reshape(9, 8)  # row-major: ascending within each pair
+    return outcomes[:, [0, 0, 1, 2, 3, 4, 5, 6, 7]].astype(np.uint8).ravel()
 
 
 def _grid_inputs(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +290,12 @@ class HonestBoxes(BoxPair):
     the time).
 
     Each round's joint outcome comes from one uniform draw ``u`` by
-    inverting the cumulative distribution of ``q[x, y]``.  Every entry of
-    ``q`` is 0 or 1/8, so each cumulative sum is a multiple of 1/8, and
-    ``cum < u`` holds exactly when ``cum < ceil(8u)/8`` (``8u`` is exact in
-    floating point).  The inverse is therefore a 9 x 9 integer table,
+    inverting the cumulative distribution of the grid strategy's outcomes
+    at ``(x, y)``.  Each of the 8 winning outcomes has probability 1/8 and
+    the others none, so the outcome depends only on ``ceil(8u)`` (``8u``
+    is exact in floating point): the inverse is a 9 x 9 integer table,
     indexed by the input pair and ``ceil(8u)``, and one gather per round
-    replaces comparing ``u`` with all 16 cumulative sums.
+    selects the outcome.
 
     Draw order: each draw phase has its own stream, spawned from ``seed``.
     Round i reads the i-th cell uniform and the i-th noise flag; the k-th

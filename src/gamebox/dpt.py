@@ -42,34 +42,6 @@ def _log2_alphabet(alphabet_sizes) -> float:
     return math.log2(check_range("total output alphabet", math.prod(sizes), 2, math.inf))
 
 
-@dataclass(frozen=True)
-class DPTParams:
-    """Parameter bundle for the closed-form bound evaluators.
-
-    Fields not used by a given evaluator may stay ``None``.
-    """
-
-    l: int
-    n: int
-    c: float | None = None
-    eps: float | None = None
-    zeta: float | None = None
-    nu: float | None = None
-    alphabet_sizes: tuple[int, ...] | None = None
-    exponent_const: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_range("l", self.l, 1, math.inf, integer=True)
-        check_range("n", self.n, 1, math.inf, integer=True)
-        for name in ("eps", "zeta", "nu"):
-            value = getattr(self, name)
-            if value is not None:
-                check_range(name, value, 0.0, 1.0)
-        check_range("exponent_const", self.exponent_const, 0.0, math.inf, lo_open=True)
-        if self.c is not None:
-            check_range("c", self.c, 0.0, math.inf)
-
-
 def delta_of(C_size: int, PrE: float, n: int, alphabet_sizes) -> float:
     """Per-copy information spent by conditioning: ``(|C| log2 prod|A_j| +
     log2(1/PrE)) / n``."""
@@ -79,24 +51,26 @@ def delta_of(C_size: int, PrE: float, n: int, alphabet_sizes) -> float:
     return (C_size * _log2_alphabet(alphabet_sizes) + math.log2(1.0 / PrE)) / n
 
 
-def dpt_case_i_bound(params: DPTParams) -> float:
+def dpt_case_i_bound(l: int, n: int, c: float, nu: float, alphabet_sizes, exponent_const: float = 1.0) -> float:
     """Success bound ``base^floor(exponent_const nu^2 n / (l^2 log2 prod|A_j|))``
     with ``base = 1 - nu/2 + 4 sqrt(l c)``; returns 1 when the base
     reaches 1 (the bound is vacuous there).  Requires ``c < 1``."""
-    if params.c is None or params.nu is None:
-        raise ValidationError("c and nu required")
-    c = check_range("c", params.c, 0.0, 1.0, hi_open=True)
-    base = 1.0 - params.nu / 2.0 + 4.0 * math.sqrt(params.l * c)
+    check_range("l", l, 1, math.inf, integer=True)
+    check_range("n", n, 1, math.inf, integer=True)
+    check_range("c", c, 0.0, 1.0, hi_open=True)
+    check_range("nu", nu, 0.0, 1.0)
+    check_range("exponent_const", exponent_const, 0.0, math.inf, lo_open=True)
+    log_alpha = _log2_alphabet(alphabet_sizes)
+    base = 1.0 - nu / 2.0 + 4.0 * math.sqrt(l * c)
     if base >= 1.0:
         return 1.0
-    log_alpha = _log2_alphabet(params.alphabet_sizes)
-    exponent = math.floor(
-        params.exponent_const * params.nu**2 * params.n / (params.l**2 * log_alpha)
-    )
+    exponent = math.floor(exponent_const * nu**2 * n / (l**2 * log_alpha))
     return float(min(max(base, 0.0), 1.0) ** exponent)
 
 
-def dpt_case_ii_bound(params: DPTParams, eff: float) -> float:
+def dpt_case_ii_bound(
+    l: int, n: int, c: float, eps: float, zeta: float, eff: float, alphabet_sizes, exponent_const: float = 1.0
+) -> float:
     """Success bound ``(1 - eps)^floor(exponent_const n / log2 prod|A_j|)``,
     valid only inside the gate ``1 <= c < zeta^2 eff / (270 l^3)``.
 
@@ -104,19 +78,22 @@ def dpt_case_ii_bound(params: DPTParams, eff: float) -> float:
     is sound only for a lower bound on eff*, such as ``bounds.eff_ns``:
     an upper bound (``bounds.eff_local``) can widen it past what the
     theorem allows."""
-    if params.eps is None or params.zeta is None or params.c is None:
-        raise ValidationError("c, eps and zeta required")
+    check_range("l", l, 1, math.inf, integer=True)
+    check_range("n", n, 1, math.inf, integer=True)
+    c = float(check_range("c", c, 0.0, math.inf))
+    check_range("eps", eps, 0.0, 1.0)
+    check_range("zeta", zeta, 0.0, 1.0)
     check_range("eff", eff, 1.0, math.inf)
-    c = float(params.c)
-    ceiling = params.zeta**2 * eff / (270.0 * params.l**3)
+    check_range("exponent_const", exponent_const, 0.0, math.inf, lo_open=True)
+    log_alpha = _log2_alphabet(alphabet_sizes)
+    ceiling = zeta**2 * eff / (270.0 * l**3)
     if not 1.0 <= c < ceiling:
         raise GateViolationError(
             f"communication c={c} outside admissible range [1, {ceiling}) "
-            f"for zeta={params.zeta}, eff={eff}, l={params.l}"
+            f"for zeta={zeta}, eff={eff}, l={l}"
         )
-    log_alpha = _log2_alphabet(params.alphabet_sizes)
-    exponent = math.floor(params.exponent_const * params.n / log_alpha)
-    return float((1.0 - params.eps) ** exponent)
+    exponent = math.floor(exponent_const * n / log_alpha)
+    return float((1.0 - eps) ** exponent)
 
 
 def randv_bound(

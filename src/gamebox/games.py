@@ -47,6 +47,9 @@ ODD_STRINGS: tuple[str, ...] = ("001", "010", "100", "111")
 EVEN_BITS = np.array([[int(c) for c in s] for s in EVEN_STRINGS], dtype=np.uint8)
 ODD_BITS = np.array([[int(c) for c in s] for s in ODD_STRINGS], dtype=np.uint8)
 
+_STRATEGY_TOL = 1e-9  # slack of QuantumStrategy.validate's norm, Hermiticity, PSD and completeness checks
+_CORRELATION_TOL = 1e-7  # slack of Correlation.validate's sign and normalisation checks
+
 
 @dataclass(frozen=True)
 class GamePredicate:
@@ -122,8 +125,8 @@ class QuantumStrategy:
     local_dims: tuple[int, ...]
     povms: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
 
-    def validate(self, game: GamePredicate, tol: float = 1e-9) -> None:
-        check_range("tol", tol, 0.0, math.inf)
+    def validate(self, game: GamePredicate) -> None:
+        tol = _STRATEGY_TOL
         dims = tuple(int(d) for d in self.local_dims)
         if len(dims) != game.players:
             raise DimensionMismatchError("one local dimension per player required")
@@ -167,14 +170,13 @@ class Correlation:
         idx = (Ellipsis,) + tuple(int(i) for i in x_idx)
         return self.q[idx]
 
-    def validate(self, tol: float = 1e-7) -> None:
-        check_range("tol", tol, 0.0, math.inf)
+    def validate(self) -> None:
         l = self.players
-        if np.min(self.q) < -tol:
+        if np.min(self.q) < -_CORRELATION_TOL:
             raise ValidationError("correlation has negative entries")
         out_axes = tuple(range(self.q.ndim - l))
         totals = self.q.sum(axis=out_axes)
-        if np.max(np.abs(totals - 1.0)) > tol:
+        if np.max(np.abs(totals - 1.0)) > _CORRELATION_TOL:
             raise ValidationError("correlation not normalised for every input")
 
 
@@ -623,6 +625,10 @@ def _random_povms(game: GamePredicate, local_dims, rng) -> list[np.ndarray]:
     return povms
 
 
+_SEESAW_ITERS = 500  # iterations of one seesaw restart at most
+_SEESAW_TOL = 1e-9  # a seesaw restart stops after an iteration that gains less
+
+
 def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: int, max_iters: int, tol: float):
     """Run the seesaw restarts ``rs`` as one group, one iteration of all of
     them at a time, and yield each restart's ``(value, state, povms)`` in
@@ -681,8 +687,6 @@ def seesaw(
     game: GamePredicate,
     local_dims: Sequence[int],
     restarts: int = 20,
-    max_iters: int = 500,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> GameValueResult:
     """Alternating-optimisation lower bound on the entangled value.
@@ -692,7 +696,8 @@ def seesaw(
     for a fixed state; the value never decreases along the way.  Each
     restart ``r`` draws fresh Haar-random projective measurements from
     ``numpy.random.default_rng([seed, r])``, and stops once an iteration
-    gains less than ``tol``; a restart that reaches 1 - 1e-9 ends the search.
+    gains less than ``_SEESAW_TOL`` or after ``_SEESAW_ITERS`` iterations;
+    a restart that reaches 1 - 1e-9 ends the search.
     The measurements stay projective throughout: with three or more
     outputs, ``_optimize_povm`` improves pairs of outputs in round-robin
     rounds, one ``eigh`` per pair step, and its exact pair update returns
@@ -721,14 +726,12 @@ def seesaw(
     for d in local_dims:
         check_range("local dimension", d, 1, math.inf)
     check_range("restarts", restarts, 1, math.inf, integer=True)
-    check_range("max_iters", max_iters, 1, math.inf, integer=True)
-    check_range("tol", tol, 0.0, math.inf)
     check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)
     best_val, best_state, best_povms = -1.0, None, None
     groups = [range(2**k - 1, min(2 ** (k + 1) - 1, restarts)) for k in range(int(restarts).bit_length())]
     for val, psi, povms in itertools.chain.from_iterable(
-        _lockstep(pV, game, local_dims, rs, seed, max_iters, tol) for rs in groups
+        _lockstep(pV, game, local_dims, rs, seed, _SEESAW_ITERS, _SEESAW_TOL) for rs in groups
     ):
         if val > best_val:
             best_val, best_state, best_povms = val, psi, povms

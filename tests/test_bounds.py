@@ -280,18 +280,37 @@ def test_ns_value_mse_solves_one_lp(monkeypatch):
     assert value == pytest.approx(reference, abs=1e-9)
 
 
-def test_ns_value_budget_is_checked_before_the_decomposition():
+def test_ns_value_budget_is_checked_before_the_decomposition(monkeypatch):
     # every sub-game caps at 0, so none is solved, yet the LP it would need
-    # (4 * 4 * 2 * 2 = 64 variables) is over budget
+    # (4 * 4 * 2 * 2 = 64 variables) is over the limit
     game = games.GamePredicate(
         inputs=((0, 1), (0, 1), (0,)),
         outputs=((0, 1, 2, 3), (0, 1, 2, 3), (0, 1)),
         p=np.full((2, 2, 1), 0.25),
         V=np.zeros((4, 4, 2, 2, 2, 1), dtype=bool),
     )
-    assert bounds.ns_game_value(game, budget=64) == 0.0
-    with pytest.raises(BudgetExceededError, match="64 LP variables exceed budget 63"):
-        bounds.ns_game_value(game, budget=63)
+    monkeypatch.setattr(bounds, "_NS_VALUE_VARIABLE_LIMIT", 64)
+    assert bounds.ns_game_value(game) == 0.0
+    monkeypatch.setattr(bounds, "_NS_VALUE_VARIABLE_LIMIT", 63)
+    with pytest.raises(BudgetExceededError, match="64 LP variables exceed the limit 63"):
+        bounds.ns_game_value(game)
+
+
+def test_ns_value_refuses_an_lp_over_its_limit_before_any_row(monkeypatch):
+    # chsh^4's 65 536 variables and 7456 dense rows would take 3.64 GiB
+    def reached(*args):
+        raise AssertionError("rows built for an LP over the limit")
+
+    game = games.repeat(games.chsh(), 4)
+    monkeypatch.setattr(bounds, "_ns_constraint_rows", reached)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="65536 LP variables exceed the limit 25000"):
+            bounds.ns_game_value(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +419,26 @@ def test_eff_ns_limit_counts_the_abort_augmented_entries(monkeypatch):
     monkeypatch.setattr(bounds, "_NS_LP_VARIABLE_LIMIT", 35)
     with pytest.raises(BudgetExceededError, match="36 LP variables exceed the limit 35"):
         bounds.eff_ns(games.chsh(), 0.1)
+
+
+def test_eff_local_limit_counts_the_strategies_before_building_any(monkeypatch):
+    # chsh: 3^2 abort-augmented maps per player, so 81 strategies
+    eta = bounds.eff_local(games.chsh(), 0.1).eta
+    monkeypatch.setattr(bounds, "_LOCAL_STRATEGY_LIMIT", 81)
+    assert bounds.eff_local(games.chsh(), 0.1).eta == eta
+
+    def reached(*args):
+        raise AssertionError("strategies built over the limit")
+
+    monkeypatch.setattr(bounds, "_LOCAL_STRATEGY_LIMIT", 80)
+    monkeypatch.setattr(bounds, "_local_columns", reached)
+    with pytest.raises(BudgetExceededError, match="81 deterministic abort-augmented strategies exceed the limit 80"):
+        bounds.eff_local(games.chsh(), 0.1)
+    # eps and variant are checked first
+    with pytest.raises(ValidationError):
+        bounds.eff_local(games.chsh(), 1.5)
+    with pytest.raises(ValidationError):
+        bounds.eff_local(games.chsh(), 0.1, "median")
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_gate_violation_exits_two(capsys):
     assert code == 2
 
 
+def test_ns_value_over_the_lp_limit_exits_two_before_any_row(capsys, tmp_path, monkeypatch):
+    # chsh^4's dense NS rows would take 3.64 GiB
+    from gamebox import bounds
+
+    def reached(*args):
+        raise AssertionError("rows built for an LP over the limit")
+
+    monkeypatch.setattr(bounds, "_ns_constraint_rows", reached)
+    path = tmp_path / "chsh4.json"
+    path.write_text(json.dumps(games.game_to_json(games.repeat(games.chsh(), 4))))
+    code, out, err = run(capsys, "game", "value", "--game", str(path), "--method", "ns")
+    assert code == 2
+    assert out == ""
+    assert "65536 LP variables exceed the limit 25000" in err
+
+
 # ---------------------------------------------------------------------------
 # game commands
 # ---------------------------------------------------------------------------
@@ -371,8 +387,33 @@ def test_dpt_bound_case_i(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bound_name"] == "case_i"
-    expect = dpt.dpt_case_i_bound(dpt.DPTParams(l=2, n=400, c=0.001, nu=0.4, alphabet_sizes=(4, 4)))
-    assert doc["value"] == pytest.approx(expect, rel=1e-12)
+    params = dict(l=2, n=400, c=0.001, nu=0.4, alphabet_sizes=[4, 4], exponent_const=1.0)
+    assert doc["params"] == params
+    assert doc["value"] == dpt.dpt_case_i_bound(**params)
+
+
+@pytest.mark.parametrize(
+    "which,extra", [("case-i", ()), ("case-ii", ("--c", "2", "--eff", "1e6")), ("randv", ("--t", "10"))]
+)
+def test_dpt_bound_evaluates_what_it_prints(capsys, which, extra):
+    code, out, _ = run(capsys, "dpt", "bound", which, "--l", "1", "--n", "50", "--nu", "0.3", "--eps", "0.2",
+                       "--alphabets", "2,2,2", "--exponent-const", "2", *extra)
+    assert code == 0
+    doc = json.loads(out)
+    bound = {"case-i": dpt.dpt_case_i_bound, "case-ii": dpt.dpt_case_ii_bound, "randv": dpt.randv_bound}[which]
+    assert doc["value"] == bound(**doc["params"])
+
+
+def test_dpt_bound_checks_only_the_flags_it_reads(capsys):
+    # case-i reads neither --eps nor --zeta, as randv does not
+    argv = ("dpt", "bound", "case-i", "--l", "2", "--n", "400", "--c", "0.001", "--nu", "0.4")
+    code, out, _ = run(capsys, *argv, "--eps", "2", "--zeta", "-1")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+    # an empty alphabet list is refused where the bound needs it
+    code, out, err = run(capsys, *argv, "--alphabets", "")
+    assert code == 1
+    assert out == "" and "total output alphabet" in err
 
 
 def test_dpt_bound_randv_mse(capsys):

@@ -98,8 +98,22 @@ def test_channel_routing_and_lock():
 # ---------------------------------------------------------------------------
 
 
+def _grid_strategy_table():
+    """q[x, y, a, b]: outcome distribution of the canonical grid strategy,
+    computed from its state and POVMs, rows/columns indexed into the
+    even/odd string tables."""
+    strat = games.canonical_ms_strategy()
+    psi = strat.state
+    q = np.zeros((3, 3, 4, 4))
+    for x, y, a, b in itertools.product(range(3), range(3), range(4), range(4)):
+        op = np.kron(strat.povms[0][x][a], strat.povms[1][y][b])
+        q[x, y, a, b] = float(np.real(psi.conj() @ op @ psi))
+    q = np.clip(q, 0.0, None)
+    return q / q.sum(axis=(2, 3), keepdims=True)
+
+
 def test_conditional_table_is_perfect_and_unbiased():
-    q = diqkd._ms_conditional_table()
+    q = _grid_strategy_table()
     assert q.shape == (3, 3, 4, 4)
     np.testing.assert_allclose(q.sum(axis=(2, 3)), np.ones((3, 3)), atol=1e-12)
     ms = games.magic_square()
@@ -142,12 +156,13 @@ def test_honest_boxes_noise_calibration():
 
 def _cumsum_produce(boxes, xs, ys):
     """The inverse-CDF sampler HonestBoxes.produce replaced: compare each
-    round's draw with all 16 cumulative probabilities of q[x, y]."""
+    round's draw u with all 16 cumulative probabilities of q[x, y], and take
+    the first outcome of positive probability whose sum reaches u."""
     n = xs.size
-    flat = diqkd._ms_conditional_table()[xs, ys].reshape(n, 16)
+    flat = _grid_strategy_table()[xs, ys].reshape(n, 16)
     cum = np.cumsum(flat, axis=1)
     draws = boxes._cells.random((n, 1))
-    idx = np.minimum((cum < draws).sum(axis=1), 15)
+    idx = np.argmax((cum >= draws) & (flat > 0), axis=1)
     noisy = boxes._noise.random(n) < 2.0 * boxes.delta
     b_idx = idx % 4
     b_idx[noisy] = boxes._answers.integers(0, 4, np.count_nonzero(noisy))  # one answer a noisy round
@@ -156,8 +171,38 @@ def _cumsum_produce(boxes, xs, ys):
 
 def test_conditional_table_cumsums_are_eighths():
     # the assumption that makes the inverse CDF an integer table
-    eighths = 8 * np.cumsum(diqkd._ms_conditional_table().reshape(9, 16), axis=1)
+    eighths = 8 * np.cumsum(_grid_strategy_table().reshape(9, 16), axis=1)
     np.testing.assert_array_equal(eighths, np.round(eighths))
+
+
+def test_index_table_is_the_grid_strategys_inverse_cdf():
+    # entry 9 (3x + y) + j is the outcome of every draw u with ceil(8u) = j:
+    # the ends u = j/8 and just above (j - 1)/8, and u = 0 for j = 0
+    q = _grid_strategy_table().reshape(9, 16)
+    table = diqkd._ms_index_table().reshape(9, 9)
+    assert table.dtype == np.uint8
+    for cell in range(9):
+        cum = np.cumsum(q[cell])
+        for j in range(9):
+            draws = [0.0] if j == 0 else [j / 8, np.nextafter((j - 1) / 8, 1.0)]
+            for u in draws:
+                assert math.ceil(8 * u) == j
+                assert table[cell, j] == np.argmax((cum >= u) & (q[cell] > 0))
+
+
+class _ZeroCells:
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_honest_boxes_win_every_cell_on_a_zero_draw():
+    # a cell uniform of exactly 0 selects the first winning outcome, not
+    # joint outcome 0, which loses every x = 2 cell
+    xs, ys = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    boxes = diqkd.honest_boxes(0.0, seed=0)
+    boxes._cells = _ZeroCells()
+    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    assert _win_rate(A, B, xs, ys) == 1.0
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])

@@ -18,20 +18,24 @@ from gamebox.errors import (
 )
 
 # ---------------------------------------------------------------------------
-# parameter bundle and closed forms
+# closed forms
 # ---------------------------------------------------------------------------
+
+_CASE_I = dict(l=2, n=10, c=0.0001, nu=0.5, alphabet_sizes=(2, 2))
+_CASE_II = dict(l=1, n=50, c=2.0, eps=0.5, zeta=0.9, eff=1e6, alphabet_sizes=(2, 2))
 
 
 def test_params_validation():
-    with pytest.raises(ValidationError):
-        dpt.DPTParams(l=0, n=10)
-    with pytest.raises(ValidationError):
-        dpt.DPTParams(l=2, n=10, nu=1.5)
-    no_c = dpt.DPTParams(l=2, n=10, nu=0.5, eps=0.5, zeta=0.9, alphabet_sizes=(2, 2))
-    with pytest.raises(ValidationError):
-        dpt.dpt_case_i_bound(no_c)
-    with pytest.raises(ValidationError):
-        dpt.dpt_case_ii_bound(no_c, 100.0)
+    # each bound checks its own arguments, the alphabet too where the
+    # bound is vacuous (case i) or its gate fails (case ii)
+    for bad in (dict(l=0), dict(n=0), dict(l=1.5), dict(c=-0.1), dict(nu=1.5), dict(exponent_const=0.0),
+                dict(c=0.5, alphabet_sizes=(0, 4)), dict(c=0.5, alphabet_sizes=())):
+        with pytest.raises(ValidationError):
+            dpt.dpt_case_i_bound(**{**_CASE_I, **bad})
+    for bad in (dict(l=0), dict(n=0), dict(c=-1.0), dict(eps=1.5), dict(zeta=-0.1), dict(exponent_const=-1.0),
+                dict(c=0.5, alphabet_sizes=(0, 4))):
+        with pytest.raises(ValidationError):
+            dpt.dpt_case_ii_bound(**{**_CASE_II, **bad})
 
 
 def test_delta_of_arithmetic():
@@ -44,52 +48,47 @@ def test_delta_of_arithmetic():
 
 
 def test_case_i_bound_arithmetic():
-    params = dpt.DPTParams(l=2, n=400, c=0.001, nu=0.4, alphabet_sizes=(4, 4))
+    params = dict(l=2, n=400, c=0.001, nu=0.4, alphabet_sizes=(4, 4))
     base = 1 - 0.4 / 2 + 4 * math.sqrt(2 * 0.001)
     exponent = math.floor(0.4**2 * 400 / (4 * math.log2(16)))
-    assert dpt.dpt_case_i_bound(params) == pytest.approx(base**exponent, rel=1e-12)
-    assert dpt.dpt_case_i_bound(params) < 1.0
+    assert dpt.dpt_case_i_bound(**params) == pytest.approx(base**exponent, rel=1e-12)
+    assert dpt.dpt_case_i_bound(**params) < 1.0
+    # exponent_const scales the exponent before the floor
+    assert dpt.dpt_case_i_bound(**params, exponent_const=2.0) == pytest.approx(
+        base ** math.floor(2 * 0.4**2 * 400 / (4 * math.log2(16))), rel=1e-12
+    )
 
 
 def test_case_i_bound_vacuous_when_communication_dominates():
     # 4 sqrt(l c) >= nu/2 pushes the base to 1: nothing is certified
-    params = dpt.DPTParams(l=2, n=100, c=0.01, nu=0.3, alphabet_sizes=(4, 4))
+    params = dict(l=2, n=100, c=0.01, nu=0.3, alphabet_sizes=(4, 4))
     assert 1 - 0.3 / 2 + 4 * math.sqrt(0.02) > 1.0
-    assert dpt.dpt_case_i_bound(params) == 1.0
+    assert dpt.dpt_case_i_bound(**params) == 1.0
 
 
 def test_case_i_bound_requires_small_communication():
-    params = dpt.DPTParams(l=2, n=100, c=1.5, nu=0.3, alphabet_sizes=(4, 4))
     with pytest.raises(ValidationError):
-        dpt.dpt_case_i_bound(params)
+        dpt.dpt_case_i_bound(l=2, n=100, c=1.5, nu=0.3, alphabet_sizes=(4, 4))
 
 
 def test_case_i_bound_decreasing_in_n():
-    values = [
-        dpt.dpt_case_i_bound(dpt.DPTParams(l=2, n=n, c=0.0001, nu=0.5, alphabet_sizes=(4, 4)))
-        for n in (100, 400, 1600)
-    ]
+    values = [dpt.dpt_case_i_bound(l=2, n=n, c=0.0001, nu=0.5, alphabet_sizes=(4, 4)) for n in (100, 400, 1600)]
     assert values[0] > values[1] > values[2]
 
 
 def test_case_ii_bound_arithmetic_and_gate():
-    params = dpt.DPTParams(l=1, n=50, c=2.0, eps=0.5, zeta=0.9, alphabet_sizes=(2, 2))
-    eff = 1e6
+    eff = _CASE_II["eff"]
     assert 1.0 <= 2.0 < 0.9**2 * eff / 270.0
     expected = 0.5 ** math.floor(50 / math.log2(4))
-    assert dpt.dpt_case_ii_bound(params, eff) == pytest.approx(expected, rel=1e-12)
+    assert dpt.dpt_case_ii_bound(**_CASE_II) == pytest.approx(expected, rel=1e-12)
     assert expected == 0.5**25
 
     with pytest.raises(GateViolationError):
-        dpt.dpt_case_ii_bound(
-            dpt.DPTParams(l=1, n=50, c=0.5, eps=0.5, zeta=0.9, alphabet_sizes=(2, 2)), eff
-        )  # c below 1
+        dpt.dpt_case_ii_bound(**{**_CASE_II, "c": 0.5})  # c below 1
     with pytest.raises(GateViolationError):
-        dpt.dpt_case_ii_bound(
-            dpt.DPTParams(l=1, n=50, c=2.0, eps=0.5, zeta=0.9, alphabet_sizes=(2, 2)), 100.0
-        )  # ceiling too low
+        dpt.dpt_case_ii_bound(**{**_CASE_II, "eff": 100.0})  # ceiling too low
     with pytest.raises(ValidationError):
-        dpt.dpt_case_ii_bound(params, 0.5)  # eff below 1
+        dpt.dpt_case_ii_bound(**{**_CASE_II, "eff": 0.5})  # eff below 1
 
 
 def test_randv_bound_mse_mode_arithmetic():

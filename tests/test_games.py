@@ -639,13 +639,14 @@ def test_seesaw_povms_stay_projective(game, dims, restarts):
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3])
 @pytest.mark.parametrize("case", [0, 2, 4, 7, 9], ids=lambda c: f"case{c}")
-def test_seesaw_early_iterations_match_reference(case, max_iters):
+def test_seesaw_early_iterations_match_reference(case, max_iters, monkeypatch):
     # a few iterations leave the strategy far from any optimum, so the
     # players' update order shows in the POVMs and the value.  Where an
     # effective operator is nearly degenerate the optimal POVM is nearly
     # free, and rounding moves it by up to ~1e-8 while the value stays put.
     game, dims, _ = _SEESAW_CASES[case]
-    res = games.seesaw(game, dims, restarts=2, max_iters=max_iters, seed=3)
+    monkeypatch.setattr(games, "_SEESAW_ITERS", max_iters)
+    res = games.seesaw(game, dims, restarts=2, seed=3)
     want, povms = _ref_seesaw(game, dims, restarts=2, max_iters=max_iters, seed=3)
     assert res.value == pytest.approx(want, abs=1e-9)
     for j, per_input in enumerate(povms):
@@ -682,11 +683,12 @@ def _sequential_seesaw(game, local_dims, restarts, max_iters, seed, tol=1e-9):
     return min(best_val, 1.0), best_state, best_povms, r
 
 
-def _assert_lockstep_is_sequential(game, dims, restarts, max_iters, seed):
-    """Value, state and POVMs of seesaw bitwise those of the sequential loop;
-    returns the sequential value and the restart it stopped at."""
-    res = games.seesaw(game, dims, restarts=restarts, max_iters=max_iters, seed=seed)
-    val, state, povms, stop = _sequential_seesaw(game, dims, restarts, max_iters, seed)
+def _assert_lockstep_is_sequential(game, dims, restarts, seed):
+    """Value, state and POVMs of seesaw bitwise those of the sequential loop
+    at ``games._SEESAW_ITERS`` iterations; returns the sequential value and
+    the restart it stopped at."""
+    res = games.seesaw(game, dims, restarts=restarts, seed=seed)
+    val, state, povms, stop = _sequential_seesaw(game, dims, restarts, games._SEESAW_ITERS, seed)
     assert res.value == val
     assert res.certificate.state.tobytes() == state.tobytes()
     for j, M in enumerate(povms):
@@ -696,9 +698,10 @@ def _assert_lockstep_is_sequential(game, dims, restarts, max_iters, seed):
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 500])
 @pytest.mark.parametrize("case", range(len(_SEESAW_CASES)), ids=lambda c: f"case{c}")
-def test_seesaw_lockstep_is_bitwise_the_sequential_loop(case, max_iters):
+def test_seesaw_lockstep_is_bitwise_the_sequential_loop(case, max_iters, monkeypatch):
     game, dims, restarts = _SEESAW_CASES[case]
-    _assert_lockstep_is_sequential(game, dims, restarts, max_iters, seed=7)
+    monkeypatch.setattr(games, "_SEESAW_ITERS", max_iters)
+    _assert_lockstep_is_sequential(game, dims, restarts, seed=7)
 
 
 @pytest.mark.parametrize(
@@ -711,7 +714,7 @@ def test_seesaw_stop_inside_the_lockstep_group_is_bitwise(game, dims, restarts, 
     # restarts 1 and 2 reaches it.  In the magic_square case restart 2
     # reaches it first (10 iterations against 13), so taking restarts as they
     # finish instead of in index order would return another strategy.
-    val, stopped_at = _assert_lockstep_is_sequential(game, dims, restarts, 500, seed)
+    val, stopped_at = _assert_lockstep_is_sequential(game, dims, restarts, seed)
     assert val >= 1.0 - 1e-9
     assert stopped_at == stop
 

@@ -37,10 +37,10 @@ def test_psd_power_inverse_on_support():
     np.testing.assert_allclose(inv_half @ rho @ inv_half, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
-def _one_matrix_power(mat, power, cutoff=qcore.EIG_CUTOFF):
+def _one_matrix_power(mat, power):
     """psd_power as written for a single matrix only (`.T`, unbroadcast weights)."""
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    w = np.clip(np.where(np.abs(w) < cutoff, 0.0, w), 0.0, None)
+    w = np.clip(np.where(np.abs(w) < qcore.EIG_CUTOFF, 0.0, w), 0.0, None)
     out = np.zeros_like(w)
     out[w > 0] = w[w > 0] ** power
     return (v * out) @ v.conj().T
@@ -67,20 +67,19 @@ def test_psd_power_on_a_stack_equals_single_calls(dim, power):
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
 
-def _masked_power(mat, power, cutoff=qcore.EIG_CUTOFF):
+def _masked_power(mat, power):
     """psd_power's earlier form: zero the tiny eigenvalues, clip the negative
     ones, then a boolean gather and scatter of the positive ones."""
     w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
-    w = np.clip(np.where(np.abs(w) < cutoff, 0.0, w), 0.0, None)
+    w = np.clip(np.where(np.abs(w) < qcore.EIG_CUTOFF, 0.0, w), 0.0, None)
     out = np.zeros_like(w)
     pos = w > 0
     out[pos] = w[pos] ** power
     return (v * out[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-@pytest.mark.parametrize("cutoff", [qcore.EIG_CUTOFF, 0.0, -qcore.EIG_CUTOFF])
 @pytest.mark.parametrize("power", [0.0, 0.5, -0.5, 1.0, 2.0])
-def test_psd_power_is_bitwise_the_masked_form(power, cutoff):
+def test_psd_power_is_bitwise_the_masked_form(power):
     c = qcore.EIG_CUTOFF
     edges = [0.0, c / 2, -c / 2, c, -c, -1e6, -3.0, 1e-3, 2.0]
     # diagonal matrices, whose eigh returns these eigenvalues exactly, so
@@ -92,7 +91,6 @@ def test_psd_power_is_bitwise_the_masked_form(power, cutoff):
     U = np.array([qcore.random_unitary(len(edges), rng) for _ in range(4)])
     rotated = U @ diag[np.arange(4) % 3] @ U.conj().swapaxes(-1, -2)
     for mats in (diag, rotated, rotated.reshape(2, 2, len(edges), len(edges)), rotated[0]):
-        got = qcore.psd_power(mats, power, cutoff)
-        assert got.tobytes() == _masked_power(mats, power, cutoff).tobytes()
-    # an exact zero eigenvalue is dropped at every cutoff, never powered
-    assert np.all(np.isfinite(qcore.psd_power(diag, power, cutoff)))
+        assert qcore.psd_power(mats, power).tobytes() == _masked_power(mats, power).tobytes()
+    # an exact zero eigenvalue is dropped, never powered
+    assert np.all(np.isfinite(qcore.psd_power(diag, power)))

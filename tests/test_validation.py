@@ -12,7 +12,8 @@ from gamebox.errors import BudgetExceededError, ValidationError, check_distribut
 
 _PROTOCOL = dict(n=100, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
 _RATE = dict(alpha=0.04, gamma=0.01, delta=0.001, c=0.001, n=10**6, nu=0.3, beta=0.5, PrE=1.0)
-_DPT = dict(l=2, n=1000, c=0.0005, nu=0.3, eps=0.3, zeta=0.9, alphabet_sizes=(4, 4))
+_CASE_I = dict(l=2, n=1000, c=0.0005, nu=0.3, alphabet_sizes=(4, 4))
+_CASE_II = dict(l=1, n=1000, c=1.5, eps=0.3, zeta=0.9, eff=1000.0, alphabet_sizes=(4, 4))
 _CHERNOFF = dict(delta=0.05, gamma=0.2, alpha=0.5, n=1000)
 _SERFLING = dict(n=20, gamma=0.2, eps=0.2, pattern=np.zeros(20), trials=10, seed=0)
 _RANDV = dict(t=10, n=50, c=0.01, l=2, nu=0.3, beta_const=0.1, alphabet_sizes=(4, 4))
@@ -32,12 +33,6 @@ def _with(base, **changes):
     return {**base, **changes}
 
 
-def _dpt_bound(**changes):
-    """Build the parameters, then evaluate the bound that reads each field."""
-    params = dpt.DPTParams(**_with(_DPT, **changes))
-    return dpt.dpt_case_i_bound(params)
-
-
 def _probe(seed, **changes):
     return dpt.RepetitionProbe(**_with(dict(game=games.chsh(), n=1, comm_bits=0, seed=seed), **changes))
 
@@ -48,14 +43,15 @@ def _cases():
              for k in _PROTOCOL]
     cases += [(f"KeyRateParams.{k}", lambda v, k=k: diqkd.key_rate(diqkd.KeyRateParams(**_with(_RATE, **{k: v}))))
               for k in _RATE]
-    cases += [(f"DPTParams.{k}", lambda v, k=k: _dpt_bound(**{k: v}))
-              for k in ("l", "n", "c", "nu", "eps", "zeta", "exponent_const")]
+    cases += [(f"dpt_case_i_bound.{k}", lambda v, k=k: dpt.dpt_case_i_bound(**_with(_CASE_I, **{k: v})))
+              for k in ("l", "n", "c", "nu", "exponent_const")]
+    cases += [(f"dpt_case_ii_bound.{k}", lambda v, k=k: dpt.dpt_case_ii_bound(**_with(_CASE_II, **{k: v})))
+              for k in ("l", "n", "c", "eps", "zeta", "eff", "exponent_const")]
     cases += [
-        ("DPTParams.alphabet_sizes", lambda v: _dpt_bound(alphabet_sizes=(v, 4))),
+        ("dpt_case_i_bound.alphabet_sizes", lambda v: dpt.dpt_case_i_bound(**_with(_CASE_I, alphabet_sizes=(v, 4)))),
         ("LeakageBudget.limit_bits", lambda v: diqkd.LeakageBudget(v)),
         ("LeakageBudget.used_bits", lambda v: diqkd.LeakageBudget(10, v)),
         ("HonestBoxes.delta", lambda v: diqkd.HonestBoxes(v, 0)),
-        ("dpt_case_ii_bound.eff", lambda v: dpt.dpt_case_ii_bound(dpt.DPTParams(**_with(_DPT, l=1, c=1.5)), v)),
         ("gamma2_alpha.alpha", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), _UNIFORM, v)),
         ("gamma2_alpha.p", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[v, 0.25], [0.25, 0.25]]), 2.0)),
         ("gamma2_star.M", lambda v: bounds.gamma2_star(np.array([[v, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))),
@@ -64,9 +60,6 @@ def _cases():
         ("eff_ns.eps", lambda v: bounds.eff_ns(games.chsh(), v)),
         ("eff_local.eps", lambda v: bounds.eff_local(games.chsh(), v)),
         ("check_thm2.eps", lambda v: bounds.check_thm2(_XOR_F, _UNIFORM, v)),
-        ("QuantumStrategy.validate.tol",
-         lambda v: games.canonical_ms_strategy().validate(games.magic_square(), v)),
-        ("Correlation.validate.tol", lambda v: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(v)),
         ("abort_test.delta", lambda v: diqkd.abort_test(*_ABORT_TEST_ARRAYS, v)),
         ("solve_lp.c", lambda v: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, c=np.array([v, 0.0]))))),
         ("solve_lp.A", lambda v: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, A=np.array([[v, 1.0]]))))),
@@ -80,14 +73,12 @@ def _cases():
               for k in ("n", "gamma", "eps", "trials", "seed")]
     cases.append(("serfling_mc.pattern", lambda v: diqkd.serfling_mc(**_with(_SERFLING, pattern=np.full(20, v)))))
     cases += [(f"seesaw.{k}", lambda v, k=k: games.seesaw(games.chsh(), (2, 2), **{k: v}))
-              for k in ("restarts", "max_iters", "tol", "seed")]
+              for k in ("restarts", "seed")]
     cases.append(("RepetitionProbe.seed", lambda v: dpt.empirical_repeated_value(_probe(v))))
     cases += [(f"RepetitionProbe.{k}", lambda v, k=k: dpt.empirical_repeated_value(_probe(0, **{k: v})))
               for k in ("n", "comm_bits", "search_budget")]
     cases += [
         ("classical_value.budget", lambda v: games.classical_value(games.chsh(), budget=v)),
-        ("ns_game_value.budget", lambda v: bounds.ns_game_value(games.chsh(), budget=v)),
-        ("eff_local.budget", lambda v: bounds.eff_local(games.chsh(), 0.1, budget=v)),
         ("repeat.budget", lambda v: games.repeat(games.chsh(), 2, budget=v)),
     ]
     cases += [(f"randv_bound.{k}", lambda v, k=k: dpt.randv_bound(**_with(_RANDV, **{k: v})))
@@ -117,13 +108,10 @@ def test_non_finite_number_is_refused(call, value):
     [
         lambda: games.seesaw(games.chsh(), (2, 2), restarts=0),
         lambda: games.seesaw(games.chsh(), (2, 2), restarts=-1),
-        lambda: games.seesaw(games.chsh(), (2, 2), max_iters=0),
-        lambda: games.seesaw(games.chsh(), (2, 2), tol=-1e-12),
         lambda: games.seesaw(games.chsh(), (2, 2), seed=-5),
         lambda: diqkd.serfling_mc(**_with(_SERFLING, seed=-1)),
         lambda: dpt.empirical_repeated_value(_probe(-1)),
         lambda: games.seesaw(games.chsh(), (2, 2), restarts=2.5),
-        lambda: games.seesaw(games.chsh(), (2, 2), max_iters=2.5),
         lambda: games.random_subset_value(games.chsh(), 2.5, 1, _CONSTANT),
         lambda: games.random_subset_value(games.chsh(), 2, 1, _CONSTANT, trials=10.5),
         lambda: dpt.empirical_repeated_value(_probe(0, n=1.5)),
@@ -134,8 +122,6 @@ def test_non_finite_number_is_refused(call, value):
         lambda: dpt.empirical_repeated_value(_probe(0, search_budget=-5)),
         lambda: games.classical_value(games.chsh(), budget=-1),
         lambda: games.classical_value(games.chsh(), budget=1e8),
-        lambda: bounds.ns_game_value(games.chsh(), budget=-1),
-        lambda: bounds.eff_local(games.chsh(), 0.1, budget=-1),
         lambda: games.repeat(games.chsh(), 2, budget=-1),
         lambda: diqkd.ProtocolParams(**_with(_PROTOCOL, n=100.5)),
         lambda: diqkd.ProtocolParams(**_with(_PROTOCOL, seed=1.5)),
@@ -147,8 +133,8 @@ def test_non_finite_number_is_refused(call, value):
         lambda: diqkd.test_set_cheating_boxes(2.5),
         lambda: diqkd.LeakageBudget(10.5),
         lambda: diqkd.LeakageBudget(10, 0.5),
-        lambda: dpt.DPTParams(**_with(_DPT, l=2.5)),
-        lambda: dpt.DPTParams(**_with(_DPT, n=10.5)),
+        lambda: dpt.dpt_case_i_bound(**_with(_CASE_I, l=2.5)),
+        lambda: dpt.dpt_case_ii_bound(**_with(_CASE_II, n=10.5)),
         lambda: dpt.randv_bound(**_with(_RANDV, t=0.5)),
         lambda: dpt.randv_bound(**_with(_RANDV, n=50.5)),
         lambda: dpt.randv_bound(**_with(_RANDV, l=2.5)),
@@ -161,11 +147,11 @@ def test_non_finite_number_is_refused(call, value):
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": 2.5, "function_id": "ones"}]}),
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": "3", "function_id": "ones"}]}),
     ],
-    ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-max_iters-0", "seesaw-tol-neg", "seesaw-seed-neg",
-         "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float", "seesaw-max_iters-float",
+    ids=["seesaw-restarts-0", "seesaw-restarts-neg", "seesaw-seed-neg",
+         "serfling-seed-neg", "probe-seed-neg", "seesaw-restarts-float",
          "subset-n-float", "subset-trials-float", "probe-n-float", "probe-comm_bits-float", "probe-seed-float",
          "repeat-n-float", "serfling-trials-float", "probe-budget-neg",
-         "classical-budget-neg", "classical-budget-float", "ns-budget-neg", "eff_local-budget-neg",
+         "classical-budget-neg", "classical-budget-float",
          "repeat-budget-neg", "protocol-n-float", "protocol-seed-float", "run_index-float", "sweep-runs-float",
          "sweep-cell-n-float", "sweep-seed-neg", "sweep-seed-float", "test_set-guess-float",
          "budget-limit-float", "budget-used-float", "dpt-l-float", "dpt-n-float", "randv-t-float",
@@ -241,11 +227,9 @@ def test_abort_test_refuses_inputs_off_the_grid_and_rows_that_are_not_bits(a_T, 
     "call",
     [
         lambda: games.classical_value(games.chsh(), budget=0),
-        lambda: bounds.ns_game_value(games.chsh(), budget=0),
-        lambda: bounds.eff_local(games.chsh(), 0.1, budget=0),
         lambda: games.repeat(games.chsh(), 2, budget=0),
     ],
-    ids=["classical", "ns", "eff_local", "repeat"],
+    ids=["classical", "repeat"],
 )
 def test_zero_budget_is_a_valid_budget(call):
     with pytest.raises(BudgetExceededError):
@@ -265,8 +249,8 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: diqkd.ProtocolParams(n=1, alpha=1.0, gamma=1.0, delta=0.0, seed=0),
         lambda: diqkd.KeyRateParams(alpha=1.0, gamma=0.0, delta=0.0, c=0.0, n=1, nu=0.0, beta=0.0, PrE=1.0),
         lambda: diqkd.KeyRateParams(alpha=0.5, gamma=1.0, delta=0.125, c=0.1, n=10, nu=1.0, beta=1.0),
-        lambda: dpt.DPTParams(l=1, n=1, c=0.0, eps=0.0, zeta=0.0, nu=0.0),
-        lambda: dpt.DPTParams(l=2, n=1, c=0.0, eps=1.0, zeta=1.0, nu=1.0),
+        lambda: dpt.dpt_case_i_bound(l=1, n=1, c=0.0, nu=0.0, alphabet_sizes=(2,)),
+        lambda: dpt.dpt_case_ii_bound(l=1, n=1, c=1.0, eps=1.0, zeta=1.0, eff=1000.0, alphabet_sizes=(2,)),
         lambda: diqkd.LeakageBudget(0, 0),
         lambda: diqkd.HonestBoxes(0.0, 0),
         lambda: diqkd.HonestBoxes(0.5, 0),
@@ -278,7 +262,7 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, c=0.0, eps=0.0, delta1=0.0)),
         lambda: dpt.substate_perturbation_check_classical(**_with(_SUBSTATE, eps=1.0)),
         lambda: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[0.0, 0.5], [0.25, 0.25]]), 1.0),
-        lambda: games.Correlation(np.full((2, 2, 2, 2), 0.25), 2).validate(0.0),
+        lambda: dpt.dpt_case_i_bound(l=2, n=1, c=0.0, nu=1.0, alphabet_sizes=(2,)),
         lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.0),
         lambda: diqkd.abort_test(*_ABORT_TEST_ARRAYS, 0.5),
         lambda: dpt.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
@@ -289,12 +273,13 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.0),
         lambda: bounds.check_thm2(_XOR_F, _UNIFORM, 0.5),
         lambda: games.repeat(games.chsh(), 1),
-        lambda: games.seesaw(games.chsh(), (2, 2), restarts=1, max_iters=1, tol=0.0, seed=0),
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=1, seed=0),
         lambda: dpt.empirical_repeated_value(_probe(0)),
         lambda: bounds.solve_lp(bounds.LinearProgram(**_with(_LP, upper_bounds=np.array([math.inf, 1.0])))),
         lambda: games.random_subset_value(games.chsh(), 2, 0, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: games.random_subset_value(games.chsh(), 2, 2, games.ClassicalStrategy(((0, 0), (0, 0))), trials=1),
         lambda: dpt.empirical_repeated_value(_probe(0, search_budget=0)),
+        lambda: dpt.dpt_case_ii_bound(l=1, n=1, c=1.0, eps=0.0, zeta=1.0, eff=1000.0, alphabet_sizes=(2,)),
     ],
 )
 def test_closed_interval_ends_are_accepted(call):
