@@ -111,7 +111,9 @@ def randv_bound(
     ``generic`` mode: ``(1 - nu + beta_const (sqrt(l c) + l sqrt(t log2
     prod|A_j| / n)))^t``.  ``mse`` mode uses the specialised base
     ``(1 - nu + beta_const (sqrt(c) + sqrt(t/n))) / 9``.  Bases are
-    clamped to [0, 1]."""
+    clamped to [0, 1].  ``alphabet_sizes`` is checked whenever it is given,
+    also at t = 0 and in ``mse`` mode, which does not read it; ``generic``
+    mode requires it."""
     if mode not in ("generic", "mse"):
         raise ValidationError(f"unknown mode {mode!r}")
     check_range("n", n, 1, math.inf, integer=True)
@@ -120,12 +122,12 @@ def randv_bound(
     check_range("beta_const", beta_const, 0.0, math.inf)
     check_range("l", l, 1, math.inf, integer=True)
     check_range("nu", nu, 0.0, 1.0)
+    log_alpha = None if mode == "mse" and alphabet_sizes is None else _log2_alphabet(alphabet_sizes)
     if t == 0:
         return 1.0
     if mode == "mse":
         base = (1.0 - nu + beta_const * (math.sqrt(c) + math.sqrt(t / n))) / 9.0
     else:
-        log_alpha = _log2_alphabet(alphabet_sizes)
         base = 1.0 - nu + beta_const * (
             math.sqrt(l * c) + l * math.sqrt(t * log_alpha / n)
         )

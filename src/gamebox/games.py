@@ -551,13 +551,14 @@ def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray
     input ``x`` of the ``(|X|, |A|, d, d)`` stacks at once.
 
     Two outcomes: exact via the positive part of ``G[x, 0] - G[x, 1]``.
-    More outcomes: repeated exact two-outcome improvements on pairs, each
-    applied to an input only when its own gain exceeds ``tol``; an input
-    leaves the batch after a sweep that improved it by at most ``tol``, and
-    no input gets more than 60 sweeps.  A sweep visits the pairs in the
-    round-robin rounds of ``_pair_rounds``; the pairs of a round touch
-    different elements, so one batched step over the (input, pair) stack
-    does the round, the same as its pairs one after another.
+    More outcomes: one round-robin sweep of exact two-outcome improvements
+    on pairs, each applied to an input only when its own gain exceeds
+    ``tol``.  The sweep visits the pairs in the round-robin rounds of
+    ``_pair_rounds``; the pairs of a round touch different elements, so one
+    batched step over the (input, pair) stack does the round, the same as
+    its pairs one after another.  The sweep need not converge: every pair
+    step is an exact improvement, and the seesaw's next iteration sweeps
+    again against the new state.
 
     ``current`` must be projective, as every stack the seesaw passes in
     is (Haar splits, the two-outcome projectors, this update's own
@@ -580,29 +581,18 @@ def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray
     if n == 2:
         P = qcore.psd_power(G[:, 0] - G[:, 1], 0.0)
         return np.stack([P, eye - P], axis=1)
-    rounds = [np.array(pairs).T for pairs in _pair_rounds(n)]
     ms = current.astype(complex)
-    active = np.arange(k)
-    for _ in range(60):
-        cur, g = ms[active], G[active]
-        improved = np.zeros(active.size)
-        for alpha, beta in rounds:
-            old_alpha = cur[:, alpha]
-            S = old_alpha + cur[:, beta]
-            delta = g[:, alpha] - g[:, beta]
-            P = qcore.psd_power(S @ delta @ S + S - ident, 0.0)
-            gain = np.einsum("kpij,kpji->kp", P - old_alpha, delta).real
-            up = gain > tol
-            improved += np.where(up, gain, 0.0).sum(axis=1)
-            i, q = np.nonzero(up)
-            new_alpha = P[i, q]
-            new_alpha = (new_alpha + new_alpha.conj().swapaxes(-1, -2)) / 2
-            cur[i, alpha[q]] = new_alpha
-            cur[i, beta[q]] = S[i, q] - new_alpha
-        ms[active] = cur
-        active = active[improved > tol]
-        if active.size == 0:
-            break
+    for alpha, beta in (np.array(pairs).T for pairs in _pair_rounds(n)):
+        old_alpha = ms[:, alpha]
+        S = old_alpha + ms[:, beta]
+        delta = G[:, alpha] - G[:, beta]
+        P = qcore.psd_power(S @ delta @ S + S - ident, 0.0)
+        gain = np.einsum("kpij,kpji->kp", P - old_alpha, delta).real
+        i, q = np.nonzero(gain > tol)
+        new_alpha = P[i, q]
+        new_alpha = (new_alpha + new_alpha.conj().swapaxes(-1, -2)) / 2
+        ms[i, alpha[q]] = new_alpha
+        ms[i, beta[q]] = S[i, q] - new_alpha
     return ms
 
 
@@ -638,12 +628,13 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
     ``(restarts, |X_j|, |A_j|, d_j, d_j)`` stack: an iteration takes one
     batched ``eigh`` of the restarts' game operators and, per player, one
     ``_optimize_povm`` call on the stacks flattened to ``restarts * |X_j|``
-    inputs, whose round-robin pair rounds each take one batched ``eigh``
-    over every (input, pair).  Both act matrix by matrix and input by
-    input, so each restart computes exactly what it would alone.  The
-    contractions stay per restart: a batched ``tensordot`` could block its
-    sums differently.  Each player's einsum plan for the effective
-    operators is made once here (``_effective_path``), not on every call."""
+    inputs: one round-robin sweep per iteration, whose pair rounds each
+    take one batched ``eigh`` over every (input, pair).  Both act matrix by
+    matrix and input by input, so each restart computes exactly what it
+    would alone.  The contractions stay per restart: a batched
+    ``tensordot`` could block its sums differently.  Each player's einsum
+    plan for the effective operators is made once here
+    (``_effective_path``), not on every call."""
     draws = [_random_povms(game, local_dims, np.random.default_rng([seed, r])) for r in rs]
     povms = [np.stack(M) for M in zip(*draws)]
     live, prev = list(rs), [-1.0] * len(rs)
@@ -699,9 +690,9 @@ def seesaw(
     gains less than ``_SEESAW_TOL`` or after ``_SEESAW_ITERS`` iterations;
     a restart that reaches 1 - 1e-9 ends the search.
     The measurements stay projective throughout: with three or more
-    outputs, ``_optimize_povm`` improves pairs of outputs in round-robin
-    rounds, one ``eigh`` per pair step, and its exact pair update returns
-    projectors when given projectors.
+    outputs, ``_optimize_povm`` makes one round-robin sweep per iteration
+    over the pairs of outputs, one ``eigh`` per pair step, and its exact
+    pair update returns projectors when given projectors.
 
     Player j's POVMs are one ``(|X_j|, |A_j|, d_j, d_j)`` stack, and ``W``
     and player j's effective operators each come from one contraction of

@@ -425,6 +425,16 @@ def test_dpt_bound_randv_mse(capsys):
     assert json.loads(out)["value"] == pytest.approx((1.1 / 9) ** 10, rel=1e-9)
 
 
+@pytest.mark.parametrize("extra", [("--t", "0"), ("--t", "2", "--mode", "mse")], ids=["t0", "mse"])
+def test_dpt_bound_randv_checks_the_alphabets_it_is_given(capsys, extra):
+    # neither t = 0 (bound 1) nor mse mode (no alphabet in the base) reads
+    # the alphabet sizes, and neither lets a bad one through
+    code, out, err = run(capsys, "dpt", "bound", "randv", "--n", "10", "--alphabets", "0,-3", *extra)
+    assert code == 1
+    assert out == "" and "alphabet size" in err
+    assert run(capsys, "dpt", "bound", "randv", "--n", "10", *extra)[0] == 0
+
+
 def test_dpt_probe_cli_matches_api(capsys):
     code, out, _ = run(
         capsys, "dpt", "probe", "--builtin", "magic_square", "--n", "1", "--comm-bits", "2",
@@ -841,7 +851,7 @@ PINNED_GAME_VALUE_OUTPUTS = [
         '  "method": "seesaw",\n'
         '  "restarts": 20,\n'
         '  "seed": 7,\n'
-        '  "value": 0.9999999991941269\n'
+        '  "value": 0.9999999990560471\n'
         "}\n",
     ),
 ]

@@ -112,6 +112,14 @@ def test_randv_bound_edges():
         dpt.randv_bound(11, 10, 0.0, 2, 0.5, 1.0, alphabet_sizes=(4, 4))
     with pytest.raises(ValidationError):
         dpt.randv_bound(2, 10, 0.0, 2, 0.5, 1.0, mode="bogus")
+    # alphabet sizes are checked whenever given, also where the bound does
+    # not read them; generic mode needs them even at t = 0
+    for t, mode in [(0, "generic"), (0, "mse"), (2, "mse")]:
+        with pytest.raises(ValidationError, match="alphabet size"):
+            dpt.randv_bound(t, 10, 0.0, 2, 0.5, 1.0, alphabet_sizes=(0, -3), mode=mode)
+    with pytest.raises(ValidationError, match="alphabet_sizes required"):
+        dpt.randv_bound(0, 10, 0.0, 2, 0.5, 1.0)
+    assert dpt.randv_bound(0, 10, 0.0, 2, 0.5, 1.0, mode="mse") == 1.0
 
 
 @given(st.integers(1, 8), st.floats(0.0, 0.4), st.floats(0.0, 0.2))
