@@ -4,7 +4,9 @@
 Writes one CSV row per grid cell and reports the best positive-rate
 cell on stderr, if any. Protocol simulation is off by default (runs=0)
 so large grids stay cheap; pass --runs to also estimate abort
-frequency and QBER per cell.
+frequency and QBER. Each distinct (n, alpha, gamma, delta) is simulated
+once, so the --c, --nu and --beta axes add no runs: their cells share
+one estimate and differ only through the rate formula.
 
 Example:
     python3 scripts/keyrate_sweep.py --n 1000000 \

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import games as games_mod
 from .errors import (
     BudgetExceededError,
     ProtocolViolationError,
@@ -182,7 +181,19 @@ class BoxPair:
     with entries in {0, 1, 2}, and the (pre-output) leakage channel.  It
     must return Alice rows with even parity and Bob rows with odd parity,
     shapes (n, 3), entries 0 or 1 (uint8 rows are checked fastest).
+
+    Building a box loads ``games`` for the grid game's even and odd
+    parity rows, so the commands that build none (``diqkd rate``,
+    ``diqkd serfling``) load neither it nor ``qcore``.  The boxes below
+    call ``BoxPair.__init__`` before they make their generators: loaded
+    inside the first run instead, after those and the run's round
+    arrays, ``games`` raised the peak RSS of an n = 10^6 run by ~0.8 MB.
     """
+
+    def __init__(self):
+        from .games import EVEN_BITS, ODD_BITS
+
+        self._even_rows, self._odd_rows = EVEN_BITS, ODD_BITS
 
     def produce(self, xs: np.ndarray, ys: np.ndarray, channel: LeakageChannel):
         raise NotImplementedError
@@ -196,7 +207,9 @@ def _ms_index_table() -> np.ndarray:
     counting from 1 in ascending order, the one that a uniform draw ``u``
     with ``ceil(8u) = j`` selects; ``j = 0``, a draw of exactly 0, takes
     the first."""
-    wins = games_mod.magic_square().V.transpose(2, 3, 0, 1).reshape(9, 16)
+    from . import games
+
+    wins = games.magic_square().V.transpose(2, 3, 0, 1).reshape(9, 16)
     outcomes = np.nonzero(wins)[1].reshape(9, 8)  # row-major: ascending within each pair
     return outcomes[:, [0, 0, 1, 2, 3, 4, 5, 6, 7]].astype(np.uint8).ravel()
 
@@ -304,6 +317,7 @@ class HonestBoxes(BoxPair):
     calls and chunks."""
 
     def __init__(self, delta: float, seed):
+        super().__init__()
         check_range("delta", delta, 0.0, 0.5)
         self.delta = float(delta)
         self._cells, self._noise, self._answers = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
@@ -314,7 +328,7 @@ class HonestBoxes(BoxPair):
         ys = ys.astype(np.uint8, copy=False).ravel()
         n = xs.size
         joint = _ms_index_table()
-        alice_rows = games_mod.EVEN_BITS[joint >> 2]  # (81, 3): Alice's row per table entry
+        alice_rows = self._even_rows[joint >> 2]  # (81, 3): Alice's row per table entry
         bob_index = joint & 3  # Bob's row index per table entry
         A = np.empty((n, 3), dtype=np.uint8)
         B = np.empty((n, 3), dtype=np.uint8)
@@ -331,7 +345,7 @@ class HonestBoxes(BoxPair):
             b_idx = np.take(bob_index, cell)
             noisy = np.flatnonzero(self._noise.random(hi - lo) < 2.0 * self.delta)
             b_idx[noisy] = self._answers.integers(0, 4, noisy.size)
-            np.take(games_mod.ODD_BITS, b_idx, axis=0, out=B[lo:hi])
+            np.take(self._odd_rows, b_idx, axis=0, out=B[lo:hi])
         return A, B
 
 
@@ -342,8 +356,8 @@ class BaselineCheatingBoxes(BoxPair):
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
         n = xs.size
-        A = np.repeat(games_mod.EVEN_BITS[0][None, :], n, axis=0)
-        B = np.repeat(games_mod.ODD_BITS[0][None, :], n, axis=0)
+        A = np.repeat(self._even_rows[0][None, :], n, axis=0)
+        B = np.repeat(self._odd_rows[0][None, :], n, axis=0)
         return A, B
 
 
@@ -353,27 +367,30 @@ class TestSetCheatingBoxes(BoxPair):
     bit), Bob's box learns enough to answer consistently in that round."""
 
     def __init__(self, guess_count: int):
+        super().__init__()
         self.guess_count = check_range("guess_count", guess_count, 0, math.inf, integer=True)
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
         n = xs.size
-        A = np.repeat(games_mod.EVEN_BITS[0][None, :], n, axis=0)
-        B = np.repeat(games_mod.ODD_BITS[0][None, :], n, axis=0)
+        A = np.repeat(self._even_rows[0][None, :], n, axis=0)
+        B = np.repeat(self._odd_rows[0][None, :], n, axis=0)
         affordable = min(self.guess_count, channel.remaining // 5, n)
         for i in range(affordable):
             channel.send("bob_box", "alice_box", 2, format(ys[i], "02b"))
             channel.send("alice_box", "bob_box", 2, format(xs[i], "02b"))
             key_bit = int(A[i, ys[i]])
             channel.send("alice_box", "bob_box", 1, str(key_bit))
-            B[i] = games_mod.ODD_BITS[_odd_row_with_bit(int(xs[i]), key_bit)]
+            B[i] = self._odd_rows[_odd_row_with_bit(int(xs[i]), key_bit)]
         return A, B
 
 
 @functools.cache
 def _odd_row_with_bit(position: int, bit: int) -> int:
+    from .games import ODD_BITS
+
     for idx in range(4):
-        if games_mod.ODD_BITS[idx][position] == bit:
+        if ODD_BITS[idx][position] == bit:
             return idx
     raise AssertionError("odd-parity rows realise both bit values in every position")
 
@@ -926,24 +943,30 @@ def sweep(cells, runs_per_cell: int, seed: int) -> list[dict]:
     """Evaluate the rate formula (and, when runs_per_cell > 0, honest-box
     abort/error statistics feeding PrE) on each parameter cell.
 
-    Every cell is checked before the first run.  Cell ``ci`` is simulated
-    as one ``run_batch(params, honest_boxes(delta, [seed, ci, 7]),
-    runs_per_cell, run_index=ci)``.
+    Every cell is checked before the first run.  Each distinct
+    ``ProtocolParams`` (n, alpha, gamma, delta, seed) is simulated once, as
+    its first cell ``ci`` is: one ``run_batch(params, honest_boxes(delta,
+    [seed, ci, 7]), runs_per_cell, run_index=ci)``.  The cells that share
+    it (they differ only in ``c``, ``nu`` or ``beta``, which the
+    simulation never reads) share its abort frequency and QBER, so along
+    those axes their rates differ only through the formula.
 
     Returns one dict per cell with SWEEP_COLUMNS keys.
     """
     check_range("runs_per_cell", runs_per_cell, 0, math.inf, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
     checked = [_checked_cell(cell, runs_per_cell, seed) for cell in cells]
+    stats = {}  # ProtocolParams -> (abort_freq, qber) of its first cell
     rows = []
     for ci, (conf, params, rate_params) in enumerate(checked):
         abort_freq = math.nan
         qber = math.nan
         pre_est = 1.0
         if params is not None:
-            batch = run_batch(params, honest_boxes(params.delta, [seed, ci, 7]), runs_per_cell, run_index=ci)
-            abort_freq = int(np.count_nonzero(batch.aborted)) / runs_per_cell
-            qber = float(np.mean(batch.qber))
+            if params not in stats:
+                batch = run_batch(params, honest_boxes(params.delta, [seed, ci, 7]), runs_per_cell, run_index=ci)
+                stats[params] = (int(np.count_nonzero(batch.aborted)) / runs_per_cell, float(np.mean(batch.qber)))
+            abort_freq, qber = stats[params]
             pre_est = max(1.0 - abort_freq, 1e-9)
 
         rate = key_rate(dataclasses.replace(rate_params, PrE=pre_est))

@@ -649,13 +649,13 @@ PINNED_DIQKD_OUTPUTS = [
         "diqkd sweep --n 5000 --alpha 0.5 --gamma 0.1,0.2 --delta 0.02,0.05 --c 0,0.001 --runs 50 --seed 1",
         "n,alpha,gamma,delta,c,nu,beta,PrE_est,abort_freq,qber,rate_bits,rate_per_copy,eps_smooth,seed\n"
         "5000,0.5,0.1,0.02,0.0,0.01,1.0,0.98,0.02,0.018080000000000016,-4003.6920503233923,-0.8007384100646785,0.007971938775510204,1\n"
-        "5000,0.5,0.1,0.02,0.001,0.01,1.0,1.0,0.0,0.020000000000000018,-4082.7198454819422,-0.8165439690963885,0.0078125,1\n"
+        "5000,0.5,0.1,0.02,0.001,0.01,1.0,0.98,0.02,0.018080000000000016,-4082.748991827602,-0.8165497983655203,0.007971938775510204,1\n"
         "5000,0.5,0.1,0.05,0.0,0.01,1.0,1.0,0.0,0.04896000000000003,-5602.407427403181,-1.1204814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.047360000000000034,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
+        "5000,0.5,0.1,0.05,0.001,0.01,1.0,1.0,0.0,0.04896000000000003,-5681.464368907391,-1.1362928737814781,1.7763568394002418e-15,1\n"
         "5000,0.5,0.2,0.02,0.0,0.01,1.0,1.0,0.0,0.02256000000000002,-4253.662903977733,-0.8507325807955465,0.0078125,1\n"
-        "5000,0.5,0.2,0.02,0.001,0.01,1.0,0.98,0.02,0.02048000000000002,-4332.7489918276015,-0.8665497983655203,0.007971938775510204,1\n"
+        "5000,0.5,0.2,0.02,0.001,0.01,1.0,1.0,0.0,0.02256000000000002,-4332.719845481942,-0.8665439690963883,0.0078125,1\n"
         "5000,0.5,0.2,0.05,0.0,0.01,1.0,1.0,0.0,0.04956000000000003,-5852.407427403181,-1.1704814854806362,1.7763568394002418e-15,1\n"
-        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.050920000000000035,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
+        "5000,0.5,0.2,0.05,0.001,0.01,1.0,1.0,0.0,0.04956000000000003,-5931.464368907391,-1.1862928737814782,1.7763568394002418e-15,1\n",
     ),
     (
         "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8",
@@ -889,8 +889,8 @@ README_COMMAND_MODULES = {
     "dpt probe --builtin chsh --n 2 --comm-bits 1 --seed 0": _DPT,
     "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 1000 --seed 1": _DIQKD,
     "diqkd run --n 200 --boxes test_set --guess 40 --limit-bits 500 --seed 1": _DIQKD,
-    "diqkd rate --alpha 0.04 --gamma 0.01 --delta 0.001 --c 0.001 --n 1000000 --nu 0.3 --beta 0.5": _DIQKD,
-    "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8": _DIQKD,
+    "diqkd rate --alpha 0.04 --gamma 0.01 --delta 0.001 --c 0.001 --n 1000000 --nu 0.3 --beta 0.5": ("diqkd",),
+    "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8": ("diqkd",),
 }
 
 

@@ -1133,9 +1133,47 @@ def test_sweep_checks_every_cell_before_the_first_run(monkeypatch):
         with pytest.raises(ValidationError):
             diqkd.sweep([good, good, bad], runs_per_cell=5, seed=0)
     assert calls == []
-    # with valid cells the wrapper sees one call a cell
+    # with valid cells the wrapper sees one call a distinct configuration
     diqkd.sweep([good, good], runs_per_cell=5, seed=0)
+    assert len(calls) == 1
+    calls.clear()
+    diqkd.sweep([good, {**good, "c": 0.001}, {**good, "gamma": 0.1}], runs_per_cell=5, seed=0)
     assert len(calls) == 2
+
+
+def test_sweep_shares_one_simulation_per_configuration():
+    # duplicates along c, nu and beta, one literal duplicate cell, and a
+    # second configuration between them
+    base = {"n": 300, "alpha": 0.5, "gamma": 0.2, "delta": 0.05}
+    cells = [
+        base,
+        {**base, "c": 0.001},
+        {**base, "gamma": 0.1},
+        {**base, "nu": 0.3},
+        {**base, "gamma": 0.1, "beta": 0.5},
+        {**base, "c": 0.002, "nu": 0.2, "beta": 0.7},
+        base,
+    ]
+    runs, seed = 40, 3
+    rows = diqkd.sweep(cells, runs_per_cell=runs, seed=seed)
+    first = {}  # gamma -> index of the first cell with that configuration
+    for ci, cell in enumerate(cells):
+        first.setdefault(cell["gamma"], ci)
+    for cell, row in zip(cells, rows):
+        ci = first[cell["gamma"]]
+        params = diqkd.ProtocolParams(n=300, alpha=0.5, gamma=cell["gamma"], delta=0.05, seed=seed)
+        batch = diqkd.run_batch(params, diqkd.honest_boxes(0.05, [seed, ci, 7]), runs, run_index=ci)
+        abort_freq = int(np.count_nonzero(batch.aborted)) / runs
+        assert row["abort_freq"] == abort_freq
+        assert row["qber"] == float(np.mean(batch.qber))
+        pre = max(1.0 - abort_freq, 1e-9)
+        assert row["PrE_est"] == pre
+        conf = {"c": 0.0, "nu": 0.01, "beta": 1.0, **cell}
+        expect = _rate_oracle(0.5, cell["gamma"], 0.05, conf["c"], 300, conf["nu"], conf["beta"], pre)
+        assert row["rate_bits"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert row["eps_smooth"] == pytest.approx(2 * 2 ** (-8 * 0.05**2 * 0.5 * 300) / pre, rel=1e-12)
+    # the literal duplicate prints its first cell's row
+    assert rows[-1] == rows[0]
 
 
 def test_sweep_validation():
