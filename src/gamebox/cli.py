@@ -128,11 +128,13 @@ def _load_game(args):
     raise ValidationError("provide --builtin NAME or --game FILE")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValidationError(
+            f"{name} must be an integer or comma-separated integers (finite, in plain digits), got {text!r}"
+        ) from None
 
 
 def _finite_float(text: str) -> float:
@@ -168,7 +170,7 @@ def _cmd_game_value(args):
         res = games.classical_value(game, budget=args.budget)
         doc = {"game": label, "method": "classical", "value": res.value, "kind": res.kind}
     elif args.method == "seesaw":
-        dims = _int_list(args.dims) if args.dims else tuple(max(2, s) for s in game.output_sizes)
+        dims = _int_list(args.dims, "dims") if args.dims else tuple(max(2, s) for s in game.output_sizes)
         res = games.seesaw(game, dims, restarts=args.restarts, seed=args.seed)
         doc = {
             "game": label,
@@ -244,7 +246,7 @@ def _cmd_bounds_check_thm2(args):
 def _cmd_dpt_bound(args):
     from . import dpt
 
-    alphabets = list(_int_list(args.alphabets))
+    alphabets = list(_int_list(args.alphabets, "alphabets"))
     if args.which == "case-i":
         params = {"l": args.l, "n": args.n, "c": args.c, "nu": args.nu,
                   "alphabet_sizes": alphabets, "exponent_const": args.exponent_const}
@@ -338,8 +340,7 @@ def _cmd_diqkd_sweep(args):
     from . import diqkd
 
     axes = {
-        # whole numbers as int; sweep refuses the others
-        "n": [int(v) if v.is_integer() else v for v in _float_list(args.n)],
+        "n": list(_int_list(args.n, "n")),
         "alpha": list(_float_list(args.alpha)),
         "gamma": list(_float_list(args.gamma)),
         "delta": list(_float_list(args.delta)),

@@ -62,14 +62,15 @@ def check_range(
     ``lo`` to ``hi``; each end is closed unless ``lo_open`` / ``hi_open``,
     and an infinite end bounds nothing.  Integers come back unchanged,
     anything else as a float.  With ``integer`` (counts, seeds, budgets)
-    the value must be a ``numbers.Integral``: ``2.0`` is refused too.
+    the value must be a ``numbers.Integral`` other than ``bool``: ``2.0``
+    and ``True`` are refused too.
 
     Raises :class:`ValidationError` for a value outside the interval, for
     NaN and +-inf (a bare ``value < lo`` lets NaN through) and for a
     non-number.
     """
     integral = isinstance(value, numbers.Integral)
-    if integer and not integral:
+    if integer and (not integral or isinstance(value, bool)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         finite = integral or math.isfinite(value)

@@ -481,54 +481,51 @@ def canonical_ms_strategy() -> QuantumStrategy:
 
 
 def _contract(pV: np.ndarray, M: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
-    """``sum_{x, a} pV[a, x] (x)_k M[k][x_k, a_k]`` over every player k but
-    ``skip``.  Axes of the result: ``(a_skip, x_skip)`` when a player is
-    skipped, then the row and column axis of each contracted player in order."""
-    T, labels = pV, [("a", k) for k in range(len(M))] + [("x", k) for k in range(len(M))]
+    """``sum_{x, a} pV[a, x] (x)_k M[k][r, x_k, a_k]`` over every player k
+    but ``skip``, for each restart r of a group's ``(R, |X_k|, |A_k|, d_k,
+    d_k)`` stacks: one stacked matmul per player, which computes each
+    restart's product as it would alone.  Axes of the result: r (length 1
+    if no player is contracted), ``(a_skip, x_skip)`` when a player is
+    skipped, then the row and column axis of each contracted player."""
+    T, labels = pV[None], ["r"] + [("a", k) for k in range(len(M))] + [("x", k) for k in range(len(M))]
     for k in range(len(M)):
         if k != skip:
-            T = np.tensordot(T, M[k], axes=([labels.index(("x", k)), labels.index(("a", k))], [0, 1]))
-            labels = [t for t in labels if t[1] != k] + [("r", k), ("c", k)]
+            R, n_in, n_out, d = M[k].shape[:4]
+            pair = [labels.index(("x", k)), labels.index(("a", k))]
+            rest = [i for i in range(T.ndim) if i not in pair]
+            T = T.transpose(rest + pair)
+            free = T.shape[1 : len(rest)]
+            T = T.reshape(T.shape[0], -1, n_in * n_out) @ M[k].reshape(R, n_in * n_out, d * d)
+            T = T.reshape(R, *free, d, d)
+            labels = [labels[i] for i in rest] + [("r", k), ("c", k)]
     return T
 
 
 def _game_operator(pV: np.ndarray, M: Sequence[np.ndarray]) -> np.ndarray:
-    """The game operator ``W = sum_{x, a} p(x) V(a | x) (x)_k M[k][x_k, a_k]``."""
+    """Each restart's game operator ``W = sum_{x, a} p(x) V(a | x) (x)_k
+    M[k][x_k, a_k]``, an ``(R, D, D)`` stack."""
     l = len(M)
     D = math.prod(m.shape[-1] for m in M)
-    W = _contract(pV, M).transpose(list(range(0, 2 * l, 2)) + list(range(1, 2 * l, 2))).reshape(D, D)
-    return (W + W.conj().T) / 2
+    T = _contract(pV, M)
+    W = T.transpose([0] + list(range(1, 2 * l, 2)) + list(range(2, 2 * l + 1, 2))).reshape(T.shape[0], D, D)
+    return (W + W.conj().swapaxes(-1, -2)) / 2
 
 
-def _effective_subscripts(l: int, j: int) -> tuple[list[int], list[int], list[int]]:
-    """einsum labels of ``_effective_operators``: 0 = a_j, 1 = x_j, 2 / 3 =
-    row / column of G (the ket / bra side of psi), 4 + 2k / 5 + 2k = row /
-    column of player k's M.  Returns the labels of the contracted table,
-    of the bra and of the ket."""
-    idx = [0, 1] + [i for k in range(l) if k != j for i in (4 + 2 * k, 5 + 2 * k)]
-    bra = [3 if k == j else 4 + 2 * k for k in range(l)]
-    ket = [2 if k == j else 5 + 2 * k for k in range(l)]
-    return idx, bra, ket
-
-
-def _effective_path(pV: np.ndarray, local_dims: Sequence[int], j: int) -> list:
-    """``np.einsum_path``'s greedy plan for player j's ``_effective_operators``,
-    the plan ``optimize=True`` makes on every call.  It depends on the
-    shapes only, so it is planned on empty stand-ins."""
-    l = len(local_dims)
-    T = np.empty((pV.shape[j], pV.shape[l + j]) + tuple(d for k in range(l) if k != j for d in [local_dims[k]] * 2))
-    psi_t = np.empty(local_dims)
-    idx, bra, ket = _effective_subscripts(l, j)
-    return np.einsum_path(T, idx, psi_t, bra, psi_t, ket, [1, 0, 2, 3], optimize="greedy")[0]
-
-
-def _effective_operators(pV: np.ndarray, M: Sequence[np.ndarray], psi_t: np.ndarray, j: int, path) -> np.ndarray:
-    """Stack ``G[x_j, a_j]`` of player j's effective operators:
+def _effective_operators(pV: np.ndarray, M: Sequence[np.ndarray], psi: np.ndarray, j: int) -> np.ndarray:
+    """Stack ``G[r, x_j, a_j]`` of player j's effective operators for each
+    restart r of a group, whose states are the rows of ``psi``:
     ``<psi| W |psi> = sum_{x_j, a_j} Tr(M[j][x_j, a_j] G[x_j, a_j])``, where
-    ``G`` holds the other players' stacks only.  ``path`` is the einsum
-    plan, ``_effective_path(pV, local_dims, j)``."""
-    idx, bra, ket = _effective_subscripts(len(M), j)
-    return np.einsum(_contract(pV, M, skip=j), idx, psi_t.conj(), bra, psi_t, ket, [1, 0, 2, 3], optimize=path)
+    ``G`` holds the other players' stacks only.  With ``O[x_j, a_j]`` the
+    other players' part of ``W`` and ``Psi`` the state as a ``d_j x
+    D_others`` matrix, ``G = Psi O^T Psi^H``: two stacked matmuls."""
+    l, dims = len(M), [m.shape[-1] for m in M]
+    T = _contract(pV, M, skip=j)
+    R, n_out, n_in = T.shape[:3]
+    # O^T: the columns of the other players first, then their rows
+    OT = T.transpose([0, 2, 1] + list(range(4, 2 * l + 1, 2)) + list(range(3, 2 * l, 2)))
+    OT = OT.reshape(R, n_in, n_out, *[math.prod(dims) // dims[j]] * 2)
+    Psi = np.moveaxis(psi.reshape(-1, *dims), j + 1, 1).reshape(-1, 1, 1, dims[j], OT.shape[-1])
+    return Psi @ OT @ Psi.conj().swapaxes(-1, -2)
 
 
 def _pair_rounds(n: int) -> list[list[tuple[int, int]]]:
@@ -596,21 +593,26 @@ def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray
     return ms
 
 
-def _random_povms(game: GamePredicate, local_dims, rng) -> list[np.ndarray]:
-    """Per player, a ``(|X_j|, |A_j|, d_j, d_j)`` stack of Haar-random
-    projective measurements, the d_j columns of one unitary per input
-    split as evenly as the outputs allow (the first outputs get the extra
-    columns, later ones none when d_j < |A_j|)."""
+def _random_povms(game: GamePredicate, local_dims, seed: int, rs: range) -> list[np.ndarray]:
+    """Per player, the ``(R, |X_j|, |A_j|, d_j, d_j)`` stack of Haar-random
+    projective measurements of the restarts ``rs``: per input, restart r's
+    ``default_rng([seed, r])`` draws a complex Gaussian matrix, whose QR
+    (stacked over the group) with phases fixed gives a Haar unitary.  Its
+    columns are split as evenly as the outputs allow (the first outputs
+    get the extra columns, later ones none when d_j < |A_j|)."""
+    rngs = [np.random.default_rng([seed, r]) for r in rs]
     povms = []
     for j, d in enumerate(local_dims):
         n_out = game.output_sizes[j]
+        z = np.stack([rng.normal(size=(game.input_sizes[j], 2, d, d)) for rng in rngs])
+        q, tri = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
+        diag = np.diagonal(tri, axis1=-2, axis2=-1)
+        U = q * (diag / np.abs(diag))[..., None, :]
         edges = np.cumsum([0] + [d // n_out + (1 if k < d % n_out else 0) for k in range(n_out)])
-        M = np.empty((game.input_sizes[j], n_out, d, d), dtype=complex)
-        for x in range(game.input_sizes[j]):
-            U = qcore.random_unitary(d, rng)
-            for a in range(n_out):
-                cols = U[:, edges[a] : edges[a + 1]]
-                M[x, a] = cols @ cols.conj().T
+        M = np.empty((len(rngs), game.input_sizes[j], n_out, d, d), dtype=complex)
+        for a in range(n_out):
+            cols = U[..., edges[a] : edges[a + 1]]
+            M[:, :, a] = cols @ cols.conj().swapaxes(-1, -2)
         povms.append(M)
     return povms
 
@@ -625,38 +627,25 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
     index order once it and every restart before it in ``rs`` have stopped.
 
     Player j's POVMs of every restart still running form one
-    ``(restarts, |X_j|, |A_j|, d_j, d_j)`` stack: an iteration takes one
-    batched ``eigh`` of the restarts' game operators and, per player, one
-    ``_optimize_povm`` call on the stacks flattened to ``restarts * |X_j|``
-    inputs: one round-robin sweep per iteration, whose pair rounds each
-    take one batched ``eigh`` over every (input, pair).  Both act matrix by
-    matrix and input by input, so each restart computes exactly what it
-    would alone.  The contractions stay per restart: a batched
-    ``tensordot`` could block its sums differently.  Each player's einsum
-    plan for the effective operators is made once here
-    (``_effective_path``), not on every call."""
-    draws = [_random_povms(game, local_dims, np.random.default_rng([seed, r])) for r in rs]
-    povms = [np.stack(M) for M in zip(*draws)]
+    ``(restarts, |X_j|, |A_j|, d_j, d_j)`` stack, drawn in one call.  An
+    iteration takes the game operators and effective operators as stacked
+    matmuls over the group, one batched ``eigh`` of the game operators
+    and, per player, one ``_optimize_povm`` call on the stacks flattened to
+    ``restarts * |X_j|`` inputs: one round-robin sweep, whose pair rounds
+    each take one batched ``eigh`` over every (input, pair).  Stacked
+    matmul, QR and ``eigh`` act matrix by matrix, and the POVM update input
+    by input, so each restart computes exactly what it would alone."""
+    povms = _random_povms(game, local_dims, seed, rs)
     live, prev = list(rs), [-1.0] * len(rs)
-
-    def game_operators():
-        return np.stack([_game_operator(pV, [M[i] for M in povms]) for i in range(len(live))])
-
-    W = game_operators()
-    paths = [_effective_path(pV, local_dims, j) for j in range(game.players)]
+    W = _game_operator(pV, povms)
     finished, nxt = {}, rs.start
     for it in range(max_iters):
         psi = np.linalg.eigh(W)[1][..., -1]
         for j in range(game.players):
-            G = np.concatenate(
-                [
-                    _effective_operators(pV, [M[i] for M in povms], psi[i].reshape(local_dims), j, paths[j])
-                    for i in range(len(live))
-                ]
-            )
             shape = povms[j].shape
+            G = _effective_operators(pV, povms, psi, j).reshape(-1, *shape[2:])
             povms[j] = _optimize_povm(G, povms[j].reshape(-1, *shape[2:]), tol * 0.1).reshape(shape)
-        W = game_operators()
+        W = _game_operator(pV, povms)
         stay = []
         for i, r in enumerate(live):
             val = float(np.real(psi[i].conj() @ (W[i] @ psi[i])))
@@ -695,8 +684,9 @@ def seesaw(
     pair update returns projectors when given projectors.
 
     Player j's POVMs are one ``(|X_j|, |A_j|, d_j, d_j)`` stack, and ``W``
-    and player j's effective operators each come from one contraction of
-    ``p * V`` with the stacks.  Within an iteration the players update in
+    and player j's effective operators each come from contracting ``p * V``
+    with the stacks, one stacked matmul per player over a whole lockstep
+    group of restarts.  Within an iteration the players update in
     order, player j against the stacks players 0..j-1 have just updated.
     All of one player's inputs update together: the effective operators of
     input x_j hold only the other players' POVMs, never player j's own on
@@ -711,11 +701,9 @@ def seesaw(
     1..restarts-1 made magic_square, which reaches 1 - 1e-9 in about one
     restart in three, twice as slow as one restart at a time.)
     """
-    local_dims = tuple(int(d) for d in local_dims)
+    local_dims = tuple(int(check_range("local dimension", d, 1, math.inf, integer=True)) for d in local_dims)
     if len(local_dims) != game.players:
         raise DimensionMismatchError("one local dimension per player required")
-    for d in local_dims:
-        check_range("local dimension", d, 1, math.inf)
     check_range("restarts", restarts, 1, math.inf, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)
@@ -751,9 +739,14 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
     """
     check_range("repetition count", n, 1, math.inf, integer=True)
     check_range("budget", budget, 0, math.inf, integer=True)
-    v_entries = math.prod(s**n for s in game.V.shape)
+    v_entries = 1  # factor by factor, stopping past the budget: s**n can be huge
+    for s in game.V.shape:
+        for _ in range(n if s > 1 else 0):
+            if v_entries > budget:
+                break
+            v_entries *= s
     if v_entries > budget:
-        raise BudgetExceededError(f"repeated predicate of {v_entries} entries exceeds budget {budget}")
+        raise BudgetExceededError(f"the {n}-fold repeated predicate would have more than budget {budget} entries")
     if n == 1:
         return game
     return GamePredicate(
@@ -767,12 +760,13 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
 
 def _outer_power(t: np.ndarray, n: int) -> np.ndarray:
     """n-fold outer product of `t` with each axis merged across the copies,
-    copy 0 most significant: ``out[i_1, ...] = prod_c t[digit_c(i_1), ...]``."""
+    copy 0 most significant: ``out[i_1, ...] = prod_c t[digit_c(i_1), ...]``.
+    Each copy merges in as it is multiplied in: numpy allows 64 axes."""
     out = t
     for _ in range(n - 1):
-        out = np.multiply.outer(out, t)
-    perm = [c * t.ndim + k for k in range(t.ndim) for c in range(n)]
-    return out.transpose(perm).reshape([s**n for s in t.shape])
+        pairs = [i for k in range(t.ndim) for i in (k, t.ndim + k)]
+        out = np.multiply.outer(out, t).transpose(pairs).reshape([a * b for a, b in zip(out.shape, t.shape)])
+    return out
 
 
 def random_subset_value(

@@ -1,5 +1,5 @@
-"""The two matrix primitives of the seesaw: PSD matrix powers on a support
-and Haar-random unitaries, on dense complex numpy arrays.
+"""The matrix primitive of the seesaw: PSD matrix powers on a support, on
+stacks of dense complex numpy arrays.
 
 Spectral decompositions use an absolute eigenvalue cutoff of ``1e-12``
 when inverting or taking square roots on a support.
@@ -22,9 +22,3 @@ def psd_power(mat: np.ndarray, power: float) -> np.ndarray:
     w = (np.where(keep, w, 1.0) ** power) * keep
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

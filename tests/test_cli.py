@@ -129,6 +129,25 @@ def test_fractional_sweep_n_exits_one(capsys):
     assert "n must be an integer" in err
 
 
+@pytest.mark.parametrize("n", ["1e300", "2.0"])
+def test_sweep_n_must_be_written_as_an_integer(capsys, n):
+    # 1e300 died inside numpy; 2.0 ran as n = 2
+    code, out, err = run(capsys, "diqkd", "sweep", "--n", n, "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.01")
+    assert code == 1
+    assert out == ""
+    assert "n must be an integer" in err
+
+
+def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
+    # the budget message formatted 2**(4 * 10**6), past Python's 4300-digit
+    # limit: a ValueError traceback
+    code, out, err = run(capsys, "dpt", "probe", "--builtin", "chsh", "--n", "1000000", "--comm-bits", "1", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gamebox: ") and "budget" in err
+    assert len(err) < 200
+
+
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
 _SEESAW = ("game", "value", "--builtin", "chsh", "--method", "seesaw")
 _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}

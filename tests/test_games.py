@@ -453,14 +453,23 @@ def _ref_optimize_povm(G, current, tol, sweeps=1):
     return ms
 
 
+def _ref_haar_unitary(d, rng):
+    """One Haar-random unitary: the Q of the QR decomposition of a complex
+    Gaussian matrix (real part, then imaginary part), its phases fixed."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _ref_random_povms(game, local_dims, rng):
+    """One restart's draw, one matrix at a time."""
     povms = []
     for j in range(game.players):
         d = local_dims[j]
         n_out = len(game.outputs[j])
         per_input = []
         for _ in range(len(game.inputs[j])):
-            U = qcore.random_unitary(d, rng)
+            U = _ref_haar_unitary(d, rng)
             sizes = [d // n_out + (1 if k < d % n_out else 0) for k in range(n_out)]
             elems = []
             start = 0
@@ -529,7 +538,7 @@ def _random_povm_stack(n_in, n_out, d, rng):
     of one Haar unitary split at random edges (some elements may be 0)."""
     M = np.empty((n_in, n_out, d, d), dtype=complex)
     for x in range(n_in):
-        U = qcore.random_unitary(d, rng)
+        U = _ref_haar_unitary(d, rng)
         edges = np.concatenate([[0], np.sort(rng.integers(0, d + 1, n_out - 1)), [d]])
         for a in range(n_out):
             cols = U[:, edges[a] : edges[a + 1]]
@@ -551,23 +560,55 @@ _KERNEL_CASES = {
 def test_game_and_effective_operators_match_reference(name):
     game, dims = _KERNEL_CASES[name]
     rng = np.random.default_rng(len(name))
-    stacks = [_random_povm_stack(n, m, d, rng) for n, m, d in zip(game.input_sizes, game.output_sizes, dims)]
-    lists = [[list(M[x]) for x in range(M.shape[0])] for M in stacks]
+    R = 3
+    sizes = list(zip(game.input_sizes, game.output_sizes, dims))
+    stacks = [np.array([_random_povm_stack(n, m, d, rng) for _ in range(R)]) for n, m, d in sizes]
     win_sets = _ref_winning_sets(game)
     pV = (game.p * game.V).astype(complex)
     D = math.prod(dims)
+    psi = rng.normal(size=(R, D)) + 1j * rng.normal(size=(R, D))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     W = games._game_operator(pV, stacks)
-    np.testing.assert_allclose(W, _ref_build_game_operator(game, lists, win_sets, D), rtol=0, atol=1e-12)
-    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
-    psi_t = (psi / np.linalg.norm(psi)).reshape(dims)
-    for j in range(game.players):
-        G = games._effective_operators(pV, stacks, psi_t, j, games._effective_path(pV, dims, j))
-        # the plan made once is the one einsum would make on this call
-        assert G.tobytes() == games._effective_operators(pV, stacks, psi_t, j, True).tobytes()
-        assert G.shape == (game.input_sizes[j], game.output_sizes[j], dims[j], dims[j])
-        for ix in range(game.input_sizes[j]):
-            want = _ref_effective_operators(game, lists, win_sets, psi_t, j, ix)
-            np.testing.assert_allclose(G[ix], np.array(want), rtol=0, atol=1e-12)
+    G = [games._effective_operators(pV, stacks, psi, j) for j in range(game.players)]
+    assert W.shape == (R, D, D)
+    for r in range(R):
+        # the kernels on one restart alone (R = 1): bitwise its slice of the group
+        solo = [M[r : r + 1] for M in stacks]
+        assert games._game_operator(pV, solo).tobytes() == W[r : r + 1].tobytes()
+        lists = [[list(M[r, x]) for x in range(M.shape[1])] for M in stacks]
+        np.testing.assert_allclose(W[r], _ref_build_game_operator(game, lists, win_sets, D), rtol=0, atol=1e-12)
+        psi_t = psi[r].reshape(dims)
+        for j in range(game.players):
+            assert G[j].shape == (R, game.input_sizes[j], game.output_sizes[j], dims[j], dims[j])
+            assert games._effective_operators(pV, solo, psi[r : r + 1], j).tobytes() == G[j][r : r + 1].tobytes()
+            for ix in range(game.input_sizes[j]):
+                want = _ref_effective_operators(game, lists, win_sets, psi_t, j, ix)
+                np.testing.assert_allclose(G[j][r, ix], np.array(want), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_CASES))
+def test_batched_haar_draw_is_bitwise_the_per_matrix_draw(name):
+    game, dims = _KERNEL_CASES[name]
+    for rs in (range(0, 1), range(1, 3), range(3, 7)):
+        got = games._random_povms(game, dims, 11, rs)
+        assert [M.shape for M in got] == [
+            (len(rs), n, m, d, d) for n, m, d in zip(game.input_sizes, game.output_sizes, dims)
+        ]
+        for i, r in enumerate(rs):
+            want = _ref_random_povms(game, dims, np.random.default_rng([11, r]))
+            for M, per_input in zip(got, want):
+                assert M[i].tobytes() == np.array(per_input).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_CASES))
+def test_random_povms_are_projective_measurements(name):
+    game, dims = _KERNEL_CASES[name]
+    for M, d in zip(games._random_povms(game, dims, 0, range(4)), dims):
+        np.testing.assert_allclose(M.sum(axis=2), np.broadcast_to(np.eye(d), M.shape[:2] + (d, d)), atol=1e-12)
+        np.testing.assert_allclose(M @ M, M, atol=1e-12)
+        # each element projects onto its share of the columns
+        ranks = np.linalg.matrix_rank(M, hermitian=True)
+        assert np.array_equal(ranks.sum(axis=2), np.full(M.shape[:2], d))
 
 
 def _count_decomposed_matrices(monkeypatch):
@@ -686,25 +727,25 @@ def _sequential_seesaw(game, local_dims, restarts, max_iters, seed, tol=1e-9):
     restart at a time, on the package's kernels.  Also returns the restart
     at which the search stopped."""
     pV = (game.p * game.V).astype(complex)
-    paths = [games._effective_path(pV, local_dims, j) for j in range(game.players)]
     best_val, best_state, best_povms = -1.0, None, None
     for r in range(restarts):
-        povms = games._random_povms(game, local_dims, np.random.default_rng([seed, r]))
+        # the kernels on a group of one restart
+        povms = games._random_povms(game, local_dims, seed, range(r, r + 1))
         W = games._game_operator(pV, povms)
         prev = -1.0
         for _ in range(max_iters):
-            psi = np.linalg.eigh(W)[1][:, -1]
-            psi_t = psi.reshape(local_dims)
+            psi = np.linalg.eigh(W)[1][..., -1]
             for j in range(game.players):
-                G = games._effective_operators(pV, povms, psi_t, j, paths[j])
-                povms[j] = games._optimize_povm(G, povms[j], tol * 0.1)
+                shape = povms[j].shape
+                G = games._effective_operators(pV, povms, psi, j).reshape(-1, *shape[2:])
+                povms[j] = games._optimize_povm(G, povms[j].reshape(-1, *shape[2:]), tol * 0.1).reshape(shape)
             W = games._game_operator(pV, povms)
-            val = float(np.real(psi.conj() @ (W @ psi)))
+            val = float(np.real(psi[0].conj() @ (W[0] @ psi[0])))
             if val - prev < tol:
                 break
             prev = val
         if val > best_val:
-            best_val, best_state, best_povms = val, psi.copy(), povms
+            best_val, best_state, best_povms = val, psi[0].copy(), [M[0] for M in povms]
         if best_val >= 1.0 - 1e-9:
             break
     return min(best_val, 1.0), best_state, best_povms, r
@@ -759,12 +800,25 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
+def _count_drawn_restarts(monkeypatch):
+    """Count the restarts whose POVMs _random_povms draws, over all calls."""
+    seen = [0]
+    plain = games._random_povms
+
+    def counted(game, local_dims, seed, rs):
+        seen[0] += len(rs)
+        return plain(game, local_dims, seed, rs)
+
+    monkeypatch.setattr(games, "_random_povms", counted)
+    return seen
+
+
 @pytest.mark.parametrize("seed,stop,drawn", [(7, 0, 1), (15, 2, 3), (2, 3, 7)])
 def test_seesaw_runs_restarts_in_doubling_groups(monkeypatch, seed, stop, drawn):
     # magic_square reaches 1 - 1e-9 in restart `stop`: only the groups up to
     # its own (restart 0, then 1-2, then 3-6) draw their POVMs
     assert _sequential_seesaw(games.magic_square(), (4, 4), 20, 500, seed)[3] == stop
-    draws = _count_calls(monkeypatch, "_random_povms")
+    draws = _count_drawn_restarts(monkeypatch)
     res = games.seesaw(games.magic_square(), (4, 4), restarts=20, seed=seed)
     assert res.value >= 1.0 - 1e-9
     assert draws[0] == drawn
@@ -776,9 +830,11 @@ def test_seesaw_lockstep_shares_povm_updates(monkeypatch):
     # _optimize_povm call each per iteration of a group, against 132 for
     # the 66 iterations of the restarts one at a time
     calls = _count_calls(monkeypatch, "_optimize_povm")
-    draws = _count_calls(monkeypatch, "_random_povms")
+    draws = _count_drawn_restarts(monkeypatch)
+    groups = _count_calls(monkeypatch, "_random_povms")
     games.seesaw(games.repeat(games.chsh(), 2), (4, 4), restarts=5, seed=7)
     assert draws[0] == 5
+    assert groups[0] == 3  # one draw per group
     assert calls[0] == 2 * (15 + 16 + 16)
 
 
@@ -844,6 +900,32 @@ def test_repeat_validates_count():
         games.repeat(games.chsh(), 0)
     game = games.chsh()
     assert games.repeat(game, 1) is game  # single copy passes through
+
+
+def test_repeat_refuses_a_huge_count_without_computing_its_size():
+    # the size, 2**(4 * 10**6) for chsh, was computed in full and then
+    # formatted: a ValueError past Python's 4300-digit limit
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        games.repeat(games.chsh(), 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(info.value)) < 100
+
+
+def test_repeat_budget_is_the_predicate_size():
+    # chsh^2 has 4**4 = 256 predicate entries; alphabets of one letter
+    # count for nothing, whatever n is
+    assert games.repeat(games.chsh(), 2, budget=256).V.size == 256
+    with pytest.raises(BudgetExceededError, match="more than budget 255 entries"):
+        games.repeat(games.chsh(), 2, budget=255)
+    one = games.GamePredicate(inputs=((0,), (0, 1)), outputs=((0,), (0,)), p=np.full((1, 2), 0.5),
+                              V=np.ones((1, 1, 1, 2)))
+    # 17 copies: the 68 axes of one outer product, past numpy's 64, raised ValueError
+    rep = games.repeat(one, 17, budget=2**17)
+    assert rep.V.shape == (1, 1, 1, 2**17) and rep.V.all()
+    assert rep.p.shape == (1, 2**17) and np.all(rep.p == 0.5**17)
+    with pytest.raises(BudgetExceededError):
+        games.repeat(one, 17, budget=2**17 - 1)
 
 
 def test_random_subset_value_perfect_strategy_wins_everything():

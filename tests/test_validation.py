@@ -74,6 +74,7 @@ def _cases():
     cases.append(("serfling_mc.pattern", lambda v: diqkd.serfling_mc(**_with(_SERFLING, pattern=np.full(20, v)))))
     cases += [(f"seesaw.{k}", lambda v, k=k: games.seesaw(games.chsh(), (2, 2), **{k: v}))
               for k in ("restarts", "seed")]
+    cases.append(("seesaw.local_dims", lambda v: games.seesaw(games.chsh(), (2, v))))
     cases.append(("RepetitionProbe.seed", lambda v: dpt.empirical_repeated_value(_probe(v))))
     cases += [(f"RepetitionProbe.{k}", lambda v, k=k: dpt.empirical_repeated_value(_probe(0, **{k: v})))
               for k in ("n", "comm_bits", "search_budget")]
@@ -284,6 +285,39 @@ def test_lp_upper_bound_must_be_a_number_or_plus_inf(value):
 )
 def test_closed_interval_ends_are_accepted(call):
     call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: games.seesaw(games.chsh(), (2, 2), restarts=True),
+        lambda: games.seesaw(games.chsh(), (2, 2), seed=False),
+        lambda: games.seesaw(games.chsh(), (True, 2)),
+        lambda: diqkd.ProtocolParams(**_with(_PROTOCOL, n=True)),
+        lambda: diqkd.sweep([_with(_SWEEP_CELL, n=True)], 1, 0),
+        lambda: games.repeat(games.chsh(), True),
+        lambda: check_range("n", np.True_, 0, math.inf, integer=True),
+    ],
+    ids=["seesaw-restarts", "seesaw-seed", "seesaw-dims", "protocol-n", "sweep-n", "repeat-n", "numpy-bool"],
+)
+def test_bool_is_not_an_integer(call):
+    # True ran as 1: one seesaw restart, a protocol of one round
+    with pytest.raises(ValidationError, match="integer"):
+        call()
+
+
+@pytest.mark.parametrize("dims", [(2.9, 2), (2, 2.0), (2, "2"), (2, None)])
+def test_seesaw_local_dimensions_must_be_integers(dims):
+    # (2.9, 2) ran as (2, 2)
+    with pytest.raises(ValidationError, match="local dimension must be an integer"):
+        games.seesaw(games.chsh(), dims)
+
+
+def test_seesaw_accepts_numpy_integer_dimensions():
+    res = games.seesaw(games.chsh(), (np.int64(2), np.int32(2)), restarts=2, seed=0)
+    assert res.certificate.local_dims == (2, 2)
+    assert all(type(d) is int for d in res.certificate.local_dims)
+    assert res.value == games.seesaw(games.chsh(), (2, 2), restarts=2, seed=0).value
 
 
 def test_check_range_ends_and_types():
