@@ -25,6 +25,15 @@ def _floats(text):
     return [float(x) for x in text.split(",")]
 
 
+def _ints(text):
+    """Round counts in plain digits, as ``gamebox diqkd sweep`` reads them:
+    2.0 and 1e300 are refused, not read as floats."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        sys.exit(f"n must be an integer or comma-separated integers (in plain digits), got {text!r}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -41,8 +50,7 @@ def main() -> None:
     args = ap.parse_args()
 
     grid = {
-        # whole numbers as int; diqkd.sweep refuses the others
-        "n": [int(v) if v.is_integer() else v for v in _floats(args.n)],
+        "n": _ints(args.n),
         "alpha": _floats(args.alpha),
         "gamma": _floats(args.gamma),
         "delta": _floats(args.delta),

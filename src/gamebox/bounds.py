@@ -83,14 +83,12 @@ _KEY_DIGITS = 39  # base-3 digits in one int64 word of an eff_local strategy key
 
 @dataclass
 class LinearProgram:
-    """max (or min) c.x  s.t.  A x (sense) b,  x >= 0, optionally x <= ub."""
+    """max c.x  s.t.  A x (sense) b,  x >= 0; each sense is ``=`` or ``>=``."""
 
     c: np.ndarray
     A: np.ndarray
     senses: Sequence[str]
     b: np.ndarray
-    maximize: bool = True
-    upper_bounds: np.ndarray | None = None
 
 
 @dataclass
@@ -98,12 +96,10 @@ class LPResult:
     """The optimum ``value``, a primal point ``x`` and one dual ``y`` per row
     of ``A`` as given, checked by :func:`check_lp_certificate`.
 
-    ``y`` is the dual of the program as stated: at the optimum ``c.x`` equals
-    ``b.y`` plus ``ub`` times the positive part of the reduced costs
-    ``c - A^T y`` (``c`` negated for a minimisation).  ``stats`` says what
-    the solver did, deterministically: ``rows`` and ``cols`` (the shape of
-    ``A`` as given), ``iterations``, ``gap`` (the checked duality gap) and
-    ``backend``.
+    ``y`` is the dual of the program as stated: at the optimum ``c.x``
+    equals ``b.y``.  ``stats`` says what the solver did, deterministically:
+    ``rows`` and ``cols`` (the shape of ``A`` as given), ``iterations``,
+    ``gap`` (the checked duality gap) and ``backend``.
     """
 
     value: float
@@ -232,32 +228,24 @@ def check_lp_certificate(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> dic
     """How far ``x`` and ``y`` (one dual per row) are from an optimal
     primal-dual pair of ``lp``, each measure 0 at one.
 
-    In the maximisation form (``c`` and ``y`` negated for a minimisation):
-    ``primal_residual`` is the largest violation of a row, of ``x >= 0`` or
-    of ``x <= ub``; ``dual_sign_error`` the largest dual of the wrong sign
-    (``<=`` rows need ``y >= 0``, ``>=`` rows ``y <= 0``);
-    ``reduced_cost_violation`` the largest positive reduced cost
-    ``(c - A^T y)_j`` of a variable with no upper bound; and ``gap`` the
-    dual bound ``b.y + sum_j ub_j max((c - A^T y)_j, 0)`` minus ``c.x``.
+    ``primal_residual`` is the largest violation of a row or of ``x >= 0``;
+    ``dual_sign_error`` the largest positive dual of a ``>=`` row (which
+    needs ``y <= 0``); ``reduced_cost_violation`` the largest positive
+    reduced cost ``(c - A^T y)_j``; and ``gap`` the dual bound ``b.y`` minus
+    ``c.x``.
     """
-    s = 1.0 if lp.maximize else -1.0
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float).reshape(-1)
-    c = s * np.asarray(lp.c, dtype=float).reshape(-1)
-    y = s * np.asarray(y, dtype=float)
-    ub = np.full(c.size, np.inf) if lp.upper_bounds is None else np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
-    le, ge = [np.array([t == sense for t in lp.senses], dtype=bool) for sense in ("<=", ">=")]
+    c = np.asarray(lp.c, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
+    ge = np.array([t == ">=" for t in lp.senses], dtype=bool)
     excess = A @ x - b
-    excess = np.where(le, excess, np.where(ge, -excess, np.abs(excess)))
-    primal = max(excess.max(initial=0.0), (-x).max(initial=0.0), (x - ub).max(initial=0.0))
-    sign = np.where(le, -y, np.where(ge, y, 0.0)).max(initial=0.0)
-    reduced = np.maximum(c - A.T @ y, 0.0)
-    bounded = np.isfinite(ub)
+    excess = np.where(ge, -excess, np.abs(excess))
     return {
-        "primal_residual": float(primal),
-        "dual_sign_error": float(sign),
-        "reduced_cost_violation": float(reduced[~bounded].max(initial=0.0)),
-        "gap": float(b @ y + ub[bounded] @ reduced[bounded] - c @ x),
+        "primal_residual": float(max(excess.max(initial=0.0), (-x).max(initial=0.0))),
+        "dual_sign_error": float(np.where(ge, y, 0.0).max(initial=0.0)),
+        "reduced_cost_violation": float((c - A.T @ y).max(initial=0.0)),
+        "gap": float(b @ y - c @ x),
     }
 
 
@@ -265,15 +253,14 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve ``lp`` by the interior-point method of :func:`_mehrotra` and
     check the answer with :func:`check_lp_certificate`.
 
-    Variables are non-negative; an upper bound of ``+inf`` bounds nothing,
-    a finite one becomes a ``<=`` row.  Inequality rows gain a slack
-    variable.  Dependent rows are looked for only when the first normal
-    matrix does not factor; they are then left out, after checking that
-    their right-hand sides agree with the rows kept, and their duals are 0.
+    Each ``>=`` row gains a slack variable.  Dependent rows are looked for
+    only when the first normal matrix does not factor; they are then left
+    out, after checking that their right-hand sides agree with the rows
+    kept, and their duals are 0.
 
-    Raises ``ValidationError`` for a non-finite ``c``, ``A`` or ``b`` or a
-    NaN or ``-inf`` upper bound, before any work; ``LPInfeasibleError`` or
-    ``LPUnboundedError`` on the two failure modes (an LP whose embedding
+    Raises ``ValidationError`` for a sense other than ``=`` or ``>=`` or a
+    non-finite ``c``, ``A`` or ``b``, before any work; ``LPInfeasibleError``
+    or ``LPUnboundedError`` on the two failure modes (an LP whose embedding
     reports either is solved once more with ``c = 0``: it is infeasible if
     that fails too); ``CapabilityError`` rather than return an answer whose
     checked residuals or duality gap exceed ``_LP_GAP``.
@@ -286,38 +273,25 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         raise DimensionMismatchError(f"LP shapes inconsistent: A {A.shape}, b {b.size}, c {c.size}")
     if len(senses) != b.size:
         raise DimensionMismatchError("one sense per constraint row required")
-    if any(s not in ("<=", ">=", "=") for s in senses):
-        raise ValidationError(f"senses must be <=, >= or =, got {sorted(set(senses))}")
+    if any(s not in (">=", "=") for s in senses):
+        raise ValidationError(f"senses must be = or >=, got {sorted(set(senses))}")
     for name, arr in (("c", c), ("A", A), ("b", b)):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"LP {name} has non-finite entries")
     m, n = b.size, c.size
-    bounded = np.zeros(0, dtype=np.int64)
-    if lp.upper_bounds is not None:
-        ub = np.asarray(lp.upper_bounds, dtype=float).reshape(-1)
-        if ub.size != n:
-            raise DimensionMismatchError("one upper bound per variable required")
-        if np.any(np.isnan(ub) | (ub == -np.inf)):
-            raise ValidationError("upper bounds must be numbers or +inf (no bound)")
-        bounded = np.flatnonzero(np.isfinite(ub))
-        b = np.concatenate([b, ub[bounded]])
-        senses += ["<="] * bounded.size
 
-    # standard form, built in one array: the rows, one row x_j <= ub_j per
-    # finite bound, a slack column per inequality row; min (-c).x for max c.x
-    slack = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
-    ineq = np.flatnonzero(slack)
-    A_std = np.zeros((b.size, n + ineq.size))
-    A_std[:m, :n] = A
-    A_std[m + np.arange(bounded.size), bounded] = 1.0
-    A_std[ineq, n + np.arange(ineq.size)] = slack[ineq]
+    # standard form, built in one array: a slack column -1 per >= row; min (-c).x for max c.x
+    ineq = np.flatnonzero([s == ">=" for s in senses])
+    A_std = np.zeros((m, n + ineq.size))
+    A_std[:, :n] = A
+    A_std[ineq, n + np.arange(ineq.size)] = -1.0
     A = A_std
-    c_std = np.concatenate([-c if lp.maximize else c, np.zeros(ineq.size)])
-    rows = np.arange(b.size)
+    c_std = np.concatenate([-c, np.zeros(ineq.size)])
+    rows = np.arange(m)
     out = _mehrotra(A, b, c_std)
     if out is None:
         rows = _independent_rows(A)
-        drop = np.setdiff1d(np.arange(b.size), rows)
+        drop = np.setdiff1d(np.arange(m), rows)
         coef = np.linalg.lstsq(A[rows].T, A[drop].T, rcond=None)[0]
         if np.abs(b[rows] @ coef - b[drop]).max(initial=0.0) > _LP_GAP * (1.0 + np.abs(b).max()):
             raise LPInfeasibleError("infeasible: dependent equality rows disagree")
@@ -327,9 +301,9 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         if _mehrotra(A[rows], b[rows], np.zeros_like(c_std))[0] != "optimal":
             raise LPInfeasibleError("infeasible: the interior-point embedding found no feasible point")
         raise LPUnboundedError("objective unbounded over the feasible region")
-    y = np.zeros(b.size)
-    y[rows] = -y_std if lp.maximize else y_std
-    x, y = x[:n], y[:m]
+    y = np.zeros(m)
+    y[rows] = -y_std
+    x = x[:n]
     check = check_lp_certificate(lp, x, y)
     if max(check["primal_residual"], check["dual_sign_error"], check["reduced_cost_violation"],
            abs(check["gap"])) > _LP_GAP:
@@ -442,7 +416,7 @@ def ns_game_value(game: GamePredicate) -> float:
     A, b = _ns_constraint_rows(out_sizes, in_sizes)
     # each winning entry scores p(x); entries at p(x) == 0 keep a +0.0 coefficient
     c = np.where(game.V & (game.p != 0.0), game.p, 0.0).reshape(-1)
-    res = solve_lp(LinearProgram(c=c, A=A, senses=["="] * b.size, b=b, maximize=True))
+    res = solve_lp(LinearProgram(c=c, A=A, senses=["="] * b.size, b=b))
     return min(max(float(res.value), 0.0), 1.0)
 
 
@@ -513,7 +487,7 @@ def _efficiency_lp(
     senses = ["="] * k + [">="] * win.shape[0]
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    res = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b, maximize=True))
+    res = solve_lp(LinearProgram(c=c, A=A, senses=senses, b=b))
     return min(max(float(res.x[-1]), ETA_FLOOR), 1.0), res.x[:n]
 
 

@@ -3,7 +3,8 @@
 Simulates the sampling protocol (random inputs, test subset, abort
 threshold, raw keys), with a metered classical leakage channel between
 the boxes that is open only before outputs are produced.  Also provides
-the closed-form key-rate evaluator and the tail bounds it relies on.
+the closed-form key-rate evaluator and a Monte Carlo check of the
+sampling tail bound it relies on.
 
 The constants ``nu`` and ``beta`` in the rate formula are heuristic
 defaults (0.01 and 1.0), not derived values; callers should supply their
@@ -41,6 +42,10 @@ _CHUNK = 2**16
 # or bad members
 _HYPERGEOMETRIC_MAX = 10**9
 
+# Rounds a simulated run may hold: a run's peak is ~17 bytes a round at
+# alpha 0.5 and ~30 at alpha 1, so a run stays under ~1.5 GB.
+_ROUNDS_LIMIT = 5 * 10**7
+
 SWEEP_COLUMNS = (
     "n",
     "alpha",
@@ -67,7 +72,9 @@ SWEEP_COLUMNS = (
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol configuration: ``n`` rounds, key fraction ``alpha``, test
-    fraction ``gamma`` (of the key rounds), tolerated noise ``delta``."""
+    fraction ``gamma`` (of the key rounds), tolerated noise ``delta``.
+    More than ``_ROUNDS_LIMIT`` rounds raise ``BudgetExceededError`` once
+    the fields are checked, before any run draws."""
 
     n: int
     alpha: float
@@ -81,6 +88,8 @@ class ProtocolParams:
         check_range("gamma", self.gamma, 0.0, 1.0, lo_open=True)
         check_range("delta", self.delta, 0.0, 0.5, hi_open=True)
         check_range("seed", self.seed, 0, math.inf, integer=True)
+        if self.n > _ROUNDS_LIMIT:
+            raise BudgetExceededError(f"{self.n} rounds exceed the limit {_ROUNDS_LIMIT} of a simulated run")
 
     @property
     def s_size(self) -> int:
@@ -161,9 +170,6 @@ class LeakageChannel:
         _check_endpoints(src, dst)
         self.budget.debit(bits)
         self.log.append((src, dst, int(bits), payload))
-
-    def inbox(self, endpoint: str) -> list[tuple[str, int, str]]:
-        return [(s, b, p) for s, d, b, p in self.log if d == endpoint]
 
     def lock(self) -> None:
         self._locked = True
@@ -524,23 +530,6 @@ def _check_bits(who: str, rows: np.ndarray) -> None:
         raise ValidationError(f"{who} must hold only bits 0 and 1")
 
 
-def abort_test(a_T, b_T, x_T, y_T, delta: float) -> bool:
-    """True (pass) iff the probed cells agree in at least
-    ceil((1 - 2 delta) |T|) rounds; the boundary is inclusive.  ``x_T`` and
-    ``y_T`` are inputs in {0, 1, 2}, ``a_T`` and ``b_T`` rows of shape
-    (|T|, 3) holding bits."""
-    check_range("delta", delta, 0.0, 0.5)
-    x_T, y_T = _grid_inputs(x_T, y_T)
-    t = x_T.size
-    a_T, b_T = np.asarray(a_T), np.asarray(b_T)
-    for who, rows in (("Alice", a_T), ("Bob", b_T)):
-        if rows.shape != (t, 3):
-            raise ValidationError(f"test-set {who} rows must have shape ({t}, 3), got {rows.shape}")
-        _check_bits(f"{who} rows", rows)
-    rounds = np.arange(t)
-    return bool(_agreement(a_T[rounds, y_T.ravel()] == b_T[rounds, x_T.ravel()], delta)[1])
-
-
 def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
     """``rows`` as uint8 after checking that every entry is 0 or 1 and
     that each row's parity is ``parity``."""
@@ -813,16 +802,6 @@ def key_rate(p: KeyRateParams) -> dict:
         "eps_smooth": float(eps_smooth),
         "rate_per_copy": float(bits / p.n),
     }
-
-
-def chernoff_abort_bound(delta: float, gamma: float, alpha: float, n: int) -> float:
-    """Tail bound 2^{-2 delta^2 gamma alpha n} on the honest abort
-    probability."""
-    check_range("delta", delta, 0.0, math.inf)
-    check_range("gamma", gamma, 0.0, 1.0, lo_open=True)
-    check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
-    check_range("n", n, 1, math.inf, integer=True)
-    return float(2.0 ** (-2.0 * delta**2 * gamma * alpha * n))
 
 
 def _check_population(good: int, n: int) -> None:

@@ -42,15 +42,6 @@ def _log2_alphabet(alphabet_sizes) -> float:
     return math.log2(check_range("total output alphabet", math.prod(sizes), 2, math.inf))
 
 
-def delta_of(C_size: int, PrE: float, n: int, alphabet_sizes) -> float:
-    """Per-copy information spent by conditioning: ``(|C| log2 prod|A_j| +
-    log2(1/PrE)) / n``."""
-    check_range("n", n, 1, math.inf, integer=True)
-    check_range("PrE", PrE, 0.0, 1.0, lo_open=True)
-    check_range("C_size", C_size, 0, math.inf, integer=True)
-    return (C_size * _log2_alphabet(alphabet_sizes) + math.log2(1.0 / PrE)) / n
-
-
 def dpt_case_i_bound(l: int, n: int, c: float, nu: float, alphabet_sizes, exponent_const: float = 1.0) -> float:
     """Success bound ``base^floor(exponent_const nu^2 n / (l^2 log2 prod|A_j|))``
     with ``base = 1 - nu/2 + 4 sqrt(l c)``; returns 1 when the base

@@ -166,10 +166,6 @@ class Correlation:
     q: np.ndarray
     players: int
 
-    def conditional(self, x_idx: Sequence[int]) -> np.ndarray:
-        idx = (Ellipsis,) + tuple(int(i) for i in x_idx)
-        return self.q[idx]
-
     def validate(self) -> None:
         l = self.players
         if np.min(self.q) < -_CORRELATION_TOL:
@@ -768,43 +764,3 @@ def _outer_power(t: np.ndarray, n: int) -> np.ndarray:
         out = np.multiply.outer(out, t).transpose(pairs).reshape([a * b for a, b in zip(out.shape, t.shape)])
     return out
 
-
-def random_subset_value(
-    game: GamePredicate,
-    n: int,
-    t: int,
-    strategy: Union[ClassicalStrategy, Sequence[ClassicalStrategy]],
-    trials: int = 10000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of winning all copies in a random size-t subset.
-
-    Plays ``n`` independent copies of ``game`` with the given per-copy
-    deterministic strategy (one strategy applied to every copy, or a
-    sequence of ``n`` per-copy strategies) and reports the fraction of
-    trials in which every copy of a uniformly random subset of ``t``
-    coordinates was won.  A trial draws only the counts its event reads:
-    the number of won copies, a sum of one Binomial(k, q) draw per group of
-    k copies that share a win probability q, and then the number of won
-    copies in the subset, Hypergeometric(won, n - won, t).
-    """
-    # numpy's hypergeometric sampler refuses 10^9 won or lost copies
-    check_range("n", n, 1, 10**9, hi_open=True, integer=True)
-    check_range("trials", trials, 1, math.inf, integer=True)
-    check_range("subset size", t, 0, n, integer=True)
-    check_range("seed", seed, 0, math.inf, integer=True)
-    if isinstance(strategy, ClassicalStrategy):
-        q, k = [strategy_value(game, strategy)], [n]
-    else:
-        per_copy = list(strategy)
-        if len(per_copy) != n:
-            raise ValidationError(f"need one strategy per copy, got {len(per_copy)} for n={n}")
-        q, k = np.unique([strategy_value(game, s) for s in per_copy], return_counts=True)
-    if t == 0:
-        return 1.0
-    rng = np.random.default_rng([seed])
-    won = np.zeros(trials, dtype=np.int64)
-    # p may hold entries down to -1e-12 and sum to 1 within 1e-9
-    for q_group, k_group in zip(np.clip(q, 0.0, 1.0), k):
-        won += rng.binomial(k_group, q_group, trials)
-    return float(np.mean(rng.hypergeometric(won, n - won, t) == t))

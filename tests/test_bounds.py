@@ -29,40 +29,38 @@ from gamebox.errors import (
 # ---------------------------------------------------------------------------
 
 
+def _restated(c, A, senses, b, maximize=True, ub=None):
+    """max (or min) c.x  s.t.  A x (sense) b,  0 <= x <= ub, in the form
+    ``solve_lp`` takes: a ``<=`` row negated into a ``>=`` row, a finite
+    upper bound as the row ``-x_j >= -ub_j``, a minimisation as the
+    maximisation of ``-c``."""
+    c, A, b = (np.asarray(t, dtype=float) for t in (c, A, b))
+    flip = np.where([s == "<=" for s in senses], -1.0, 1.0)
+    A, b, senses = A * flip[:, None], b * flip, [">=" if s == "<=" else s for s in senses]
+    if ub is not None:
+        bounded = np.flatnonzero(np.isfinite(ub))
+        A = np.vstack([A, -np.eye(c.size)[bounded]])
+        b = np.concatenate([b, -np.asarray(ub, dtype=float)[bounded]])
+        senses += [">="] * bounded.size
+    return bounds.LinearProgram(c=c if maximize else -c, A=A, senses=senses, b=b)
+
+
 def _scipy_solve(lp):
-    senses = list(lp.senses)
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row, s, rhs in zip(lp.A, senses, lp.b):
-        if s == "<=":
-            A_ub.append(row)
-            b_ub.append(rhs)
-        elif s == ">=":
-            A_ub.append(-row)
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(row)
-            b_eq.append(rhs)
-    ub = np.inf if lp.upper_bounds is None else lp.upper_bounds
-    res = scipy.optimize.linprog(
-        -lp.c if lp.maximize else lp.c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(0, u) for u in np.broadcast_to(ub, lp.c.shape)],
+    ge = np.array([s == ">=" for s in lp.senses], dtype=bool)
+    return scipy.optimize.linprog(
+        -lp.c,
+        A_ub=-lp.A[ge] if ge.any() else None,
+        b_ub=-lp.b[ge] if ge.any() else None,
+        A_eq=lp.A[~ge] if not ge.all() else None,
+        b_eq=lp.b[~ge] if not ge.all() else None,
+        bounds=(0, None),
         method="highs",
     )
-    return res
 
 
 def test_solve_lp_known_optimum():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> vertex (8/5, 6/5), value 14/5
-    lp = bounds.LinearProgram(
-        c=np.array([1.0, 1.0]),
-        A=np.array([[1.0, 2.0], [3.0, 1.0]]),
-        senses=("<=", "<="),
-        b=np.array([4.0, 6.0]),
-    )
+    lp = _restated(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], senses=("<=", "<="), b=[4.0, 6.0])
     res = bounds.solve_lp(lp)
     assert res.value == pytest.approx(14 / 5, abs=1e-9)
     np.testing.assert_allclose(res.x, [8 / 5, 6 / 5], atol=1e-9)
@@ -81,7 +79,7 @@ def test_solve_lp_agrees_with_scipy_on_random_programs(seed):
     )
     b = A @ x0 + slack
     c = r.normal(size=n)
-    lp = bounds.LinearProgram(c=c, A=A, senses=senses, b=b, maximize=True, upper_bounds=np.full(n, 5.0))
+    lp = _restated(c, A, senses, b, ub=np.full(n, 5.0))
     ours = bounds.solve_lp(lp)
     ref = _scipy_solve(lp)
     assert ref.status == 0
@@ -89,23 +87,13 @@ def test_solve_lp_agrees_with_scipy_on_random_programs(seed):
 
 
 def test_solve_lp_detects_infeasible():
-    lp = bounds.LinearProgram(
-        c=np.array([1.0]),
-        A=np.array([[1.0], [1.0]]),
-        senses=(">=", "<="),
-        b=np.array([2.0, 1.0]),
-    )
+    lp = _restated(c=[1.0], A=[[1.0], [1.0]], senses=(">=", "<="), b=[2.0, 1.0])
     with pytest.raises(LPInfeasibleError):
         bounds.solve_lp(lp)
 
 
 def test_solve_lp_detects_unbounded():
-    lp = bounds.LinearProgram(
-        c=np.array([1.0, 0.0]),
-        A=np.array([[0.0, 1.0]]),
-        senses=("<=",),
-        b=np.array([1.0]),
-    )
+    lp = _restated(c=[1.0, 0.0], A=[[0.0, 1.0]], senses=("<=",), b=[1.0])
     with pytest.raises(LPUnboundedError):
         bounds.solve_lp(lp)
 
@@ -954,7 +942,7 @@ def _random_program(seed):
         b = r.integers(-2, 4, size=m).astype(float)
     ub = np.where(r.random(n) < 0.5, 3.0, np.inf) if seed % 3 else None
     c = r.integers(-2, 3, size=n).astype(float)
-    return bounds.LinearProgram(c=c, A=A, senses=senses, b=b, maximize=bool(seed % 4), upper_bounds=ub)
+    return _restated(c, A, senses, b, maximize=bool(seed % 4), ub=ub)
 
 
 def test_solve_lp_matches_highs_on_integer_programs():
@@ -971,7 +959,7 @@ def test_solve_lp_matches_highs_on_integer_programs():
             outcomes.append(want)
             continue
         assert want == "solved", seed
-        assert res.value == pytest.approx(-ref.fun if lp.maximize else ref.fun, abs=1e-9), seed
+        assert res.value == pytest.approx(-ref.fun, abs=1e-9), seed
         check = bounds.check_lp_certificate(lp, res.x, res.y)
         assert max(check["primal_residual"], check["dual_sign_error"], check["reduced_cost_violation"]) <= 1e-9
         assert check["gap"] == res.stats["gap"] and abs(check["gap"]) <= 1e-9
@@ -981,28 +969,28 @@ def test_solve_lp_matches_highs_on_integer_programs():
 
 
 def test_lp_certificate_measures_each_fault():
-    # max x1 + x2  s.t.  x1 + x2 <= 2, x1 - x2 >= 0, x2 <= 1: optimum 2, with
-    # y = (1, 0) and no positive reduced cost
-    lp = bounds.LinearProgram(c=np.array([1.0, 1.0]), A=np.array([[1.0, 1.0], [1.0, -1.0]]), senses=("<=", ">="),
-                              b=np.array([2.0, 0.0]), upper_bounds=np.array([np.inf, 1.0]))
-    good = bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    # max x1 + x2  s.t.  -x1 - x2 >= -2, x1 - x2 >= 0, -x2 >= -1: optimum 2,
+    # with y = (-1, 0, 0) and no positive reduced cost
+    lp = bounds.LinearProgram(c=np.array([1.0, 1.0]), A=np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, -1.0]]),
+                              senses=(">=", ">=", ">="), b=np.array([-2.0, 0.0, -1.0]))
+    good = bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([-1.0, 0.0, 0.0]))
     assert good == {"primal_residual": 0.0, "dual_sign_error": 0.0, "reduced_cost_violation": 0.0, "gap": 0.0}
     res = bounds.solve_lp(lp)
     assert res.value == pytest.approx(2.0, abs=1e-9) and abs(res.stats["gap"]) <= 1e-9
-    # a <= row exceeded, a >= row with a positive dual, a variable with no
-    # upper bound left a positive reduced cost, a loose dual bound
-    assert bounds.check_lp_certificate(lp, np.array([2.0, 0.5]), np.array([1.0, 0.0]))["primal_residual"] == 0.5
-    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.0, 0.25]))["dual_sign_error"] == 0.25
-    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([0.5, 0.0]))["reduced_cost_violation"] == 0.5
-    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([1.5, 0.0]))["gap"] == 1.0
-    # the same pair for the minimisation of -c: the duals change sign
-    flipped = dataclasses.replace(lp, c=-lp.c, maximize=False)
-    assert bounds.check_lp_certificate(flipped, np.array([1.0, 1.0]), np.array([-1.0, 0.0])) == good
+    # a >= row violated, a >= row with a positive dual, a positive reduced
+    # cost, a loose dual bound
+    assert bounds.check_lp_certificate(lp, np.array([2.0, 0.5]), np.array([-1.0, 0.0, 0.0]))["primal_residual"] == 0.5
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([-1.0, 0.25, 0.0]))["dual_sign_error"] == 0.25
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]),
+                                       np.array([-0.5, 0.0, 0.0]))["reduced_cost_violation"] == 0.5
+    assert bounds.check_lp_certificate(lp, np.array([1.0, 1.0]), np.array([-1.5, 0.0, 0.0]))["gap"] == 1.0
+    # an = row is violated by either sign of its excess
+    eq = dataclasses.replace(lp, senses=("=", ">=", ">="))
+    assert bounds.check_lp_certificate(eq, np.array([0.5, 0.5]), np.array([-1.0, 0.0, 0.0]))["primal_residual"] == 1.0
 
 
 def test_solve_lp_refuses_an_answer_that_fails_its_check(monkeypatch):
-    lp = bounds.LinearProgram(c=np.array([1.0, 1.0]), A=np.array([[1.0, 2.0], [3.0, 1.0]]), senses=("<=", "<="),
-                              b=np.array([4.0, 6.0]))
+    lp = _restated(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], senses=("<=", "<="), b=[4.0, 6.0])
     real = bounds._mehrotra
 
     def off_by_1e_8(A, b, c):
@@ -1020,22 +1008,22 @@ def test_dependent_rows_are_scanned_only_when_the_normal_matrix_fails():
     # the program is infeasible
     lp = bounds.LinearProgram(
         c=np.array([1.0, 1.0]),
-        A=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]),
-        senses=("=", "=", "<="),
-        b=np.array([1.0, 2.0, 0.5]),
+        A=np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, 0.0]]),
+        senses=("=", "=", ">="),
+        b=np.array([1.0, 2.0, -0.5]),
     )
     res = bounds.solve_lp(lp)
     assert res.value == pytest.approx(1.0, abs=1e-9) and res.y[1] == 0.0
     with pytest.raises(LPInfeasibleError, match="dependent equality rows disagree"):
-        bounds.solve_lp(dataclasses.replace(lp, b=np.array([1.0, 2.5, 0.5])))
+        bounds.solve_lp(dataclasses.replace(lp, b=np.array([1.0, 2.5, -0.5])))
 
 
 def test_lp_stats_are_deterministic():
     lp = bounds.LinearProgram(
         c=np.array([1.0, 1.0]),
-        A=np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]]),
-        senses=("=", "=", "<="),
-        b=np.array([1.0, 2.0, 0.5]),
+        A=np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, 0.0]]),
+        senses=("=", "=", ">="),
+        b=np.array([1.0, 2.0, -0.5]),
     )
     first, second = bounds.solve_lp(lp), bounds.solve_lp(lp)
     assert first.stats == second.stats

@@ -148,6 +148,38 @@ def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
     assert len(err) < 200
 
 
+@pytest.fixture
+def rounds_limit_10(monkeypatch):
+    """The rounds limit lowered to 10, and the runs started, recorded
+    instead of made: a refused command runs none."""
+    batches = []
+    monkeypatch.setattr(diqkd, "_ROUNDS_LIMIT", 10)
+    monkeypatch.setattr(diqkd, "run_batch", lambda *args, **kwargs: batches.append(args))
+    return batches
+
+
+def test_run_past_the_rounds_limit_exits_two_before_any_draw(capsys, rounds_limit_10):
+    # --n 10000000000 died in a numpy _ArrayMemoryError: 9.31 GiB of inputs
+    code, out, err = run(capsys, "diqkd", "run", "--n", "11", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gamebox: ") and "limit 10" in err
+    assert rounds_limit_10 == []
+    diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.2, delta=0.05)  # the limit itself is accepted
+
+
+def test_sweep_past_the_rounds_limit_refuses_before_its_first_cell(capsys, rounds_limit_10):
+    axes = ("--n", "10,11", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05")
+    code, out, err = run(capsys, "diqkd", "sweep", *axes, "--runs", "2")
+    assert (code, out) == (2, "")
+    assert "limit 10" in err
+    assert rounds_limit_10 == []
+    # a formula sweep simulates nothing, so the limit does not apply
+    code, out, _ = run(capsys, "diqkd", "sweep", *axes, "--runs", "0")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["10", "11"]
+
+
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
 _SEESAW = ("game", "value", "--builtin", "chsh", "--method", "seesaw")
 _ROUND = {"from": "eve", "to": "bob_box", "bits": 1, "function_id": "zeros"}

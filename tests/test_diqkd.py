@@ -74,7 +74,7 @@ def test_debit_accepts_numpy_integers():
     ch = diqkd.LeakageChannel(diqkd.LeakageBudget(10))
     ch.send("eve", "alice_box", np.int64(2))
     assert ch.budget.used_bits == 2
-    assert ch.inbox("alice_box") == [("eve", 2, "")]
+    assert ch.log == [("eve", "alice_box", 2, "")]
 
 
 def test_channel_routing_and_lock():
@@ -82,8 +82,7 @@ def test_channel_routing_and_lock():
     ch.send("alice_box", "eve", 3, "101")
     ch.send("eve", "bob_box", 2, "01")
     assert ch.remaining == 3
-    assert ch.inbox("eve") == [("alice_box", 3, "101")]
-    assert ch.inbox("bob_box") == [("eve", 2, "01")]
+    assert ch.log == [("alice_box", "eve", 3, "101"), ("eve", "bob_box", 2, "01")]
     with pytest.raises(ValidationError):
         ch.send("alice_box", "alice_box", 1)
     with pytest.raises(ValidationError):
@@ -283,8 +282,10 @@ def test_abort_test_threshold_boundary():
     clash = games.ODD_BITS[diqkd._odd_row_with_bit(0, 1)]
     two = np.stack([agree, agree, clash, clash])
     one = np.stack([agree, clash, clash, clash])
-    assert diqkd.abort_test(A, two, xs, ys, 0.25)
-    assert not diqkd.abort_test(A, one, xs, ys, 0.25)
+    rounds = np.arange(4)
+    for B, passes in ((two, True), (one, False)):
+        matches, ok = diqkd._agreement(A[rounds, ys] == B[rounds, xs], 0.25)
+        assert (matches, ok) == (2 if passes else 1, passes)
 
 
 def test_run_protocol_noiseless_keys_match():
@@ -948,13 +949,6 @@ def test_key_rate_validation():
         diqkd.KeyRateParams(alpha=0.5, gamma=0.1, delta=0.2, c=0.0, n=100)  # delta > 1/8
     # gamma = 0 stays legal: the formula needs no test rounds
     diqkd.KeyRateParams(alpha=0.5, gamma=0.0, delta=0.01, c=0.0, n=100)
-
-
-def test_chernoff_abort_bound_arithmetic():
-    # 2 delta^2 gamma alpha n = 2 * 0.0025 * 0.5 * 0.2 * 10^4 = 5
-    assert diqkd.chernoff_abort_bound(0.05, 0.5, 0.2, 10**4) == pytest.approx(2.0**-5, rel=1e-12)
-    with pytest.raises(ValidationError):
-        diqkd.chernoff_abort_bound(0.05, 0.0, 0.2, 100)
 
 
 def test_serfling_mc_exact_small_case():

@@ -38,15 +38,6 @@ def test_params_validation():
             dpt.dpt_case_ii_bound(**{**_CASE_II, **bad})
 
 
-def test_delta_of_arithmetic():
-    # (|C| log2 prod|A| + log2(1/PrE)) / n, recomputed by hand:
-    # (2*4 + 2) / 20 = 0.5
-    assert dpt.delta_of(2, 0.25, 20, (4, 4)) == pytest.approx(0.5, abs=1e-15)
-    assert dpt.delta_of(0, 1.0, 7, (2,)) == 0.0
-    with pytest.raises(ValidationError):
-        dpt.delta_of(2, 0.0, 20, (4, 4))
-
-
 def test_case_i_bound_arithmetic():
     params = dict(l=2, n=400, c=0.001, nu=0.4, alphabet_sizes=(4, 4))
     base = 1 - 0.4 / 2 + 4 * math.sqrt(2 * 0.001)

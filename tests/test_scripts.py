@@ -161,3 +161,12 @@ def test_keyrate_sweep_refuses_a_fractional_round_count():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "n must be an integer" in proc.stderr
+
+
+def test_keyrate_sweep_reads_round_counts_as_plain_integers():
+    # 2.0 ran as n = 2, and 1e300 printed a 301-digit n with nan statistics
+    for n in ("2.0", "1e300"):
+        proc = _run_script("keyrate_sweep.py", "--n", n, "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05")
+        assert proc.returncode == 1, n
+        assert proc.stdout == ""
+        assert "n must be an integer" in proc.stderr and "Traceback" not in proc.stderr
