@@ -9,8 +9,9 @@ provers anything.
 """
 
 import argparse
+import sys
 
-from gamebox import bounds, games
+from gamebox import bounds, cli, games
 
 
 def main() -> None:
@@ -41,4 +42,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if code := cli.exit_code(main):  # a library refusal: one line, exit 1 or 2
+        sys.exit(code)

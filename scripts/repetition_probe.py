@@ -10,8 +10,9 @@ hill climbing.
 """
 
 import argparse
+import sys
 
-from gamebox import dpt, games
+from gamebox import cli, dpt, games
 
 
 def main() -> None:
@@ -38,4 +39,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if code := cli.exit_code(main):  # a library refusal: one line, exit 1 or 2
+        sys.exit(code)

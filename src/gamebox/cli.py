@@ -348,8 +348,18 @@ def _cmd_diqkd_sweep(args):
         "nu": list(_float_list(args.nu)),
         "beta": list(_float_list(args.beta)),
     }
-    cells = diqkd.expand_grid(axes)
-    return diqkd.sweep(cells, args.runs, args.seed)
+    rows = diqkd.sweep(diqkd.expand_grid(axes), args.runs, args.seed)
+    best = max(rows, key=lambda r: r["rate_per_copy"], default=None)
+    if best is not None and best["rate_per_copy"] > 0:
+        print(
+            f"best positive cell: rate_per_copy={best['rate_per_copy']:.6g} at "
+            f"n={best['n']} alpha={best['alpha']} gamma={best['gamma']} "
+            f"delta={best['delta']} c={best['c']} nu={best['nu']} beta={best['beta']}",
+            file=sys.stderr,
+        )
+    else:
+        print("no positive-rate cell in this grid", file=sys.stderr)
+    return rows
 
 
 def _pattern_from_spec(spec: str, n: int):
@@ -546,15 +556,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
+def exit_code(work) -> int:
+    """Run ``work()`` and return the exit code of its outcome: 0 when it
+    returns, 1 for bad input (``ValidationError``, an unreadable file,
+    malformed JSON), 2 for any other ``GameboxError``; a refusal prints one
+    line on stderr.  The command and the experiment scripts all exit
+    through here."""
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as done:
-        return int(done.code or 0)
-    try:
-        if args.out:
-            _check_out(args.out)
-        _emit(args.handler(args), args)
+        work()
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 1
@@ -562,6 +571,20 @@ def main(argv=None) -> int:
         print(f"gamebox: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as done:
+        return int(done.code or 0)
+
+    def work():
+        if args.out:
+            _check_out(args.out)
+        _emit(args.handler(args), args)
+
+    return exit_code(work)
 
 
 if __name__ == "__main__":

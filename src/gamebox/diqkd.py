@@ -884,9 +884,10 @@ def expand_grid(axes: dict) -> list[dict]:
 def _checked_cell(
     cell: dict, runs_per_cell: int, seed: int
 ) -> tuple[dict, ProtocolParams | None, KeyRateParams]:
-    """One sweep cell with defaults filled in, checked: its protocol
-    parameters (when it will be simulated) and its rate parameters at
-    ``PrE = 1``."""
+    """One sweep cell with defaults filled in, checked: its rate parameters
+    at ``PrE = 1``, built from the cell's own values so that each is checked
+    against its own range, and its protocol parameters (when it will be
+    simulated)."""
     unknown = set(cell) - _CELL_KEYS
     if unknown:
         raise ValidationError(f"unknown sweep keys {sorted(unknown)}")
@@ -895,26 +896,10 @@ def _checked_cell(
     missing = {"n", "alpha", "gamma", "delta"} - set(conf)
     if missing:
         raise ValidationError(f"sweep cell missing {sorted(missing)}")
-    for key, value in conf.items():
-        check_range(key, value, -math.inf, math.inf, integer=key == "n")
+    rate_params = KeyRateParams(**conf)
     params = None
     if runs_per_cell > 0:
-        params = ProtocolParams(
-            n=conf["n"],
-            alpha=float(conf["alpha"]),
-            gamma=float(conf["gamma"]),
-            delta=float(conf["delta"]),
-            seed=seed,
-        )
-    rate_params = KeyRateParams(
-        alpha=float(conf["alpha"]),
-        gamma=float(conf["gamma"]),
-        delta=float(conf["delta"]),
-        c=float(conf["c"]),
-        n=conf["n"],
-        nu=float(conf["nu"]),
-        beta=float(conf["beta"]),
-    )
+        params = ProtocolParams(conf["n"], conf["alpha"], conf["gamma"], conf["delta"], seed)
     return conf, params, rate_params
 
 

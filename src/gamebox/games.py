@@ -615,6 +615,9 @@ def _random_povms(game: GamePredicate, local_dims, seed: int, rs: range) -> list
 
 _SEESAW_ITERS = 500  # iterations of one seesaw restart at most
 _SEESAW_TOL = 1e-9  # a seesaw restart stops after an iteration that gains less
+# Joint dimension prod(local_dims) of a seesaw at most: chsh at (2, 512)
+# takes ~3 s and ~180 MB a restart; mse's default dims (4, 4, 36) are 576.
+_SEESAW_DIM_LIMIT = 1024
 
 
 def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: int, max_iters: int, tol: float):
@@ -673,7 +676,9 @@ def seesaw(
     restart ``r`` draws fresh Haar-random projective measurements from
     ``numpy.random.default_rng([seed, r])``, and stops once an iteration
     gains less than ``_SEESAW_TOL`` or after ``_SEESAW_ITERS`` iterations;
-    a restart that reaches 1 - 1e-9 ends the search.
+    a restart that reaches 1 - 1e-9 ends the search.  A joint dimension
+    ``prod(local_dims)`` above ``_SEESAW_DIM_LIMIT`` raises
+    ``BudgetExceededError`` before any draw.
     The measurements stay projective throughout: with three or more
     outputs, ``_optimize_povm`` makes one round-robin sweep per iteration
     over the pairs of outputs, one ``eigh`` per pair step, and its exact
@@ -700,6 +705,9 @@ def seesaw(
     local_dims = tuple(int(check_range("local dimension", d, 1, math.inf, integer=True)) for d in local_dims)
     if len(local_dims) != game.players:
         raise DimensionMismatchError("one local dimension per player required")
+    joint = math.prod(local_dims)
+    if joint > _SEESAW_DIM_LIMIT:
+        raise BudgetExceededError(f"joint dimension {joint} of a seesaw exceeds the limit {_SEESAW_DIM_LIMIT}")
     check_range("restarts", restarts, 1, math.inf, integer=True)
     check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)

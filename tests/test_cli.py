@@ -1,6 +1,8 @@
 """Command-line surface: argument handling, exit codes, output formats."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -129,13 +131,33 @@ def test_fractional_sweep_n_exits_one(capsys):
     assert "n must be an integer" in err
 
 
-@pytest.mark.parametrize("n", ["1e300", "2.0"])
+@pytest.mark.parametrize("n", ["1e300", "2.0", "1000.5"])
 def test_sweep_n_must_be_written_as_an_integer(capsys, n):
-    # 1e300 died inside numpy; 2.0 ran as n = 2
+    # 1e300 died inside numpy; 2.0 ran as n = 2; 1000.5 as n = 1000
     code, out, err = run(capsys, "diqkd", "sweep", "--n", n, "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.01")
     assert code == 1
     assert out == ""
     assert "n must be an integer" in err
+
+
+_SWEEP_BASE = {"--n": "200", "--alpha": "0.5", "--gamma": "0.2", "--delta": "0.05", "--c": "0", "--nu": "0.01",
+               "--beta": "1.0", "--runs": "1", "--seed": "0"}
+_EDGE_VALUES = ("-1", "0", "-0.0", "1e-320", "3", "1e300", str(2**63))
+
+
+# --runs 2^63 is left out: that many runs is work the user asked for, and
+# no limit bounds it
+@pytest.mark.parametrize(
+    "flag, value", [(f, v) for f in _SWEEP_BASE for v in _EDGE_VALUES if (f, v) != ("--runs", str(2**63))]
+)
+def test_sweep_at_edge_values_exits_cleanly(capsys, flag, value):
+    argv = {**_SWEEP_BASE, flag: value}
+    code, out, err = run(capsys, "diqkd", "sweep", *(t for kv in argv.items() for t in kv))
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert out.splitlines()[0] == ",".join(diqkd.SWEEP_COLUMNS)
+    else:
+        assert out == "" and err
 
 
 def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
@@ -178,6 +200,24 @@ def test_sweep_past_the_rounds_limit_refuses_before_its_first_cell(capsys, round
     code, out, _ = run(capsys, "diqkd", "sweep", *axes, "--runs", "0")
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["10", "11"]
+
+
+@pytest.mark.parametrize("dims", ["2,100000", f"2,{2**63}"])
+def test_seesaw_past_the_dimension_limit_exits_two_before_any_draw(capsys, monkeypatch, dims):
+    # 2,100000 asked numpy for 298 GiB; 2,2^63 died in a numpy ValueError
+    draws = []
+    monkeypatch.setattr(games, "_random_povms", lambda *args: draws.append(args))
+    code, out, err = run(capsys, "game", "value", "--builtin", "chsh", "--method", "seesaw", "--restarts", "1",
+                         "--dims", dims)
+    assert (code, out) == (2, "")
+    assert err.startswith("gamebox: ") and f"limit {games._SEESAW_DIM_LIMIT}" in err
+    assert draws == []
+
+
+def test_seesaw_dimension_limit_admits_every_builtin_default():
+    for name in games.BUILTIN_GAMES:
+        dims = [max(2, s) for s in games.builtin_game(name).output_sizes]
+        assert math.prod(dims) <= games._SEESAW_DIM_LIMIT, name
 
 
 _SERFLING = ("diqkd", "serfling", "--n", "10", "--gamma", "0.2", "--eps", "0.2")
@@ -571,6 +611,23 @@ def test_diqkd_sweep_csv_header_and_determinism(capsys):
     assert out2 == out
 
 
+def test_diqkd_sweep_prints_one_row_per_cell_and_its_best_cell_on_stderr(capsys):
+    code, out, err = run(capsys, "diqkd", "sweep", "--n", "1000,2000", "--alpha", "0.5", "--gamma", "0.1,0.2",
+                         "--delta", "0.02", "--runs", "2", "--seed", "3")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["n"], r["gamma"], r["seed"]) for r in rows] == [("1000", "0.1", "3"), ("1000", "0.2", "3"),
+                                                               ("2000", "0.1", "3"), ("2000", "0.2", "3")]
+    assert err == "no positive-rate cell in this grid\n"
+    code, out, err = run(capsys, "diqkd", "sweep", "--n", "1000000", "--alpha", "0.04", "--gamma", "0.01",
+                         "--delta", "0.001", "--c", "0.001,0.002", "--nu", "0.3", "--beta", "0.5")
+    assert code == 0
+    best = max(csv.DictReader(io.StringIO(out)), key=lambda r: float(r["rate_per_copy"]))
+    assert best["c"] == "0.001"
+    assert err == (f"best positive cell: rate_per_copy={float(best['rate_per_copy']):.6g} at n=1000000 alpha=0.04 "
+                   "gamma=0.01 delta=0.001 c=0.001 nu=0.3 beta=0.5\n")
+
+
 def test_diqkd_serfling_cli_patterns(capsys):
     code, out, _ = run(
         capsys, "diqkd", "serfling", "--n", "50", "--gamma", "0.2", "--eps", "0.2",
@@ -941,6 +998,8 @@ README_COMMAND_MODULES = {
     "diqkd run --n 2000 --alpha 0.5 --gamma 0.2 --delta 0.05 --runs 1000 --seed 1": _DIQKD,
     "diqkd run --n 200 --boxes test_set --guess 40 --limit-bits 500 --seed 1": _DIQKD,
     "diqkd rate --alpha 0.04 --gamma 0.01 --delta 0.001 --c 0.001 --n 1000000 --nu 0.3 --beta 0.5": ("diqkd",),
+    "diqkd sweep --n 5000 --alpha 0.5 --gamma 0.1,0.2 --delta 0.02,0.05 --c 0,0.001 --runs 50 --seed 1 --format json":
+        _DIQKD,
     "diqkd serfling --n 100 --gamma 0.2 --eps 0.2 --pattern threshold:59 --trials 100000 --seed 8": ("diqkd",),
 }
 

@@ -1177,3 +1177,11 @@ def test_sweep_validation():
         diqkd.sweep([{"n": 100, "alpha": 0.5}], 0, 0)  # missing keys
     with pytest.raises(ValidationError):
         diqkd.sweep([], -1, 0)
+
+
+def test_sweep_checks_each_value_against_its_own_range():
+    # nan was refused as "alpha must lie in (-inf, inf)"
+    with pytest.raises(ValidationError, match=r"alpha must lie in \(0\.0, 1\.0\]"):
+        diqkd.sweep([{"n": 100, "alpha": math.nan, "gamma": 0.1, "delta": 0.01}], 0, 0)
+    with pytest.raises(ValidationError, match="real number"):
+        diqkd.sweep([{"n": 100, "alpha": "0.5", "gamma": 0.1, "delta": 0.01}], 0, 0)

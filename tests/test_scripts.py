@@ -1,16 +1,16 @@
 """The experiment scripts: the partition table and the repetition probe
 in-process with their default arguments, the scripts as processes on small
-grids."""
+grids and on a library refusal."""
 
-import csv
-import io
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-from gamebox import diqkd, dpt
+import pytest
+
+from gamebox import dpt
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -143,30 +143,16 @@ def test_repetition_probe_prints_one_row_per_case():
     assert [float(r[3]) for r in rows] == [0.75, 1.0, 0.625, 0.75]
 
 
-def test_keyrate_sweep_prints_one_row_per_cell():
-    proc = _run_script("keyrate_sweep.py", "--n", "1000,2000", "--alpha", "0.5", "--gamma", "0.1,0.2",
-                       "--delta", "0.02", "--runs", "2", "--seed", "3")
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    assert proc.stdout.splitlines()[0] == ",".join(diqkd.SWEEP_COLUMNS)
-    assert len(rows) == 4
-    assert [(r["n"], r["gamma"], r["seed"]) for r in rows] == [("1000", "0.1", "3"), ("1000", "0.2", "3"),
-                                                               ("2000", "0.1", "3"), ("2000", "0.2", "3")]
-    assert "positive" in proc.stderr
-
-
-def test_keyrate_sweep_refuses_a_fractional_round_count():
-    # it was truncated to 1000
-    proc = _run_script("keyrate_sweep.py", "--n", "1000.5", "--alpha", "0.5", "--gamma", "0.1", "--delta", "0.02")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "n must be an integer" in proc.stderr
-
-
-def test_keyrate_sweep_reads_round_counts_as_plain_integers():
-    # 2.0 ran as n = 2, and 1e300 printed a 301-digit n with nan statistics
-    for n in ("2.0", "1e300"):
-        proc = _run_script("keyrate_sweep.py", "--n", n, "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05")
-        assert proc.returncode == 1, n
-        assert proc.stdout == ""
-        assert "n must be an integer" in proc.stderr and "Traceback" not in proc.stderr
+@pytest.mark.parametrize(
+    "script, args, code, message",
+    [
+        ("partition_bound_table.py", ("--games", "nope"), 1, "unknown builtin"),
+        ("repetition_probe.py", ("--games", "chsh", "--budget", "-1"), 1, "search_budget must lie in"),
+    ],
+)
+def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code, message):
+    # each printed a traceback
+    proc = _run_script(script, *args)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("gamebox: ") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
