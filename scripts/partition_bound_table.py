@@ -8,14 +8,13 @@ gap across variants is the quickest way to see where aborts buy the
 provers anything.
 """
 
-import argparse
 import sys
 
 from gamebox import bounds, cli, games
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = cli._Parser(description=__doc__)
     ap.add_argument("--games", default="chsh,magic_square",
                     help="comma-separated builtin names")
     ap.add_argument("--eps", default="0,0.05,0.1,0.2",
@@ -23,7 +22,7 @@ def main() -> None:
     args = ap.parse_args()
 
     names = [g.strip() for g in args.games.split(",") if g.strip()]
-    eps_grid = [float(e) for e in args.eps.split(",")]
+    eps_grid = cli._float_list(args.eps)
 
     header = f"{'game':<14} {'eps':>5} {'variant':<11} {'eff_ns':>10} {'eff_local':>10} {'gap':>10}"
     print(header)
@@ -42,5 +41,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if code := cli.exit_code(main):  # a library refusal: one line, exit 1 or 2
+    # a usage error exits 1; bad list input or a library refusal prints one
+    # line and exits 1 or 2
+    if code := cli.exit_code(main):
         sys.exit(code)

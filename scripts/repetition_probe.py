@@ -9,14 +9,13 @@ buys; "exhaustive" rows are exact, "lower_bound" rows come from seeded
 hill climbing.
 """
 
-import argparse
 import sys
 
 from gamebox import cli, dpt, games
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = cli._Parser(description=__doc__)
     ap.add_argument("--games", default="chsh,magic_square")
     ap.add_argument("--copies", default="1,2")
     ap.add_argument("--comm-bits", default="0,1,2")
@@ -24,13 +23,15 @@ def main() -> None:
                     help="strategy-enumeration cap before falling back to hill climbing")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    copies = cli._int_list(args.copies, "--copies")
+    comm_bits = cli._int_list(args.comm_bits, "--comm-bits")
 
     print(f"{'game':<14} {'n':>3} {'comm':>5} {'value':>12} {'classical^n':>12} {'kind':<12}")
     for name in [g.strip() for g in args.games.split(",") if g.strip()]:
         game = games.builtin_game(name)
         single = games.classical_value(game).value
-        for n in [int(x) for x in args.copies.split(",")]:
-            for comm in [int(x) for x in args.comm_bits.split(",")]:
+        for n in copies:
+            for comm in comm_bits:
                 probe = dpt.RepetitionProbe(game, n=n, comm_bits=comm,
                                             search_budget=args.budget, seed=args.seed)
                 res = dpt.empirical_repeated_value(probe)
@@ -39,5 +40,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if code := cli.exit_code(main):  # a library refusal: one line, exit 1 or 2
+    # a usage error exits 1; bad list input or a library refusal prints one
+    # line and exits 1 or 2
+    if code := cli.exit_code(main):
         sys.exit(code)

@@ -42,8 +42,9 @@ _CHUNK = 2**16
 # or bad members
 _HYPERGEOMETRIC_MAX = 10**9
 
-# Rounds a simulated run may hold: a run's peak is ~17 bytes a round at
-# alpha 0.5 and ~30 at alpha 1, so a run stays under ~1.5 GB.
+# Rounds a simulated run may hold: a run's peak is ~14.5 bytes a round at
+# alpha 0.5 and ~29 at alpha 1 (tracemalloc, n = 10^6; the int64 S, x_S
+# and y_S of the record set the second), so a run stays under ~1.5 GB.
 _ROUNDS_LIMIT = 5 * 10**7
 
 SWEEP_COLUMNS = (
@@ -180,13 +181,28 @@ class LeakageChannel:
 # ---------------------------------------------------------------------------
 
 
+# an 8-entry bit table: bit c is the parity of row code c (codes 1, 2, 4
+# and 7 are odd)
+_CODE_PARITY = np.uint8(0b10010110)
+
+
+def _code_rows(codes: np.ndarray) -> np.ndarray:
+    """The rows of uint8 ``codes``, as bits in a new last axis of length 3."""
+    rows = codes[..., None] >> np.array([2, 1, 0], dtype=np.uint8)
+    rows &= 1
+    return rows
+
+
 class BoxPair:
     """A pair of devices answering n parallel grid-game rounds.
 
     ``produce`` receives both input strings, as uint8 arrays of length n
     with entries in {0, 1, 2}, and the (pre-output) leakage channel.  It
-    must return Alice rows with even parity and Bob rows with odd parity,
-    shapes (n, 3), entries 0 or 1 (uint8 rows are checked fastest).
+    must return Alice's and Bob's answers as two integer arrays of shape
+    (n,), one code a round: the row ``(r0, r1, r2)`` as ``4 r0 + 2 r1 +
+    r2``, so the bit at position p is ``(code >> (2 - p)) & 1``.  Alice's
+    rows have even parity (codes 0, 3, 5, 6), Bob's odd parity (1, 2, 4,
+    7); uint8 codes are checked fastest.
 
     Building a box loads ``games`` for the grid game's even and odd
     parity rows, so the commands that build none (``diqkd rate``,
@@ -199,7 +215,8 @@ class BoxPair:
     def __init__(self):
         from .games import EVEN_BITS, ODD_BITS
 
-        self._even_rows, self._odd_rows = EVEN_BITS, ODD_BITS
+        weights = np.array([4, 2, 1], dtype=np.uint8)
+        self._even_codes, self._odd_codes = EVEN_BITS @ weights, ODD_BITS @ weights
 
     def produce(self, xs: np.ndarray, ys: np.ndarray, channel: LeakageChannel):
         raise NotImplementedError
@@ -313,8 +330,8 @@ class HonestBoxes(BoxPair):
     at ``(x, y)``.  Each of the 8 winning outcomes has probability 1/8 and
     the others none, so the outcome depends only on ``ceil(8u)`` (``8u``
     is exact in floating point): the inverse is a 9 x 9 integer table,
-    indexed by the input pair and ``ceil(8u)``, and one gather per round
-    selects the outcome.
+    indexed by the input pair and ``ceil(8u)``, and one flat gather per
+    round and party selects that party's code from an 81-entry table.
 
     Draw order: each draw phase has its own stream, spawned from ``seed``.
     Round i reads the i-th cell uniform and the i-th noise flag; the k-th
@@ -334,10 +351,10 @@ class HonestBoxes(BoxPair):
         ys = ys.astype(np.uint8, copy=False).ravel()
         n = xs.size
         joint = _ms_index_table()
-        alice_rows = self._even_rows[joint >> 2]  # (81, 3): Alice's row per table entry
-        bob_index = joint & 3  # Bob's row index per table entry
-        A = np.empty((n, 3), dtype=np.uint8)
-        B = np.empty((n, 3), dtype=np.uint8)
+        alice_codes = self._even_codes[joint >> 2]  # Alice's code per table entry
+        bob_codes = self._odd_codes[joint & 3]  # Bob's code per table entry
+        A = np.empty(n, dtype=np.uint8)
+        B = np.empty(n, dtype=np.uint8)
         for lo, hi in _chunks(n):
             eighths = self._cells.random(hi - lo)
             eighths *= 8.0
@@ -347,11 +364,10 @@ class HonestBoxes(BoxPair):
             del eighths
             cell += 27 * xs[lo:hi]  # 9 (3x + y) + ceil(8u) <= 80
             cell += 9 * ys[lo:hi]
-            np.take(alice_rows, cell, axis=0, out=A[lo:hi])
-            b_idx = np.take(bob_index, cell)
+            np.take(alice_codes, cell, out=A[lo:hi])
+            np.take(bob_codes, cell, out=B[lo:hi])
             noisy = np.flatnonzero(self._noise.random(hi - lo) < 2.0 * self.delta)
-            b_idx[noisy] = self._answers.integers(0, 4, noisy.size)
-            np.take(self._odd_rows, b_idx, axis=0, out=B[lo:hi])
+            B[lo + noisy] = self._odd_codes[self._answers.integers(0, 4, noisy.size)]
         return A, B
 
 
@@ -361,44 +377,36 @@ class BaselineCheatingBoxes(BoxPair):
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
-        n = xs.size
-        A = np.repeat(self._even_rows[0][None, :], n, axis=0)
-        B = np.repeat(self._odd_rows[0][None, :], n, axis=0)
-        return A, B
+        return np.full(xs.size, self._even_codes[0]), np.full(xs.size, self._odd_codes[0])
 
 
 class TestSetCheatingBoxes(BoxPair):
     """Baseline cheater plus leakage: for as many early rounds as the
     budget affords (5 bits each: Bob's input, Alice's input, the probed
-    bit), Bob's box learns enough to answer consistently in that round."""
+    bit), Bob's box learns enough to answer consistently in that round:
+    the first odd row, in ``ODD_BITS`` order, that holds Alice's bit at
+    Alice's input."""
 
     def __init__(self, guess_count: int):
         super().__init__()
         self.guess_count = check_range("guess_count", guess_count, 0, math.inf, integer=True)
+        # (position, bit) -> the code of the first odd row with that bit there
+        odd_bits = _code_rows(self._odd_codes).T  # (3 positions, 4 rows)
+        self._odd_with_bit = self._odd_codes[np.stack([odd_bits.argmin(axis=1), odd_bits.argmax(axis=1)], axis=1)]
 
     def produce(self, xs, ys, channel):
         xs, ys = _grid_inputs(xs, ys)
         n = xs.size
-        A = np.repeat(self._even_rows[0][None, :], n, axis=0)
-        B = np.repeat(self._odd_rows[0][None, :], n, axis=0)
-        affordable = min(self.guess_count, channel.remaining // 5, n)
-        for i in range(affordable):
-            channel.send("bob_box", "alice_box", 2, format(ys[i], "02b"))
-            channel.send("alice_box", "bob_box", 2, format(xs[i], "02b"))
-            key_bit = int(A[i, ys[i]])
+        A = np.full(n, self._even_codes[0])
+        B = np.full(n, self._odd_codes[0])
+        k = min(self.guess_count, channel.remaining // 5, n)
+        key_bits = (A[:k] >> (2 - ys[:k])) & 1
+        for x, y, key_bit in zip(xs[:k], ys[:k], key_bits):
+            channel.send("bob_box", "alice_box", 2, format(y, "02b"))
+            channel.send("alice_box", "bob_box", 2, format(x, "02b"))
             channel.send("alice_box", "bob_box", 1, str(key_bit))
-            B[i] = self._odd_rows[_odd_row_with_bit(int(xs[i]), key_bit)]
+        B[:k] = self._odd_with_bit[xs[:k], key_bits]
         return A, B
-
-
-@functools.cache
-def _odd_row_with_bit(position: int, bit: int) -> int:
-    from .games import ODD_BITS
-
-    for idx in range(4):
-        if ODD_BITS[idx][position] == bit:
-            return idx
-    raise AssertionError("odd-parity rows realise both bit values in every position")
 
 
 def honest_boxes(delta: float, seed) -> BoxPair:
@@ -530,16 +538,21 @@ def _check_bits(who: str, rows: np.ndarray) -> None:
         raise ValidationError(f"{who} must hold only bits 0 and 1")
 
 
-def _bit_rows(who: str, rows: np.ndarray, parity: int) -> np.ndarray:
-    """``rows`` as uint8 after checking that every entry is 0 or 1 and
-    that each row's parity is ``parity``."""
-    _check_bits(f"{who} rows", rows)
-    rows = rows.astype(np.uint8, copy=False)
-    odd = rows[:, 0] ^ rows[:, 1]
-    odd ^= rows[:, 2]
-    if (odd != parity).any():
+def _checked_codes(who: str, codes: np.ndarray, parity: int) -> np.ndarray:
+    """``codes`` as uint8 after checking that they are integers in 0..7
+    (before any cast, which would wrap 257 to 1 and -1 to 255) and that
+    each code's row has parity ``parity``."""
+    if codes.dtype.kind not in "iu":
+        raise ValidationError(f"{who} codes must be integers, got dtype {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() > 7):
+        raise ValidationError(f"{who} codes must lie in 0..7, one row of three bits each")
+    codes = codes.astype(np.uint8, copy=False)
+    wrong = np.right_shift(_CODE_PARITY, codes)
+    wrong &= 1
+    wrong ^= parity
+    if wrong.any():
         raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
-    return rows
+    return codes
 
 
 class _Block(NamedTuple):
@@ -552,7 +565,7 @@ class _Block(NamedTuple):
     T: np.ndarray  # (b, t) int64, a sorted subset of each row of S
     x_S: np.ndarray  # (b, s) uint8
     y_S: np.ndarray  # (b, s) uint8
-    a_T: np.ndarray  # (b, t, 3) uint8, Alice's rows at T
+    a_T: np.ndarray  # (b, t) uint8, Alice's codes at T
     key_a: np.ndarray  # (b, s) uint8
     key_b: np.ndarray  # (b, s) uint8
     matches: np.ndarray  # (b,) int64
@@ -594,7 +607,7 @@ def _simulate(
 def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
     """``b`` whole runs as one pass of ``b n`` rounds: each party's inputs
     drawn in one ``_draw_inputs`` call, seen once by the adversary and the
-    boxes, and the rows checked once; only the exact-size S and T draws
+    boxes, and the codes checked once; only the exact-size S and T draws
     are made run by run."""
     n, s, t = params.n, params.s_size, params.t_size
     rng_x, rng_y, rng_s, rng_t = rngs
@@ -607,10 +620,10 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
 
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.shape != (b * n, 3) or B.shape != (b * n, 3):
-        raise ValidationError(f"boxes returned shapes {A.shape}, {B.shape}; expected ({b * n}, 3)")
-    A = _bit_rows("Alice", A, parity=0)
-    B = _bit_rows("Bob", B, parity=1)
+    if A.shape != (b * n,) or B.shape != (b * n,):
+        raise ValidationError(f"boxes returned shapes {A.shape}, {B.shape}; expected ({b * n},)")
+    A = _checked_codes("Alice", A, parity=0)
+    B = _checked_codes("Bob", B, parity=1)
 
     S = _subsets(rng_s, b, n, s)
     # positions within S, sorted like S, so each run's T = S[tested] is
@@ -620,15 +633,17 @@ def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
 
     x_S, y_S = xs[S], ys[S]
     del xs, ys  # not read again: with them, the key gathers below would set the peak
-    # one index temporary of |S| entries, the flat index of each key
-    # round's cell, first Bob's input's, then Alice's
-    cells = 3 * S
-    cells += y_S
-    key_a = A.reshape(-1)[cells]
-    cells -= y_S
-    cells += x_S
-    key_b = B.reshape(-1)[cells]
-    del cells
+    # each key bit is the party's code at S shifted by the other party's
+    # input: Alice's bit at Bob's input, Bob's at Alice's
+    shift = np.subtract(2, y_S, dtype=np.uint8)
+    key_a = A[S]
+    key_a >>= shift
+    key_a &= 1
+    np.subtract(2, x_S, out=shift)
+    key_b = B[S]
+    key_b >>= shift
+    key_b &= 1
+    del shift
     agree = key_a == key_b
     matches, passed = _agreement(np.take_along_axis(agree, tested, axis=1), params.delta)
     T = np.take_along_axis(S, tested, axis=1)
@@ -669,24 +684,30 @@ def run_protocol(
     between input entry and output production, then locked.  The
     adversary and the boxes receive the inputs as uint8 arrays.  The
     record's dtypes are fixed: ``S``, ``T``, ``x_S`` and ``y_S`` are
-    int64, ``a_T`` and the keys uint8.
+    int64, ``a_T`` (Alice's rows at T, shape (|T|, 3)) and the keys uint8.
     """
     budget = budget if budget is not None else LeakageBudget(0)
     (block,) = _simulate(params, boxes, 1, run_index, adversary, budget.limit_bits - budget.used_bits)
-    budget.debit(int(block.leaked_bits[0]))
-    passed = bool(block.passed[0])
+    S, T, x_S, y_S, a_T, key_a, key_b, matches, passed, qber, mismatch_S, leaked_bits = (v[0] for v in block)
+    # each array of the run now has one name: the uint8 inputs and codes
+    # are freed as their wider forms replace them
+    del block
+    budget.debit(int(leaked_bits))
+    x_S = x_S.astype(np.int64)
+    y_S = y_S.astype(np.int64)
+    a_T = _code_rows(a_T)
     return TranscriptRecord(
-        S=block.S[0],
-        T=block.T[0],
-        x_S=block.x_S[0].astype(np.int64),
-        y_S=block.y_S[0].astype(np.int64),
-        a_T=block.a_T[0],
+        S=S,
+        T=T,
+        x_S=x_S,
+        y_S=y_S,
+        a_T=a_T,
         aborted=not passed,
-        K_A=block.key_a[0] if passed else None,
-        K_B=block.key_b[0] if passed else None,
-        qber=float(block.qber[0]),
-        mismatch_S=float(block.mismatch_S[0]),
-        matches=int(block.matches[0]),
+        K_A=key_a if passed else None,
+        K_B=key_b if passed else None,
+        qber=float(qber),
+        mismatch_S=float(mismatch_S),
+        matches=int(matches),
         leaked_bits=budget.used_bits,
     )
 

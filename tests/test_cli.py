@@ -160,6 +160,55 @@ def test_sweep_at_edge_values_exits_cleanly(capsys, flag, value):
         assert out == "" and err
 
 
+_RUN_BASE = {"--n": "200", "--alpha": "0.5", "--gamma": "0.2", "--delta": "0.05", "--runs": "1",
+             "--box-delta": "0.05", "--guess": "40", "--limit-bits": "500", "--seed": "0"}
+# name -> (command words, numeric flags at their base values, fixed flags)
+_DIQKD_EDGE_COMMANDS = {
+    **{f"run-{boxes}": (("diqkd", "run"), _RUN_BASE, {"--boxes": boxes})
+       for boxes in ("honest", "baseline", "test_set")},
+    "serfling": (("diqkd", "serfling"), {"--n": "200", "--gamma": "0.2", "--eps": "0.2", "--trials": "100",
+                                         "--seed": "0"}, {"--pattern": "threshold:120"}),
+    "rate": (("diqkd", "rate"), {"--alpha": "0.04", "--gamma": "0.01", "--delta": "0.001", "--c": "0.001",
+                                 "--n": "200", "--nu": "0.3", "--beta": "0.5", "--pre": "1"}, {}),
+}
+_ALL_EDGE_VALUES = ("nan", "inf", "-inf", *_EDGE_VALUES)
+
+
+def _diqkd_edge_cases():
+    for name, (_, numeric, fixed) in _DIQKD_EDGE_COMMANDS.items():
+        for flag in numeric:
+            for value in _ALL_EDGE_VALUES:
+                # that many runs or trials is work the user asked for, and
+                # no limit bounds it
+                if flag not in ("--runs", "--trials") or value != str(2**63):
+                    yield name, {flag: value}
+        if "--pattern" in fixed:
+            for value in _ALL_EDGE_VALUES:
+                yield name, {"--pattern": f"threshold:{value}"}
+                yield name, {"--pattern": f"iid:{value}"}
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+
+
+@pytest.mark.parametrize(
+    "name, change", list(_diqkd_edge_cases()),
+    ids=[f"{name}-{flag}={value}" for name, change in _diqkd_edge_cases() for flag, value in change.items()],
+)
+def test_diqkd_commands_at_edge_values_exit_cleanly(capsys, name, change):
+    # each value is passed as --flag=value, so that "-inf" and "-1" reach
+    # the flag's parser rather than read as options
+    words, numeric, fixed = _DIQKD_EDGE_COMMANDS[name]
+    argv = {**numeric, **fixed, **change}
+    code, out, err = run(capsys, *words, *(f"{flag}={value}" for flag, value in argv.items()))
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert isinstance(_strict_json(out), dict)
+    else:
+        assert out == "" and err
+
+
 def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
     # the budget message formatted 2**(4 * 10**6), past Python's 4300-digit
     # limit: a ValueError traceback

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -125,6 +126,34 @@ def test_conditional_table_is_perfect_and_unbiased():
             np.testing.assert_allclose(q[x, y].sum(axis=1), np.full(4, 0.25), atol=1e-9)
 
 
+def _decode(codes):
+    """The (n, 3) uint8 rows of the box codes ``4 r0 + 2 r1 + r2``."""
+    return ((np.asarray(codes, dtype=np.int64)[:, None] // np.array([4, 2, 1])) % 2).astype(np.uint8)
+
+
+def _encode(rows):
+    """The uint8 codes of (n, 3) rows of bits, by packing each row's bits."""
+    return np.packbits(np.asarray(rows) != 0, axis=1)[:, 0] >> 5
+
+
+def _produce_rows(boxes, xs, ys, channel=None):
+    """Alice's and Bob's rows, decoded from the codes that ``boxes`` return."""
+    channel = channel if channel is not None else diqkd.LeakageChannel(diqkd.LeakageBudget(0))
+    A, B = boxes.produce(xs, ys, channel)
+    return _decode(A), _decode(B)
+
+
+def test_codes_decode_to_the_grid_rows():
+    codes = np.arange(8)
+    np.testing.assert_array_equal(_encode(_decode(codes)), codes)
+    np.testing.assert_array_equal(diqkd._code_rows(codes.astype(np.uint8)), _decode(codes))
+    boxes = diqkd.baseline_cheating_boxes()
+    for codes, rows in ((boxes._even_codes, games.EVEN_BITS), (boxes._odd_codes, games.ODD_BITS)):
+        assert codes.dtype == np.uint8
+        np.testing.assert_array_equal(codes, _encode(rows))
+    np.testing.assert_array_equal(boxes._even_codes, [0, 3, 5, 6])
+
+
 def _win_rate(A, B, xs, ys):
     r = np.arange(xs.size)
     return float((A[r, ys] == B[r, xs]).mean())
@@ -134,7 +163,7 @@ def test_honest_boxes_win_exactly_without_noise():
     rng = np.random.default_rng(1)
     xs, ys = rng.integers(0, 3, 5000), rng.integers(0, 3, 5000)
     boxes = diqkd.honest_boxes(0.0, seed=42)
-    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    A, B = _produce_rows(boxes, xs, ys)
     assert _win_rate(A, B, xs, ys) == 1.0
     assert np.all(A.sum(axis=1) % 2 == 0)
     assert np.all(B.sum(axis=1) % 2 == 1)
@@ -147,7 +176,7 @@ def test_honest_boxes_noise_calibration():
     rng = np.random.default_rng(7)
     xs, ys = rng.integers(0, 3, m), rng.integers(0, 3, m)
     boxes = diqkd.honest_boxes(delta, seed=9)
-    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    A, B = _produce_rows(boxes, xs, ys)
     rate = _win_rate(A, B, xs, ys)
     sigma = math.sqrt(delta * (1 - delta) / m)
     assert abs(rate - (1 - delta)) < 4 * sigma
@@ -200,7 +229,7 @@ def test_honest_boxes_win_every_cell_on_a_zero_draw():
     xs, ys = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
     boxes = diqkd.honest_boxes(0.0, seed=0)
     boxes._cells = _ZeroCells()
-    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    A, B = _produce_rows(boxes, xs, ys)
     assert _win_rate(A, B, xs, ys) == 1.0
 
 
@@ -219,9 +248,9 @@ def test_honest_boxes_match_cumsum_reference(dtype):
                     A, B = fast.produce(xs, ys, channel)
                     A_ref, B_ref = _cumsum_produce(slow, xs, ys)
                     assert A.dtype == B.dtype == np.uint8
-                    assert A.shape == B.shape == (n, 3)
-                    np.testing.assert_array_equal(A, A_ref)
-                    np.testing.assert_array_equal(B, B_ref)
+                    assert A.shape == B.shape == (n,)
+                    np.testing.assert_array_equal(_decode(A), A_ref)
+                    np.testing.assert_array_equal(_decode(B), B_ref)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +281,7 @@ def test_honest_boxes_reject_bad_inputs(xs, ys):
 def test_baseline_cheater_wins_two_thirds_of_cells():
     boxes = diqkd.baseline_cheating_boxes()
     xs, ys = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
-    A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
+    A, B = _produce_rows(boxes, xs, ys)
     # "000" against "001" agree except when Alice is probed at position 2
     assert _win_rate(A, B, xs, ys) == pytest.approx(6 / 9)
 
@@ -261,11 +290,33 @@ def test_test_set_cheater_spends_five_bits_per_round():
     xs, ys = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 1])
     ch = diqkd.LeakageChannel(diqkd.LeakageBudget(11))  # affords two rounds
     boxes = diqkd.test_set_cheating_boxes(guess_count=4)
-    A, B = boxes.produce(xs, ys, ch)
+    A, B = _produce_rows(boxes, xs, ys, ch)
     assert ch.budget.used_bits == 10
+    # per round: Bob's input, Alice's input, Alice's bit at Bob's input
+    assert ch.log == [
+        ("bob_box", "alice_box", 2, "01"), ("alice_box", "bob_box", 2, "00"), ("alice_box", "bob_box", 1, "0"),
+        ("bob_box", "alice_box", 2, "10"), ("alice_box", "bob_box", 2, "01"), ("alice_box", "bob_box", 1, "0"),
+    ]
     r = np.arange(2)
     assert np.all(A[r, ys[:2]] == B[r, xs[:2]])  # leaked rounds agree
     assert np.all(B[2:] == games.ODD_BITS[0])  # unleaked rounds fall back
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_test_set_cheater_answers_with_the_first_odd_row_holding_the_bit(dtype):
+    # every input pair, with Alice answering each even row in turn: the
+    # cheater's own Alice answers 000, whose key bits are all 0
+    xs = np.repeat(np.arange(3), 3).astype(dtype)
+    ys = np.tile(np.arange(3), 3).astype(dtype)
+    for alice in (0, 1, 2, 3):
+        boxes = diqkd.test_set_cheating_boxes(guess_count=9)
+        boxes._even_codes = np.roll(boxes._even_codes, -alice)
+        A, B = _produce_rows(boxes, xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(45)))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            bit = games.EVEN_BITS[alice][y]
+            first = next(row for row in games.ODD_BITS if row[x] == bit)
+            np.testing.assert_array_equal(B[i], first)
+            np.testing.assert_array_equal(A[i], games.EVEN_BITS[alice])
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +329,7 @@ def test_abort_test_threshold_boundary():
     A = np.repeat(games.EVEN_BITS[0][None, :], 4, axis=0)
     xs = np.zeros(4, dtype=int)
     ys = np.zeros(4, dtype=int)
-    agree = games.ODD_BITS[diqkd._odd_row_with_bit(0, 0)]
-    clash = games.ODD_BITS[diqkd._odd_row_with_bit(0, 1)]
+    agree, clash = games.ODD_BITS[0], games.ODD_BITS[2]  # 001 and 100: bit 0 and bit 1 at position 0
     two = np.stack([agree, agree, clash, clash])
     one = np.stack([agree, clash, clash, clash])
     rounds = np.arange(4)
@@ -359,7 +409,7 @@ def test_run_protocol_deterministic():
 class _BadParityBoxes(diqkd.BoxPair):
     def produce(self, xs, ys, channel):
         n = xs.size
-        return np.zeros((n, 3), dtype=np.uint8), np.zeros((n, 3), dtype=np.uint8)
+        return np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
 
 
 def test_run_protocol_rejects_invalid_rows():
@@ -369,32 +419,52 @@ def test_run_protocol_rejects_invalid_rows():
 
 
 class _FixedRowBoxes(diqkd.BoxPair):
-    def __init__(self, alice_row, bob_row, dtype):
-        self.rows = (alice_row, bob_row)
+    """Boxes that answer every round with one code each, in ``dtype``."""
+
+    def __init__(self, alice_code, bob_code, dtype):
+        self.codes = (alice_code, bob_code)
         self.dtype = dtype
 
     def produce(self, xs, ys, channel):
-        return tuple(np.tile(np.array(row, dtype=self.dtype), (xs.size, 1)) for row in self.rows)
+        return tuple(np.full(xs.size, code, dtype=self.dtype) for code in self.codes)
 
 
 @pytest.mark.parametrize(
-    "alice_row,bob_row,dtype",
+    "alice_code,bob_code,dtype,message",
     [
-        ([2, 0, 0], [0, 0, 1], np.int64),  # even sum, so the parity check alone passes it
-        ([0, 0, 0], [257, 0, 0], np.int64),  # a uint8 cast would wrap 257 to 1
-        ([0, 0, 0], [0, 0, -1], np.int64),
-        ([0, 0, 0], [0, 0, 1.5], float),
-        ([0, 0, 0], [0, 0, 255], np.uint8),
+        (8, 1, np.int64, "0..7"),  # its low three bits, 000, have even parity
+        (0, 257, np.int64, "0..7"),  # a uint8 cast would wrap 257 to 1
+        (0, -1, np.int64, "0..7"),  # and -1 to 255
+        (0, 1.5, float, "integers"),
+        (0, 255, np.uint8, "0..7"),
+        (0, 1.0, float, "integers"),  # a whole float is not a code either
+        (False, True, bool, "integers"),
     ],
-    ids=["alice-2", "bob-257", "bob-minus-1", "bob-1.5", "bob-255-uint8"],
+    ids=["alice-8", "bob-257", "bob-minus-1", "bob-1.5", "bob-255-uint8", "bob-1.0", "bool"],
 )
-def test_run_protocol_rejects_rows_that_are_not_bits(alice_row, bob_row, dtype):
+def test_run_protocol_rejects_rows_that_are_not_bits(alice_code, bob_code, dtype, message):
     params = diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.5, delta=0.0, seed=0)
-    with pytest.raises(ValidationError, match="bits"):
-        diqkd.run_protocol(params, _FixedRowBoxes(alice_row, bob_row, dtype))
-    # the same rows with valid bits pass
-    valid = diqkd.run_protocol(params, _FixedRowBoxes([0, 0, 0], [0, 0, 1], dtype))
+    with pytest.raises(ValidationError, match=message):
+        diqkd.run_protocol(params, _FixedRowBoxes(alice_code, bob_code, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint16, np.uint8])
+def test_run_protocol_accepts_codes_of_every_integer_dtype(dtype):
+    params = diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.5, delta=0.0, seed=0)
+    valid = diqkd.run_protocol(params, _FixedRowBoxes(6, 7, dtype))  # rows 110 and 111
     assert valid.a_T.dtype == np.uint8
+    np.testing.assert_array_equal(valid.a_T, np.tile([1, 1, 0], (params.t_size, 1)))
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (10, 3), (9,), (11,), ()])
+def test_run_protocol_rejects_codes_of_the_wrong_shape(shape):
+    class WrongShape(diqkd.BoxPair):
+        def produce(self, xs, ys, channel):
+            return np.zeros(shape, dtype=np.uint8), np.ones(10, dtype=np.uint8)
+
+    params = diqkd.ProtocolParams(n=10, alpha=0.5, gamma=0.5, delta=0.0, seed=0)
+    with pytest.raises(ValidationError, match="shapes"):
+        diqkd.run_protocol(params, WrongShape())
 
 
 def test_baseline_cheater_usually_aborts_but_leaky_cheater_passes():
@@ -501,13 +571,17 @@ class _ReferenceHonestBoxes(diqkd.HonestBoxes):
         b_idx = idx & 3
         noisy = self._noise.random(n) < 2.0 * self.delta
         b_idx[noisy] = self._answers.integers(0, 4, np.count_nonzero(noisy))
-        return A, np.take(games.ODD_BITS, b_idx, axis=0)
+        return _encode(A), _encode(np.take(games.ODD_BITS, b_idx, axis=0))
 
 
-def _reference_bit_rows(who, rows, parity):
-    if not ((rows == 0) | (rows == 1)).all():
-        raise ValidationError(f"{who} rows must hold only bits 0 and 1")
-    rows = rows.astype(np.uint8, copy=False)
+def _reference_rows(who, codes, parity):
+    """The rows of a box's codes, decoded by division, after the checks the
+    simulator makes: integers in 0..7, rows of parity ``parity``."""
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValidationError(f"{who} codes must be integers")
+    if not ((codes >= 0) & (codes <= 7)).all():
+        raise ValidationError(f"{who} codes must lie in 0..7")
+    rows = _decode(codes)
     if np.any((rows[:, 0] ^ rows[:, 1] ^ rows[:, 2]) != parity):
         raise ValidationError(f"{who} rows must have {('even', 'odd')[parity]} parity")
     return rows
@@ -543,8 +617,8 @@ def _reference_run_protocol(params, boxes, adversary=None, budget=None, run_inde
         adversary.execute(channel, xs, ys)
     A, B = boxes.produce(xs, ys, channel)
     channel.lock()
-    A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
-    B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
+    A = _reference_rows("Alice", np.asarray(A), parity=0)
+    B = _reference_rows("Bob", np.asarray(B), parity=1)
     S = _reference_subset(rng_s, n, params.s_size)
     T = S[_reference_subset(rng_t, params.s_size, params.t_size)]
     A_T = A[T]
@@ -572,17 +646,20 @@ def _reference_run_protocol(params, boxes, adversary=None, budget=None, run_inde
 
 
 class _InputRowBoxes(diqkd.BoxPair):
-    """Rows that depend on both inputs, returned in ``dtype``, so that the
-    key gathers read every cell position."""
+    """Rows that depend on both inputs, so that the key gathers read every
+    cell position, built in ``dtype`` and returned as codes of that dtype
+    (uint8 codes for bool rows)."""
 
     def __init__(self, dtype):
         self.dtype = dtype
 
     def produce(self, xs, ys, channel):
         xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-        A = games.EVEN_BITS[(xs + ys) % 4]
-        B = games.ODD_BITS[(2 * xs + ys + 1) % 4]
-        return A.astype(self.dtype), B.astype(self.dtype)
+        A = games.EVEN_BITS[(xs + ys) % 4].astype(self.dtype)
+        B = games.ODD_BITS[(2 * xs + ys + 1) % 4].astype(self.dtype)
+        if self.dtype is bool:
+            return _encode(A), _encode(B)
+        return (A @ np.array([4, 2, 1], dtype=self.dtype)), (B @ np.array([4, 2, 1], dtype=self.dtype))
 
 
 _PREFIX_ADVERSARY = {
@@ -637,11 +714,74 @@ def test_run_protocol_matches_the_whole_length_reference(n, alpha, gamma, name):
         _assert_records_equal(got, want)
 
 
+def _digest(named_values) -> str:
+    """sha256 over each (name, value) pair: an array by its dtype, shape and
+    bytes, anything else by its repr."""
+    h = hashlib.sha256()
+    for name, value in named_values:
+        h.update(name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+# name -> (boxes, adversary, leash) of the pinned transcripts
+_PINNED_RUNS = {
+    "honest": (lambda seed: diqkd.honest_boxes(0.05, [seed, 1]), None, 0),
+    "baseline": (lambda seed: diqkd.baseline_cheating_boxes(), None, 0),
+    "test_set": (lambda seed: diqkd.test_set_cheating_boxes(1000), None, 5000),
+    "input_prefix": (lambda seed: diqkd.honest_boxes(0.1, [seed, 2]), _PREFIX_ADVERSARY, 11),
+}
+
+# (name, seed) -> sha256 of run_protocol's transcript at n = 10^4,
+# captured before the simulator passed each round's answer as one code
+PINNED_TRANSCRIPTS = {
+    ("honest", 0): "b299825d9d1137529a892df61562069482d2c629346b591d9cb6d2b94a10a3e2",
+    ("honest", 1): "b5c70f9a3ee7aebfaf6735e4df1a92bd2d464050a7749b8fe86ba74bd20081fa",
+    ("baseline", 0): "08b322486b2c30fb909cffa817864f7acb81f4a81301d19255113e877ac32747",
+    ("baseline", 1): "4c90194f41ac8306726d25524f9ac462ec1cf76d3843605c9ad001bf39b337bf",
+    ("test_set", 0): "e285edf69b02180d3e09edc37b1c760b970fbfbcb34ac4ff8525691fd3f334b9",
+    ("test_set", 1): "2d3719518d33ca0ffa0ac3180469a6b17cfaa50b076165f71ea04b1fb253b817",
+    ("input_prefix", 0): "02cb58d6406419ce39909852fe305f575c4370f0cb9eacb716dcb27e9268356a",
+    ("input_prefix", 1): "bcddc352bc967c5b92626a82a3d81a2914a1391d0b9927acdd6176460054a7f0",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_run_protocol_transcripts_are_pinned(name, seed):
+    make, adversary, leash = _PINNED_RUNS[name]
+    adversary = None if adversary is None else diqkd.load_adversary(adversary)
+    params = diqkd.ProtocolParams(n=10**4, alpha=0.5, gamma=0.2, delta=0.05, seed=seed)
+    rec = diqkd.run_protocol(params, make(seed), adversary, diqkd.LeakageBudget(leash), run_index=seed)
+    fields = [(f.name, getattr(rec, f.name)) for f in dataclasses.fields(diqkd.TranscriptRecord)]
+    assert _digest(fields) == PINNED_TRANSCRIPTS[name, seed]
+
+
+# seed -> sha256 of run_batch's arrays for 64 honest runs at n = 2000 (two
+# blocks of 32 runs), captured as above
+PINNED_BATCHES = {
+    0: "d8fd46488657e138231734c1b1e2f3cbffc3e20a57ae794fa302045f772c50e1",
+    1: "8cd602a10d05b04bdfea4560bc4333d0483c23c91410ea33dc61ceb39931aef6",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_batch_arrays_are_pinned(seed):
+    params = diqkd.ProtocolParams(n=2000, alpha=0.5, gamma=0.2, delta=0.05, seed=seed)
+    batch = diqkd.run_batch(params, diqkd.honest_boxes(0.05, [seed, 3]), 64, run_index=1)
+    assert _digest(zip(batch._fields, batch)) == PINNED_BATCHES[seed]
+
+
 def test_honest_run_peak_memory_per_round():
-    # One honest run at n = 10^6 holds inputs, rows and sets of at most 19
-    # bytes a round at once (23.6 when the key set came from
-    # Generator.choice).  No line of the package raises the traced memory
-    # by 8 bytes a round: choice's tail shuffle built an int64 arange(n).
+    # One honest run at n = 10^6 holds inputs, answer codes and sets of at
+    # most 15 bytes a round at once (16.8 with (n, 3) rows of bits, 23.6
+    # when the key set came from Generator.choice).  No line of the package
+    # raises the traced memory by 8 bytes a round: choice's tail shuffle
+    # built an int64 arange(n).
     n = 10**6
     params = diqkd.ProtocolParams(n=n, alpha=0.5, gamma=0.2, delta=0.05, seed=1)
     boxes = diqkd.honest_boxes(0.05, 1)
@@ -672,13 +812,14 @@ def test_honest_run_peak_memory_per_round():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert max(rises) < 8 * n
-    assert max(peaks) / n <= 19.0
+    assert max(peaks) / n <= 15.0
 
 
 def test_honest_produce_peak_memory_per_round():
-    # Alice's and Bob's rows (6 bytes a round) and chunk-sized temporaries;
-    # a gather of Bob's rows over all n rounds at once took 16 bytes a round,
-    # and Bob's row index and noise flags over all n rounds 2 more
+    # Alice's and Bob's codes (2 bytes a round) and chunk-sized temporaries;
+    # (n, 3) rows of bits took 6.9 bytes a round, a gather of Bob's rows over
+    # all n rounds at once 16, and Bob's row index and noise flags over all
+    # n rounds 2 more
     n = 10**6
     rng = np.random.default_rng(0)
     xs, ys = (rng.integers(0, 3, n).astype(np.uint8) for _ in range(2))
@@ -689,7 +830,7 @@ def test_honest_produce_peak_memory_per_round():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 8.0
+    assert peak / n <= 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +900,8 @@ def _reference_run_batch(params, boxes, runs, run_index=0):
     xs = rng_x.integers(0, 3, runs * n)
     ys = rng_y.integers(0, 3, runs * n)
     A, B = boxes.produce(xs, ys, diqkd.LeakageChannel(diqkd.LeakageBudget(0)))
-    A = _reference_bit_rows("Alice", np.asarray(A), parity=0)
-    B = _reference_bit_rows("Bob", np.asarray(B), parity=1)
+    A = _reference_rows("Alice", np.asarray(A), parity=0)
+    B = _reference_rows("Bob", np.asarray(B), parity=1)
     rows = []
     for i in range(runs):
         run = slice(i * n, (i + 1) * n)
@@ -882,10 +1023,10 @@ def test_run_batch_checks_every_block_of_rows():
 
         def produce(self, xs, ys, channel):
             self.calls += 1
-            B = np.tile(games.ODD_BITS[0], (xs.size, 1))
+            B = np.full(xs.size, 1)  # the odd row 001
             if self.calls == 2:
-                B[-1] = games.EVEN_BITS[0]
-            return np.tile(games.EVEN_BITS[0], (xs.size, 1)), B
+                B[-1] = 0  # the even row 000
+            return np.zeros(xs.size, dtype=np.int64), B
 
     params = diqkd.ProtocolParams(n=2**15, alpha=0.5, gamma=0.2, delta=0.05, seed=0)
     with pytest.raises(ValidationError, match="parity"):

@@ -148,6 +148,10 @@ def test_repetition_probe_prints_one_row_per_case():
     [
         ("partition_bound_table.py", ("--games", "nope"), 1, "unknown builtin"),
         ("repetition_probe.py", ("--games", "chsh", "--budget", "-1"), 1, "search_budget must lie in"),
+        # list flags are parsed by the command's parsers: each raised a bare
+        # ValueError
+        ("partition_bound_table.py", ("--eps", "abc"), 1, "expected comma-separated finite numbers"),
+        ("repetition_probe.py", ("--copies", "1.5"), 1, "--copies must be an integer"),
     ],
 )
 def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code, message):
@@ -156,3 +160,17 @@ def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code
     assert proc.returncode == code
     assert proc.stderr.startswith("gamebox: ") and message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("repetition_probe.py", ("--budget", "abc")), ("partition_bound_table.py", ("--nope",))],
+)
+def test_scripts_exit_one_on_a_usage_error(script, args):
+    # the command's parser: its usage and one error line, exit 1 (argparse's
+    # own parser exits 2, the code of a computation refusal)
+    proc = _run_script(script, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+    assert proc.stdout == ""
