@@ -21,14 +21,17 @@ def main() -> None:
                     help="comma-separated abort budgets")
     args = ap.parse_args()
 
-    names = [g.strip() for g in args.games.split(",") if g.strip()]
+    # every flag is resolved before the header, so a refused run prints nothing
+    named = [(g.strip(), games.builtin_game(g.strip())) for g in args.games.split(",") if g.strip()]
     eps_grid = cli._float_list(args.eps)
+    for eps in eps_grid:
+        for variant in bounds.VARIANTS:
+            bounds._check_eps_variant(eps, variant)
 
     header = f"{'game':<14} {'eps':>5} {'variant':<11} {'eff_ns':>10} {'eff_local':>10} {'gap':>10}"
     print(header)
     print("-" * len(header))
-    for name in names:
-        game = games.builtin_game(name)
+    for name, game in named:
         for eps in eps_grid:
             for variant in bounds.VARIANTS:
                 ns = bounds.eff_ns(game, eps, variant).eff

@@ -25,18 +25,23 @@ def main() -> None:
     args = ap.parse_args()
     copies = cli._int_list(args.copies, "--copies")
     comm_bits = cli._int_list(args.comm_bits, "--comm-bits")
-
-    print(f"{'game':<14} {'n':>3} {'comm':>5} {'value':>12} {'classical^n':>12} {'kind':<12}")
+    # every probe is checked before the header, so a refused run prints nothing
+    plan = []
     for name in [g.strip() for g in args.games.split(",") if g.strip()]:
         game = games.builtin_game(name)
+        probes = [dpt.RepetitionProbe(game, n=n, comm_bits=comm, search_budget=args.budget, seed=args.seed)
+                  for n in copies for comm in comm_bits]
+        for probe in probes:
+            dpt._check_probe(probe)
+        plan.append((name, game, probes))
+
+    print(f"{'game':<14} {'n':>3} {'comm':>5} {'value':>12} {'classical^n':>12} {'kind':<12}")
+    for name, game, probes in plan:
         single = games.classical_value(game).value
-        for n in copies:
-            for comm in comm_bits:
-                probe = dpt.RepetitionProbe(game, n=n, comm_bits=comm,
-                                            search_budget=args.budget, seed=args.seed)
-                res = dpt.empirical_repeated_value(probe)
-                print(f"{name:<14} {n:>3} {comm:>5} {res.best_value:>12.8f} "
-                      f"{single**n:>12.8f} {res.kind:<12}")
+        for probe in probes:
+            res = dpt.empirical_repeated_value(probe)
+            print(f"{name:<14} {probe.n:>3} {probe.comm_bits:>5} {res.best_value:>12.8f} "
+                  f"{single**probe.n:>12.8f} {res.kind:<12}")
 
 
 if __name__ == "__main__":

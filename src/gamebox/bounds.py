@@ -30,7 +30,9 @@ Contents:
   ``inf`` (the only upper bound it can give);
 * ``gamma2_star`` / ``gamma2_alpha`` -- factorisation-norm quantities over
   unit vectors and sign matrices: exact for one row; past that a
-  certified bracket (an SDP dual bound) within 1e-7 relative;
+  certified bracket (an SDP dual bound) within 1e-7 relative.  One
+  solver runs a whole stack of matrices in lockstep, each as it would run
+  alone; ``gamma2_alpha`` solves all its sign-flip classes as one stack;
 * ``check_thm2`` -- sandwich check that the gamma2-based lower bound stays
   below the local partition upper bound for XOR predicates.
 """
@@ -653,7 +655,9 @@ class Gamma2Result:
 
 
 def _unit_rows(W: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(W, axis=1)
+    """W with each row (along the last axis) scaled to unit length; a row
+    of norm at most 1e-300 becomes the first unit vector."""
+    norms = np.linalg.norm(W, axis=-1)
     out = np.zeros_like(W)
     ok = norms > 1e-300
     out[ok] = W[ok] / norms[ok, None]
@@ -661,32 +665,54 @@ def _unit_rows(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma2_alternating(A: np.ndarray) -> tuple[float, float]:
-    """(lower, upper) on gamma2*(A), A k x n with k <= n, by alternating
-    optimisation from U = I.  ``lower`` is the value of U with its best V.
-    ``upper`` is the SDP dual sum(w) at w = (||(A V)_x||, ||(A^T U)_y||) / 2,
-    made feasible for Diag(w) >= [[0, A/2], [A^T/2, 0]] by the slack's most
-    negative eigenvalue (Linial-Shraibman; Lee-Shraibman-Spalek), and never
-    below ``lower``.  Stops at a relative gap of _GAMMA2_GAP, or with the
-    bracket open after _GAMMA2_CAP iterations."""
-    k, n = A.shape
-    B = np.block([[np.zeros((k, k)), A / 2.0], [A.T / 2.0, np.zeros((n, n))]])
-    U = np.eye(k)
+def _gamma2_alternating(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) arrays on gamma2*(A[c]) for a (C, k, n) stack with
+    k <= n, by alternating optimisation from U = I.  ``lower`` is the value
+    of U with its best V.  ``upper`` is the SDP dual sum(w) at w =
+    (||(A V)_x||, ||(A^T U)_y||) / 2, made feasible for Diag(w) >= [[0,
+    A/2], [A^T/2, 0]] by the slack's most negative eigenvalue
+    (Linial-Shraibman; Lee-Shraibman-Spalek), and never below ``lower``.
+
+    Every iteration runs on all live matrices at once (stacked matmuls, one
+    batched ``eigvalsh``); a matrix leaves the stack at a relative gap of
+    _GAMMA2_GAP, or with its bracket open after _GAMMA2_CAP iterations.
+    Each matrix takes the steps it would take alone, with the same bits:
+    the slack is built from +0.0 zeros (``-B + diag(w)`` would leave -0.0
+    in its zero blocks, and LAPACK's Householder steps follow the sign of
+    a zero)."""
+    C, k, n = A.shape
+    lower, upper = np.empty(C), np.empty(C)
+    B = np.zeros((C, k + n, k + n))
+    B[:, :k, k:] = A / 2.0
+    B[:, k:, :k] = A.transpose(0, 2, 1) / 2.0
+    diag = np.arange(k + n)
+    live = np.arange(C)
+    U = np.tile(np.eye(k), (C, 1, 1))
     for _ in range(_GAMMA2_CAP):
-        AV = A @ _unit_rows(A.T @ U)
+        At = A.transpose(0, 2, 1)
+        AV = A @ _unit_rows(At @ U)
         U = _unit_rows(AV)
-        cols = np.linalg.norm(A.T @ U, axis=1)
-        w = 0.5 * np.concatenate([np.linalg.norm(AV, axis=1), cols])
-        shift = min(float(np.linalg.eigvalsh(np.diag(w) - B)[0]), 0.0)
-        lower = float(np.sum(cols))
-        upper = max(float(np.sum(w)) - shift * (k + n), lower)
-        if upper - lower <= _GAMMA2_GAP * upper:
+        cols = np.linalg.norm(At @ U, axis=-1)
+        w = 0.5 * np.concatenate([np.linalg.norm(AV, axis=-1), cols], axis=-1)
+        slack = np.zeros_like(B)
+        slack[:, diag, diag] = w
+        slack -= B
+        shift = np.minimum(np.linalg.eigvalsh(slack)[:, 0], 0.0)
+        lo = np.sum(cols, axis=-1)
+        up = np.maximum(np.sum(w, axis=-1) - shift * (k + n), lo)
+        lower[live], upper[live] = lo, up
+        going = ~(up - lo <= _GAMMA2_GAP * up)
+        if not going.any():
             break
+        A, B, U, live = A[going], B[going], U[going], live[going]
     return lower, upper
 
 
-def gamma2_star(M: np.ndarray) -> Gamma2Result:
-    """max sum_xy M[x,y] <u_x, v_y> over unit vectors.
+def gamma2_star(M: np.ndarray) -> Gamma2Result | list[Gamma2Result]:
+    """max sum_xy M[x,y] <u_x, v_y> over unit vectors, for one matrix
+    (``M`` 2-d) or for each matrix of a (C, m, n) stack, which returns one
+    result per matrix.  A matrix is a stack of one: all matrices of a
+    stack are solved together, each exactly as it would be alone.
 
     Vectors of dimension min(m, n) suffice.  Exact for one row (closed
     form ``sum |M|``), where ``upper`` equals ``value``.  Past that
@@ -695,14 +721,17 @@ def gamma2_star(M: np.ndarray) -> Gamma2Result:
     ``_GAMMA2_GAP`` (1e-7) unless its iteration cap is reached.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0 or not np.all(np.isfinite(M)):
-        raise ValidationError("matrix must be 2-d, non-empty and finite")
-    A = M if M.shape[0] <= M.shape[1] else M.T
-    if A.shape[0] == 1:
-        value = float(np.sum(np.abs(A)))
-        return Gamma2Result(value=value, kind="exact", upper=value)
-    lower, upper = _gamma2_alternating(A)
-    return Gamma2Result(value=lower, kind="lower_bound", upper=upper)
+    if M.ndim not in (2, 3) or M.size == 0 or not np.all(np.isfinite(M)):
+        raise ValidationError("matrix must be 2-d (or a 3-d stack of matrices), non-empty and finite")
+    stack = M if M.ndim == 3 else M[None]
+    A = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
+    if A.shape[1] == 1:
+        values = np.sum(np.abs(A[:, 0, :]), axis=-1)
+        results = [Gamma2Result(value=float(v), kind="exact", upper=float(v)) for v in values]
+    else:
+        lower, upper = _gamma2_alternating(A)
+        results = [Gamma2Result(value=float(lo), kind="lower_bound", upper=float(up)) for lo, up in zip(lower, upper)]
+    return results if M.ndim == 3 else results[0]
 
 
 def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
@@ -711,17 +740,18 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
 
     gamma2* does not change when a row or a column of its matrix flips
     sign, so the 2^(mn) sign matrices of an m x n table fall into
-    2^((m-1)(n-1)) classes and gamma2* is solved once per class, on the
-    class's canonical form (rows flipped until column 0 is +, then columns
-    flipped until row 0 is +).  The correlations, the class of each
-    matrix and the ratios form one table over all 2^(mn) matrices; the
-    first maximum in the order of ``bits`` (bit k set: cell k is -1) wins.
-    Each class divides by its gamma2* ``upper``, so the value is a lower
-    bound on the best ratio (``upper`` of the result is None).  Matrices
-    whose denominator is at most 1e-15 are skipped.  The result is
-    ``exact`` when every gamma2* solve is exact (one row); past that each
-    solve is a certified bracket within 1e-7 relative, and the result is
-    a ``lower_bound``.
+    2^((m-1)(n-1)) classes.  One ``gamma2_star`` call solves every class
+    together, on the stack of the classes' canonical forms (rows flipped
+    until column 0 is +, then columns flipped until row 0 is +), each
+    class exactly as it would be solved alone.  The correlations, the
+    class of each matrix and the ratios form one table over all 2^(mn)
+    matrices; the first maximum in the order of ``bits`` (bit k set: cell
+    k is -1) wins.  Each class divides by its gamma2* ``upper``, so the
+    value is a lower bound on the best ratio (``upper`` of the result is
+    None).  Matrices whose denominator is at most 1e-15 are skipped.  The
+    result is ``exact`` when every gamma2* solve is exact (one row); past
+    that each solve is a certified bracket within 1e-7 relative, and the
+    result is a ``lower_bound``.
     More than 12 cells raise ``BudgetExceededError`` before any work.
     """
     F = np.asarray(F, dtype=float)
@@ -744,7 +774,7 @@ def gamma2_alpha(F: np.ndarray, p: np.ndarray, alpha: float) -> Gamma2Result:
     canon = canon * canon[:, :1, :]
     cls = (canon[:, 1:, 1:].reshape(len(S), -1) < 0) @ (1 << np.arange((m - 1) * (n - 1)))
     _, first = np.unique(cls, return_index=True)
-    gs = [gamma2_star(canon[k] * p) for k in first]
+    gs = gamma2_star(canon[first] * p)
     denom = 2.0 * np.array([g.upper for g in gs])[cls]
     kind = "exact" if all(g.kind == "exact" for g in gs) else "lower_bound"
     ok = denom > 1e-15

@@ -227,7 +227,10 @@ def _cmd_bounds_gamma2(args):
         }
     mat = doc["M"] if isinstance(doc, dict) and "M" in doc else doc
     forms = 'a matrix or {"M": matrix} ({"F", "p"} needs --alpha-approx)'
-    res = bounds.gamma2_star(_table(mat, "--matrix", forms))
+    M = _table(mat, "--matrix", forms)
+    if M.ndim != 2:  # gamma2_star also takes a 3-d stack, which returns a list
+        raise ValidationError(f"--matrix must be {forms}")
+    res = bounds.gamma2_star(M)
     return {"quantity": "gamma2_star", "value": res.value, "upper": res.upper, "kind": res.kind}
 
 

@@ -285,6 +285,16 @@ def _ascent_split(PV, kA, kB, seed, product):
         yield value, _certificate(kA, kB, *protocol)
 
 
+def _check_probe(probe: RepetitionProbe) -> None:
+    """The checks :func:`empirical_repeated_value` makes before any work."""
+    if probe.game.players != 2:
+        raise CapabilityError("repetition probe implemented for two players only")
+    check_range("comm_bits", probe.comm_bits, 0, 4, integer=True)
+    check_range("n", probe.n, 1, math.inf, integer=True)
+    check_range("seed", probe.seed, 0, math.inf, integer=True)
+    check_range("search_budget", probe.search_budget, 0, math.inf, integer=True)
+
+
 def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     """Search for the best one-round-communication protocol on ``probe.n``
     parallel copies, split by split (kA from ``comm_bits`` down), keeping a
@@ -298,13 +308,8 @@ def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
     gains at most 1e-15, from nine starts per split: the per-copy product
     of the classical optimum (when its single-copy strategies are at most
     ``_PRODUCT_START_BUDGET``) and eight seeded ones."""
+    _check_probe(probe)
     game = probe.game
-    if game.players != 2:
-        raise CapabilityError("repetition probe implemented for two players only")
-    check_range("comm_bits", probe.comm_bits, 0, 4, integer=True)
-    check_range("n", probe.n, 1, math.inf, integer=True)
-    check_range("seed", probe.seed, 0, math.inf, integer=True)
-    check_range("search_budget", probe.search_budget, 0, math.inf, integer=True)
     PV = _repeated_tensors(game, probe.n)
     NX, NY, MA, MB = PV.shape
     splits = [(kA, probe.comm_bits - kA) for kA in range(probe.comm_bits, -1, -1)]
@@ -456,7 +461,8 @@ def substate_perturbation_check_classical(
     between ``sigma_B`` and ``rho_B`` is at most ``delta1``.  The
     conclusion asks for purified distance at most ``2 eps + delta0 +
     delta1``.  Both sides are settled exactly by maximising Bhattacharyya
-    fidelity over the capped simplex."""
+    fidelity over the capped simplex.  A factor that is not a finite float
+    raises ``ValidationError`` before any work."""
     sigma = np.asarray(sigma_XB, dtype=float)
     if sigma.ndim != 2:
         raise ValidationError(f"sigma_XB must be a 2-d array, got {sigma.ndim} dimensions")
@@ -470,10 +476,19 @@ def substate_perturbation_check_classical(
     check_range("eps", eps, 0.0, 1.0)
     check_range("delta0", delta0, 0.0, math.inf, lo_open=True)
     check_range("delta1", delta1, 0.0, math.inf)
+    # a factor past the float range (or delta0**2 underflowing to 0) would
+    # make every cap infinite: refused before any work
+    try:
+        factor = 2.0 ** (c + 1.0) * (1.0 + 4.0 / delta0**2)
+    except (OverflowError, ZeroDivisionError):
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise ValidationError(
+            f"the conclusion's factor 2^(c+1) (1 + 4/delta0^2) is not a finite float at c={c!r}, delta0={delta0!r}"
+        )
 
     sigma_B = table.sum(axis=0)
     marginal_pd = _purified_distance(float(np.sqrt(sigma_B * rho).sum()))
-    factor = 2.0 ** (c + 1.0) * (1.0 + 4.0 / delta0**2)
     threshold = 2.0 * eps + delta0 + delta1
 
     hyp_caps = (2.0**c) * np.outer(psi, sigma_B)

@@ -1259,9 +1259,16 @@ def test_gamma2_alpha_divides_by_the_upper_end(monkeypatch):
     want = bounds.gamma2_alpha(F, p, 1.5)
     assert want.upper is None
     real = bounds.gamma2_star
-    monkeypatch.setattr(bounds, "gamma2_star",
-                        lambda M: dataclasses.replace(real(M), upper=2.0 * real(M).upper))
+    stacks = []
+
+    def doubled(M):
+        # gamma2_alpha solves its classes as one stack: one result a class
+        stacks.append(np.shape(M))
+        return [dataclasses.replace(g, upper=2.0 * g.upper) for g in real(M)]
+
+    monkeypatch.setattr(bounds, "gamma2_star", doubled)
     assert bounds.gamma2_alpha(F, p, 1.5).value == pytest.approx(want.value / 2.0, rel=1e-12)
+    assert stacks == [(16, 3, 3)]
 
 
 def test_gamma2_alpha_at_its_cell_cap():
@@ -1273,6 +1280,98 @@ def test_gamma2_alpha_at_its_cell_cap():
     assert res.kind == "lower_bound"
     at_F = ((alpha + 1.0) * np.sum(F * F * p) - (alpha - 1.0)) / (2.0 * bounds.gamma2_star(F * p).value)
     assert res.value >= at_F - 1e-12
+
+
+def _unit_rows_one(W):
+    """Reference: ``_unit_rows`` as it ran on one matrix at a time."""
+    norms = np.linalg.norm(W, axis=1)
+    out = np.zeros_like(W)
+    ok = norms > 1e-300
+    out[ok] = W[ok] / norms[ok, None]
+    out[~ok, 0] = 1.0
+    return out
+
+
+def _gamma2_star_one(M):
+    """Reference: gamma2_star's (value, upper) as it was solved one matrix
+    at a time, by the alternating loop on that matrix alone."""
+    A = M if M.shape[0] <= M.shape[1] else M.T
+    if A.shape[0] == 1:
+        value = float(np.sum(np.abs(A)))
+        return value, value
+    k, n = A.shape
+    B = np.block([[np.zeros((k, k)), A / 2.0], [A.T / 2.0, np.zeros((n, n))]])
+    U = np.eye(k)
+    for _ in range(bounds._GAMMA2_CAP):
+        AV = A @ _unit_rows_one(A.T @ U)
+        U = _unit_rows_one(AV)
+        cols = np.linalg.norm(A.T @ U, axis=1)
+        w = 0.5 * np.concatenate([np.linalg.norm(AV, axis=1), cols])
+        shift = min(float(np.linalg.eigvalsh(np.diag(w) - B)[0]), 0.0)
+        lower = float(np.sum(cols))
+        upper = max(float(np.sum(w)) - shift * (k + n), lower)
+        if upper - lower <= bounds._GAMMA2_GAP * upper:
+            break
+    return lower, upper
+
+
+def _class_signs(m, n):
+    """The canonical sign matrix of each sign-flip class of an m x n table
+    (row 0 and column 0 all +), in gamma2_alpha's class order: bit j of the
+    class index set means interior cell j is -1."""
+    interior = (np.arange(1 << ((m - 1) * (n - 1)))[:, None] >> np.arange((m - 1) * (n - 1))) & 1
+    signs = np.ones((len(interior), m, n))
+    signs[:, 1:, 1:] = np.where(interior, -1.0, 1.0).reshape(-1, m - 1, n - 1)
+    return signs
+
+
+def _assert_lockstep_is_bitwise(stack):
+    results = bounds.gamma2_star(stack)
+    assert len(results) == len(stack)
+    for c, (M, g) in enumerate(zip(stack, results)):
+        lower, upper = _gamma2_star_one(M)
+        assert (g.value.hex(), g.upper.hex()) == (lower.hex(), upper.hex()), (c, M)
+
+
+def _xor_sandwich_stacks():
+    # the tables of the xor-sandwich benchmark (3x3, 2x4, chsh) and 4x2, at
+    # uniform p and two Dirichlet p, then the transposed path (3x2, 4x3)
+    # and a random p at the 12-cell cap (3x4)
+    for shape in ((3, 3), (2, 4), (4, 2), (2, 2)):
+        cells = shape[0] * shape[1]
+        ps = [np.full(shape, 1.0 / cells)]
+        ps += [np.random.default_rng(seed).dirichlet(np.ones(cells)).reshape(shape) for seed in (1, 2)]
+        for p in ps:
+            yield f"{shape}", _class_signs(*shape) * p
+    for seed, shape in enumerate(((3, 2), (4, 3), (3, 4))):
+        p = np.random.default_rng(40 + seed).dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        yield f"{shape} dirichlet", _class_signs(*shape) * p
+
+
+def _hadamard_classes():
+    """The 512 sign-flip classes of the 4 x 4 table, each times the
+    Hadamard matrix kron(H, H) / 16."""
+    H = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return _class_signs(4, 4) * np.kron(H, H) / 16.0
+
+
+def test_gamma2_lockstep_matches_one_matrix_at_a_time():
+    # every class of one stack takes the steps it would take alone, to the
+    # bit: the stacked matmuls, norms and batched eigvalsh add nothing, and
+    # the slack is built from +0.0 zeros
+    for _, stack in _xor_sandwich_stacks():
+        _assert_lockstep_is_bitwise(stack)
+    _assert_lockstep_is_bitwise(_hadamard_classes()[:64])
+    # a 2-d matrix is a stack of one
+    M = np.random.default_rng(36).standard_normal((4, 3))
+    g = bounds.gamma2_star(M)
+    assert (g.value, g.upper) == _gamma2_star_one(M)
+
+
+@pytest.mark.slow
+def test_gamma2_lockstep_matches_one_matrix_at_a_time_on_all_4x4_classes():
+    # 512 classes, ~10 s of one-at-a-time reference solves
+    _assert_lockstep_is_bitwise(_hadamard_classes())
 
 
 # ---------------------------------------------------------------------------

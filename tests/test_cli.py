@@ -209,6 +209,28 @@ def test_diqkd_commands_at_edge_values_exit_cleanly(capsys, name, change):
         assert out == "" and err
 
 
+_SUBSTATE_BASE = {"--c": "0.0", "--eps": "0.1", "--delta0": "0.2", "--delta1": "0.1"}
+# the conclusion's factor 2^(c+1) (1 + 4/delta0^2) past the float range:
+# each printed an OverflowError or ZeroDivisionError traceback
+_SUBSTATE_FACTOR_OVERFLOWS = {("--c", "1e300"), ("--c", str(2**63)), ("--delta0", "1e300"), ("--delta0", "1e-320")}
+
+
+@pytest.mark.parametrize("flag, value", [(f, v) for f in _SUBSTATE_BASE for v in _ALL_EDGE_VALUES])
+def test_substate_check_at_edge_values_exits_cleanly(capsys, tmp_path, flag, value):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"sigma_XB": [[0.25, 0.25], [0.25, 0.25]], "psi_X": [0.5, 0.5], "rho_B": [0.5, 0.5]}))
+    argv = {**_SUBSTATE_BASE, flag: value}
+    code, out, err = run(capsys, "dpt", "substate-check", "--input", str(path),
+                         *(f"{f}={v}" for f, v in argv.items()))
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert isinstance(_strict_json(out), dict)
+    else:
+        assert out == "" and err
+    if (flag, value) in _SUBSTATE_FACTOR_OVERFLOWS:
+        assert code == 1 and "factor" in err
+
+
 def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
     # the budget message formatted 2**(4 * 10**6), past Python's 4300-digit
     # limit: a ValueError traceback
@@ -297,6 +319,7 @@ _NOT_UTF8 = {"in.json": b"\xff\xfe\x00"}
         (("game", "value", "--builtin", "chsh", "--budget", "-1"), None),
         (_GAMMA2, {"in.json": {"F": [[1, 1], [1, -1]]}}),
         (_GAMMA2, {"in.json": _RAGGED}),
+        (_GAMMA2, {"in.json": [[[1, 1], [1, -1]]]}),
         ((*_GAMMA2, "--alpha-approx", "2"), {"in.json": {"F": [[1, 1], [1, -1]], "p": _RAGGED}}),
         (("bounds", "check-thm2", "--input", "{tmp}/in.json"), {"in.json": {"f": [[0, 0], [0, 1]], "p": _RAGGED}}),
         (("dpt", "substate-check", "--input", "{tmp}/in.json"),
@@ -315,7 +338,7 @@ _NOT_UTF8 = {"in.json": b"\xff\xfe\x00"}
          "seesaw-zero-restarts", "seesaw-negative-restarts", "seesaw-negative-seed", "serfling-negative-seed",
          "serfling-negative-n",
          "probe-negative-seed", "probe-negative-budget", "classical-negative-budget", "gamma2-object-without-M",
-         "gamma2-ragged-matrix", "gamma2-alpha-ragged-p", "thm2-ragged-p", "substate-sigma-not-a-table",
+         "gamma2-ragged-matrix", "gamma2-stack-of-matrices", "gamma2-alpha-ragged-p", "thm2-ragged-p", "substate-sigma-not-a-table",
          "substate-file-not-object", "eff-unknown-variant", "out-in-missing-directory", "out-is-a-directory",
          "game-not-utf8", "gamma2-not-utf8", "thm2-not-utf8", "substate-not-utf8", "adversary-not-utf8"],
 )

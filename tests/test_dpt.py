@@ -606,6 +606,10 @@ def test_substate_check_validation():
         dpt.substate_perturbation_check_classical(table, u, u, c=1.0, eps=0.1, delta0=0.0, delta1=0.1)
     with pytest.raises(ValidationError):
         dpt.substate_perturbation_check_classical(table, np.array([1.0]), u, c=1.0, eps=0.1, delta0=0.1, delta1=0.1)
+    # 2^(c+1) (1 + 4/delta0^2) past the float range, or delta0^2 underflowing to 0
+    for c, delta0 in ((1e300, 0.1), (0.0, 1e300), (0.0, 1e-320), (1023.0, 1e-10)):
+        with pytest.raises(ValidationError, match="factor"):
+            dpt.substate_perturbation_check_classical(table, u, u, c=c, eps=0.1, delta0=delta0, delta1=0.1)
 
 
 def test_substate_check_names_the_argument_that_is_not_a_distribution():

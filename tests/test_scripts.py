@@ -164,6 +164,26 @@ def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code
 
 @pytest.mark.parametrize(
     "script, args",
+    [
+        ("partition_bound_table.py", ("--games", "nope")),
+        ("partition_bound_table.py", ("--games", "chsh,nope")),
+        ("partition_bound_table.py", ("--eps", "0.1,1.5")),
+        ("repetition_probe.py", ("--games", "nope")),
+        ("repetition_probe.py", ("--games", "chsh", "--budget", "-1")),
+        ("repetition_probe.py", ("--games", "chsh", "--copies", "0")),
+        ("repetition_probe.py", ("--games", "chsh", "--comm-bits", "5")),
+    ],
+)
+def test_scripts_resolve_every_flag_before_the_header(script, args):
+    # a refused run printed the table header (and its rule) before exit 1
+    proc = _run_script(script, *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("gamebox: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args",
     [("repetition_probe.py", ("--budget", "abc")), ("partition_bound_table.py", ("--nope",))],
 )
 def test_scripts_exit_one_on_a_usage_error(script, args):
