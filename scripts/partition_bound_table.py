@@ -27,6 +27,9 @@ def main() -> None:
     for eps in eps_grid:
         for variant in bounds.VARIANTS:
             bounds._check_eps_variant(eps, variant)
+    for _, game in named:
+        bounds._check_ns_size(game)
+        bounds._check_local_size(game)
 
     header = f"{'game':<14} {'eps':>5} {'variant':<11} {'eff_ns':>10} {'eff_local':>10} {'gap':>10}"
     print(header)

@@ -443,6 +443,22 @@ def _check_eps_variant(eps: float, variant: str) -> None:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
+def _check_ns_size(game: GamePredicate) -> None:
+    """The size check :func:`eff_ns` makes after its argument checks."""
+    n_vars = math.prod(s + 1 for s in game.output_sizes) * math.prod(game.input_sizes)
+    if n_vars > _NS_LP_VARIABLE_LIMIT:
+        raise BudgetExceededError(f"{n_vars} LP variables exceed the limit {_NS_LP_VARIABLE_LIMIT}")
+
+
+def _check_local_size(game: GamePredicate) -> None:
+    """The size check :func:`eff_local` makes after its argument checks."""
+    n_d = math.prod((m + 1) ** k for m, k in zip(game.output_sizes, game.input_sizes))
+    if n_d > _LOCAL_STRATEGY_LIMIT:
+        raise BudgetExceededError(
+            f"{n_d} deterministic abort-augmented strategies exceed the limit {_LOCAL_STRATEGY_LIMIT}"
+        )
+
+
 def _lp_rows(p: np.ndarray, mass: np.ndarray, win: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """The mass and win rows that the efficiency LP of
     :func:`_efficiency_lp` has for ``variant``: the per-input rows, or
@@ -532,12 +548,10 @@ def eff_ns(game: GamePredicate, eps: float, variant: str = "worst_case") -> Part
     ``_NS_LP_VARIABLE_LIMIT`` before any row is built.
     """
     _check_eps_variant(eps, variant)
+    _check_ns_size(game)
     out_sizes = game.output_sizes
     in_sizes = game.input_sizes
     shape = tuple(s + 1 for s in out_sizes) + in_sizes
-    n_vars = math.prod(shape)
-    if n_vars > _NS_LP_VARIABLE_LIMIT:
-        raise BudgetExceededError(f"{n_vars} LP variables exceed the limit {_NS_LP_VARIABLE_LIMIT}")
     head, head_rhs = _ns_constraint_rows(shape[: game.players], in_sizes)
     n_q, n_in = head.shape[1], int(np.prod(in_sizes))
     # the non-abort entries, one row per input
@@ -569,14 +583,10 @@ def eff_local(game: GamePredicate, eps: float, variant: str = "worst_case") -> P
     ``_LOCAL_STRATEGY_LIMIT`` before any strategy is built.
     """
     _check_eps_variant(eps, variant)
+    _check_local_size(game)
     l = game.players
     in_sizes = game.input_sizes
     aug_sizes = tuple(s + 1 for s in game.output_sizes)
-    n_d = math.prod(aug_sizes[j] ** in_sizes[j] for j in range(l))
-    if n_d > _LOCAL_STRATEGY_LIMIT:
-        raise BudgetExceededError(
-            f"{n_d} deterministic abort-augmented strategies exceed the limit {_LOCAL_STRATEGY_LIMIT}"
-        )
     maps, cols, mass, win = _local_columns(game, variant)
     eta, w_cols = _efficiency_lp(np.ones((1, cols.size)), np.ones(1), mass, win, eps)
 

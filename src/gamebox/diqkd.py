@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,11 +128,7 @@ class LeakageBudget:
         check_range("used_bits", self.used_bits, 0, math.inf, integer=True)
 
     def debit(self, bits: int) -> None:
-        # bare checks, not check_range: this runs once per leakage message
-        if not isinstance(bits, numbers.Integral):
-            raise ValidationError(f"message length must be an integer, got {bits!r}")
-        if bits < 0:
-            raise ValidationError(f"message length must be >= 0, got {bits}")
+        check_range("message length", bits, 0, math.inf, integer=True)
         if self.used_bits + bits > self.limit_bits:
             raise BudgetExceededError(
                 f"leakage of {bits} bits exceeds budget "
@@ -152,25 +147,24 @@ def _check_endpoints(src: str, dst: str) -> None:
 class LeakageChannel:
     """Metered message channel between the boxes and the eavesdropper.
 
-    Every message debits the shared budget.  The channel locks once
-    outputs are produced; sending afterwards is a protocol violation.
+    Every message, only a length in bits, debits the shared budget.  The
+    channel locks once outputs are produced; sending afterwards is a
+    protocol violation.
     """
 
     def __init__(self, budget: LeakageBudget):
         self.budget = budget
-        self.log: list[tuple[str, str, int, str]] = []
         self._locked = False
 
     @property
     def remaining(self) -> int:
         return self.budget.limit_bits - self.budget.used_bits
 
-    def send(self, src: str, dst: str, bits: int, payload: str = "") -> None:
+    def send(self, src: str, dst: str, bits: int) -> None:
         if self._locked:
             raise ProtocolViolationError("leakage attempted after outputs were produced")
         _check_endpoints(src, dst)
         self.budget.debit(bits)
-        self.log.append((src, dst, int(bits), payload))
 
     def lock(self) -> None:
         self._locked = True
@@ -401,10 +395,8 @@ class TestSetCheatingBoxes(BoxPair):
         B = np.full(n, self._odd_codes[0])
         k = min(self.guess_count, channel.remaining // 5, n)
         key_bits = (A[:k] >> (2 - ys[:k])) & 1
-        for x, y, key_bit in zip(xs[:k], ys[:k], key_bits):
-            channel.send("bob_box", "alice_box", 2, format(y, "02b"))
-            channel.send("alice_box", "bob_box", 2, format(x, "02b"))
-            channel.send("alice_box", "bob_box", 1, str(key_bit))
+        channel.send("bob_box", "alice_box", 2 * k)  # Bob's inputs
+        channel.send("alice_box", "bob_box", 3 * k)  # Alice's inputs and probed bits
         B[:k] = self._odd_with_bit[xs[:k], key_bits]
         return A, B
 
@@ -427,64 +419,33 @@ def test_set_cheating_boxes(guess_count: int) -> BoxPair:
 # ---------------------------------------------------------------------------
 
 
-def _payload_zeros(src, bits, xs, ys):
-    return "0" * bits
-
-
-def _payload_ones(src, bits, xs, ys):
-    return "1" * bits
-
-
-def _payload_input_prefix(src, bits, xs, ys):
-    stream = xs if src == "alice_box" else ys if src == "bob_box" else None
-    if stream is None:
-        return "0" * bits
-    # two digits a round: only the first ceil(bits / 2) rounds are read
-    digits = "".join(format(int(v), "02b") for v in stream[: (bits + 1) // 2])
-    return digits[:bits].ljust(bits, "0")
-
-
-ADVERSARY_FUNCTIONS = {
-    "zeros": _payload_zeros,
-    "ones": _payload_ones,
-    "input_prefix": _payload_input_prefix,
-}
-
-
 @dataclass(frozen=True)
 class AdversaryRound:
     src: str
     dst: str
     bits: int
-    function_id: str
 
     def __post_init__(self) -> None:
         _check_endpoints(self.src, self.dst)
         check_range("bits", self.bits, 0, math.inf, integer=True)
-        if self.function_id not in ADVERSARY_FUNCTIONS:
-            raise ValidationError(
-                f"unknown function_id {self.function_id!r}; "
-                f"known: {sorted(ADVERSARY_FUNCTIONS)}"
-            )
 
 
 @dataclass(frozen=True)
 class ScriptedAdversary:
-    """Fixed sequence of metered messages executed in the pre-output
-    window."""
+    """Fixed sequence of metered messages sent in the pre-output window.
+    It does not see the inputs: a message is metered by its length."""
 
     rounds: tuple[AdversaryRound, ...]
 
-    def execute(self, channel: LeakageChannel, xs: np.ndarray, ys: np.ndarray) -> None:
+    def execute(self, channel: LeakageChannel) -> None:
         for r in self.rounds:
-            payload = ADVERSARY_FUNCTIONS[r.function_id](r.src, r.bits, xs, ys)
-            channel.send(r.src, r.dst, r.bits, payload)
+            channel.send(r.src, r.dst, r.bits)
 
 
 def load_adversary(source) -> ScriptedAdversary:
     """Build a ScriptedAdversary from a dict, a JSON string, or a path to
-    a JSON file of the form {"rounds": [{"from", "to", "bits",
-    "function_id"}, ...]}."""
+    a JSON file of the form {"rounds": [{"from", "to", "bits"}, ...]}.
+    Any other key of a round is ignored."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -504,10 +465,10 @@ def load_adversary(source) -> ScriptedAdversary:
         if not isinstance(entry, dict):
             raise ValidationError(f"adversary round {entry!r} is not an object")
         try:
-            src, dst, bits, function_id = entry["from"], entry["to"], entry["bits"], entry["function_id"]
+            src, dst, bits = entry["from"], entry["to"], entry["bits"]
         except KeyError as missing:
             raise ValidationError(f"adversary round missing key {missing}") from None
-        rounds.append(AdversaryRound(src=src, dst=dst, bits=bits, function_id=function_id))
+        rounds.append(AdversaryRound(src=src, dst=dst, bits=bits))
     return ScriptedAdversary(tuple(rounds))
 
 
@@ -606,15 +567,15 @@ def _simulate(
 
 def _simulate_block(params, boxes, b, rngs, channel, adversary) -> _Block:
     """``b`` whole runs as one pass of ``b n`` rounds: each party's inputs
-    drawn in one ``_draw_inputs`` call, seen once by the adversary and the
-    boxes, and the codes checked once; only the exact-size S and T draws
-    are made run by run."""
+    drawn in one ``_draw_inputs`` call, seen once by the boxes, and the
+    codes checked once; only the exact-size S and T draws are made run by
+    run."""
     n, s, t = params.n, params.s_size, params.t_size
     rng_x, rng_y, rng_s, rng_t = rngs
     xs = _draw_inputs(rng_x, b * n)
     ys = _draw_inputs(rng_y, b * n)
     if adversary is not None:
-        adversary.execute(channel, xs, ys)
+        adversary.execute(channel)
     A, B = boxes.produce(xs, ys, channel)
     channel.lock()
 
@@ -681,10 +642,11 @@ def run_protocol(
     ``s_size`` rounds), test set T within S (flags, then the fix); honest
     boxes draw from their own streams, one replacement answer per noisy
     round.  The leakage channel is open to the adversary and the boxes
-    between input entry and output production, then locked.  The
-    adversary and the boxes receive the inputs as uint8 arrays.  The
-    record's dtypes are fixed: ``S``, ``T``, ``x_S`` and ``y_S`` are
-    int64, ``a_T`` (Alice's rows at T, shape (|T|, 3)) and the keys uint8.
+    between input entry and output production, then locked.  The boxes
+    receive the inputs as uint8 arrays; the adversary sends its fixed
+    messages without them.  The record's dtypes are fixed: ``S``, ``T``,
+    ``x_S`` and ``y_S`` are int64, ``a_T`` (Alice's rows at T, shape (|T|,
+    3)) and the keys uint8.
     """
     budget = budget if budget is not None else LeakageBudget(0)
     (block,) = _simulate(params, boxes, 1, run_index, adversary, budget.limit_bits - budget.used_bits)

@@ -1,8 +1,7 @@
 """Closed-form evaluators for direct-product success bounds on repeated
 games, a small empirical probe of repetition with one round of classical
-communication, a classical feasibility check of the substate
-perturbation step, and the smoothed max-divergence of the classical
-substate theorem.
+communication, and a classical feasibility check of the substate
+perturbation step.
 
 The asymptotic constants hidden in the source bounds are exposed as
 ``exponent_const`` (default 1) and ``beta_const``; they are knobs, not
@@ -22,7 +21,6 @@ import numpy as np
 from . import games as games_mod
 from .errors import (
     CapabilityError,
-    DimensionMismatchError,
     GateViolationError,
     ValidationError,
     check_distribution,
@@ -293,6 +291,7 @@ def _check_probe(probe: RepetitionProbe) -> None:
     check_range("n", probe.n, 1, math.inf, integer=True)
     check_range("seed", probe.seed, 0, math.inf, integer=True)
     check_range("search_budget", probe.search_budget, 0, math.inf, integer=True)
+    games_mod._check_repeat(probe.game, probe.n, _PROBE_TENSOR_LIMIT)
 
 
 def empirical_repeated_value(probe: RepetitionProbe) -> RepetitionProbe:
@@ -400,53 +399,6 @@ def _probs(name: str, P) -> np.ndarray:
     the check (within 1e-9) that it is a distribution."""
     p = check_distribution(name, np.asarray(P, dtype=float).reshape(-1), neg_tol=1e-9, sum_tol=1e-9)
     return np.clip(p, 0.0, None)
-
-
-def smoothed_dmax_classical(P, Q, eps: float) -> float:
-    """Smoothed max-divergence: the smallest log2 lambda such that some P'
-    with ||P - P'||_1 <= eps and sum(P') = 1 satisfies P' <= 2^lambda Q,
-    found by bisection.
-
-    For fixed lambda the minimal ell-1 distance from P to the capped
-    simplex {0 <= P' <= 2^lambda Q, sum P' = 1} equals twice the excess
-    ``sum_x max(P(x) - 2^lambda Q(x), 0)``, so feasibility is a monotone
-    threshold condition in lambda.
-    """
-    p = _probs("P", P)
-    q = _probs("Q", Q)
-    if p.size != q.size:
-        raise DimensionMismatchError(f"lengths differ: {p.size} vs {q.size}")
-    check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    outside = float(p[q <= 0.0].sum())
-    if 2.0 * outside > eps + 1e-12:
-        raise ValidationError(
-            f"mass {outside} outside supp(Q) cannot be smoothed away with eps={eps}"
-        )
-
-    supp = q > 0.0
-
-    def excess(lam: float) -> float:
-        return float(np.clip(p[supp] - (2.0**lam) * q[supp], 0.0, None).sum()) + outside
-
-    def feasible(lam: float) -> bool:
-        return 2.0 * excess(lam) <= eps + 1e-12
-
-    lo = 0.0
-    if feasible(lo):
-        return 0.0
-    ratios = p[supp] / q[supp]
-    hi = max(1e-6, math.log2(max(float(np.max(ratios)), 1.0)) + 1e-9)
-    for _ in range(64):  # rounding guard; beyond max ratio the excess is just `outside`
-        if feasible(hi):
-            break
-        hi += 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def substate_perturbation_check_classical(

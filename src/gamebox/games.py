@@ -741,6 +741,20 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
     repeated predicate (always the game's largest table) would have more
     than ``budget`` entries.
     """
+    _check_repeat(game, n, budget)
+    if n == 1:
+        return game
+    return GamePredicate(
+        inputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.inputs),
+        outputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.outputs),
+        p=_outer_power(game.p, n),
+        V=_outer_power(game.V, n),
+        name=f"{game.name}^{n}" if game.name else None,
+    )
+
+
+def _check_repeat(game: GamePredicate, n: int, budget: int) -> None:
+    """The checks :func:`repeat` makes before anything is allocated."""
     check_range("repetition count", n, 1, math.inf, integer=True)
     check_range("budget", budget, 0, math.inf, integer=True)
     v_entries = 1  # factor by factor, stopping past the budget: s**n can be huge
@@ -751,15 +765,6 @@ def repeat(game: GamePredicate, n: int, budget: int = 10**7) -> GamePredicate:
             v_entries *= s
     if v_entries > budget:
         raise BudgetExceededError(f"the {n}-fold repeated predicate would have more than budget {budget} entries")
-    if n == 1:
-        return game
-    return GamePredicate(
-        inputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.inputs),
-        outputs=tuple(tuple(itertools.product(alpha, repeat=n)) for alpha in game.outputs),
-        p=_outer_power(game.p, n),
-        V=_outer_power(game.V, n),
-        name=f"{game.name}^{n}" if game.name else None,
-    )
 
 
 def _outer_power(t: np.ndarray, n: int) -> np.ndarray:

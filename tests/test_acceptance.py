@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from gamebox import bounds, diqkd, dpt, games
 from gamebox.errors import BudgetExceededError
@@ -91,27 +90,6 @@ def test_discrepancy_lower_bounds_local_efficiency():
             assert lower == pytest.approx(chk.lower, abs=1e-9)
             assert lower <= bounds.eff_local(bounds.xor_game(f, p), eps, "average").eff + 1e-6
             assert chk.holds
-
-
-# ---------------------------------------------------------------------------
-# 6. classical substate inequality
-# ---------------------------------------------------------------------------
-
-
-def test_classical_substate_bound_with_time_budget():
-    start = time.monotonic()
-    rng = np.random.default_rng(606)
-    for i in range(100):
-        k = int(rng.integers(2, 9))
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k))
-        q = (q + 0.02) / (1.0 + 0.02 * k)  # bounded below: finite divergence
-        D = float(scipy.stats.entropy(p, q, base=2))
-        for eps in (0.1, 0.3, 0.5):
-            smoothed = dpt.smoothed_dmax_classical(p, q, eps)
-            cap = (4 * D + 1) / eps**2 + math.log2(1 / (1 - eps**2 / 4))
-            assert smoothed <= cap, (i, eps)
-    assert time.monotonic() - start < 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +199,7 @@ def test_honest_protocol_statistics_in_batches():
 
     class LeakingBoxes(diqkd.BoxPair):
         def produce(self, xs, ys, channel):
-            channel.send("bob_box", "alice_box", 2, "00")
+            channel.send("bob_box", "alice_box", 2)
             raise AssertionError("the send above must exceed the zero budget")
 
     with pytest.raises(BudgetExceededError):

@@ -231,6 +231,63 @@ def test_substate_check_at_edge_values_exits_cleanly(capsys, tmp_path, flag, val
         assert code == 1 and "factor" in err
 
 
+_GAME_VALUE_BASE = {"--restarts": "2", "--budget": "100000000", "--seed": "0", "--dims": "2,2"}
+_DPT_BOUND_BASES = {
+    "case-i": {"--l": "2", "--n": "1000000", "--c": "0.0005", "--nu": "0.3", "--exponent-const": "1",
+               "--alphabets": "4,4"},
+    # the gate 1 <= c < zeta^2 eff / (270 l^3) holds at the base values
+    "case-ii": {"--l": "1", "--n": "1000", "--c": "2", "--eps": "0.1", "--zeta": "1", "--eff": "1000",
+                "--exponent-const": "1", "--alphabets": "4,4"},
+    "randv": {"--t": "10", "--n": "1000", "--c": "0.001", "--l": "2", "--nu": "0.3", "--beta": "1",
+              "--alphabets": "4,4"},
+}
+# name -> (command words, numeric flags at their base values, fixed flags);
+# the two input files are written by the test
+_LIBRARY_EDGE_COMMANDS = {
+    **{f"value-{method}": (("game", "value"), _GAME_VALUE_BASE, {"--builtin": "chsh", "--method": method})
+       for method in ("classical", "seesaw", "ns")},
+    **{f"eff-{relaxation}": (("bounds", "eff"), {"--eps": "0.1"}, {"--builtin": "chsh", "--relaxation": relaxation})
+       for relaxation in ("ns", "local")},
+    "gamma2": (("bounds", "gamma2"), {"--alpha-approx": "1.5"}, {"--matrix": "gamma2.json"}),
+    "check-thm2": (("bounds", "check-thm2"), {"--eps": "0.1"}, {"--input": "thm2.json"}),
+    **{f"bound-{which}": (("dpt", "bound", which), base, {}) for which, base in _DPT_BOUND_BASES.items()},
+    "probe": (("dpt", "probe"), {"--n": "1", "--comm-bits": "1", "--budget": "2000000", "--seed": "0"},
+              {"--builtin": "chsh"}),
+}
+
+
+def _library_edge_cases():
+    for name, (_, numeric, _) in _LIBRARY_EDGE_COMMANDS.items():
+        for flag in numeric:
+            for value in _ALL_EDGE_VALUES:
+                # that many seesaw restarts is work the user asked for, and
+                # no limit bounds it
+                if (name, flag, value) != ("value-seesaw", "--restarts", str(2**63)):
+                    yield name, flag, value
+
+
+@pytest.mark.parametrize(
+    "name, flag, value", list(_library_edge_cases()),
+    ids=[f"{name}-{flag}={value}" for name, flag, value in _library_edge_cases()],
+)
+def test_game_bounds_and_dpt_commands_at_edge_values_exit_cleanly(capsys, monkeypatch, tmp_path, name, flag, value):
+    # each value is passed as --flag=value; every case is refused or runs in
+    # milliseconds (the largest, the probe at --n 3, is a 4096-entry
+    # tensor), so no limit needs lowering
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gamma2.json").write_text(json.dumps({"F": [[1, 1], [1, -1]], "p": [[0.25, 0.25], [0.25, 0.25]]}))
+    (tmp_path / "thm2.json").write_text(json.dumps({"f": [[0, 0], [0, 1]], "p": [[0.25, 0.25], [0.25, 0.25]]}))
+    words, numeric, fixed = _LIBRARY_EDGE_COMMANDS[name]
+    argv = {**numeric, **fixed, flag: value}
+    code, out, err = run(capsys, *words, *(f"{f}={v}" for f, v in argv.items()))
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert isinstance(_strict_json(out), dict)
+    else:
+        assert out == "" and err
+
+
 def test_probe_of_a_huge_repetition_exits_two_with_a_short_message(capsys):
     # the budget message formatted 2**(4 * 10**6), past Python's 4300-digit
     # limit: a ValueError traceback
@@ -862,9 +919,10 @@ def test_readme_diqkd_outputs_are_pinned(capsys, command, expected):
     assert out == expected
 
 
-# n = 10^6 with an input_prefix adversary: inputs of several chunks, and a
-# payload that reads only the first four of 10^6 rounds.  The adversary
-# changes only leaked_bits_mean: without it the runs print the same numbers.
+# n = 10^6 with an adversary file in the old format, whose function_id is
+# no longer read: inputs of several chunks and one metered 8-bit message.
+# The adversary changes only leaked_bits_mean: without it the runs print
+# the same numbers.
 PINNED_BULK_ADVERSARY_ARGV = [
     "diqkd", "run", "--n", "1000000", "--alpha", "0.5", "--gamma", "0.2", "--delta", "0.05", "--runs", "2",
     "--adversary", '{"rounds": [{"from": "alice_box", "to": "eve", "bits": 8, "function_id": "input_prefix"}]}',

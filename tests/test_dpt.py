@@ -622,75 +622,3 @@ def test_substate_check_names_the_argument_that_is_not_a_distribution():
     with pytest.raises(ValidationError, match="^sigma_XB must be a 2-d array, got 1 dimensions$"):
         dpt.substate_perturbation_check_classical(np.full(4, 0.25), u, u, c=1.0, eps=0.1, delta0=0.1, delta1=0.1)
 
-
-# ---------------------------------------------------------------------------
-# smoothed max-divergence
-# ---------------------------------------------------------------------------
-
-
-def _random_simplex(rng, k, floor=0.0):
-    p = rng.dirichlet(np.ones(k))
-    if floor:
-        p = (p + floor) / (1.0 + k * floor)
-    return p
-
-
-def test_smoothed_dmax_binary_closed_form():
-    # P=(3/4,1/4) against uniform: the optimum shaves eps/2 off the heavy
-    # outcome, so lambda(eps) = 2 (3/4 - eps/2) until it reaches 1
-    P, Q = [0.75, 0.25], [0.5, 0.5]
-    for eps in (0.0, 0.1, 0.2, 0.3, 0.4):
-        expected = math.log2(2 * (0.75 - eps / 2))
-        assert dpt.smoothed_dmax_classical(P, Q, eps) == pytest.approx(expected, abs=1e-9)
-    assert dpt.smoothed_dmax_classical(P, Q, 0.5) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_smoothed_dmax_zero_eps_equals_dmax(rng):
-    # at eps = 0 it is the max-divergence, log2 max(p/q) for distributions
-    for _ in range(20):
-        p = _random_simplex(rng, 5)
-        q = _random_simplex(rng, 5, floor=0.02)
-        plain = math.log2(float(np.max(p / q)))
-        smoothed = dpt.smoothed_dmax_classical(p, q, 0.0)
-        assert smoothed == pytest.approx(plain, abs=1e-8)
-
-
-def test_smoothed_dmax_optimality_certificate(rng):
-    # independent check of the returned level: feasible there, infeasible
-    # just below (the defining threshold condition, not the bisection path)
-    for _ in range(30):
-        p = _random_simplex(rng, 6)
-        q = _random_simplex(rng, 6, floor=0.01)
-        eps = float(rng.uniform(0.05, 0.6))
-        lam = dpt.smoothed_dmax_classical(p, q, eps)
-
-        def shave(level):
-            return float(np.clip(p - 2.0**level * q, 0.0, None).sum())
-
-        assert 2 * shave(lam) <= eps + 1e-6
-        if lam > 1e-7:
-            assert 2 * shave(lam - 1e-6) > eps - 1e-9
-
-
-@given(st.integers(0, 10**6))
-def test_smoothed_dmax_monotone_in_eps(seed):
-    r = np.random.default_rng(seed)
-    p = _random_simplex(r, 4)
-    q = _random_simplex(r, 4, floor=0.02)
-    levels = [dpt.smoothed_dmax_classical(p, q, e) for e in (0.0, 0.1, 0.3, 0.5)]
-    for a, b in zip(levels, levels[1:]):
-        assert b <= a + 1e-9
-
-
-def test_smoothed_dmax_domain_errors():
-    P, Q = [0.75, 0.25], [0.5, 0.5]
-    with pytest.raises(ValidationError):
-        dpt.smoothed_dmax_classical(P, Q, 1.0)
-    with pytest.raises(ValidationError):
-        dpt.smoothed_dmax_classical(P, Q, -0.1)
-    # mass outside supp(Q) beyond the smoothing budget
-    with pytest.raises(ValidationError):
-        dpt.smoothed_dmax_classical([0.5, 0.5], [1.0, 0.0], 0.3)
-    # ... but within budget it is allowed
-    lam = dpt.smoothed_dmax_classical([0.9, 0.1], [1.0, 0.0], 0.25)
-    assert math.isfinite(lam)

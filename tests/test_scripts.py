@@ -162,6 +162,14 @@ def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+# size limits, refused with exit 2: the table stopped at mse's eff_ns LP
+# and at the 20-fold repeated predicate
+_SIZE_REFUSALS = (
+    ("partition_bound_table.py", ("--games", "chsh,mse", "--eps", "0")),
+    ("repetition_probe.py", ("--games", "chsh", "--copies", "1,20", "--comm-bits", "0")),
+)
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -172,12 +180,13 @@ def test_scripts_exit_with_the_cli_codes_on_a_library_refusal(script, args, code
         ("repetition_probe.py", ("--games", "chsh", "--budget", "-1")),
         ("repetition_probe.py", ("--games", "chsh", "--copies", "0")),
         ("repetition_probe.py", ("--games", "chsh", "--comm-bits", "5")),
+        *_SIZE_REFUSALS,
     ],
 )
 def test_scripts_resolve_every_flag_before_the_header(script, args):
-    # a refused run printed the table header (and its rule) before exit 1
+    # a refused run printed the table header (and its rule) before exiting
     proc = _run_script(script, *args)
-    assert proc.returncode == 1
+    assert proc.returncode == (2 if (script, args) in _SIZE_REFUSALS else 1)
     assert proc.stdout == ""
     assert proc.stderr.startswith("gamebox: ") and "Traceback" not in proc.stderr
 

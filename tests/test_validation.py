@@ -51,7 +51,6 @@ def _cases():
         ("gamma2_alpha.alpha", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), _UNIFORM, v)),
         ("gamma2_alpha.p", lambda v: bounds.gamma2_alpha(np.ones((2, 2)), np.array([[v, 0.25], [0.25, 0.25]]), 2.0)),
         ("gamma2_star.M", lambda v: bounds.gamma2_star(np.array([[v, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))),
-        ("smoothed_dmax_classical.eps", lambda v: dpt.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], v)),
         ("binary_entropy.x", lambda v: diqkd.binary_entropy(v)),
         ("eff_ns.eps", lambda v: bounds.eff_ns(games.chsh(), v)),
         ("eff_local.eps", lambda v: bounds.eff_local(games.chsh(), v)),
@@ -130,7 +129,7 @@ def test_non_finite_number_is_refused(call, value):
         lambda: dpt.randv_bound(**_with(_RANDV, l=2.5)),
         lambda: dpt.dpt_case_i_bound(**_with(_CASE_I, alphabet_sizes=(4.5, 4))),
         lambda: diqkd.KeyRateParams(**_with(_RATE, n=1000.5)),
-        lambda: diqkd.AdversaryRound("eve", "alice_box", 2.5, "ones"),
+        lambda: diqkd.AdversaryRound("eve", "alice_box", 2.5),
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": 2.5, "function_id": "ones"}]}),
         lambda: diqkd.load_adversary({"rounds": [{"from": "eve", "to": "alice_box", "bits": "3", "function_id": "ones"}]}),
     ],
@@ -242,7 +241,6 @@ def test_lp_refuses_a_sense_other_than_eq_or_ge(sense, monkeypatch):
         lambda: dpt.dpt_case_i_bound(l=2, n=1, c=0.0, nu=1.0, alphabet_sizes=(2,)),
         lambda: diqkd.serfling_mc(**_with(_SERFLING, pattern=0.0)),
         lambda: diqkd.serfling_mc(**_with(_SERFLING, pattern=1.0)),
-        lambda: dpt.smoothed_dmax_classical([0.5, 0.5], [0.5, 0.5], 0.0),
         lambda: diqkd.binary_entropy(0.0),
         lambda: diqkd.binary_entropy(1.0),
         lambda: bounds.eff_ns(games.chsh(), 1.0),
@@ -257,6 +255,7 @@ def test_lp_refuses_a_sense_other_than_eq_or_ge(sense, monkeypatch):
         lambda: games.classical_value(games.chsh(), budget=16),
         lambda: dpt.empirical_repeated_value(_probe(0, search_budget=0)),
         lambda: dpt.dpt_case_ii_bound(l=1, n=1, c=1.0, eps=0.0, zeta=1.0, eff=1000.0, alphabet_sizes=(2,)),
+        lambda: diqkd.LeakageBudget(0).debit(0),
     ],
 )
 def test_closed_interval_ends_are_accepted(call):
