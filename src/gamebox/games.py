@@ -22,6 +22,7 @@ Builtin games
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -328,6 +329,27 @@ def strategy_value(game: GamePredicate, strategy: ClassicalStrategy) -> float:
 _GATHER_ENTRIES = 2**18
 
 
+def _prefix_tree_margins(T: np.ndarray, m: int, n: int, chunk: int):
+    """Yield ``(first map, margins)`` per subtree of one player's maps, ``m``
+    outputs on ``n`` inputs, where ``T[c, ..., f]`` is the cell its output f
+    on input c adds.  A subtree fixes the fewest leading digits that leave
+    at most ``chunk`` maps; its level c adds ``T[c]``, broadcast over the
+    new digit, to the partial sums of level c - 1, from zeros, so the
+    leaves are the maps' sums in row-major map order."""
+    k = 0
+    while m ** (n - k) > chunk:
+        k += 1
+    for prefix in range(m**k):
+        part = np.zeros(T.shape[1:-1] + (1,))
+        for c in range(n):
+            if c < k:
+                f = prefix // m ** (k - 1 - c) % m
+                part = part + T[c, ..., f : f + 1]
+            else:
+                part = (part[..., None] + T[c, ..., None, :]).reshape(*T.shape[1:-1], -1)
+        yield prefix * m ** (n - k), part
+
+
 def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """Maximum of ``sum_x pV[f_1(x_1), ..., f_l(x_l), x]`` over deterministic
     maps ``f_j``, with the first maximising maps.
@@ -335,10 +357,18 @@ def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ..
     ``pV`` is any real table of shape ``(|A_1|..|A_l|, |X_1|..|X_l|)``,
     negative entries included: ``p * V``, or the repetition probe's game
     whose inputs pair each input with the other player's message.  The
-    player with the largest strategy space (the last on ties) best-responds
-    exactly; the others' maps run in row-major order, ``_GATHER_ENTRIES``
-    table entries at a time.  Callers check their own budget first:
-    ``classical_value`` the strategy space, the probe its ``_split_work``.
+    player r with the largest strategy space (the last on ties)
+    best-responds exactly; the others' maps run in row-major order, in
+    chunks of at most ``_GATHER_ENTRIES`` margin entries.  A chunk's
+    margins are output-major, ``(|A_r|, |X_r|, maps)``: each map's
+    margin adds pV cell by cell from zeros, in the row-major order of the
+    other players' inputs, and its value adds the row maxima input by
+    input.  That order fixes the last bits.  With one other player the
+    chunk is a subtree of its maps as a prefix tree over its inputs,
+    whose level c adds input c's cells to the partial sums of level c - 1;
+    with more, each input gathers every map's cells.  Callers check their
+    own budget first: ``classical_value`` the strategy space, the probe
+    its ``_split_work``.
     """
     l = pV.ndim // 2
     out_sizes, in_sizes = pV.shape[:l], pV.shape[l:]
@@ -346,14 +376,13 @@ def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ..
     r = max(range(l), key=lambda j: (space_sizes[j], j))
     others = [j for j in range(l) if j != r]
     n_in_r, n_out_r = in_sizes[r], out_sizes[r]
-    # T[a_others, x_others, x_r, a_r] = pV[a, x], the other players'
-    # outputs and inputs each flattened row-major
+    # T[c, a_r, x_r, a_o] = pV[a, x], the other players' inputs c and
+    # outputs a_o each flattened row-major
     out_o = [out_sizes[j] for j in others]
     in_o = [in_sizes[j] for j in others]
-    T = pV.transpose(others + [l + j for j in others] + [l + r, r])
-    T = T.reshape(math.prod(out_o), math.prod(in_o), n_in_r, n_out_r)
+    T = pV.transpose([l + j for j in others] + [r, l + r] + others)
+    T = T.reshape(math.prod(in_o), n_out_r, n_in_r, math.prod(out_o))
     sizes = [space_sizes[j] for j in others]
-    stride = [math.prod(out_o[t + 1 :]) for t in range(len(others))]
 
     def output(t, x_j, ids):
         """Output of other player t on input x_j in combination `ids` (row-major
@@ -361,28 +390,37 @@ def best_deterministic(pV: np.ndarray) -> tuple[float, tuple[tuple[int, ...], ..
         m = ids // math.prod(sizes[t + 1 :]) % sizes[t]
         return m // out_o[t] ** (in_o[t] - 1 - x_j) % out_o[t]
 
-    n_combos = math.prod(sizes)
+    def gathered(chunk):
+        """(first map, margins) per chunk of ``chunk`` maps, each input
+        gathering its cells for every map of the chunk."""
+        n_combos = math.prod(sizes)
+        stride = [math.prod(out_o[t + 1 :]) for t in range(len(others))]
+        for start in range(0, n_combos, chunk):
+            ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
+            margins = np.zeros((n_out_r, n_in_r, ids.size))
+            for c, x_o in enumerate(np.ndindex(*in_o)):
+                a_o = np.zeros(ids.size, dtype=np.int64)
+                for t, x_j in enumerate(x_o):
+                    a_o += output(t, x_j, ids) * stride[t]
+                margins += np.take(T[c], a_o, axis=-1)
+            yield start, margins
+
     chunk = max(1, _GATHER_ENTRIES // (n_in_r * n_out_r))
+    if len(others) == 1:
+        chunks = _prefix_tree_margins(T, out_o[0], in_o[0], chunk)
+    else:
+        chunks = gathered(chunk)
     best_val, best_id, best_r_map = -math.inf, 0, None
-    for start in range(0, n_combos, chunk):
-        ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
-        # add pV cell by cell in the row-major order of the other inputs,
-        # and the row maxima input by input: that order fixes the last bits
-        margins = np.zeros((ids.size, n_in_r, n_out_r))
-        for c, x_o in enumerate(np.ndindex(*in_o)):
-            a_o = np.zeros(ids.size, dtype=np.int64)
-            for t, x_j in enumerate(x_o):
-                a_o += output(t, x_j, ids) * stride[t]
-            margins += T[a_o, c]
-        best = margins.max(axis=2)
-        vals = np.zeros(ids.size)
-        for i in range(n_in_r):
-            vals += best[:, i]
+    for start, margins in chunks:
+        best = margins.max(axis=0)
+        vals = np.zeros(best.shape[1])
+        for row in best:
+            vals += row
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val = float(vals[k])
-            best_id = int(ids[k])
-            best_r_map = tuple(margins[k].argmax(axis=1).tolist())
+            best_id = start + k
+            best_r_map = tuple(margins[:, :, k].argmax(axis=0).tolist())
     maps = {r: best_r_map}
     for t, j in enumerate(others):
         maps[j] = tuple(output(t, x_j, best_id) for x_j in range(in_o[t]))
@@ -539,6 +577,18 @@ def _pair_rounds(n: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
+@functools.cache
+def _pair_round_indices(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_pair_rounds(n)`` as one read-only ``(alpha, beta)`` pair of index
+    arrays per round, built once per output count."""
+    rounds = []
+    for pairs in _pair_rounds(n):
+        alpha_beta = np.array(pairs).T
+        alpha_beta.flags.writeable = False
+        rounds.append((alpha_beta[0], alpha_beta[1]))
+    return tuple(rounds)
+
+
 def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray:
     """Maximise ``sum_a Tr(M_a G[x, a])`` over POVMs ``(M_a)``, for every
     input ``x`` of the ``(|X|, |A|, d, d)`` stacks at once.
@@ -575,11 +625,14 @@ def _optimize_povm(G: np.ndarray, current: np.ndarray, tol: float) -> np.ndarray
         P = qcore.psd_power(G[:, 0] - G[:, 1], 0.0)
         return np.stack([P, eye - P], axis=1)
     ms = current.astype(complex)
-    for alpha, beta in (np.array(pairs).T for pairs in _pair_rounds(n)):
+    for alpha, beta in _pair_round_indices(n):
         old_alpha = ms[:, alpha]
         S = old_alpha + ms[:, beta]
         delta = G[:, alpha] - G[:, beta]
-        P = qcore.psd_power(S @ delta @ S + S - ident, 0.0)
+        # qcore.psd_power(shifted, 0.0), inline: the same eigh and mask
+        shifted = S @ delta @ S + S - ident
+        w, v = np.linalg.eigh((shifted + shifted.conj().swapaxes(-1, -2)) / 2)
+        P = (v * (w >= qcore.EIG_CUTOFF)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         gain = np.einsum("kpij,kpji->kp", P - old_alpha, delta).real
         i, q = np.nonzero(gain > tol)
         new_alpha = P[i, q]
@@ -633,7 +686,9 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
     ``restarts * |X_j|`` inputs: one round-robin sweep, whose pair rounds
     each take one batched ``eigh`` over every (input, pair).  Stacked
     matmul, QR and ``eigh`` act matrix by matrix, and the POVM update input
-    by input, so each restart computes exactly what it would alone."""
+    by input, so each restart computes exactly what it would alone.  A
+    finished restart keeps copies of its own arrays, not views that would
+    keep the group's stacks alive."""
     povms = _random_povms(game, local_dims, seed, rs)
     live, prev = list(rs), [-1.0] * len(rs)
     W = _game_operator(pV, povms)
@@ -649,7 +704,7 @@ def _lockstep(pV: np.ndarray, game: GamePredicate, local_dims, rs: range, seed: 
         for i, r in enumerate(live):
             val = float(np.real(psi[i].conj() @ (W[i] @ psi[i])))
             if val - prev[i] < tol or it == max_iters - 1:
-                finished[r] = (val, psi[i].copy(), [M[i] for M in povms])
+                finished[r] = (val, psi[i].copy(), [M[i].copy() for M in povms])
             else:
                 stay.append(i)
                 prev[i] = val
@@ -693,14 +748,17 @@ def seesaw(
     input x_j hold only the other players' POVMs, never player j's own on
     another input, so this is the same as updating the inputs one by one.
 
-    The restarts run in lockstep groups of 1, 2, 4, ... restarts (see
-    ``_lockstep``), and their results are taken in index order, so the
-    value, state and POVMs are bitwise those of running the restarts one
-    at a time.  A search that stops inside a group has also run the group's
-    later restarts, for nothing; with doubling groups those are never more
-    than the restarts before the group.  (One group of restarts
-    1..restarts-1 made magic_square, which reaches 1 - 1e-9 in about one
-    restart in three, twice as slow as one restart at a time.)
+    The restarts run in lockstep groups of 2, 4, 8, ... restarts, restarts
+    0-1, 2-5, 6-13, ... (see ``_lockstep``), and their results are taken
+    in index order, so the value, state and POVMs are bitwise those of
+    running the restarts one at a time.  A search that stops inside a group
+    has also run the group's later restarts, for nothing; with doubling
+    groups those are never more than the restarts before the group, plus
+    one.  (One group of restarts 1..restarts-1 made magic_square, which
+    reaches 1 - 1e-9 in about one restart in three, twice as slow as one
+    restart at a time.  Groups of 2, 4, 8 took less time in total than
+    groups of 1, 2, 4 over seeds 0-9 of chsh, magic_square and chsh^2,
+    though a search that restart 0 ends also runs restart 1.)
     """
     local_dims = tuple(int(check_range("local dimension", d, 1, math.inf, integer=True)) for d in local_dims)
     if len(local_dims) != game.players:
@@ -712,7 +770,8 @@ def seesaw(
     check_range("seed", seed, 0, math.inf, integer=True)
     pV = (game.p * game.V).astype(complex)
     best_val, best_state, best_povms = -1.0, None, None
-    groups = [range(2**k - 1, min(2 ** (k + 1) - 1, restarts)) for k in range(int(restarts).bit_length())]
+    n_groups = int(restarts + 1).bit_length() - 1
+    groups = [range(2 ** (k + 1) - 2, min(2 ** (k + 2) - 2, restarts)) for k in range(n_groups)]
     for val, psi, povms in itertools.chain.from_iterable(
         _lockstep(pV, game, local_dims, rs, seed, _SEESAW_ITERS, _SEESAW_TOL) for rs in groups
     ):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamebox import games, qcore
+from gamebox import dpt, games, qcore
 from gamebox.errors import BudgetExceededError, ValidationError
 
 
@@ -305,6 +305,114 @@ def test_best_deterministic_below_minus_one():
     W[1, 0] = -0.5  # Alice answering 1 and Bob 0 costs 0.5 on each of the 4 inputs
     assert games.best_deterministic(W) == (-2.0, ((1, 1), (0, 0)))
     assert games.best_deterministic(W[:, 0, :, 0] - 1.0) == (-3.0, ((1, 1),))
+
+
+def _gather_loop(pV):
+    """best_deterministic as it ran before the prefix tree: margins
+    ``(maps, |X_r|, |A_r|)``, each input gathering every map's cells."""
+    l = pV.ndim // 2
+    out_sizes, in_sizes = pV.shape[:l], pV.shape[l:]
+    space_sizes = [out_sizes[j] ** in_sizes[j] for j in range(l)]
+    r = max(range(l), key=lambda j: (space_sizes[j], j))
+    others = [j for j in range(l) if j != r]
+    n_in_r, n_out_r = in_sizes[r], out_sizes[r]
+    out_o = [out_sizes[j] for j in others]
+    in_o = [in_sizes[j] for j in others]
+    T = pV.transpose(others + [l + j for j in others] + [l + r, r])
+    T = T.reshape(math.prod(out_o), math.prod(in_o), n_in_r, n_out_r)
+    sizes = [space_sizes[j] for j in others]
+    stride = [math.prod(out_o[t + 1 :]) for t in range(len(others))]
+
+    def output(t, x_j, ids):
+        m = ids // math.prod(sizes[t + 1 :]) % sizes[t]
+        return m // out_o[t] ** (in_o[t] - 1 - x_j) % out_o[t]
+
+    n_combos = math.prod(sizes)
+    chunk = max(1, games._GATHER_ENTRIES // (n_in_r * n_out_r))
+    best_val, best_id, best_r_map = -math.inf, 0, None
+    for start in range(0, n_combos, chunk):
+        ids = np.arange(start, min(start + chunk, n_combos), dtype=np.int64)
+        margins = np.zeros((ids.size, n_in_r, n_out_r))
+        for c, x_o in enumerate(np.ndindex(*in_o)):
+            a_o = np.zeros(ids.size, dtype=np.int64)
+            for t, x_j in enumerate(x_o):
+                a_o += output(t, x_j, ids) * stride[t]
+            margins += T[a_o, c]
+        best = margins.max(axis=2)
+        vals = np.zeros(ids.size)
+        for i in range(n_in_r):
+            vals += best[:, i]
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_id = int(ids[k])
+            best_r_map = tuple(margins[k].argmax(axis=1).tolist())
+    maps = {r: best_r_map}
+    for t, j in enumerate(others):
+        maps[j] = tuple(output(t, x_j, best_id) for x_j in range(in_o[t]))
+    return best_val, tuple(maps[j] for j in range(l))
+
+
+def _assert_bitwise_the_gather_loop(W):
+    value, maps = games.best_deterministic(W)
+    want_value, want_maps = _gather_loop(W)
+    assert (float(value).hex(), maps) == (float(want_value).hex(), want_maps)
+
+
+def _differential_table(kind, seed):
+    r = np.random.default_rng([seed, 38])
+    l = 3 if seed % 3 == 0 else 2
+    shape = tuple(int(v) for v in r.integers(1, 4, l)) + tuple(int(v) for v in r.integers(1, 4, l))
+    if kind == "real":  # negative entries, a third of the tables below -1
+        W = r.normal(size=shape)
+        return -np.abs(W) - 1.0 if seed % 3 == 1 else W
+    if kind == "dyadic":  # few distinct values: ties within and across maps
+        return r.integers(-2, 3, size=shape) / 4.0
+    return np.where(r.random(shape) < 0.5, 0.0, -0.0)  # "signed_zeros"
+
+
+@pytest.mark.parametrize("gather_entries", [games._GATHER_ENTRIES, 5])
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("kind", ["real", "dyadic", "signed_zeros"])
+def test_best_deterministic_is_bitwise_the_gather_loop(kind, seed, gather_entries, monkeypatch):
+    monkeypatch.setattr(games, "_GATHER_ENTRIES", gather_entries)
+    _assert_bitwise_the_gather_loop(_differential_table(kind, seed))
+
+
+def test_best_deterministic_is_bitwise_the_gather_loop_on_signed_zeros():
+    # from zeros, every margin and value is +0.0, as the gather loop's are
+    for l in (1, 2, 3):
+        W = np.full((2,) * (2 * l), -0.0)
+        value, _ = games.best_deterministic(W)
+        assert float(value).hex() == "0x0.0p+0"
+        _assert_bitwise_the_gather_loop(W)
+
+
+@pytest.mark.parametrize("gather_entries", [games._GATHER_ENTRIES, 5])
+@pytest.mark.parametrize(
+    "name,n,comm", [("chsh", 2, 1), ("chsh", 1, 2), ("magic_square", 1, 1)], ids=["chsh-2-1", "chsh-1-2", "ms-1-1"]
+)
+def test_best_deterministic_is_bitwise_the_gather_loop_on_probe_tables(name, n, comm, gather_entries, monkeypatch):
+    tables, plain = [], games.best_deterministic
+
+    def recorded(aug):
+        tables.append(aug)
+        return plain(aug)
+
+    monkeypatch.setattr(games, "best_deterministic", recorded)
+    monkeypatch.setattr(games, "_GATHER_ENTRIES", gather_entries)
+    dpt.empirical_repeated_value(dpt.RepetitionProbe(games.builtin_game(name), n=n, comm_bits=comm, seed=0))
+    monkeypatch.setattr(games, "best_deterministic", plain)
+    assert tables
+    for aug in tables:
+        _assert_bitwise_the_gather_loop(aug)
+
+
+def test_best_deterministic_is_bitwise_the_gather_loop_in_chunks():
+    # 4^9 maps of 36 margin entries each: 64 prefix-tree chunks of 4^6 maps
+    W = np.random.default_rng(38).normal(size=(4, 4, 9, 9))
+    assert 4**9 * 36 > games._GATHER_ENTRIES
+    _assert_bitwise_the_gather_loop(W)
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +921,10 @@ def _count_drawn_restarts(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("seed,stop,drawn", [(7, 0, 1), (15, 2, 3), (2, 3, 7)])
+@pytest.mark.parametrize("seed,stop,drawn", [(7, 0, 2), (15, 2, 6), (2, 3, 6)])
 def test_seesaw_runs_restarts_in_doubling_groups(monkeypatch, seed, stop, drawn):
     # magic_square reaches 1 - 1e-9 in restart `stop`: only the groups up to
-    # its own (restart 0, then 1-2, then 3-6) draw their POVMs
+    # its own (restarts 0-1, then 2-5, then 6-13) draw their POVMs
     assert _sequential_seesaw(games.magic_square(), (4, 4), 20, 500, seed)[3] == stop
     draws = _count_drawn_restarts(monkeypatch)
     res = games.seesaw(games.magic_square(), (4, 4), restarts=20, seed=seed)
@@ -825,17 +933,41 @@ def test_seesaw_runs_restarts_in_doubling_groups(monkeypatch, seed, stop, drawn)
 
 
 def test_seesaw_lockstep_shares_povm_updates(monkeypatch):
-    # five restarts of chsh^2, none reaching 1, in groups 0, 1-2 and 3-4 of
-    # 15, 16 and 16 iterations (the longest member's); two players, one
-    # _optimize_povm call each per iteration of a group, against 132 for
-    # the 66 iterations of the restarts one at a time
+    # five restarts of chsh^2, none reaching 1, of 15, 5, 16, 16 and 14
+    # iterations, in groups 0-1 and 2-4 of 15 and 16 iterations (the longest
+    # member's); two players, one _optimize_povm call each per iteration of
+    # a group, against 132 for the 66 iterations of the restarts one at a time
     calls = _count_calls(monkeypatch, "_optimize_povm")
     draws = _count_drawn_restarts(monkeypatch)
     groups = _count_calls(monkeypatch, "_random_povms")
     games.seesaw(games.repeat(games.chsh(), 2), (4, 4), restarts=5, seed=7)
     assert draws[0] == 5
-    assert groups[0] == 3  # one draw per group
-    assert calls[0] == 2 * (15 + 16 + 16)
+    assert groups[0] == 2  # one draw per group
+    assert calls[0] == 2 * (15 + 16)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize(
+    "game,dims,restarts",
+    [(games.repeat(games.chsh(), 2), (4, 4), 5), (games.magic_square(), (4, 4), 20)],
+    ids=["chsh^2", "magic_square"],
+)
+def test_seesaw_lockstep_is_bitwise_the_sequential_loop_at_seeds_0_to_9(game, dims, restarts, seed):
+    # the group schedule is not fitted to one seed
+    _assert_lockstep_is_sequential(game, dims, restarts, seed)
+
+
+def test_lockstep_result_holds_only_its_own_restart():
+    # a finished restart's state and POVMs own their data: no view keeps
+    # its group's stacks alive
+    game = games.repeat(games.chsh(), 2)
+    pV = (game.p * game.V).astype(complex)
+    results = list(games._lockstep(pV, game, (4, 4), range(2, 6), 7, 500, games._SEESAW_TOL))
+    assert len(results) == 4
+    for _, psi, povms in results:
+        assert psi.base is None and psi.shape == (16,)
+        for M in povms:
+            assert M.base is None and M.shape == (4, 4, 4, 4)
 
 
 # ---------------------------------------------------------------------------
